@@ -136,23 +136,28 @@ let cached_outcome ?superset payload =
     degraded = [];
   }
 
-(* Cache protocol shared by the sequential and parallel paths: probe,
-   run on miss, populate on success.  A degraded outcome is never
-   cached — its rows may not reflect what the indices will serve once
-   the fault clears. *)
-let with_cache cache corpus q run =
+(* The one cache protocol of every driver path: exact hit, then
+   containment hit, then run and populate on success.  [replay] sees
+   the payload of either kind of hit (the streaming path re-emits it
+   as per-file blocks).  A degraded outcome is never cached — its rows
+   may not reflect what the indices will serve once the fault
+   clears. *)
+let with_cache ~replay cache corpus q run =
   match cache with
   | None -> run ()
-  | Some cache ->
+  | Some cache -> begin
       let key = Rcache.key ~query:q ~fingerprint:(Rcache.fingerprint corpus) in
-      (match Rcache.find cache key with
-      | Some payload -> Ok (cached_outcome payload)
+      match Rcache.find cache key with
+      | Some payload ->
+          replay payload;
+          Ok (cached_outcome payload)
       | None -> begin
           match Rcache.find_contained cache key with
           | Some (payload, superset) ->
               (* a resident superset answered by filtering; populate the
                  exact key so the next occurrence hits directly *)
               Rcache.add cache key payload;
+              replay payload;
               Ok (cached_outcome ~superset payload)
           | None -> begin
               match run () with
@@ -162,120 +167,107 @@ let with_cache cache corpus q run =
                     Rcache.add cache key outcome.rows;
                   Ok outcome
             end
-        end)
+        end
+    end
 
-(* Turn corpus-ordered per-file results into an outcome body according
-   to the fail policy.  [Fail_fast] surfaces the earliest failure;
-   [Partial] excludes failed files; [Degrade] walks the recovery
-   ladder per failed file: circuit breaker → query-level error check →
-   naive scan of the raw file → exclusion.  Returns the merged rows,
-   the indexed per-file outcomes, and the degradation report. *)
-let resolve ~fail_policy q results =
-  let exception Abort of string in
-  let breaker_key name = "source:" ^ name in
-  try
-    let rows = ref [] in
-    let per_file = ref [] in
-    let degraded = ref [] in
-    let note d = degraded := d :: !degraded in
-    List.iter
-      (fun (name, (src : Oqf.Execute.source), result) ->
-        match result with
-        | Ok (o : Oqf.Execute.outcome) ->
-            Stdx.Retry.Breaker.success (breaker_key name);
-            rows :=
-              List.rev_append
-                (List.map (fun row -> (name, row)) o.Oqf.Execute.rows)
-                !rows;
-            per_file := (name, o) :: !per_file
-        | Error e -> begin
-            match fail_policy with
-            | Fail_fast -> raise (Abort (Printf.sprintf "%s: %s" name e))
-            | Partial ->
-                Obs.Metrics.incr shard_quarantined;
-                note (Oqf.Degrade.make ~file:name Oqf.Degrade.Excluded e)
-            | Degrade ->
-                if Stdx.Retry.Breaker.state (breaker_key name) = Stdx.Retry.Breaker.Open
-                then begin
-                  Obs.Metrics.incr shard_quarantined;
-                  note
-                    (Oqf.Degrade.make ~file:name Oqf.Degrade.Excluded
-                       ("circuit open; " ^ e))
+let no_rows ~file:_ _ = ()
+
+exception Abort of string
+
+(* Settle corpus-ordered files one at a time, forcing each file's
+   result only when its turn comes — so a sequential run stops
+   evaluating at the first fail-fast error, and a streaming run awaits
+   its tasks in order.  [Fail_fast] aborts the query on the first
+   failure; [Partial] excludes failed files; [Degrade] walks the
+   recovery ladder per failed file: circuit breaker → query-level
+   error check → naive scan of the raw file → exclusion.  [on_rows]
+   receives each file's non-empty answer rows, indexed or naive, as
+   soon as that file settles.  Returns the merged rows, the indexed
+   per-file outcomes, and the degradation report. *)
+let resolve ~fail_policy ~on_rows q files =
+  let rows = ref [] in
+  let per_file = ref [] in
+  let degraded = ref [] in
+  let emit name file_rows =
+    if file_rows <> [] then begin
+      rows :=
+        List.rev_append (List.map (fun r -> (name, r)) file_rows) !rows;
+      on_rows ~file:name file_rows
+    end
+  in
+  let note d = degraded := d :: !degraded in
+  let settle (name, (src : Oqf.Execute.source), result) =
+    let breaker_key = "source:" ^ name in
+    let exclude detail =
+      Obs.Metrics.incr shard_quarantined;
+      note (Oqf.Degrade.make ~file:name Oqf.Degrade.Excluded detail)
+    in
+    match result () with
+    | Ok (o : Oqf.Execute.outcome) ->
+        Stdx.Retry.Breaker.success breaker_key;
+        emit name o.Oqf.Execute.rows;
+        per_file := (name, o) :: !per_file
+    | Error e -> begin
+        match fail_policy with
+        | Fail_fast -> raise (Abort (Printf.sprintf "%s: %s" name e))
+        | Partial -> exclude e
+        | Degrade ->
+            if Stdx.Retry.Breaker.state breaker_key = Stdx.Retry.Breaker.Open
+            then exclude ("circuit open; " ^ e)
+            else begin
+              match Oqf.Execute.semantic_error src.Oqf.Execute.view q with
+              | Some se ->
+                  (* the query itself is broken: every file fails the
+                     same way, degrading would silently return nothing *)
+                  raise (Abort (Printf.sprintf "%s: %s" name se))
+              | None -> begin
+                  match Oqf.Execute.run_naive ~file:name src q with
+                  | Ok nrows ->
+                      Stdx.Retry.Breaker.success breaker_key;
+                      emit name nrows;
+                      note
+                        (Oqf.Degrade.make ~file:name
+                           Oqf.Degrade.Naive_fallback e)
+                  | Error ne ->
+                      Stdx.Retry.Breaker.failure breaker_key;
+                      exclude (e ^ "; " ^ ne)
                 end
-                else begin
-                  match Oqf.Execute.semantic_error src.Oqf.Execute.view q with
-                  | Some se ->
-                      (* the query itself is broken: every file fails the
-                         same way, degrading would silently return nothing *)
-                      raise (Abort (Printf.sprintf "%s: %s" name se))
-                  | None -> begin
-                      match Oqf.Execute.run_naive ~file:name src q with
-                      | Ok nrows ->
-                          Stdx.Retry.Breaker.success (breaker_key name);
-                          rows :=
-                            List.rev_append
-                              (List.map (fun row -> (name, row)) nrows)
-                              !rows;
-                          note
-                            (Oqf.Degrade.make ~file:name
-                               Oqf.Degrade.Naive_fallback e)
-                      | Error ne ->
-                          Stdx.Retry.Breaker.failure (breaker_key name);
-                          Obs.Metrics.incr shard_quarantined;
-                          note
-                            (Oqf.Degrade.make ~file:name Oqf.Degrade.Excluded
-                               (e ^ "; " ^ ne))
-                    end
-                end
-          end)
-      results;
-    Ok (List.rev !rows, List.rev !per_file, List.rev !degraded)
-  with Abort e -> Error e
+            end
+      end
+  in
+  match List.iter settle files with
+  | () -> Ok (List.rev !rows, List.rev !per_file, List.rev !degraded)
+  | exception Abort e -> Error e
+
+let fresh_outcome ~stats ~per_shard (rows, per_file, degraded) =
+  {
+    rows;
+    per_file;
+    per_shard;
+    stats;
+    from_cache = false;
+    cache_superset = None;
+    degraded;
+  }
 
 let run_one ?optimize ?minimize ?force ?plan_mode ?cache
     ?(fail_policy = Fail_fast) ?qctx ?generation corpus q =
   with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
-  match fail_policy with
-  | Fail_fast -> begin
-      with_cache cache corpus q @@ fun () ->
-      match Oqf.Corpus.run ?optimize ?minimize ?force ?plan_mode corpus q with
-      | Error _ as e -> e
-      | Ok r ->
-          Ok
-            {
-              rows = r.Oqf.Corpus.rows;
-              per_file = r.Oqf.Corpus.per_file;
-              per_shard = [];
-              stats = r.Oqf.Corpus.stats;
-              from_cache = false;
-              cache_superset = None;
-              degraded = [];
-            }
-    end
-  | Partial | Degrade -> begin
-      with_cache cache corpus q @@ fun () ->
-      let before = Stdx.Stats.snapshot () in
-      let results =
-        List.map
-          (fun (name, src) ->
-            (name, src, Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q))
-          (Oqf.Corpus.sources corpus)
-      in
-      match resolve ~fail_policy q results with
-      | Error _ as e -> e
-      | Ok (rows, per_file, degraded) ->
-          let after = Stdx.Stats.snapshot () in
-          Ok
-            {
-              rows;
-              per_file;
-              per_shard = [];
-              stats = Stdx.Stats.diff ~before ~after;
-              from_cache = false;
-              cache_superset = None;
-              degraded;
-            }
-    end
+  with_cache ~replay:ignore cache corpus q @@ fun () ->
+  let before = Stdx.Stats.snapshot () in
+  let files =
+    List.map
+      (fun (name, src) ->
+        ( name,
+          src,
+          fun () -> Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q
+        ))
+      (Oqf.Corpus.sources corpus)
+  in
+  resolve ~fail_policy ~on_rows:no_rows q files
+  |> Result.map (fun settled ->
+         let stats = Stdx.Stats.diff ~before ~after:(Stdx.Stats.snapshot ()) in
+         fresh_outcome ~stats ~per_shard:[] settled)
 
 (* Evaluate one shard: its files in order.  Under [stop_at_first]
    (fail-fast) evaluation stops at the first failing file, mirroring
@@ -325,7 +317,7 @@ let run_parallel ?optimize ?minimize ?force ?plan_mode ?jobs ?cache
     Error (Printf.sprintf "jobs must be at least 1 (got %d)" jobs)
   else
     with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
-    with_cache cache corpus q @@ fun () ->
+    with_cache ~replay:ignore cache corpus q @@ fun () ->
     let sources = Oqf.Corpus.sources corpus in
     let position =
       let tbl = Hashtbl.create (List.length sources) in
@@ -400,7 +392,7 @@ let run_parallel ?optimize ?minimize ?force ?plan_mode ?jobs ?cache
           List.sort (fun (a, _) (b, _) -> compare (position a) (position b))
             field
         in
-        let per_file_results =
+        let files =
           List.concat_map (fun (_, r) -> r) shard_outcomes
           |> by_position
           |> List.map (fun (name, result) ->
@@ -409,26 +401,19 @@ let run_parallel ?optimize ?minimize ?force ?plan_mode ?jobs ?cache
                    | Some src -> src
                    | None -> assert false  (* shards partition the corpus *)
                  in
-                 (name, src, result))
+                 (name, src, fun () -> result))
         in
-        match resolve ~fail_policy q per_file_results with
-        | Error _ as e -> e
-        | Ok (rows, per_file, degraded) ->
-            let per_shard =
-              List.sort
-                (fun a b -> compare a.shard b.shard)
-                (List.map fst shard_outcomes)
-            in
-            Ok
-              {
-                rows;
-                per_file;
-                per_shard;
-                stats = Stdx.Stats.diff ~before ~after;
-                from_cache = false;
-                cache_superset = None;
-                degraded = List.rev !degraded_shards @ degraded;
-              }
+        let per_shard =
+          List.sort
+            (fun a b -> compare a.shard b.shard)
+            (List.map fst shard_outcomes)
+        in
+        resolve ~fail_policy ~on_rows:no_rows q files
+        |> Result.map (fun (rows, per_file, degraded) ->
+               fresh_outcome
+                 ~stats:(Stdx.Stats.diff ~before ~after)
+                 ~per_shard
+                 (rows, per_file, List.rev !degraded_shards @ degraded))
       end
 
 (* --- streaming execution: the serve daemon's per-client path ------- *)
@@ -446,139 +431,34 @@ let rec emit_blocks on_rows = function
       on_rows ~file file_rows;
       emit_blocks on_rows rest
 
-let run_streaming ?optimize ?minimize ?force ?plan_mode ?(lazy_phase1 = true)
-    ?cache ?timeout_ms
+let run_streaming ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
     ?(fail_policy = Fail_fast) ?qctx ?generation ~pool ~on_rows corpus q =
   with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
-  let key =
-    match cache with
-    | None -> None
-    | Some c ->
-        Some (c, Rcache.key ~query:q ~fingerprint:(Rcache.fingerprint corpus))
+  with_cache ~replay:(emit_blocks on_rows) cache corpus q @@ fun () ->
+  let before = Stdx.Stats.snapshot () in
+  (* one task per file — finer than the shard-per-worker batch path on
+     purpose: file k's rows go to the client as soon as its own task
+     resolves, while later files are still scanning on other workers.
+     The shared pool's FIFO queue is what arbitrates between
+     concurrent clients. *)
+  let files =
+    List.map
+      (fun (name, src) ->
+        let task () =
+          Stdx.Retry.io ~site:"pool.task" (fun () ->
+              Stdx.Fault.hit "pool.task";
+              Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q)
+        in
+        let h = Pool.submit ?timeout_ms pool task in
+        (* a task death or deadline expiry fails the file like an
+           evaluation error *)
+        (name, src, fun () -> Result.join (Pool.await h)))
+      (Oqf.Corpus.sources corpus)
   in
-  match Option.bind key (fun (c, k) -> Rcache.find c k) with
-  | Some payload ->
-      emit_blocks on_rows payload;
-      Ok (cached_outcome payload)
-  | None ->
-  match
-    Option.bind key (fun (c, k) ->
-        Option.map
-          (fun served -> (c, k, served))
-          (Rcache.find_contained c k))
-  with
-  | Some (c, k, (payload, superset)) ->
-      (* same per-file block replay as an exact hit, plus the exact-key
-         population so the next occurrence short-circuits *)
-      Rcache.add c k payload;
-      emit_blocks on_rows payload;
-      Ok (cached_outcome ~superset payload)
-  | None ->
-      let before = Stdx.Stats.snapshot () in
-      let sources = Oqf.Corpus.sources corpus in
-      (* one task per file — finer than the shard-per-worker batch
-         path on purpose: file k's rows go to the client as soon as
-         its own task resolves, while later files are still scanning
-         on other workers.  The shared pool's FIFO queue is what
-         arbitrates between concurrent clients. *)
-      let handles =
-        List.map
-          (fun (name, src) ->
-            let task () =
-              Stdx.Retry.io ~site:"pool.task" (fun () ->
-                  Stdx.Fault.hit "pool.task";
-                  Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode
-                    ~lazy_phase1 src q)
-            in
-            (name, src, Pool.submit ?timeout_ms pool task))
-          sources
-      in
-      let exception Abort of string in
-      let breaker_key name = "source:" ^ name in
-      let rows = ref [] in
-      let per_file = ref [] in
-      let degraded = ref [] in
-      let note d = degraded := d :: !degraded in
-      let emit name file_rows =
-        if file_rows <> [] then begin
-          rows :=
-            List.rev_append (List.map (fun r -> (name, r)) file_rows) !rows;
-          on_rows ~file:name file_rows
-        end
-      in
-      (* await in corpus order; the recovery ladder per file mirrors
-         [resolve], but rows stream as each file settles *)
-      (try
-         List.iter
-           (fun (name, (src : Oqf.Execute.source), h) ->
-             let result =
-               match Pool.await h with
-               | Ok (Ok o) -> Ok o
-               | Ok (Error e) -> Error e
-               | Error e -> Error e (* task death or deadline expiry *)
-             in
-             match result with
-             | Ok (o : Oqf.Execute.outcome) ->
-                 Stdx.Retry.Breaker.success (breaker_key name);
-                 emit name o.Oqf.Execute.rows;
-                 per_file := (name, o) :: !per_file
-             | Error e -> begin
-                 match fail_policy with
-                 | Fail_fast ->
-                     raise (Abort (Printf.sprintf "%s: %s" name e))
-                 | Partial ->
-                     Obs.Metrics.incr shard_quarantined;
-                     note (Oqf.Degrade.make ~file:name Oqf.Degrade.Excluded e)
-                 | Degrade ->
-                     if
-                       Stdx.Retry.Breaker.state (breaker_key name)
-                       = Stdx.Retry.Breaker.Open
-                     then begin
-                       Obs.Metrics.incr shard_quarantined;
-                       note
-                         (Oqf.Degrade.make ~file:name Oqf.Degrade.Excluded
-                            ("circuit open; " ^ e))
-                     end
-                     else begin
-                       match Oqf.Execute.semantic_error src.Oqf.Execute.view q with
-                       | Some se ->
-                           raise (Abort (Printf.sprintf "%s: %s" name se))
-                       | None -> begin
-                           match Oqf.Execute.run_naive ~file:name src q with
-                           | Ok nrows ->
-                               Stdx.Retry.Breaker.success (breaker_key name);
-                               emit name nrows;
-                               note
-                                 (Oqf.Degrade.make ~file:name
-                                    Oqf.Degrade.Naive_fallback e)
-                           | Error ne ->
-                               Stdx.Retry.Breaker.failure (breaker_key name);
-                               Obs.Metrics.incr shard_quarantined;
-                               note
-                                 (Oqf.Degrade.make ~file:name
-                                    Oqf.Degrade.Excluded (e ^ "; " ^ ne))
-                         end
-                     end
-               end)
-           handles;
-         let after = Stdx.Stats.snapshot () in
-         let outcome =
-           {
-             rows = List.rev !rows;
-             per_file = List.rev !per_file;
-             per_shard = [];
-             stats = Stdx.Stats.diff ~before ~after;
-             from_cache = false;
-             cache_superset = None;
-             degraded = List.rev !degraded;
-           }
-         in
-         (match key with
-         | Some (c, k) when outcome.degraded = [] ->
-             Rcache.add c k outcome.rows
-         | _ -> ());
-         Ok outcome
-       with Abort e -> Error e)
+  resolve ~fail_policy ~on_rows q files
+  |> Result.map (fun settled ->
+         let stats = Stdx.Stats.diff ~before ~after:(Stdx.Stats.snapshot ()) in
+         fresh_outcome ~stats ~per_shard:[] settled)
 
 let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
     ?(workload = "") corpus queries =
@@ -632,13 +512,8 @@ let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
     in
     List.map
       (fun (q, h) ->
-        let result =
-          match Pool.await h with
-          | Ok (Ok outcome) -> Ok outcome
-          | Ok (Error e) -> Error e
-          | Error e -> Error e  (* the task itself died *)
-        in
-        (q, result))
+        (* a task that died fails its query *)
+        (q, Result.join (Pool.await h)))
       handles
 
 let pp_shard_report ppf r =

@@ -113,10 +113,12 @@ val run_one :
   Oqf.Corpus.t ->
   Odb.Query.t ->
   (outcome, string) result
-(** Sequential {!Oqf.Corpus.run} behind the same cache protocol —
-    the per-task body of {!run_batch}.  [fail_policy] as in
-    {!run_parallel} (minus the shard-retry rung — there are no
-    shards).
+(** Sequential execution behind the same cache protocol — the
+    per-task body of {!run_batch}: each file in corpus order through
+    {!Oqf.Execute.run}, stopping at the first failure under
+    [Fail_fast], with rows identical to {!Oqf.Corpus.run}'s.
+    [fail_policy] as in {!run_parallel} (minus the shard-retry rung —
+    there are no shards).
 
     [qctx] (here and on every driver entry point): when present and a
     query log is installed ({!Obs.Qlog.install}), the run appends
@@ -138,7 +140,6 @@ val run_streaming :
   ?minimize:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
-  ?lazy_phase1:bool ->
   ?cache:Rcache.t ->
   ?timeout_ms:float ->
   ?fail_policy:fail_policy ->
@@ -156,15 +157,18 @@ val run_streaming :
     each file's rows as soon as that file settles — the client streams
     file [k]'s answers while later files are still scanning.
     [on_rows] runs on the caller's thread and is never called with an
-    empty row list.  Phase 1 defaults to the pull-based
-    {!Ralg.Lazy_eval} ([lazy_phase1], default [true]).
+    empty row list.  Each task is a whole {!Oqf.Execute.run} of its
+    file (phase 1 through {!Ralg.Eval.eval_shared}, as on every other
+    path), so the first rows arrive once the first file settles, not
+    earlier.  The outcome's [stats] count the work of every file.
 
     The returned outcome's [rows] are identical to {!run_parallel}'s
     for the same corpus and query (qcheck-verified).  The cache
-    protocol matches {!run_parallel}, and a hit replays the payload
+    protocol is {!run_parallel}'s, and a hit replays the payload
     through [on_rows] in per-file blocks.  [timeout_ms] bounds each
     file task individually.  [fail_policy] applies the same per-file
-    ladder as {!run_parallel}; note that under [Fail_fast] an error
+    ladder as {!run_parallel}, settling each file as its task is
+    awaited; note that under [Fail_fast] an error
     can arrive {e after} rows have already been streamed — the wire
     protocol surfaces this as an error event terminating the row
     stream. *)

@@ -271,8 +271,8 @@ let materialize_region src ~symbol (r : Pat.Region.t) =
   end
 
 let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
-    ?(force = false) ?(lazy_phase1 = false)
-    ?(plan_mode = Oqf_cost.Planner.Rules) ?qctx src (q : Odb.Query.t) =
+    ?(force = false) ?(plan_mode = Oqf_cost.Planner.Rules) ?qctx src
+    (q : Odb.Query.t) =
   let minimize =
     match minimize with
     | Some m -> m
@@ -402,10 +402,6 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
           annots := (label, a) :: !annots;
           r
         end
-        else if lazy_phase1 then
-          (* the serve daemon's pull-based path; byte-identical to
-             eval_shared (qcheck), minus subexpression sharing *)
-          Ralg.Lazy_eval.to_set (Ralg.Lazy_eval.eval src.instance e)
         else Ralg.Eval.eval_shared src.instance e
       in
       let exception Fail of string in

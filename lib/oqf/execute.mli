@@ -76,7 +76,6 @@ val run :
   ?join_assist:bool ->
   ?explain:bool ->
   ?force:bool ->
-  ?lazy_phase1:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
   ?qctx:Obs.Qlog.ctx ->
   source ->
@@ -96,11 +95,8 @@ val run :
     byte-identical rows either way, only the work differs.
     [explain] (default [false]) evaluates phase 1 through
     {!Ralg.Eval.eval_shared_annotated} and fills [annotations] — the
-    EXPLAIN ANALYZE path.  [lazy_phase1] (default [false]) evaluates
-    phase 1 through the pull-based {!Ralg.Lazy_eval} instead of the
-    materialized shared evaluator — same rows (qcheck-verified), no
-    common-subexpression sharing; the serve daemon's path.  Ignored
-    under [explain].
+    EXPLAIN ANALYZE path; otherwise phase 1 runs
+    {!Ralg.Eval.eval_shared}.
 
     Static analysis ({!Check.plan_diagnostics}) runs between compiling
     and phase 1.  Error-severity findings — the plan is provably empty

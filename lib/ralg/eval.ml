@@ -2,135 +2,19 @@ exception Unknown_region of string
 
 module Rs = Pat.Region_set
 
-(* The plain evaluators below are the hot path: no instrumentation
-   beyond the counters maintained inside Pat.Region_set itself.  The
-   public [eval]/[eval_shared] dispatch to the annotated variants only
-   when a trace sink is installed, so the disabled-tracing cost is one
-   load and branch per top-level evaluation. *)
+let operands = function
+  | Expr.Name _ -> []
+  | Expr.Select (_, e) | Expr.Innermost e | Expr.Outermost e -> [ e ]
+  | Expr.Setop (_, a, b)
+  | Expr.Chain (a, _, b)
+  | Expr.Chain_strict (a, _, b)
+  | Expr.At_depth (_, a, b) ->
+      [ a; b ]
 
-let rec eval_plain inst expr =
-  (* one deadline poll per operator application: a pooled task with a
-     budget aborts at the next operator boundary (see Obs.Deadline) *)
-  Obs.Deadline.check ();
-  match expr with
-  | Expr.Name n -> begin
-      match Pat.Instance.find_opt inst n with
-      | Some set -> set
-      | None -> raise (Unknown_region n)
-    end
-  | Expr.Select (Expr.Contains_word w, e) ->
-      Pat.Word_index.select_containing (Pat.Instance.word_index inst) w
-        (eval_plain inst e)
-  | Expr.Select (Expr.Exactly_word w, e) ->
-      Pat.Word_index.select_exact (Pat.Instance.word_index inst) w
-        (eval_plain inst e)
-  | Expr.Select (Expr.Prefix_word w, e) ->
-      Pat.Word_index.select_prefix (Pat.Instance.word_index inst) w
-        (eval_plain inst e)
-  | Expr.Setop (Expr.Union, a, b) ->
-      Rs.union (eval_plain inst a) (eval_plain inst b)
-  | Expr.Setop (Expr.Inter, a, b) ->
-      Rs.inter (eval_plain inst a) (eval_plain inst b)
-  | Expr.Setop (Expr.Diff, a, b) ->
-      Rs.diff (eval_plain inst a) (eval_plain inst b)
-  | Expr.Innermost e -> Rs.innermost (eval_plain inst e)
-  | Expr.Outermost e -> Rs.outermost (eval_plain inst e)
-  | Expr.Chain (a, op, b) -> begin
-      let ra = eval_plain inst a and rb = eval_plain inst b in
-      match op with
-      | Expr.Including -> Rs.including ra rb
-      | Expr.Included -> Rs.included ra rb
-      | Expr.Directly_including ->
-          Rs.directly_including ~context:(Pat.Instance.universe inst) ra rb
-      | Expr.Directly_included ->
-          Rs.directly_included ~context:(Pat.Instance.universe inst) ra rb
-    end
-  | Expr.Chain_strict (a, op, b) -> begin
-      let ra = eval_plain inst a and rb = eval_plain inst b in
-      match op with
-      | Expr.Including -> Rs.including_strict ra rb
-      | Expr.Included -> Rs.included_strict ra rb
-      | Expr.Directly_including ->
-          Rs.directly_including_strict
-            ~context:(Pat.Instance.universe inst)
-            ra rb
-      | Expr.Directly_included ->
-          Rs.directly_included_strict
-            ~context:(Pat.Instance.universe inst)
-            ra rb
-    end
-  | Expr.At_depth (n, a, b) ->
-      Rs.including_at_depth
-        ~context:(Pat.Instance.universe inst)
-        ~depth:n (eval_plain inst a) (eval_plain inst b)
-
-let eval_shared_plain inst expr =
-  let memo : (Expr.t, Rs.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec go expr =
-    Obs.Deadline.check ();
-    match Hashtbl.find_opt memo expr with
-    | Some r -> r
-    | None ->
-        let r =
-          match expr with
-          | Expr.Name _ -> eval_plain inst expr
-          | Expr.Select (Expr.Contains_word w, e) ->
-              Pat.Word_index.select_containing
-                (Pat.Instance.word_index inst)
-                w (go e)
-          | Expr.Select (Expr.Exactly_word w, e) ->
-              Pat.Word_index.select_exact
-                (Pat.Instance.word_index inst)
-                w (go e)
-          | Expr.Select (Expr.Prefix_word w, e) ->
-              Pat.Word_index.select_prefix
-                (Pat.Instance.word_index inst)
-                w (go e)
-          | Expr.Setop (Expr.Union, a, b) -> Rs.union (go a) (go b)
-          | Expr.Setop (Expr.Inter, a, b) -> Rs.inter (go a) (go b)
-          | Expr.Setop (Expr.Diff, a, b) -> Rs.diff (go a) (go b)
-          | Expr.Innermost e -> Rs.innermost (go e)
-          | Expr.Outermost e -> Rs.outermost (go e)
-          | Expr.Chain (a, op, b) -> begin
-              let ra = go a and rb = go b in
-              match op with
-              | Expr.Including -> Rs.including ra rb
-              | Expr.Included -> Rs.included ra rb
-              | Expr.Directly_including ->
-                  Rs.directly_including
-                    ~context:(Pat.Instance.universe inst)
-                    ra rb
-              | Expr.Directly_included ->
-                  Rs.directly_included
-                    ~context:(Pat.Instance.universe inst)
-                    ra rb
-            end
-          | Expr.Chain_strict (a, op, b) -> begin
-              let ra = go a and rb = go b in
-              match op with
-              | Expr.Including -> Rs.including_strict ra rb
-              | Expr.Included -> Rs.included_strict ra rb
-              | Expr.Directly_including ->
-                  Rs.directly_including_strict
-                    ~context:(Pat.Instance.universe inst)
-                    ra rb
-              | Expr.Directly_included ->
-                  Rs.directly_included_strict
-                    ~context:(Pat.Instance.universe inst)
-                    ra rb
-            end
-          | Expr.At_depth (n, a, b) ->
-              Rs.including_at_depth
-                ~context:(Pat.Instance.universe inst)
-                ~depth:n (go a) (go b)
-        in
-        Hashtbl.replace memo expr r;
-        r
-  in
-  go expr
-
-(* One operator application over already-evaluated children — the unit
-   the annotated evaluator measures counter deltas around. *)
+(* One operator application over already-evaluated operands — the one
+   place the evaluators call into Pat.Region_set and Pat.Word_index.
+   It polls the deadline once per operator: a pooled task with a
+   budget aborts at the next operator boundary (see Obs.Deadline). *)
 let apply inst expr children =
   Obs.Deadline.check ();
   let ctx () = Pat.Instance.universe inst in
@@ -171,6 +55,34 @@ let apply inst expr children =
       Rs.including_at_depth ~context:(ctx ()) ~depth:n a b
   | _ -> invalid_arg "Eval.apply: operator/operand arity mismatch"
 
+let recall memo expr =
+  match memo with Some tbl -> Hashtbl.find_opt tbl expr | None -> None
+
+let remember memo expr r =
+  match memo with Some tbl -> Hashtbl.replace tbl expr r | None -> ()
+
+(* The hot path: operands left to right, then [apply], with no
+   instrumentation beyond the counters inside Pat.Region_set.  With a
+   [memo] table each distinct subexpression is evaluated once (§5.2).
+   The public [eval]/[eval_shared] route through the annotated
+   observer below only when a trace sink is installed, so the
+   disabled-tracing cost is one load and branch per evaluation. *)
+let eval_with ~memo inst expr =
+  let rec go expr =
+    match recall memo expr with
+    | Some r -> r
+    | None ->
+        let r = apply inst expr (List.map go (operands expr)) in
+        remember memo expr r;
+        r
+  in
+  go expr
+
+let eval_plain inst expr = eval_with ~memo:None inst expr
+
+let eval_shared_plain inst expr =
+  eval_with ~memo:(Some (Hashtbl.create 16)) inst expr
+
 let counters_now () =
   Stdx.Stats.
     ( value index_ops,
@@ -181,10 +93,7 @@ let counters_now () =
 let annotate inst ~memo expr =
   let traced = Obs.Trace.enabled () in
   let rec go expr =
-    let hit =
-      match memo with Some tbl -> Hashtbl.find_opt tbl expr | None -> None
-    in
-    match hit with
+    match recall memo expr with
     | Some r ->
         let node =
           {
@@ -206,19 +115,7 @@ let annotate inst ~memo expr =
           if traced then Obs.Trace.begin_span ("eval." ^ Expr.node_label expr)
           else Obs.Trace.null
         in
-        let children =
-          match expr with
-          | Expr.Name _ -> []
-          | Expr.Select (_, e) | Expr.Innermost e | Expr.Outermost e ->
-              [ go e ]
-          | Expr.Setop (_, a, b)
-          | Expr.Chain (a, _, b)
-          | Expr.Chain_strict (a, _, b)
-          | Expr.At_depth (_, a, b) ->
-              let ra = go a in
-              let rb = go b in
-              [ ra; rb ]
-        in
+        let children = List.map go (operands expr) in
         let t0 = Obs.Trace.now_ms () in
         let o0, c0, w0, r0 = counters_now () in
         let result = apply inst expr (List.map fst children) in
@@ -246,9 +143,7 @@ let annotate inst ~memo expr =
                 ("self_ops", Obs.Trace.Int node.Annot.self_ops);
                 ("self_cmps", Obs.Trace.Int node.Annot.self_cmps);
               ];
-        (match memo with
-        | Some tbl -> Hashtbl.replace tbl expr result
-        | None -> ());
+        remember memo expr result;
         (result, node)
   in
   go expr

@@ -18,11 +18,14 @@ val eval_shared : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
     chains).  Same result, fewer index operations. *)
 
 val eval_plain : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
-(** The uninstrumented evaluator — no per-node dispatch, no trace
+(** The uninstrumented evaluator — no per-node observer, no trace
     checks beyond the global counters.  Exposed so bench O1 can
-    measure the dispatch overhead of {!eval} against it. *)
+    measure the dispatch overhead of {!eval} against it.  Every
+    evaluator here applies operators through the same dispatch, which
+    polls {!Obs.Deadline} once per operator application. *)
 
 val eval_shared_plain : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
+(** {!eval_plain} with common-subexpression sharing. *)
 
 val eval_annotated : Pat.Instance.t -> Expr.t -> Pat.Region_set.t * Annot.t
 (** Evaluate and mirror the expression with a per-node actual-cost

@@ -273,28 +273,54 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
                      (parse_diagnostic Ralg.Expr_parser.pp_error e);
                })
       | Ok expr -> (
-          (* connection threads share the main domain, so
-             [Obs.Deadline] (domain-local) cannot arbitrate between
-             them — each pulled region checks the wall clock
-             instead *)
+          (* each file is one pool task under the request's remaining
+             budget, so [Obs.Deadline] bounds its evaluation once per
+             operator on the worker; connection threads share the main
+             domain and cannot arm a deadline of their own, so sending
+             the regions checks the wall clock instead *)
           let deadline =
             Option.map (fun ms -> Obs.Trace.now_ms () +. ms) timeout_ms
           in
-          let exception Timed_out in
+          let exception Stop of string in
+          let check_clock () =
+            match (deadline, timeout_ms) with
+            | Some d, Some ms when Obs.Trace.now_ms () > d ->
+                raise
+                  (Stop (Printf.sprintf "request timed out after %g ms" ms))
+            | _ -> ()
+          in
+          let eval_file (src : Oqf.Execute.source) =
+            let task () =
+              match Ralg.Eval.eval_shared src.instance expr with
+              | set -> Ok set
+              | exception Ralg.Eval.Unknown_region name ->
+                  Error ("unknown region name " ^ name)
+            in
+            let timeout_ms =
+              Option.map (fun d -> d -. Obs.Trace.now_ms ()) deadline
+            in
+            let h = Exec.Pool.submit ?timeout_ms t.pool task in
+            match Exec.Pool.await h with
+            | Ok (Ok set) -> set
+            | Ok (Error message) -> raise (Stop message)
+            | Error message ->
+                (* an expired task reports like the clock check *)
+                check_clock ();
+                raise (Stop message)
+          in
           let count = ref 0 in
           match
             List.iter
-              (fun (file, (src : Oqf.Execute.source)) ->
-                Seq.iter
+              (fun (file, src) ->
+                check_clock ();
+                Pat.Region_set.iter
                   (fun (r : Pat.Region.t) ->
-                    (match deadline with
-                    | Some d when Obs.Trace.now_ms () > d -> raise Timed_out
-                    | _ -> ());
+                    check_clock ();
                     incr count;
                     send fd
                       (Protocol.Region
                          { id; file; start = r.start; stop = r.stop }))
-                  (Ralg.Lazy_eval.eval src.instance expr))
+                  (eval_file src))
               (Oqf.Corpus.sources corpus)
           with
           | () ->
@@ -302,15 +328,7 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
               send fd
                 (Protocol.Done
                    { id; rows = !count; cached = false; degraded = []; trace })
-          | exception Timed_out ->
-              let message =
-                Printf.sprintf "request timed out after %g ms"
-                  (Option.value ~default:0. timeout_ms)
-              in
-              qlog ~rows:!count ~outcome:"error" ~error:message ();
-              send fd (Protocol.Failed { id; message })
-          | exception Ralg.Eval.Unknown_region name ->
-              let message = "unknown region name " ^ name in
+          | exception Stop message ->
               qlog ~rows:!count ~outcome:"error" ~error:message ();
               send fd (Protocol.Failed { id; message })))
 

@@ -27,11 +27,13 @@
       answer a [diagnostics] event (same JSON shape as
       [oqf check --format json]) instead of killing the connection,
       and [force] overrides the gate like [--force] does;
-    + {b lazy streaming evaluation} — {!Exec.Driver.run_streaming}
-      submits one task per file to the shared worker pool (phase 1
-      runs the pull-based {!Ralg.Lazy_eval}) and each file's rows go
-      to the client as soon as that file settles, while later files
-      are still scanning.
+    + {b per-file streaming} — {!Exec.Driver.run_streaming} submits
+      one task per file to the shared worker pool, each a whole
+      two-phase evaluation of its file, and each file's rows go to the
+      client as soon as that file settles, while later files are still
+      scanning.  A [rexpr] request likewise evaluates each file with
+      {!Ralg.Eval.eval_shared} as a pool task under the request's
+      remaining budget.
 
     Shutdown (SIGINT/SIGTERM under {!run}, {!request_shutdown} from
     code) drains: no new requests are admitted, in-flight requests

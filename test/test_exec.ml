@@ -699,6 +699,69 @@ let fail_fast_still_fails () =
           Alcotest.(check bool) "attributed to a shard" true
             (Astring.String.is_infix ~affix:"shard" e))
 
+(* The streaming path settles each file through the same recovery
+   ladder as the batch path.  With every pool task failing, both must
+   return the same rows, the same per-file actions (leaving aside the
+   batch path's shard-level retries), and the streamed blocks must be
+   the batch rows grouped by file. *)
+let streaming_ladder_matches_parallel () =
+  let corpus = log_corpus [ 10; 6; 8 ] in
+  let q = Odb.Query_parser.parse_exn error_query in
+  let per_file_actions (o : Exec.Driver.outcome) =
+    List.filter_map
+      (fun (d : Oqf.Degrade.t) ->
+        if d.action = Oqf.Degrade.Shard_retried then None
+        else
+          Some (d.file, Oqf.Degrade.action_to_string d.action, d.detail))
+      o.Exec.Driver.degraded
+  in
+  let rec blocks_of = function
+    | [] -> []
+    | (file, _) :: _ as rows ->
+        let mine, rest =
+          List.partition (fun (f, _) -> String.equal f file) rows
+        in
+        (file, List.map snd mine) :: blocks_of rest
+  in
+  List.iter
+    (fun (fail_policy, action) ->
+      with_faults "permanent:1.0,only:pool.task" (fun () ->
+          let batch =
+            or_fail (Exec.Driver.run_parallel ~jobs:2 ~fail_policy corpus q)
+          in
+          let blocks = ref [] in
+          let streamed =
+            or_fail
+              (Exec.Pool.with_pool ~jobs:2 (fun pool ->
+                   Exec.Driver.run_streaming ~fail_policy ~pool
+                     ~on_rows:(fun ~file rows ->
+                       blocks := (file, rows) :: !blocks)
+                     corpus q))
+          in
+          let policy = Exec.Driver.fail_policy_to_string fail_policy in
+          Alcotest.check rows_t (policy ^ ": rows") batch.Exec.Driver.rows
+            streamed.Exec.Driver.rows;
+          Alcotest.(check bool)
+            (policy ^ ": blocks are the rows grouped by file")
+            true
+            (List.rev !blocks = blocks_of batch.Exec.Driver.rows);
+          Alcotest.(check (list (triple string string string)))
+            (policy ^ ": per-file actions")
+            (per_file_actions batch) (per_file_actions streamed);
+          Alcotest.(check (list string))
+            (policy ^ ": every file took the expected action")
+            (List.map
+               (fun _ -> Oqf.Degrade.action_to_string action)
+               (Oqf.Corpus.files corpus))
+            (List.map (fun (_, a, _) -> a) (per_file_actions streamed));
+          if fail_policy = Exec.Driver.Degrade then
+            Alcotest.(check bool) "naive fallbacks answer rows" true
+              (streamed.Exec.Driver.rows <> [])))
+    [
+      (Exec.Driver.Degrade, Oqf.Degrade.Naive_fallback);
+      (Exec.Driver.Partial, Oqf.Degrade.Excluded);
+    ]
+
 let degrade_aborts_query_defects () =
   (* a query-level defect fails under every policy: degrading it away
      would silently return nothing *)
@@ -916,6 +979,8 @@ let suites =
         Alcotest.test_case "partial excludes failed files" `Quick
           partial_excludes_failed_files;
         Alcotest.test_case "fail-fast still fails" `Quick fail_fast_still_fails;
+        Alcotest.test_case "streaming ladder == run_parallel's" `Quick
+          streaming_ladder_matches_parallel;
         Alcotest.test_case "query defects abort under degrade" `Quick
           degrade_aborts_query_defects;
         Alcotest.test_case "recoverable faults are invisible" `Quick

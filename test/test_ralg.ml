@@ -951,83 +951,59 @@ let annot_tests =
            Pat.Region_set.equal plain_r shared_r && shared_ops < plain_ops));
   ]
 
-(* The tentpole property of the serve PR: the pull-based evaluator is
-   byte-identical to the materialized one on random RIG-conforming
-   instances, for every operator (including the prefix selection, which
-   [random_general] does not emit — wrapped in here). *)
-let lazy_tests =
+(* Every evaluator entry point runs the same operator dispatch, with or
+   without a memo table and with or without the annotating observer;
+   all of them must agree with the brute-force reference on random
+   RIG-conforming instances, for every operator (including the prefix
+   selection, which [random_general] does not emit — wrapped in here)
+   and with repeated subexpressions for the memo to share. *)
+let evaluators =
+  [
+    ("eval_plain", Eval.eval_plain);
+    ("eval_shared_plain", Eval.eval_shared_plain);
+    ("eval_annotated", fun inst e -> fst (Eval.eval_annotated inst e));
+    ( "eval_shared_annotated",
+      fun inst e -> fst (Eval.eval_shared_annotated inst e) );
+  ]
+
+let eval_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:400
-         ~name:"lazy streams == materialized sets (random instances)"
+      (QCheck.Test.make ~count:300
+         ~name:"every evaluator == naive reference (random instances)"
          QCheck.(make Gen.(int_bound 100000))
          (fun seed ->
            let rig, inst, prng = Gen_instance.generate seed in
            let names = Array.of_list (Rig.names rig) in
            let e = random_general prng names 3 in
            let e =
-             if Stdx.Prng.int prng 100 < 20 then
-               Expr.Select
-                 ( Expr.Prefix_word (Stdx.Prng.choose prng [| "a"; "b"; "c" |]),
-                   e )
-             else e
+             match Stdx.Prng.int prng 100 with
+             | n when n < 20 ->
+                 Expr.Select
+                   ( Expr.Prefix_word
+                       (Stdx.Prng.choose prng [| "a"; "b"; "c" |]),
+                     e )
+             | n when n < 40 -> Expr.Setop (Expr.Union, e, Expr.Innermost e)
+             | _ -> e
            in
-           let materialized = Eval.eval_plain inst e in
-           let streamed = Lazy_eval.to_set (Lazy_eval.eval inst e) in
-           if not (Pat.Region_set.equal streamed materialized) then
-             QCheck.Test.fail_reportf "seed %d: lazy mismatch on %s" seed
-               (Expr.to_string e);
+           let reference = Naive_eval.eval inst e in
+           List.iter
+             (fun (label, f) ->
+               if not (Pat.Region_set.equal (f inst e) reference) then
+                 QCheck.Test.fail_reportf "seed %d: %s differs on %s" seed
+                   label (Expr.to_string e))
+             evaluators;
            true));
-    Alcotest.test_case "pulled regions arrive in strict GC-list order" `Quick
-      (fun () ->
-        for seed = 1 to 60 do
-          let rig, inst, prng = Gen_instance.generate seed in
-          let names = Array.of_list (Rig.names rig) in
-          let e = random_general prng names 3 in
-          let prev = ref None in
-          Seq.iter
-            (fun r ->
-              (match !prev with
-              | Some p when Pat.Region.compare p r >= 0 ->
-                  Alcotest.failf "seed %d: out of order on %s" seed
-                    (Expr.to_string e)
-              | _ -> ());
-              prev := Some r)
-            (Lazy_eval.eval inst e)
-        done);
-    Alcotest.test_case "streams are lazy: first pull before full scan" `Quick
-      (fun () ->
-        (* a union of two names must yield its first region without
-           having pulled either operand to the end *)
-        let _, inst, _ = Gen_instance.generate 3 in
-        match Pat.Instance.names inst with
-        | a :: b :: _ ->
-            let s =
-              Lazy_eval.eval inst
-                (Expr.Setop (Expr.Union, Expr.Name a, Expr.Name b))
-            in
-            (match s () with
-            | Seq.Nil ->
-                (* an empty union is fine too; nothing to assert *)
-                ()
-            | Seq.Cons (first, _) ->
-                let full =
-                  Eval.eval_plain inst
-                    (Expr.Setop (Expr.Union, Expr.Name a, Expr.Name b))
-                in
-                Alcotest.(check bool)
-                  "first pulled equals least element" true
-                  (match Pat.Region_set.choose full with
-                  | Some least -> Pat.Region.equal least first
-                  | None -> false))
-        | _ -> Alcotest.fail "need two names");
-    Alcotest.test_case "unknown region name raises at eval time" `Quick
-      (fun () ->
+    Alcotest.test_case "unknown region name raises from every evaluator"
+      `Quick (fun () ->
         let _, inst, _ = Gen_instance.generate 5 in
-        match Lazy_eval.eval inst (Expr.Name "NoSuchRegion") () with
-        | exception Eval.Unknown_region n ->
-            Alcotest.(check string) "name" "NoSuchRegion" n
-        | _ -> Alcotest.fail "expected Unknown_region");
+        List.iter
+          (fun (label, f) ->
+            match f inst (Expr.Name "NoSuchRegion") with
+            | exception Eval.Unknown_region n ->
+                Alcotest.(check string) label "NoSuchRegion" n
+            | _ -> Alcotest.failf "%s: expected Unknown_region" label)
+          evaluators);
   ]
 
 let suites =
@@ -1036,7 +1012,7 @@ let suites =
     ("ralg.optimizer", optimizer_tests);
     ("ralg.trivial", trivial_tests);
     ("ralg.soundness", soundness_tests);
-    ("ralg.lazy", lazy_tests);
+    ("ralg.eval", eval_tests);
     ("ralg.annot", annot_tests);
     ("ralg.parser", parser_tests);
     ("ralg.cost", cost_tests);

@@ -302,7 +302,7 @@ let streaming_matches_parallel corpus q_text jobs =
 
 let streaming_qcheck =
   QCheck.Test.make ~count:20
-    ~name:"run_streaming == run_parallel (lazy phase 1, any shard count)"
+    ~name:"run_streaming == run_parallel (per-file tasks, any shard count)"
     QCheck.(
       quad (int_range 1 4) (int_range 3 14) (int_range 1 8)
         (pair bool (int_range 0 9)))
@@ -365,6 +365,34 @@ let streaming_tests =
               (rows_equal o1.Exec.Driver.rows o2.Exec.Driver.rows);
             Alcotest.(check bool) "same blocks replayed" true
               (blocks1 = blocks2)));
+    Alcotest.test_case "streaming stats count run_parallel's work" `Quick
+      (fun () ->
+        (* the outcome's stats feed serve's qlog and Stats: they must
+           count every file's phase-1 work, exactly as the batch path
+           does for the same corpus and query *)
+        let corpus = bibtex_corpus [ 12; 4; 8 ] in
+        List.iter
+          (fun q_text ->
+            let q = Odb.Query_parser.parse_exn q_text in
+            let reference =
+              (or_fail (Exec.Driver.run_parallel ~jobs:1 corpus q))
+                .Exec.Driver.stats
+            in
+            Exec.Pool.with_pool ~jobs:2 (fun pool ->
+                let r, _ = run_streaming_collect ~pool corpus q in
+                let stats = (or_fail r).Exec.Driver.stats in
+                List.iter
+                  (fun (label, field) ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s: %s" label q_text)
+                      (field reference) (field stats))
+                  [
+                    ( "region_comparisons",
+                      fun s -> s.Stdx.Stats.region_comparisons );
+                    ("index_ops", fun s -> s.Stdx.Stats.index_ops);
+                    ("word_lookups", fun s -> s.Stdx.Stats.word_lookups);
+                  ]))
+          bibtex_queries);
     Alcotest.test_case "deadline expiry fails the request, not the pool"
       `Quick (fun () ->
         let corpus = log_corpus [ 200 ] in
@@ -472,6 +500,14 @@ let query_req ?timeout_ms ?fail_policy ?(force = false) ?(workload = "") text =
   Serve.Protocol.Query
     { schema = "log"; text; timeout_ms; fail_policy; force; workload }
 
+let rexpr_req ?timeout_ms text =
+  Serve.Protocol.Rexpr
+    { schema = "log"; text; timeout_ms; fail_policy = None; force = false;
+      workload = "" }
+
+let rexpr_text =
+  {|(Entry > sigma["ERROR"](Level)) | (Entry > sigma["WARN"](Level))|}
+
 let collect_rows events =
   List.filter_map
     (function
@@ -525,6 +561,74 @@ let server_tests =
             (match terminal_of c Serve.Protocol.Ping with
             | Serve.Protocol.Pong _ -> ()
             | _ -> Alcotest.fail "connection should survive diagnostics");
+            Serve.Client.close c));
+    Alcotest.test_case "rexpr streams eval_shared regions per file" `Quick
+      (fun () ->
+        with_server (fun config dir ->
+            let cat =
+              or_fail
+                (Oqf_catalog.Catalog.open_dir (Filename.concat dir "cat"))
+            in
+            let corpus = or_fail (Oqf.Corpus.of_catalog cat ~schema:"log") in
+            let expr = Ralg.Expr_parser.parse_exn rexpr_text in
+            let expected =
+              List.concat_map
+                (fun (file, (src : Oqf.Execute.source)) ->
+                  List.map
+                    (fun (r : Pat.Region.t) -> (file, r.start, r.stop))
+                    (Pat.Region_set.to_list
+                       (Ralg.Eval.eval_shared src.instance expr)))
+                (Oqf.Corpus.sources corpus)
+            in
+            Alcotest.(check bool) "reference non-empty" true (expected <> []);
+            let c = connect config in
+            let events =
+              or_fail (Serve.Client.request c (rexpr_req rexpr_text))
+            in
+            let regions =
+              List.filter_map
+                (function
+                  | Serve.Protocol.Region { file; start; stop; _ } ->
+                      Some (file, start, stop)
+                  | _ -> None)
+                events
+            in
+            Alcotest.(check (list (triple string int int)))
+              "regions in corpus order" expected regions;
+            (match List.rev events with
+            | Serve.Protocol.Done { rows; _ } :: _ ->
+                Alcotest.(check int) "done counts the regions"
+                  (List.length expected) rows
+            | _ -> Alcotest.fail "expected done");
+            Serve.Client.close c));
+    Alcotest.test_case "rexpr: unknown name fails; connection survives"
+      `Quick (fun () ->
+        with_server (fun config _dir ->
+            let c = connect config in
+            (match terminal_of c (rexpr_req "NoSuchName > Level") with
+            | Serve.Protocol.Failed { message; _ } ->
+                Alcotest.(check string) "message"
+                  "unknown region name NoSuchName" message
+            | _ -> Alcotest.fail "expected an error event");
+            (match terminal_of c Serve.Protocol.Ping with
+            | Serve.Protocol.Pong _ -> ()
+            | _ -> Alcotest.fail "connection should survive");
+            Serve.Client.close c));
+    Alcotest.test_case "rexpr: deadline expiry fails only that request"
+      `Quick (fun () ->
+        with_server (fun config _dir ->
+            let c = connect config in
+            (match terminal_of c (rexpr_req ~timeout_ms:0.0001 rexpr_text) with
+            | Serve.Protocol.Failed { message; _ } ->
+                Alcotest.(check bool)
+                  ("timeout surfaced: " ^ message)
+                  true
+                  (Astring.String.is_infix ~affix:"timed out" message)
+            | _ -> Alcotest.fail "expected a timeout");
+            (match terminal_of c (rexpr_req rexpr_text) with
+            | Serve.Protocol.Done { rows; _ } ->
+                Alcotest.(check bool) "next request answers" true (rows > 0)
+            | _ -> Alcotest.fail "expected done after the timeout");
             Serve.Client.close c));
     Alcotest.test_case "oversized request line; connection survives" `Quick
       (fun () ->
