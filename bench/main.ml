@@ -1773,61 +1773,55 @@ let w1 () =
     commits (List.length !failures)
     (if stable then "byte-identical" else "CHANGED")
 
+(* `main.exe <id>` runs just that experiment and writes only its JSON —
+   the CI gates and the per-experiment JSON refreshes use this *)
+let single =
+  [
+    ("c1", (c1, "C1_", "BENCH_catalog.json"));
+    ("r1", (r1, "R1_", "BENCH_robust.json"));
+    ("s1", (s1, "S1_", "BENCH_serve.json"));
+    ("o2", (o2, "O2_", "BENCH_obs2.json"));
+    ("cb1", (cb1, "CB1_", "BENCH_cost.json"));
+    ("ct1", (ct1, "CT1_", "BENCH_contain.json"));
+    ("w1", (w1, "W1_", "BENCH_ingest.json"));
+  ]
+
 let () =
   say "Reproduction benches for 'Optimizing Queries on Files' (SIGMOD 1994)@.";
-  (* `main.exe r1` runs just the robustness bench — the CI gate *)
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "r1" then begin
-    r1 ();
-    emit_json ~only_prefix:"R1_" "BENCH_robust.json"
-  end
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "s1" then begin
-    s1 ();
-    emit_json ~only_prefix:"S1_" "BENCH_serve.json"
-  end
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "o2" then begin
-    o2 ();
-    emit_json ~only_prefix:"O2_" "BENCH_obs2.json"
-  end
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "cb1" then begin
-    cb1 ();
-    emit_json ~only_prefix:"CB1_" "BENCH_cost.json"
-  end
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "ct1" then begin
-    ct1 ();
-    emit_json ~only_prefix:"CT1_" "BENCH_contain.json"
-  end
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "w1" then begin
-    w1 ();
-    emit_json ~only_prefix:"W1_" "BENCH_ingest.json"
-  end
-  else begin
-    e1 ();
-    e2 ();
-    e3 ();
-    e4 ();
-    e5 ();
-    e6 ();
-    e7 ();
-    e8 ();
-    b1 ();
-    c1 ();
-    w1 ();
-    o1 ();
-    p1 ();
-    r1 ();
-    s1 ();
-    o2 ();
-    cb1 ();
-    ct1 ();
-    run_bechamel ();
-    emit_json ~only_prefix:"C1_" "BENCH_catalog.json";
-    emit_json ~only_prefix:"CB1_" "BENCH_cost.json";
-    emit_json ~only_prefix:"CT1_" "BENCH_contain.json";
-    emit_json ~only_prefix:"O1_" "BENCH_obs.json";
-    emit_json ~only_prefix:"O2_" "BENCH_obs2.json";
-    emit_json ~only_prefix:"P1_" "BENCH_parallel.json";
-    emit_json ~only_prefix:"R1_" "BENCH_robust.json";
-    emit_json ~only_prefix:"S1_" "BENCH_serve.json";
-    emit_json ~only_prefix:"W1_" "BENCH_ingest.json"
-  end;
+  (match
+     if Array.length Sys.argv > 1 then List.assoc_opt Sys.argv.(1) single
+     else None
+   with
+  | Some (run, only_prefix, path) ->
+      run ();
+      emit_json ~only_prefix path
+  | None ->
+      e1 ();
+      e2 ();
+      e3 ();
+      e4 ();
+      e5 ();
+      e6 ();
+      e7 ();
+      e8 ();
+      b1 ();
+      c1 ();
+      w1 ();
+      o1 ();
+      p1 ();
+      r1 ();
+      s1 ();
+      o2 ();
+      cb1 ();
+      ct1 ();
+      run_bechamel ();
+      emit_json ~only_prefix:"C1_" "BENCH_catalog.json";
+      emit_json ~only_prefix:"CB1_" "BENCH_cost.json";
+      emit_json ~only_prefix:"CT1_" "BENCH_contain.json";
+      emit_json ~only_prefix:"O1_" "BENCH_obs.json";
+      emit_json ~only_prefix:"O2_" "BENCH_obs2.json";
+      emit_json ~only_prefix:"P1_" "BENCH_parallel.json";
+      emit_json ~only_prefix:"R1_" "BENCH_robust.json";
+      emit_json ~only_prefix:"S1_" "BENCH_serve.json";
+      emit_json ~only_prefix:"W1_" "BENCH_ingest.json");
   say "@.done.@."

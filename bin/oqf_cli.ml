@@ -75,7 +75,7 @@ let resolve_fail_policy s = or_die (Exec.Driver.fail_policy_of_string s)
 let faults_arg =
   let doc =
     "Arm deterministic fault injection (a testing aid), e.g. \
-     $(b,transient:0.1,seed:7,burst:2) or $(b,crash:catalog.write\\@1); \
+     $(b,transient:0.1,seed:7,burst:2) or $(b,crash:catalog.write@1); \
      same syntax as the $(b,OQF_FAULTS) environment variable."
   in
   Arg.(value & opt (some string) None & info [ "inject-faults" ] ~docv:"SPEC" ~doc)

@@ -696,36 +696,32 @@ let instance_stats instance =
    overlap of these histograms to estimate how often a direct-inclusion
    probe can succeed at all.  One stack sweep over the universe — region
    order is start ascending, stop descending, so every enclosing region
-   is visited before the regions it contains. *)
+   is visited before the regions it contains.  The stack holds universe
+   indices; [depth] is aligned with the universe and is taken before a
+   region is pushed, so it counts only strictly enclosing regions.
+   Each name's regions (a subset of the universe) find their depth by
+   binary search. *)
 let depth_buckets = 8
 
 let instance_depths instance =
-  let module RM = Map.Make (Pat.Region) in
-  let depth_of = ref RM.empty in
-  let stack = ref [] in
-  Pat.Region_set.iter
-    (fun r ->
-      let rec unwind = function
-        | top :: rest when not (Pat.Region.includes top r) -> unwind rest
-        | s -> s
-      in
-      stack := unwind !stack;
-      let d = min (List.length !stack) (depth_buckets - 1) in
-      depth_of := RM.add r d !depth_of;
-      stack := r :: !stack)
-    (Pat.Instance.universe instance);
+  let u = Pat.Region_set.to_array (Pat.Instance.universe instance) in
+  let n = Array.length u in
+  let depth = Array.make n 0 and stack = Array.make n 0 and top = ref 0 in
+  for i = 0 to n - 1 do
+    while !top > 0 && not (Pat.Region.includes u.(stack.(!top - 1)) u.(i)) do
+      decr top
+    done;
+    depth.(i) <- min !top (depth_buckets - 1);
+    stack.(!top) <- i;
+    incr top
+  done;
   List.map
     (fun name ->
       let hist = Array.make depth_buckets 0 in
       Pat.Region_set.iter
         (fun r ->
-          match RM.find_opt r !depth_of with
-          | Some d ->
-              (* a region's own span sits on the stack when we look it
-                 up during the sweep, so universe depth already counts
-                 only the strictly enclosing spans *)
-              hist.(d) <- hist.(d) + 1
-          | None -> ())
+          let i = Stdx.Sorted_array.lower_bound ~cmp:Pat.Region.compare u r in
+          hist.(depth.(i)) <- hist.(depth.(i)) + 1)
         (Pat.Instance.find instance name);
       (* trim trailing empty buckets so flat instances stay compact *)
       let last = ref 0 in

@@ -18,46 +18,13 @@ let uniform ?(card = default_card) () =
   { table = SM.empty; default = max 1 card; bytes = 0 }
 
 let build_of_instance inst =
-  (* One universe sweep assigns every region its nesting depth; the
-     per-name histograms then just bucket the name's own regions.
-     Mirrors Catalog.instance_depths, but from a live instance. *)
-  let module RM = Map.Make (Pat.Region) in
-  let buckets = 8 in
-  let depth_of = ref RM.empty in
-  let stack = ref [] in
-  Pat.Region_set.iter
-    (fun r ->
-      let rec unwind = function
-        | top :: rest when not (Pat.Region.includes top r) -> unwind rest
-        | s -> s
-      in
-      stack := unwind !stack;
-      depth_of := RM.add r (min (List.length !stack) (buckets - 1)) !depth_of;
-      stack := r :: !stack)
-    (Pat.Instance.universe inst);
   let table =
     List.fold_left
-      (fun table name ->
-        let rs = Pat.Instance.find inst name in
-        let hist = Array.make buckets 0 in
-        Pat.Region_set.iter
-          (fun r ->
-            match RM.find_opt r !depth_of with
-            | Some d -> hist.(d) <- hist.(d) + 1
-            | None -> ())
-          rs;
-        (* trim trailing zero buckets, matching the catalog's stored
-           shape so live and persisted histograms compare equal *)
-        let last = ref 0 in
-        Array.iteri (fun i c -> if c > 0 then last := i) hist;
-        SM.add name
-          {
-            regions = Pat.Region_set.cardinal rs;
-            match_points = 0;
-            depth_hist = Array.sub hist 0 (!last + 1);
-          }
-          table)
-      SM.empty (Pat.Instance.names inst)
+      (fun table (name, depth_hist) ->
+        let regions = Pat.Region_set.cardinal (Pat.Instance.find inst name) in
+        SM.add name { regions; match_points = 0; depth_hist } table)
+      SM.empty
+      (Oqf_catalog.Catalog.instance_depths inst)
   in
   {
     table;
@@ -65,7 +32,7 @@ let build_of_instance inst =
     bytes = Pat.Text.length (Pat.Instance.text inst);
   }
 
-(* The sweep above is linear in the universe, which would make it the
+(* The depth sweep is linear in the universe, which would make it the
    dominant cost of planning a small query; instances are immutable
    once built, so statistics are memoized per instance.  The key is
    physical identity, weak so a dropped instance releases its

@@ -3,8 +3,11 @@
     Saves a built instance (text, named region sets) to disk and loads
     it back, so the CLI can separate the indexing phase from the query
     phase like the PAT system does.  The word index (suffix array) is
-    rebuilt on load — it is cheaper to rebuild than to store and its
-    construction is deterministic.
+    rebuilt on load, deterministically.  Storing it would cost ~5
+    marshalled bytes per word start, ~0.85 bytes per source byte on
+    generated logs (about half again the catalog's size); rebuilding
+    it takes ~4–5 ms for a 75 KB log of 12,751 word starts on a 2-vCPU
+    host (see {!Suffix_array.build}).
 
     Files carry a magic header, a format-version field and an MD5
     checksum of the payload, so a corrupt, truncated or outdated index

@@ -14,8 +14,15 @@ let is_empty t = Array.length t = 0
 let cardinal = Array.length
 let of_list rs = Stdx.Sorted_array.of_list ~cmp:Region.compare rs
 
+(* Saved indices hold [to_list] output, already strictly increasing: one
+   linear check then takes the array as it is.  Anything else is sorted
+   and deduplicated like [of_list]. *)
 let of_pairs ps =
-  of_list (List.map (fun (start, stop) -> Region.make ~start ~stop) ps)
+  let a =
+    Array.map (fun (start, stop) -> Region.make ~start ~stop) (Array.of_list ps)
+  in
+  if Stdx.Sorted_array.is_sorted ~cmp:Region.compare a then a
+  else of_list (Array.to_list a)
 
 let to_list = Array.to_list
 let to_array t = t

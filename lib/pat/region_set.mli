@@ -22,7 +22,9 @@ val of_list : Region.t list -> t
 (** Sort and deduplicate. *)
 
 val of_pairs : (int * int) list -> t
-(** Convenience: build from [(start, stop)] pairs. *)
+(** Build from [(start, stop)] pairs; equal to [of_list] on the same
+    regions.  Linear when the pairs are already strictly increasing (as
+    {!to_list} output is), a sort otherwise. *)
 
 val to_list : t -> Region.t list
 val to_array : t -> Region.t array

@@ -4,35 +4,119 @@ type t = { text : Text.t; order : int array (* word starts in suffix order *) }
    sistrings agreeing on that long a prefix may appear in either order,
    which is invisible to any pattern search of length <= prefix_cap:
    binary search only ever compares pattern-length prefixes.  The cap
-   bounds construction at O(w log w · prefix_cap) even on pathological
-   texts (megabytes of repeated characters); longer patterns are
-   handled in {!find} by a filtering pass. *)
+   bounds construction at O(w log w + w · prefix_cap) even on
+   pathological texts (megabytes of repeated characters); longer
+   patterns are handled in {!find} by a filtering pass. *)
 let prefix_cap = 1024
 
-(* Compare the suffixes beginning at [i] and [j] byte-wise, up to the
-   cap. *)
-let compare_suffixes s i j =
-  if i = j then 0
-  else begin
+(* Compare the suffixes beginning at [i] and [j] byte-wise from offset
+   [d] on, up to the cap; end of text sorts first. *)
+let rec compare_from s d i j =
+  if d >= prefix_cap || i = j then 0
+  else
     let n = String.length s in
-    let limit = prefix_cap in
-    let rec go i j steps =
-      if steps >= limit then 0
-      else if i >= n then if j >= n then 0 else -1
-      else if j >= n then 1
-      else
-        let c = Char.compare s.[i] s.[j] in
-        if c <> 0 then c else go (i + 1) (j + 1) (steps + 1)
-    in
-    go i j 0
-  end
+    if i + d >= n then if j + d >= n then 0 else -1
+    else if j + d >= n then 1
+    else
+      let c =
+        Char.compare (String.unsafe_get s (i + d)) (String.unsafe_get s (j + d))
+      in
+      if c <> 0 then c else compare_from s (d + 1) i j
+
+let compare_suffixes s i j = compare_from s 0 i j
+
+(* The sort key of the suffix at [p] at depth [d]: its byte there, or
+   -1 past the end of text. *)
+let key s p d =
+  if p + d < String.length s then Char.code (String.unsafe_get s (p + d))
+  else -1
+
+let swap a i j =
+  let t = Array.unsafe_get a i in
+  Array.unsafe_set a i (Array.unsafe_get a j);
+  Array.unsafe_set a j t
+
+(* Below this size a partition is finished by insertion sort. *)
+let small = 12
+
+let insertion_sort s a lo hi d =
+  for i = lo + 1 to hi - 1 do
+    let v = a.(i) in
+    let j = ref i in
+    while !j > lo && compare_from s d a.(!j - 1) v > 0 do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- v
+  done
+
+let median3 x y z =
+  if x < y then (if y < z then y else if x < z then z else x)
+  else if x < z then x
+  else if y < z then z
+  else y
+
+(* Bentley–Sedgewick multikey quicksort ("Fast Algorithms for Sorting
+   and Searching Strings", SODA 1997), depth-capped at [prefix_cap].
+   Sorts [a.(lo) .. a.(hi-1)], whose suffixes all share their first [d]
+   bytes, by partitioning three ways on the byte at depth [d]: a shared
+   prefix is read once per partition instead of once per comparison.
+   The equal part moves one byte deeper; of the smaller and larger
+   parts, the smaller is recursed on and the larger looped on, so the
+   stack holds O(log w + prefix_cap) frames. *)
+let rec mkqs s a lo hi d =
+  if hi - lo > 1 && d < prefix_cap then
+    if hi - lo < small then insertion_sort s a lo hi d
+    else begin
+      let n = hi - lo in
+      let mid = lo + (n / 2) in
+      let k i = key s (Array.unsafe_get a i) d in
+      (* pivot: median of 3, or Tukey's ninther on larger parts *)
+      let v =
+        if n > 64 then
+          let e = n / 8 in
+          median3
+            (median3 (k lo) (k (lo + e)) (k (lo + (2 * e))))
+            (median3 (k (mid - e)) (k mid) (k (mid + e)))
+            (median3 (k (hi - 1 - (2 * e))) (k (hi - 1 - e)) (k (hi - 1)))
+        else median3 (k lo) (k mid) (k (hi - 1))
+      in
+      (* Dijkstra partition: [lo,lt) < v, [lt,i) = v, (gt,hi) > v *)
+      let lt = ref lo and i = ref lo and gt = ref (hi - 1) in
+      while !i <= !gt do
+        let c = key s (Array.unsafe_get a !i) d in
+        if c < v then begin
+          swap a !lt !i;
+          incr lt;
+          incr i
+        end
+        else if c > v then begin
+          swap a !i !gt;
+          decr gt
+        end
+        else incr i
+      done;
+      let lt = !lt and gt = !gt + 1 in
+      (* a key of -1 is the end of text: that part is one suffix *)
+      if v >= 0 then mkqs s a lt gt (d + 1);
+      if lt - lo < hi - gt then begin
+        mkqs s a lo lt d;
+        mkqs s a gt hi d
+      end
+      else begin
+        mkqs s a gt hi d;
+        mkqs s a lo lt d
+      end
+    end
+
+let sort s a = mkqs s a 0 (Array.length a) 0
 
 let build text =
   let order = Tokenizer.word_starts text in
-  let s = Text.unsafe_contents text in
-  Array.sort (compare_suffixes s) order;
+  sort (Text.unsafe_contents text) order;
   { text; order }
 
+let order t = Array.copy t.order
 let size t = Array.length t.order
 
 (* Extend an array built over the first [old_len] bytes to the whole of
@@ -62,7 +146,7 @@ let extend t new_text ~old_len =
     if Tokenizer.is_word_start new_text p then affected := p :: !affected
   done;
   let affected = Array.of_list !affected in
-  Array.sort (compare_suffixes s) affected;
+  sort s affected;
   let n_kept = Array.length kept and n_aff = Array.length affected in
   let order = Array.make (n_kept + n_aff) 0 in
   let i = ref 0 and j = ref 0 in

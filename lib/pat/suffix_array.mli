@@ -8,11 +8,23 @@
 type t
 
 val build : Text.t -> t
-(** Sort all word-start suffixes of the text by their first 1024 bytes.
-    O(w log w) comparisons for w word starts, each bounded by the cap,
-    so construction stays near-linear even on pathological repetitive
-    texts.  Searches remain exact for patterns of any length (longer
-    patterns filter within the capped-prefix range). *)
+(** Sort all word-start suffixes of the text by their first 1024 bytes
+    (end of text first; suffixes equal on all 1024 come out in an
+    unspecified order).  The kernel is an in-place Bentley–Sedgewick
+    multikey quicksort: three-way partitions on the byte at the current
+    depth, so a prefix shared by a partition is read once per partition
+    rather than once per comparison.  For w word starts whose
+    distinguishing prefixes sum to D bytes it costs O(w log w + D) byte
+    reads, at most O(w log w + 1024 w) on pathological repetitive
+    texts, with O(log w + 1024) stack.  Searches remain exact for
+    patterns of any length (longer patterns filter within the
+    capped-prefix range). *)
+
+val prefix_cap : int
+(** The sort key length: 1024 bytes. *)
+
+val order : t -> int array
+(** The word starts in suffix order (a fresh copy). *)
 
 val size : t -> int
 (** Number of indexed sistrings (= number of word starts). *)

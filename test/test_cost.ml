@@ -342,6 +342,43 @@ let catalog_tests =
               "children read as one level below the root" true
               (Stats.depth_overlap stats ~outer:"Entry" ~inner:"Level" > 0.9)
         | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es));
+    Alcotest.test_case "live and persisted depth histograms agree" `Quick
+      (fun () ->
+        let dir = temp_dir () in
+        let catdir = Filename.concat dir "cat" in
+        let cat = or_fail (Oqf_catalog.Catalog.init catdir) in
+        let sources =
+          [
+            ("log", "app.log", Workload.Log_gen.generate (Workload.Log_gen.with_size 30));
+            ( "bibtex", "refs.bib",
+              Workload.Bibtex_gen.generate (Workload.Bibtex_gen.with_size 12) );
+            ("sgml", "doc.sgml", Workload.Sgml_gen.generate (Workload.Sgml_gen.with_depth 4));
+            ("mbox", "mail.mbox", Workload.Mbox_gen.generate (Workload.Mbox_gen.with_size 10));
+          ]
+        in
+        List.iter
+          (fun (schema, name, contents) ->
+            let src = Filename.concat dir name in
+            write_file src contents;
+            ignore (or_fail (Oqf_catalog.Catalog.add cat ~schema src)))
+          sources;
+        (* a fresh open reads the manifest and decodes the indices *)
+        let cat2 = or_fail (Oqf_catalog.Catalog.open_dir catdir) in
+        List.iter
+          (fun (e : Oqf_catalog.Catalog.entry) ->
+            let inst = or_fail (Oqf_catalog.Catalog.load cat2 e.source) in
+            let live = Stats.of_instance inst in
+            Alcotest.(check (list string))
+              (e.schema ^ ": names") (List.map fst e.depths) (Stats.names live);
+            List.iter
+              (fun (name, hist) ->
+                match Stats.find live name with
+                | Some s ->
+                    Alcotest.(check (array int))
+                      (e.schema ^ ": " ^ name) hist s.depth_hist
+                | None -> Alcotest.failf "%s: no live stats for %s" e.schema name)
+              e.depths)
+          (Oqf_catalog.Catalog.entries cat2));
     Alcotest.test_case "stats-free legacy manifest still serves" `Quick
       (fun () ->
         let dir = temp_dir () in

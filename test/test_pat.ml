@@ -227,6 +227,18 @@ let region_set_props =
         && Region_set.subset sa u && Region_set.subset sb u
         && Region_set.subset d sa
         && Region_set.is_empty (Region_set.inter d sb));
+    QCheck.Test.make ~name:"of_pairs == of_list (sorted or not, duplicates)"
+      ~count:300 arb_regions (fun rs ->
+        let pairs = List.map (fun (r : Region.t) -> (r.start, r.stop)) rs in
+        let set = Region_set.of_list rs in
+        Region_set.equal (Region_set.of_pairs pairs) set
+        && Region_set.equal (Region_set.of_pairs (pairs @ pairs)) set
+        && Region_set.equal
+             (Region_set.of_pairs
+                (List.map
+                   (fun (r : Region.t) -> (r.start, r.stop))
+                   (Region_set.to_list set)))
+             set);
     QCheck.Test.make ~name:"count_strictly_between matches naive" ~count:300
       arb_regions3 (fun (r, s, c) ->
         let ctx = as_sorted_list (r @ s @ c) in
@@ -350,6 +362,152 @@ let suffix_array_props =
       (fun (text, w) ->
         let sa = Suffix_array.build (Text.of_string text) in
         Suffix_array.count sa w = Array.length (Suffix_array.find sa w));
+  ]
+
+(* Adversarial texts for the sort kernel.  The texts above are a few
+   short words and never reach the sort cap; these do, in the three
+   shapes that make suffixes share long prefixes. *)
+let cap = Suffix_array.prefix_cap
+
+(* blocks of words repeated until the text is two to three caps long *)
+let repeated_block_gen =
+  QCheck.Gen.(
+    map2
+      (fun ws extra ->
+        let block = String.concat " " ws ^ " " in
+        let reps = 1 + (((2 * cap) + extra) / String.length block) in
+        String.concat "" (List.init reps (fun _ -> block)))
+      (list_size (int_range 1 12) word_gen)
+      (int_bound cap))
+
+let one_word_gen =
+  QCheck.Gen.(
+    map3
+      (fun w sep k -> String.concat sep (List.init k (fun _ -> w)))
+      word_gen (oneofl [ " "; "\n"; ", " ]) (int_range 1 800))
+
+(* runs of one character up to twice the cap, between short words *)
+let long_runs_gen =
+  QCheck.Gen.(
+    map
+      (String.concat " ")
+      (list_size (int_range 1 5)
+         (oneof
+            [
+              map2 String.make (int_range 1 (2 * cap)) (oneofl [ 'a'; 'b'; '-' ]);
+              word_gen;
+            ])))
+
+(* A text plus pattern seeds: a seed [(i, m)] names the substring of
+   length [m] (clipped) at the [i]-th word start, so patterns hit the
+   text and range past the cap; [m] mod 7 = 0 flips the last byte to
+   get a near miss. *)
+let adversarial_gen =
+  QCheck.Gen.(
+    pair
+      (oneof [ repeated_block_gen; one_word_gen; long_runs_gen ])
+      (list_size (int_range 1 6)
+         (pair (int_bound 10_000) (int_bound ((3 * cap) / 2)))))
+
+let arb_adversarial =
+  QCheck.make
+    ~print:(fun (text, seeds) ->
+      Printf.sprintf "%d bytes %S... patterns %s" (String.length text)
+        (String.sub text 0 (min 80 (String.length text)))
+        (String.concat ";"
+           (List.map (fun (i, m) -> Printf.sprintf "(%d,%d)" i m) seeds)))
+    adversarial_gen
+
+let patterns_of text seeds =
+  let starts = Tokenizer.word_starts (Text.of_string text) in
+  let n = String.length text in
+  List.filter_map
+    (fun (i, m) ->
+      if Array.length starts = 0 then None
+      else begin
+        let p = starts.(i mod Array.length starts) in
+        let pat = String.sub text p (min m (n - p)) in
+        let k = String.length pat in
+        if m mod 7 = 0 && k > 0 then
+          Some
+            (String.sub pat 0 (k - 1)
+            ^ String.make 1 (if pat.[k - 1] = 'a' then 'b' else 'a'))
+        else Some pat
+      end)
+    seeds
+
+let naive_find text pat =
+  let t = Text.of_string text in
+  let n = String.length text and m = String.length pat in
+  List.filter
+    (fun p -> p + m <= n && String.sub text p m = pat)
+    (Array.to_list (Tokenizer.word_starts t))
+
+let naive_find_word text pat =
+  let t = Text.of_string text in
+  let m = String.length pat in
+  let found = naive_find text pat in
+  if m = 0 || not (Tokenizer.is_word_char pat.[m - 1]) then found
+  else List.filter (fun p -> Tokenizer.is_word_end t (p + m)) found
+
+(* The capped order the sort promises: first [cap] bytes, end of text
+   first. *)
+let capped text p = String.sub text p (min cap (String.length text - p))
+
+let well_sorted text sa =
+  let order = Suffix_array.order sa in
+  let sorted = Array.copy order in
+  Array.sort compare sorted;
+  sorted = Tokenizer.word_starts (Text.of_string text)
+  &&
+  let ok = ref true in
+  for k = 1 to Array.length order - 1 do
+    if compare (capped text order.(k - 1)) (capped text order.(k)) > 0 then
+      ok := false
+  done;
+  !ok
+
+let answers_like_naive text sa pats =
+  List.for_all
+    (fun pat ->
+      let want = naive_find text pat in
+      Array.to_list (Suffix_array.find sa pat) = want
+      && Array.to_list (Suffix_array.find_word sa pat)
+         = naive_find_word text pat
+      && Suffix_array.count sa pat = List.length want)
+    ("" :: pats)
+
+let adversarial_props =
+  [
+    QCheck.Test.make ~name:"adversarial: build order is a capped sort of word_starts"
+      ~count:60 arb_adversarial (fun (text, _) ->
+        well_sorted text (Suffix_array.build (Text.of_string text)));
+    QCheck.Test.make ~name:"adversarial: find/find_word/count match naive scan"
+      ~count:60 arb_adversarial (fun (text, seeds) ->
+        answers_like_naive text
+          (Suffix_array.build (Text.of_string text))
+          (patterns_of text seeds));
+    QCheck.Test.make ~name:"adversarial: extend at a random split == build"
+      ~count:60
+      QCheck.(pair arb_adversarial (make Gen.(int_bound 100_000)))
+      (fun ((text, seeds), split) ->
+        let n = String.length text in
+        let old_len = split mod (n + 1) in
+        let sa =
+          Suffix_array.extend
+            (Suffix_array.build (Text.of_string (String.sub text 0 old_len)))
+            (Text.of_string text) ~old_len
+        in
+        let built = Suffix_array.build (Text.of_string text) in
+        let pats = patterns_of text seeds in
+        well_sorted text sa
+        && answers_like_naive text sa pats
+        && List.for_all
+             (fun pat ->
+               Suffix_array.find sa pat = Suffix_array.find built pat
+               && Suffix_array.find_word sa pat
+                  = Suffix_array.find_word built pat)
+             pats);
   ]
 
 (* Random region windows over random texts, used to compare the indexed
@@ -687,7 +845,8 @@ let suites =
     ( "pat.region_set",
       region_set_units @ List.map QCheck_alcotest.to_alcotest region_set_props );
     ( "pat.suffix_array",
-      List.map QCheck_alcotest.to_alcotest suffix_array_props );
+      List.map QCheck_alcotest.to_alcotest
+        (suffix_array_props @ adversarial_props) );
     ( "pat.word_selections",
       List.map QCheck_alcotest.to_alcotest word_selection_props );
     ("pat.word_index", word_index_tests);
