@@ -5,9 +5,11 @@
     phase like the PAT system does.  The word index (suffix array) is
     rebuilt on load, deterministically.  Storing it would cost ~5
     marshalled bytes per word start, ~0.85 bytes per source byte on
-    generated logs (about half again the catalog's size); rebuilding
-    it takes ~4–5 ms for a 75 KB log of 12,751 word starts on a 2-vCPU
-    host (see {!Suffix_array.build}).
+    generated logs (about half again the catalog's size).  Rebuilding
+    it on load only groups the word starts by first byte, ~0.5 ms for a
+    75 KB log of 12,751 word starts on a 2-vCPU host; each bucket is
+    sorted by the first search that needs it, and sorting all of them
+    would take ~3.5 ms (see {!Suffix_array.build}).
 
     Files carry a magic header, a format-version field and an MD5
     checksum of the payload, so a corrupt, truncated or outdated index

@@ -3,28 +3,38 @@
     Gonnet's PAT structure is a lexicographically sorted array of the
     sistrings (suffixes) beginning at each word start.  Any string that
     occurs in the text starting at a word boundary can be located with
-    two binary searches, independent of file size. *)
+    two binary searches, independent of file size.
+
+    The array is sorted lazily, one first-byte bucket at a time
+    (top-down, as in Giegerich, Kurtz & Stoye's lazy suffix trees): a
+    search sorts only the bucket its pattern starts in, once, so a
+    query pays for the buckets its words land in and never for the
+    rest.  One array may be searched and extended from several domains
+    at once; bucket sorts are serialised by a per-array lock. *)
 
 type t
 
 val build : Text.t -> t
-(** Sort all word-start suffixes of the text by their first 1024 bytes
-    (end of text first; suffixes equal on all 1024 come out in an
-    unspecified order).  The kernel is an in-place Bentley–Sedgewick
-    multikey quicksort: three-way partitions on the byte at the current
-    depth, so a prefix shared by a partition is read once per partition
-    rather than once per comparison.  For w word starts whose
-    distinguishing prefixes sum to D bytes it costs O(w log w + D) byte
-    reads, at most O(w log w + 1024 w) on pathological repetitive
-    texts, with O(log w + 1024) stack.  Searches remain exact for
-    patterns of any length (longer patterns filter within the
-    capped-prefix range). *)
+(** Collect the word starts of the text grouped by first byte (a
+    counting sort done while tokenizing: two passes over the bytes,
+    O(n)); nothing is sorted yet.  The first search in a bucket sorts it, in place, by the first
+    1024 bytes of its suffixes (end of text first; suffixes equal on all
+    1024 come out in an unspecified order).  The kernel is an in-place
+    Bentley–Sedgewick multikey quicksort: three-way partitions on the
+    byte at the current depth, so a prefix shared by a partition is read
+    once per partition rather than once per comparison.  For a bucket
+    of w word starts whose distinguishing prefixes sum to D bytes it
+    costs O(w log w + D) byte reads, at most O(w log w + 1024 w) on
+    pathological repetitive texts, with O(log w + 1024) stack.  Searches
+    remain exact for patterns of any length (longer patterns filter
+    within the capped-prefix range). *)
 
 val prefix_cap : int
 (** The sort key length: 1024 bytes. *)
 
 val order : t -> int array
-(** The word starts in suffix order (a fresh copy). *)
+(** The word starts in suffix order (a fresh copy).  Sorts every
+    bucket first. *)
 
 val size : t -> int
 (** Number of indexed sistrings (= number of word starts). *)
@@ -33,17 +43,23 @@ val extend : t -> Text.t -> old_len:int -> t
 (** [extend t new_text ~old_len] upgrades an array built over the first
     [old_len] bytes (the old text, which must be a prefix of
     [new_text]) to one over the whole of [new_text], tokenizing only
-    the appended tail.  Entries whose capped comparison window lies in
-    the unchanged prefix keep their order; only tail word starts and
-    the few old entries whose window crosses the append point are
-    re-sorted, then merged.  Raises [Invalid_argument] when [old_len]
-    is not the length of the indexed text. *)
+    the appended tail.  A bucket no search has sorted yet takes the
+    tail's word starts and stays unsorted.  In a sorted bucket, entries
+    whose capped comparison window lies in the unchanged prefix keep
+    their order; only the bucket's tail word starts and the few old
+    entries whose window crosses the append point are re-sorted, then
+    merged, so buckets a long-lived process searches stay sorted across
+    appends.  [t] is read under its lock and left unchanged: it may
+    still be searched, concurrently too.  Raises [Invalid_argument]
+    when [old_len] is not the length of the indexed text. *)
 
 val find : t -> string -> int array
 (** [find t pattern] returns every position [p] (sorted increasing) such
     that [pattern] occurs in the text at [p] and [p] is a word start.
-    The empty pattern matches every word start.  Records one word lookup
-    in {!Stdx.Stats.global}. *)
+    The empty pattern matches every word start and sorts no bucket; a
+    pattern whose first byte starts no word (not a letter or digit)
+    finds nothing and sorts none either.  Records one word lookup in
+    {!Stdx.Stats.global}. *)
 
 val find_word : t -> string -> int array
 (** Like {!find} but additionally requires the match to end at a token

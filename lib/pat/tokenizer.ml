@@ -11,34 +11,30 @@ let is_word_end text pos =
   pos = Text.length text
   || (pos >= 0 && pos < Text.length text && not (is_word_char (Text.get text pos)))
 
-(* Two passes over the bytes, count then fill, so no intermediate list
-   is built.  A 256-entry table replaces [is_word_char]'s range tests. *)
+(* A 256-entry table replaces [is_word_char]'s range tests. *)
 let word_table =
   String.init 256 (fun i -> if is_word_char (Char.chr i) then '\001' else '\000')
 
-let word_starts text =
+let iter_word_starts text f =
   let s = Text.unsafe_contents text in
-  let n = String.length s in
-  let is_word i =
-    Char.code (String.unsafe_get word_table (Char.code (String.unsafe_get s i)))
-  in
-  let count = ref 0 and prev = ref 0 in
-  for i = 0 to n - 1 do
-    let w = is_word i in
-    if w > !prev then incr count;
+  let prev = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    let w = Char.code (String.unsafe_get word_table c) in
+    if w > !prev then f i;
     prev := w
-  done;
+  done
+
+(* Two passes over the bytes, count then fill, so no intermediate list
+   is built. *)
+let word_starts text =
+  let count = ref 0 in
+  iter_word_starts text (fun _ -> incr count);
   let out = Array.make !count 0 in
   let k = ref 0 in
-  prev := 0;
-  for i = 0 to n - 1 do
-    let w = is_word i in
-    if w > !prev then begin
+  iter_word_starts text (fun i ->
       Array.unsafe_set out !k i;
-      incr k
-    end;
-    prev := w
-  done;
+      incr k);
   out
 
 let word_at text pos =

@@ -11,6 +11,10 @@ val word_starts : Text.t -> int array
 (** Strictly increasing positions at which a word begins: a word
     character whose predecessor is absent or not a word character. *)
 
+val iter_word_starts : Text.t -> (int -> unit) -> unit
+(** [iter_word_starts text f] calls [f] on each of {!word_starts}, in
+    increasing order, without building the array. *)
+
 val word_at : Text.t -> int -> string option
 (** [word_at text pos] is the maximal word starting exactly at [pos], or
     [None] if no word starts there. *)

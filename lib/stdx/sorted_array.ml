@@ -110,4 +110,20 @@ let equal ~cmp a b =
       in
       go 0)
 
-let filter p a = Array.of_list (List.filter p (Array.to_list a))
+(* One pass into a buffer of the input's length, then one trim: no
+   intermediate list. *)
+let filter p a =
+  let n = Array.length a in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n (Array.unsafe_get a 0) in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get a i in
+      if p x then begin
+        Array.unsafe_set out !k x;
+        incr k
+      end
+    done;
+    if !k = n then out else Array.sub out 0 !k
+  end

@@ -510,6 +510,163 @@ let adversarial_props =
              pats);
   ]
 
+(* The lazily sorted array: a search sorts only its pattern's
+   first-byte bucket, so the answers must not depend on which buckets
+   earlier searches happened to sort.  Buckets are forced here by
+   one-byte searches, a random subset in random order. *)
+
+(* short texts over a wider alphabet than [text_gen]: capitals, digits,
+   punctuation and bytes >= 0x80, so many buckets are in play *)
+let mixed_text_gen =
+  QCheck.Gen.(
+    map
+      (fun ws -> String.concat "" ws)
+      (list_size (int_bound 60)
+         (oneof
+            [
+              map
+                (fun cs -> String.concat "" (List.map (String.make 1) cs))
+                (list_size (int_range 1 5)
+                   (oneofl [ 'a'; 'b'; 'Z'; '0'; '7'; '\xc3'; '\xa9' ]));
+              oneofl [ " "; "-"; "\n"; ", "; "\xe2\x80\x94" ];
+            ])))
+
+let force_gen =
+  QCheck.Gen.(
+    list_size (int_bound 12)
+      (oneof
+         [ int_bound 255; map Char.code (oneofl [ 'a'; 'b'; 'Z'; '0'; '7' ]) ]))
+
+let force sa bytes =
+  List.iter
+    (fun b -> ignore (Suffix_array.count sa (String.make 1 (Char.chr b))))
+    bytes
+
+(* the patterns every lazy check adds: none of them may sort a bucket
+   wrongly or answer from an unsorted one *)
+let edge_patterns =
+  [ "-a"; " "; "\x80"; "\xc3\xa9"; "Z"; "0"; String.make (cap + 3) 'a' ]
+
+let arb_lazy =
+  QCheck.make
+    ~print:(fun ((text, seeds), bytes) ->
+      Printf.sprintf "%d bytes %S... patterns %s forced %s" (String.length text)
+        (String.sub text 0 (min 80 (String.length text)))
+        (String.concat ";"
+           (List.map (fun (i, m) -> Printf.sprintf "(%d,%d)" i m) seeds))
+        (String.concat "," (List.map string_of_int bytes)))
+    QCheck.Gen.(
+      pair
+        (oneof
+           [
+             adversarial_gen;
+             pair mixed_text_gen
+               (list_size (int_range 1 6)
+                  (pair (int_bound 10_000) (int_bound 8)));
+           ])
+        force_gen)
+
+let lazy_props =
+  [
+    QCheck.Test.make ~name:"lazy: answers match naive after partial forcing"
+      ~count:150 arb_lazy (fun ((text, seeds), bytes) ->
+        let sa = Suffix_array.build (Text.of_string text) in
+        force sa bytes;
+        answers_like_naive text sa (edge_patterns @ patterns_of text seeds)
+        && well_sorted text sa);
+    QCheck.Test.make
+      ~name:"lazy: extend of a partly sorted array == build; old unchanged"
+      ~count:100
+      QCheck.(pair arb_lazy (make Gen.(int_bound 100_000)))
+      (fun (((text, seeds), bytes), split) ->
+        let n = String.length text in
+        let old_len = split mod (n + 1) in
+        let old_text = String.sub text 0 old_len in
+        let old = Suffix_array.build (Text.of_string old_text) in
+        force old bytes;
+        let pats = edge_patterns @ patterns_of text seeds in
+        List.iter (fun pat -> ignore (Suffix_array.find old pat)) pats;
+        let sa = Suffix_array.extend old (Text.of_string text) ~old_len in
+        let built = Suffix_array.build (Text.of_string text) in
+        let same pat =
+          Suffix_array.find sa pat = Suffix_array.find built pat
+          && Suffix_array.find_word sa pat = Suffix_array.find_word built pat
+          && Suffix_array.count sa pat = Suffix_array.count built pat
+        in
+        List.for_all same pats
+        && answers_like_naive text sa pats
+        && answers_like_naive old_text old pats
+        && well_sorted text sa
+        && well_sorted old_text old);
+  ]
+
+(* One fresh array searched by four domains at once (same and different
+   buckets, the empty pattern, counts) while a fifth extends it: every
+   answer must equal the sequential one. *)
+let domain_safety_test () =
+  let words =
+    [| "alpha"; "alpine"; "beta"; "2026"; "2027"; "07"; "00"; "Zeta"; "zz" |]
+  in
+  let text =
+    String.concat " "
+      (List.init 10_000 (fun i ->
+           words.(((i * i) + (i / 7)) mod Array.length words)))
+  in
+  let grown = text ^ " alpha Zeta 2028 omega" in
+  let pats =
+    [ "alp"; "alpha"; "2026"; "07"; ""; "Z"; "zz"; "b"; "-"; "omega" ]
+  in
+  let answers sa pat =
+    ( Suffix_array.find sa pat,
+      Suffix_array.find_word sa pat,
+      Suffix_array.count sa pat )
+  in
+  (* searchers 0 and 1 start at "alp", 2 at "alpha" in the same
+     bucket, 3 at "2026"; each then runs every pattern *)
+  let rotate k l =
+    let k = max 0 (k - 1) in
+    List.filteri (fun i _ -> i >= k) l @ List.filteri (fun i _ -> i < k) l
+  in
+  let expect src =
+    List.map (answers (Suffix_array.build (Text.of_string src))) pats
+  in
+  let want = expect text and want_grown = expect grown in
+  for _trial = 1 to 10 do
+    let sa = Suffix_array.build (Text.of_string text) in
+    (* all five domains start together *)
+    let waiting = Atomic.make 5 in
+    let start () =
+      Atomic.decr waiting;
+      while Atomic.get waiting > 0 do
+        Domain.cpu_relax ()
+      done
+    in
+    let searchers =
+      List.init 4 (fun k ->
+          Domain.spawn (fun () ->
+              start ();
+              List.map (answers sa) (rotate k pats)))
+    in
+    let extender =
+      Domain.spawn (fun () ->
+          start ();
+          let ext =
+            Suffix_array.extend sa (Text.of_string grown)
+              ~old_len:(String.length text)
+          in
+          List.map (answers ext) pats)
+    in
+    List.iteri
+      (fun k d ->
+        Alcotest.(check bool)
+          "searcher answers" true
+          (Domain.join d = rotate k want))
+      searchers;
+    Alcotest.(check bool)
+      "extended answers" true
+      (Domain.join extender = want_grown)
+  done
+
 (* Random region windows over random texts, used to compare the indexed
    word selections against character-level scans. *)
 let windows_gen =
@@ -846,7 +1003,11 @@ let suites =
       region_set_units @ List.map QCheck_alcotest.to_alcotest region_set_props );
     ( "pat.suffix_array",
       List.map QCheck_alcotest.to_alcotest
-        (suffix_array_props @ adversarial_props) );
+        (suffix_array_props @ adversarial_props @ lazy_props)
+      @ [
+          Alcotest.test_case "lazy buckets are domain-safe" `Quick
+            domain_safety_test;
+        ] );
     ( "pat.word_selections",
       List.map QCheck_alcotest.to_alcotest word_selection_props );
     ("pat.word_index", word_index_tests);
