@@ -594,16 +594,23 @@ let open_catalog dir =
     (Oqf_catalog.Catalog.recovery_warnings cat);
   cat
 
-(* Refresh every entry; [refresh_all] keeps going past failures, so
-   the healthy entries are up to date either way.  Under fail-fast the
+(* Refresh every entry of the queried schema, as serve does per
+   request; the other schemas' files are never opened, so one of them
+   going missing cannot fail the query.  Every entry is attempted, so
+   the healthy ones are up to date either way.  Under fail-fast the
    collected failures then fail the command; under the recovery
    policies they become warnings — load-time self-healing and the
    driver's recovery ladder still get their chance per file. *)
-let refresh_catalog cat ~fail_policy =
+let refresh_catalog cat ~schema ~fail_policy =
   let failures =
     List.filter_map
-      (fun (_, r) -> match r with Ok _ -> None | Error msg -> Some msg)
-      (Oqf_catalog.Catalog.refresh_all cat)
+      (fun (e : Oqf_catalog.Catalog.entry) ->
+        if e.schema <> schema then None
+        else
+          match Oqf_catalog.Catalog.refresh cat e.source with
+          | Ok _ -> None
+          | Error msg -> Some msg)
+      (Oqf_catalog.Catalog.entries cat)
   in
   match (fail_policy, failures) with
   | _, [] -> ()
@@ -818,7 +825,7 @@ let catalog_query_cmd =
     let plan_mode = resolve_plan_mode plan in
     let jobs = resolve_jobs jobs in
     let cat = open_catalog dir in
-    if not no_refresh then refresh_catalog cat ~fail_policy;
+    if not no_refresh then refresh_catalog cat ~schema ~fail_policy;
     let q =
       match Odb.Query_parser.parse q_text with
       | Ok q -> q
@@ -854,7 +861,8 @@ let catalog_query_cmd =
     (Cmd.info "query"
        ~doc:
          "Run a query against every catalogued file of a schema, straight \
-          off the persisted indices (refreshing stale ones first).")
+          off the persisted indices (refreshing that schema's stale \
+          entries first; other schemas are not touched).")
     Term.(
       const run $ catalog_dir_arg $ schema_arg $ query $ no_refresh $ jobs_arg
       $ shards $ fail_policy_arg $ plan_arg $ faults_arg $ metrics_arg)
@@ -1014,7 +1022,7 @@ let batch_cmd =
       | Some _, _ :: _ -> or_die (Error "--catalog and --data are exclusive")
       | Some dir, [] ->
           let cat = open_catalog dir in
-          refresh_catalog cat ~fail_policy;
+          refresh_catalog cat ~schema ~fail_policy;
           let corpus, lost = corpus_of_catalog cat ~schema ~fail_policy in
           report_degraded lost;
           corpus

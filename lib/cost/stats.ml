@@ -10,14 +10,28 @@ type t = {
   table : name_stats SM.t;
   default : int;  (* cardinality for unrecorded names *)
   bytes : int;  (* total source bytes covered, 0 unknown *)
+  (* corpus totals over [table], summed once when the value is built so
+     per-estimate calls never refold the table *)
+  total_regions : int;
+  total_mps : int;
 }
 
 let default_card = 1000
 
-let uniform ?(card = default_card) () =
-  { table = SM.empty; default = max 1 card; bytes = 0 }
+let make ?(default = default_card) ~bytes table =
+  let total_regions, total_mps =
+    SM.fold
+      (fun _ s (r, m) -> (r + max 0 s.regions, m + s.match_points))
+      table (0, 0)
+  in
+  { table; default = max 1 default; bytes; total_regions; total_mps }
 
-let build_of_instance inst =
+let uniform ?(card = default_card) () = make ~default:card ~bytes:0 SM.empty
+
+(* Linear in the universe (a union of every name's set, then a depth
+   sweep), so only sources without manifest statistics pay it, and
+   [Oqf.Execute] computes it at most once per source. *)
+let of_instance inst =
   let table =
     List.fold_left
       (fun table (name, depth_hist) ->
@@ -26,36 +40,7 @@ let build_of_instance inst =
       SM.empty
       (Oqf_catalog.Catalog.instance_depths inst)
   in
-  {
-    table;
-    default = default_card;
-    bytes = Pat.Text.length (Pat.Instance.text inst);
-  }
-
-(* The depth sweep is linear in the universe, which would make it the
-   dominant cost of planning a small query; instances are immutable
-   once built, so statistics are memoized per instance.  The key is
-   physical identity, weak so a dropped instance releases its
-   statistics; the lock makes the table safe under the multi-domain
-   driver. *)
-module Memo = Ephemeron.K1.Make (struct
-  type t = Pat.Instance.t
-
-  let equal = ( == )
-  let hash i = Hashtbl.hash (Pat.Text.length (Pat.Instance.text i))
-end)
-
-let memo = Memo.create 16
-let memo_lock = Mutex.create ()
-
-let of_instance inst =
-  Mutex.protect memo_lock (fun () ->
-      match Memo.find_opt memo inst with
-      | Some t -> t
-      | None ->
-          let t = build_of_instance inst in
-          Memo.add memo inst t;
-          t)
+  make ~bytes:(Pat.Text.length (Pat.Instance.text inst)) table
 
 let of_entries entries =
   let add_hist a b =
@@ -95,12 +80,12 @@ let of_entries entries =
           table e.depths)
       SM.empty entries
   in
-  {
-    table;
-    default = default_card;
-    bytes =
-      List.fold_left (fun acc (e : Oqf_catalog.Catalog.entry) -> acc + e.length) 0 entries;
-  }
+  make
+    ~bytes:
+      (List.fold_left
+         (fun acc (e : Oqf_catalog.Catalog.entry) -> acc + e.length)
+         0 entries)
+    table
 
 let names t = List.map fst (SM.bindings t.table)
 let find t name = SM.find_opt name t.table
@@ -111,10 +96,8 @@ let card t name =
   | None -> float_of_int t.default
 
 let universe t =
-  let total =
-    SM.fold (fun _ s acc -> acc + max 0 s.regions) t.table 0
-  in
-  if total > 0 then float_of_int total else float_of_int t.default
+  if t.total_regions > 0 then float_of_int t.total_regions
+  else float_of_int t.default
 
 let text_bytes t = float_of_int t.bytes
 
@@ -131,15 +114,9 @@ let text_bytes t = float_of_int t.bytes
 let word_selectivity t name =
   match SM.find_opt name t.table with
   | Some s when s.match_points > 0 && s.regions > 0 ->
-      let total_mps =
-        SM.fold (fun _ x acc -> acc + x.match_points) t.table 0
-      in
-      let total_regions =
-        SM.fold (fun _ x acc -> acc + max 0 x.regions) t.table 0
-      in
       let avg_words =
         Float.max 1.0
-          (float_of_int total_mps /. float_of_int (max 1 total_regions))
+          (float_of_int t.total_mps /. float_of_int (max 1 t.total_regions))
       in
       let per_region =
         float_of_int s.match_points /. float_of_int s.regions

@@ -2,12 +2,22 @@
 
     One value summarizes what the planner may assume about the data:
     per-region-name cardinalities, match-point densities and
-    nesting-depth histograms.  The numbers come either from a live
-    {!Pat.Instance.t} (single-file planning inside [Oqf.Execute]) or
-    from the catalog manifest's [rstat]/[rdepth] lines (advisor replay,
-    where no index is loaded at all).  Names absent from the table fall
-    back to a uniform default so estimates stay finite on partial or
-    legacy statistics. *)
+    nesting-depth histograms.  Where each kind of source gets them:
+
+    - a catalog-built source ([Oqf.Corpus.of_catalog],
+      [of_catalog_robust], [of_snapshot]) carries {!of_entries} of its
+      own manifest entry, the [rstat]/[rdepth] lines written when the
+      file was indexed — no index is swept to plan a query;
+    - a catalog entry written before those lines existed, and a
+      single-file source ([oqf query FILE], [query --load]), use
+      {!of_instance}, computed at most once per source;
+    - advisor replay merges {!of_entries} over the whole catalog
+      without loading any index.
+
+    Names absent from the table fall back to a uniform default so
+    estimates stay finite on partial or legacy statistics.  Nothing is
+    memoized here: a value is built once by its owner and then only
+    read. *)
 
 type name_stats = {
   regions : int;  (** cardinality of the name's region set *)
@@ -31,9 +41,11 @@ val uniform : ?card:int -> unit -> t
     degrades to the PR 4 heuristic on this. *)
 
 val of_instance : Pat.Instance.t -> t
-(** Cheap per-name cardinalities plus depth histograms from a loaded
-    instance (one universe sweep; no word-index scan, so match-point
-    densities are left unknown). *)
+(** Per-name cardinalities plus depth histograms from a loaded
+    instance: a union of every name's region set, then one depth sweep
+    with a binary search per region — linear-logarithmic in the
+    universe, so callers keep the result.  There is no word-index
+    scan, so match-point densities are left unknown. *)
 
 val of_entries : Oqf_catalog.Catalog.entry list -> t
 (** Merge the build-time statistics of catalog entries: cardinalities
@@ -64,7 +76,8 @@ val word_selectivity : t -> string -> float
     spanning [m] match points survives [σ_w] with probability
     [min 1 (m/W)] under independent word placement, where [W] is the
     corpus vocabulary proxy — and clamped; 0.1 when density is
-    unknown (the PR 4 heuristic). *)
+    unknown (the PR 4 heuristic).  The corpus totals behind [W] are
+    summed once when the value is built, so a call is a table lookup. *)
 
 val depth_overlap : t -> outer:string -> inner:string -> float
 (** Fraction of [outer]-region/[inner]-region pairs whose nesting

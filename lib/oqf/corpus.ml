@@ -15,55 +15,56 @@ let make_full view files =
   make view files
     ~index:(Fschema.Grammar.indexable view.Fschema.View.grammar)
 
-let of_catalog catalog ~schema =
+(* The sources of [schema]'s entries, each instance read by [load].  A
+   source plans with its entry's manifest statistics; an entry written
+   before rstat/rdepth existed has none, and its source sweeps the
+   instance instead.  An entry that fails to load fails the corpus, or
+   under [degrade] is excluded with a degradation note. *)
+let of_entries ~degrade ~load ~schema entries =
   match Oqf_catalog.Schemas.find_result schema with
   | Error e -> Error e
   | Ok view ->
-      let rec go acc = function
-        | [] -> Ok { sources = List.rev acc }
-        | (e : Oqf_catalog.Catalog.entry) :: rest ->
-            if e.Oqf_catalog.Catalog.schema <> schema then go acc rest
-            else begin
-              match Oqf_catalog.Catalog.load catalog e.source with
-              | Error msg -> Error (Printf.sprintf "%s: %s" e.source msg)
-              | Ok instance ->
-                  go
-                    (( e.source,
-                       Execute.source_of_instance ~origin:Execute.Disk view
-                         instance )
-                    :: acc)
-                    rest
-            end
+      let rec go srcs degs = function
+        | [] -> Ok ({ sources = List.rev srcs }, List.rev degs)
+        | (e : Oqf_catalog.Catalog.entry) :: rest when e.schema <> schema ->
+            go srcs degs rest
+        | e :: rest -> begin
+            match load e.source with
+            | Ok instance ->
+                let src =
+                  Execute.source_of_instance ~origin:Execute.Disk view
+                    instance
+                in
+                let src =
+                  if e.stats = [] || e.depths = [] then src
+                  else
+                    Execute.with_stats src (Oqf_cost.Stats.of_entries [ e ])
+                in
+                go ((e.source, src) :: srcs) degs rest
+            | Error msg when degrade ->
+                go srcs
+                  (Degrade.make ~file:e.source Degrade.Excluded msg :: degs)
+                  rest
+            | Error msg -> Error (Printf.sprintf "%s: %s" e.source msg)
+          end
       in
-      go [] (Oqf_catalog.Catalog.entries catalog)
+      go [] [] entries
+
+let of_catalog catalog ~schema =
+  Result.map fst
+    (of_entries ~degrade:false
+       ~load:(Oqf_catalog.Catalog.load catalog)
+       ~schema
+       (Oqf_catalog.Catalog.entries catalog))
 
 (* Like [of_catalog], but an entry that cannot be served any more
    (index dead, source gone — Catalog.load already tried to heal) is
    excluded with a degradation note instead of failing the corpus. *)
 let of_catalog_robust catalog ~schema =
-  match Oqf_catalog.Schemas.find_result schema with
-  | Error e -> Error e
-  | Ok view ->
-      let sources, degraded =
-        List.fold_left
-          (fun (srcs, degs) (e : Oqf_catalog.Catalog.entry) ->
-            if e.Oqf_catalog.Catalog.schema <> schema then (srcs, degs)
-            else begin
-              match Oqf_catalog.Catalog.load catalog e.source with
-              | Ok instance ->
-                  ( ( e.source,
-                      Execute.source_of_instance ~origin:Execute.Disk view
-                        instance )
-                    :: srcs,
-                    degs )
-              | Error msg ->
-                  ( srcs,
-                    Degrade.make ~file:e.source Degrade.Excluded msg :: degs )
-            end)
-          ([], [])
-          (Oqf_catalog.Catalog.entries catalog)
-      in
-      Ok ({ sources = List.rev sources }, List.rev degraded)
+  of_entries ~degrade:true
+    ~load:(Oqf_catalog.Catalog.load catalog)
+    ~schema
+    (Oqf_catalog.Catalog.entries catalog)
 
 (* The snapshot analogue of [of_catalog_robust]: every load goes
    through the pinned generation, read-only — no healing, no commits —
@@ -72,29 +73,10 @@ let of_catalog_robust catalog ~schema =
    index (the snapshot outlived a crashed disk, say) excludes its file
    with a degradation note. *)
 let of_snapshot snapshot ~schema =
-  match Oqf_catalog.Schemas.find_result schema with
-  | Error e -> Error e
-  | Ok view ->
-      let sources, degraded =
-        List.fold_left
-          (fun (srcs, degs) (e : Oqf_catalog.Catalog.entry) ->
-            if e.Oqf_catalog.Catalog.schema <> schema then (srcs, degs)
-            else begin
-              match Oqf_catalog.Catalog.snapshot_load snapshot e.source with
-              | Ok instance ->
-                  ( ( e.source,
-                      Execute.source_of_instance ~origin:Execute.Disk view
-                        instance )
-                    :: srcs,
-                    degs )
-              | Error msg ->
-                  ( srcs,
-                    Degrade.make ~file:e.source Degrade.Excluded msg :: degs )
-            end)
-          ([], [])
-          (Oqf_catalog.Catalog.snapshot_entries snapshot)
-      in
-      Ok ({ sources = List.rev sources }, List.rev degraded)
+  of_entries ~degrade:true
+    ~load:(Oqf_catalog.Catalog.snapshot_load snapshot)
+    ~schema
+    (Oqf_catalog.Catalog.snapshot_entries snapshot)
 
 let of_sources sources = { sources }
 let files t = List.map fst t.sources

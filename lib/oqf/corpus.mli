@@ -28,9 +28,13 @@ val make_full :
 val of_catalog : Oqf_catalog.Catalog.t -> schema:string -> (t, string) result
 (** The corpus of every catalogued file of one schema, served from the
     catalog's persisted indices through its instance cache — no
-    re-parsing.  The caller decides whether to
-    {!Oqf_catalog.Catalog.refresh_all} first; entries are loaded as
-    persisted. *)
+    re-parsing.  The caller decides whether to refresh the entries
+    first; they are loaded as persisted.  Each source plans with its
+    manifest entry's statistics ({!Oqf_cost.Stats.of_entries}), so no
+    instance is swept; an entry recorded before those statistics
+    existed sweeps its instance on first use instead
+    ({!Execute.stats}).  The same holds for the two constructors
+    below. *)
 
 val of_catalog_robust :
   Oqf_catalog.Catalog.t ->

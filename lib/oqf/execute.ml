@@ -1,5 +1,12 @@
 type origin = Memory | Disk
 
+(* Catalog sources are built holding their manifest entry's statistics;
+   the others sweep their instance the first time a cost-mode run or
+   EXPLAIN asks.  The sweep is published through an [Atomic] under a
+   lock rather than a [Lazy.t]: serve shares sources across worker
+   domains, and [Lazy] is not domain-safe. *)
+type plan_stats = { value : Oqf_cost.Stats.t option Atomic.t; lock : Mutex.t }
+
 type source = {
   view : Fschema.View.t;
   text : Pat.Text.t;
@@ -7,29 +14,10 @@ type source = {
   env : Compile.env;
   query_rig : Ralg.Rig.t;
   origin : origin;
+  plan_stats : plan_stats;
 }
 
-let make_source ?(origin = Memory) view text ~index =
-  match Fschema.View.index_file view text ~keep:index with
-  | Error e -> Error e
-  | Ok instance ->
-      let env = Compile.env view ~index in
-      Ok
-        {
-          view;
-          text;
-          instance;
-          env;
-          query_rig = Ralg.Rig.partial env.Compile.full_rig ~keep:index;
-          origin;
-        }
-
-let make_source_full view text =
-  make_source view text
-    ~index:(Fschema.Grammar.indexable view.Fschema.View.grammar)
-
-let source_of_instance ?(origin = Memory) view instance =
-  let index = Pat.Instance.names instance in
+let build ~origin view instance ~index =
   let env = Compile.env view ~index in
   {
     view;
@@ -38,7 +26,39 @@ let source_of_instance ?(origin = Memory) view instance =
     env;
     query_rig = Ralg.Rig.partial env.Compile.full_rig ~keep:index;
     origin;
+    plan_stats = { value = Atomic.make None; lock = Mutex.create () };
   }
+
+let make_source ?(origin = Memory) view text ~index =
+  Result.map
+    (fun instance -> build ~origin view instance ~index)
+    (Fschema.View.index_file view text ~keep:index)
+
+let make_source_full view text =
+  make_source view text
+    ~index:(Fschema.Grammar.indexable view.Fschema.View.grammar)
+
+let source_of_instance ?(origin = Memory) view instance =
+  build ~origin view instance ~index:(Pat.Instance.names instance)
+
+let with_stats src stats =
+  {
+    src with
+    plan_stats = { value = Atomic.make (Some stats); lock = Mutex.create () };
+  }
+
+let stats src =
+  let { value; lock } = src.plan_stats in
+  match Atomic.get value with
+  | Some s -> s
+  | None ->
+      Mutex.protect lock (fun () ->
+          match Atomic.get value with
+          | Some s -> s
+          | None ->
+              let s = Oqf_cost.Stats.of_instance src.instance in
+              Atomic.set value (Some s);
+              s)
 
 type outcome = {
   rows : Odb.Query_eval.row list;
@@ -279,9 +299,6 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
     | None -> plan_mode = Oqf_cost.Planner.Cost_based
   in
   let before = Stdx.Stats.snapshot () in
-  (* per-name statistics for the cost-based planner, built once per
-     run and only when that mode is on *)
-  let cost_stats = lazy (Oqf_cost.Stats.of_instance src.instance) in
   let t0 = Obs.Trace.now_ms () in
   let root =
     if Obs.Trace.enabled () then Obs.Trace.begin_span "query.run"
@@ -347,7 +364,7 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
           match plan_mode with
           | Oqf_cost.Planner.Rules -> Ralg.Cost.of_instance src.instance
           | Oqf_cost.Planner.Cost_based ->
-              Oqf_cost.Model.legacy (Lazy.force cost_stats)
+              Oqf_cost.Model.legacy (stats src)
         in
         Check.plan_diagnostics ~text:(Odb.Query.to_string q) ~cost src.env
           ~query_rig:src.query_rig plan
@@ -389,8 +406,8 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
               e'
           | Oqf_cost.Planner.Cost_based ->
               let d =
-                Oqf_cost.Planner.choose ~stats:(Lazy.force cost_stats)
-                  ~rig:src.query_rig e
+                Oqf_cost.Planner.choose ~stats:(stats src) ~rig:src.query_rig
+                  e
               in
               rewrites := !rewrites @ d.Oqf_cost.Planner.rewrites;
               decisions := (label, d) :: !decisions;

@@ -12,6 +12,9 @@ type origin = Memory | Disk
     file that can be re-read — the degradation fallback re-reads it,
     and treats a vanished file as data loss. *)
 
+type plan_stats
+(** A source's planning statistics, read through {!stats}. *)
+
 type source = {
   view : Fschema.View.t;
   text : Pat.Text.t;
@@ -20,6 +23,9 @@ type source = {
   query_rig : Ralg.Rig.t;  (** the RIG of the indexed names, used by the
                                optimizer *)
   origin : origin;
+  plan_stats : plan_stats;
+      (** what the cost planner and EXPLAIN price with: given by
+          {!with_stats}, or swept from [instance] on first use *)
 }
 
 val make_source :
@@ -37,6 +43,18 @@ val source_of_instance :
 (** Build a source from an already-constructed (e.g. persisted and
     reloaded) instance; the index names are the instance's region
     names.  [origin] defaults to [Memory]. *)
+
+val with_stats : source -> Oqf_cost.Stats.t -> source
+(** The source planning with the given statistics instead of sweeping
+    its instance — how {!Corpus} hands a catalog source its manifest
+    entry's [rstat]/[rdepth] figures. *)
+
+val stats : source -> Oqf_cost.Stats.t
+(** The source's planning statistics.  A source built by
+    {!make_source} or {!source_of_instance} and not given any by
+    {!with_stats} computes {!Oqf_cost.Stats.of_instance} on the first
+    call and keeps it: at most one sweep per source, safe when worker
+    domains share the source. *)
 
 type outcome = {
   rows : Odb.Query_eval.row list;
@@ -91,8 +109,9 @@ val run :
     [false] to skip the §5.2 join refinement (benchmark E6).
     [plan_mode] (default [Rules]) selects the optimizer: [Rules] is
     the paper's Prop 3.5 rewrite system; [Cost_based] enumerates the
-    rewrite-equivalent plans and picks by {!Oqf_cost.Model} estimate —
-    byte-identical rows either way, only the work differs.
+    rewrite-equivalent plans and picks by {!Oqf_cost.Model} estimate
+    over the source's {!stats} — byte-identical rows either way, only
+    the work differs.
     [explain] (default [false]) evaluates phase 1 through
     {!Ralg.Eval.eval_shared_annotated} and fills [annotations] — the
     EXPLAIN ANALYZE path; otherwise phase 1 runs

@@ -6,7 +6,7 @@ let pp ?(show_times = false) ~source ppf (o : Execute.outcome) =
   let cost_based = o.Execute.plan_mode = Oqf_cost.Planner.Cost_based in
   let estimate, est_rows =
     if cost_based then begin
-      let stats = Oqf_cost.Stats.of_instance source.Execute.instance in
+      let stats = Execute.stats source in
       ( (fun e -> Oqf_cost.Model.legacy stats e),
         Some (fun e -> Oqf_cost.Model.rows stats e) )
     end

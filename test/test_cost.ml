@@ -315,6 +315,82 @@ let advisor_tests =
 (* ------------------------------------------------------------------ *)
 (* Catalog persistence of the new statistics *)
 
+(* One source per built-in schema.  [gen ~step ~reseed] grows with
+   [step] (the same seed at a larger size appends, for log) and
+   rewrites its prefix when [reseed] changes the seed. *)
+let stat_sources =
+  [
+    ( "log", "app.log",
+      fun ~step ~reseed ->
+        let p = Workload.Log_gen.with_size (30 + (10 * step)) in
+        Workload.Log_gen.generate { p with seed = p.seed + reseed } );
+    ( "bibtex", "refs.bib",
+      fun ~step ~reseed ->
+        let p = Workload.Bibtex_gen.with_size (12 + (4 * step)) in
+        Workload.Bibtex_gen.generate { p with seed = p.seed + reseed } );
+    ( "sgml", "doc.sgml",
+      fun ~step ~reseed ->
+        let p = Workload.Sgml_gen.with_depth 4 in
+        Workload.Sgml_gen.generate
+          { p with seed = p.seed + reseed; top_sections = p.top_sections + step } );
+    ( "mbox", "mail.mbox",
+      fun ~step ~reseed ->
+        let p = Workload.Mbox_gen.with_size (10 + (3 * step)) in
+        Workload.Mbox_gen.generate { p with seed = p.seed + reseed } );
+  ]
+
+(* Every entry's manifest statistics equal what a sweep of its freshly
+   loaded instance finds (match points aside: the sweep leaves them
+   unknown), and a catalog-built source plans with the manifest's
+   figures, match points included. *)
+let manifest_matches_live ~stage catdir =
+  let cat = or_fail (Oqf_catalog.Catalog.open_dir catdir) in
+  List.iter
+    (fun (e : Oqf_catalog.Catalog.entry) ->
+      let what s = Printf.sprintf "%s, %s: %s" stage e.schema s in
+      let live =
+        Stats.of_instance (or_fail (Oqf_catalog.Catalog.load cat e.source))
+      in
+      let persisted = Stats.of_entries [ e ] in
+      Alcotest.(check (list string))
+        (what "names") (Stats.names live) (Stats.names persisted);
+      Alcotest.(check (list string))
+        (what "depth names") (Stats.names live) (List.map fst e.depths);
+      List.iter
+        (fun name ->
+          match (Stats.find live name, Stats.find persisted name) with
+          | Some l, Some p ->
+              Alcotest.(check int) (what name ^ " regions") l.regions p.regions;
+              Alcotest.(check (array int))
+                (what name ^ " depths") l.depth_hist p.depth_hist
+          | _ -> Alcotest.failf "%s: no statistics for %s" e.schema name)
+        (Stats.names live);
+      Alcotest.(check (float 0.0))
+        (what "text_bytes") (Stats.text_bytes live) (Stats.text_bytes persisted);
+      let corpus = or_fail (Oqf.Corpus.of_catalog cat ~schema:e.schema) in
+      match Oqf.Corpus.source corpus e.source with
+      | None -> Alcotest.failf "%s: not in the corpus" e.source
+      | Some src ->
+          let carried = Oqf.Execute.stats src in
+          List.iter
+            (fun (name, regions, mps) ->
+              match Stats.find carried name with
+              | Some s ->
+                  Alcotest.(check (pair int int))
+                    (what name ^ " carried rstat") (regions, mps)
+                    (s.regions, s.match_points)
+              | None -> Alcotest.failf "%s: source lacks %s" e.schema name)
+            e.stats;
+          Alcotest.(check bool)
+            (what "carried match points") true
+            (List.exists
+               (fun name ->
+                 match Stats.find carried name with
+                 | Some s -> s.match_points > 0
+                 | None -> false)
+               (Stats.names carried)))
+    (Oqf_catalog.Catalog.entries cat)
+
 let catalog_tests =
   [
     Alcotest.test_case "depth histograms persist through the manifest" `Quick
@@ -347,38 +423,40 @@ let catalog_tests =
         let dir = temp_dir () in
         let catdir = Filename.concat dir "cat" in
         let cat = or_fail (Oqf_catalog.Catalog.init catdir) in
-        let sources =
-          [
-            ("log", "app.log", Workload.Log_gen.generate (Workload.Log_gen.with_size 30));
-            ( "bibtex", "refs.bib",
-              Workload.Bibtex_gen.generate (Workload.Bibtex_gen.with_size 12) );
-            ("sgml", "doc.sgml", Workload.Sgml_gen.generate (Workload.Sgml_gen.with_depth 4));
-            ("mbox", "mail.mbox", Workload.Mbox_gen.generate (Workload.Mbox_gen.with_size 10));
-          ]
+        let write ~step ~reseed =
+          List.iter
+            (fun (_, name, gen) ->
+              write_file (Filename.concat dir name) (gen ~step ~reseed))
+            stat_sources
         in
+        write ~step:0 ~reseed:0;
         List.iter
-          (fun (schema, name, contents) ->
-            let src = Filename.concat dir name in
-            write_file src contents;
-            ignore (or_fail (Oqf_catalog.Catalog.add cat ~schema src)))
-          sources;
-        (* a fresh open reads the manifest and decodes the indices *)
-        let cat2 = or_fail (Oqf_catalog.Catalog.open_dir catdir) in
+          (fun (schema, name, _) ->
+            ignore
+              (or_fail
+                 (Oqf_catalog.Catalog.add cat ~schema (Filename.concat dir name))))
+          stat_sources;
+        manifest_matches_live ~stage:"add" catdir;
+        let refresh () =
+          List.map
+            (fun (source, r) -> (Filename.basename source, or_fail r))
+            (Oqf_catalog.Catalog.refresh_all cat)
+        in
+        (* the same seeds at a larger size append entries *)
+        write ~step:1 ~reseed:0;
+        (match List.assoc_opt "app.log" (refresh ()) with
+        | Some (Oqf_catalog.Catalog.Extended _) -> ()
+        | _ -> Alcotest.fail "app.log: expected an incremental extension");
+        manifest_matches_live ~stage:"append" catdir;
+        (* new seeds rewrite every prefix *)
+        write ~step:1 ~reseed:1;
         List.iter
-          (fun (e : Oqf_catalog.Catalog.entry) ->
-            let inst = or_fail (Oqf_catalog.Catalog.load cat2 e.source) in
-            let live = Stats.of_instance inst in
-            Alcotest.(check (list string))
-              (e.schema ^ ": names") (List.map fst e.depths) (Stats.names live);
-            List.iter
-              (fun (name, hist) ->
-                match Stats.find live name with
-                | Some s ->
-                    Alcotest.(check (array int))
-                      (e.schema ^ ": " ^ name) hist s.depth_hist
-                | None -> Alcotest.failf "%s: no live stats for %s" e.schema name)
-              e.depths)
-          (Oqf_catalog.Catalog.entries cat2));
+          (fun (source, outcome) ->
+            match outcome with
+            | Oqf_catalog.Catalog.Rebuilt _ -> ()
+            | _ -> Alcotest.failf "%s: expected a rebuild" source)
+          (refresh ());
+        manifest_matches_live ~stage:"rebuild" catdir);
     Alcotest.test_case "stats-free legacy manifest still serves" `Quick
       (fun () ->
         let dir = temp_dir () in
@@ -416,6 +494,29 @@ let catalog_tests =
         let corpus =
           or_fail (Oqf.Corpus.of_catalog cat2 ~schema:"log")
         in
+        (* planning on it sweeps the instance: live histograms, not the
+           uniform default *)
+        (match Oqf.Corpus.sources corpus with
+        | [ (source, src) ] ->
+            let live =
+              Stats.of_instance
+                (or_fail (Oqf_catalog.Catalog.load cat2 source))
+            in
+            let planned = Oqf.Execute.stats src in
+            Alcotest.(check (float 0.0))
+              "live card" (Stats.card live "Entry") (Stats.card planned "Entry");
+            Alcotest.(check bool)
+              "not the default" true
+              (Stats.card planned "Entry" <> float_of_int Stats.default_card);
+            Alcotest.(check (list string))
+              "live names" (Stats.names live) (Stats.names planned);
+            Alcotest.(check (option (array int)))
+              "live histogram"
+              (Option.map (fun (s : Stats.name_stats) -> s.depth_hist)
+                 (Stats.find live "Level"))
+              (Option.map (fun (s : Stats.name_stats) -> s.depth_hist)
+                 (Stats.find planned "Level"))
+        | srcs -> Alcotest.failf "expected 1 source, got %d" (List.length srcs));
         let q =
           or_fail
             (Result.map_error
@@ -467,6 +568,67 @@ let execute_tests =
         Alcotest.(check bool)
           "estimated cost accumulated" true
           (cost.Oqf.Execute.est_cost > 0.0));
+    Alcotest.test_case "domains sharing a source plan as one run does"
+      `Quick (fun () ->
+        let dir = temp_dir () in
+        let file = Filename.concat dir "app.log" in
+        write_file file
+          (Workload.Log_gen.generate (Workload.Log_gen.with_size 60));
+        let cat =
+          or_fail (Oqf_catalog.Catalog.init (Filename.concat dir "cat"))
+        in
+        let _ = or_fail (Oqf_catalog.Catalog.add cat ~schema:"log" file) in
+        let q =
+          or_fail
+            (Result.map_error
+               (Format.asprintf "%a" Odb.Query_parser.pp_error)
+               (Odb.Query_parser.parse
+                  "SELECT e.Service, e.Message FROM Entries e \
+                   WHERE e.Level = \"WARN\""))
+        in
+        let run src =
+          let o = or_fail (Oqf.Execute.run ~plan_mode:Planner.Cost_based src q) in
+          (o.Oqf.Execute.rows, o.Oqf.Execute.decisions)
+        in
+        (* four domains start together on one source *)
+        let together src =
+          let waiting = Atomic.make 4 in
+          List.init 4 (fun _ ->
+              Domain.spawn (fun () ->
+                  Atomic.decr waiting;
+                  while Atomic.get waiting > 0 do
+                    Domain.cpu_relax ()
+                  done;
+                  run src))
+          |> List.map Domain.join
+        in
+        let catalog_source () =
+          match
+            Oqf.Corpus.sources
+              (or_fail (Oqf.Corpus.of_catalog cat ~schema:"log"))
+          with
+          | [ (_, src) ] -> src
+          | _ -> Alcotest.fail "expected one catalog source"
+        in
+        let instance = or_fail (Oqf_catalog.Catalog.load cat file) in
+        (* a fresh single-file source has not swept its instance yet, so
+           the four domains race for its statistics *)
+        let file_source () =
+          Oqf.Execute.source_of_instance Fschema.Log_schema.view instance
+        in
+        List.iter
+          (fun (label, fresh) ->
+            let ((rows, decisions) as want) = run (fresh ()) in
+            Alcotest.(check bool) (label ^ ": rows") true (rows <> []);
+            Alcotest.(check bool) (label ^ ": decisions") true (decisions <> []);
+            for _trial = 1 to 5 do
+              List.iter
+                (fun got ->
+                  Alcotest.(check bool) (label ^ ": same as sequential") true
+                    (got = want))
+                (together (fresh ()))
+            done)
+          [ ("catalog source", catalog_source); ("single-file source", file_source) ]);
   ]
 
 let suites =
