@@ -372,13 +372,21 @@ let e7 () =
 
 (* ------------------------------------------------------------------ *)
 (* E8 — §3.1: direct inclusion is significantly more expensive than
-   simple inclusion, and the cost grows with nesting depth. *)
+   simple inclusion, and the cost grows with nesting depth.  That cost
+   belongs to the flat-set scan: over a laminar universe (every
+   parse-tree instance) the forest kernel answers ⊃d by parent
+   lookups.  All three ⊃d columns are asserted equal. *)
 
 let e8 () =
   heading "E8" "cost of direct inclusion vs simple inclusion (§3.1)";
   say "operands: Section vs Para region sets of growing nesting depth@.";
-  say "%6s | %8s | %16s | %16s | %14s@." "depth" "regions" "> (ms, cmps)"
-    ">d (ms, cmps)" "layered >d ms";
+  say "%6s | %8s | %16s | %16s | %16s | %14s@." "depth" "regions"
+    "> (ms, cmps)" "scan >d (ms, cmps)" "forest >d" "layered >d ms";
+  let cmps f =
+    let before = Stdx.Stats.(value region_comparisons) in
+    let r = f () in
+    (r, Stdx.Stats.(value region_comparisons) - before)
+  in
   List.iter
     (fun depth ->
       let text =
@@ -398,11 +406,7 @@ let e8 () =
       let sections = Pat.Instance.find inst "Section" in
       let paras = Pat.Instance.find inst "Para" in
       let ctx = Pat.Instance.universe inst in
-      let cmps f =
-        let before = Stdx.Stats.(value region_comparisons) in
-        let r = f () in
-        (r, Stdx.Stats.(value region_comparisons) - before)
-      in
+      let forest = Pat.Instance.forest inst in
       let (simple, simple_cmps), simple_ms =
         time_ms (fun () ->
             cmps (fun () -> Pat.Region_set.including sections paras))
@@ -412,23 +416,35 @@ let e8 () =
             cmps (fun () ->
                 Pat.Region_set.directly_including ~context:ctx sections paras))
       in
+      let (in_forest, forest_cmps), forest_ms =
+        time_ms (fun () ->
+            cmps (fun () ->
+                Pat.Region_set.directly_including_in forest sections paras))
+      in
       let layered, layered_ms =
         time_ms (fun () ->
             Ralg.Eval.direct_including_layered ~context:ctx sections paras)
       in
+      assert (Pat.Region_set.laminar forest);
       assert (Pat.Region_set.equal direct layered);
+      assert (Pat.Region_set.equal direct in_forest);
       assert (Pat.Region_set.subset direct simple);
-      say "%6d | %8d | %9.2f %6d | %9.2f %6d | %14.2f@." depth
+      say "%6d | %8d | %9.2f %6d | %9.2f %6d | %9.2f %6d | %14.2f@." depth
         (Pat.Region_set.cardinal ctx)
-        simple_ms simple_cmps direct_ms direct_cmps layered_ms)
+        simple_ms simple_cmps direct_ms direct_cmps forest_ms forest_cmps
+        layered_ms)
     [ 2; 4; 6; 8; 10 ];
   (* Worst case: one wide region over n points, each shadowed by a
      tight wrapper placed at the very end of its blocking window —
      deciding "nothing strictly in between" then scans quadratically,
-     while simple inclusion stays near-linear. *)
+     while simple inclusion stays near-linear.  The universe is still
+     laminar, so the forest kernel finds each point's parent (its
+     wrapper) in linear time. *)
   say "@.worst case: wide region over n late-blocked points@.";
-  say "%8s | %16s | %16s@." "n" "> (ms, cmps)" ">d (ms, cmps)";
-  List.iter
+  say "%8s | %16s | %16s | %16s | %14s@." "n" "> (ms, cmps)"
+    "scan >d (ms, cmps)" "forest >d" "layered >d ms";
+  let worst =
+  List.map
     (fun n ->
       let windows = Pat.Region_set.of_pairs [ (0, (3 * n) + 3) ] in
       let points =
@@ -437,26 +453,45 @@ let e8 () =
       let wrappers =
         Pat.Region_set.of_pairs (List.init n (fun i -> (3 * i, (3 * i) + 3)))
       in
-      let ctx =
-        Pat.Region_set.union windows (Pat.Region_set.union points wrappers)
-      in
-      let cmps f =
-        let before = Stdx.Stats.(value region_comparisons) in
-        let r = f () in
-        (r, Stdx.Stats.(value region_comparisons) - before)
-      in
+      let ctx = Pat.Region_set.merge [ windows; points; wrappers ] in
+      let forest = Pat.Region_set.forest ctx in
       let (_, simple_cmps), simple_ms =
         time_ms (fun () ->
             cmps (fun () -> Pat.Region_set.including windows points))
       in
-      let (_, direct_cmps), direct_ms =
+      let (direct, direct_cmps), direct_ms =
         time_ms (fun () ->
             cmps (fun () ->
                 Pat.Region_set.directly_including ~context:ctx windows points))
       in
-      say "%8d | %9.2f %6d | %9.2f %6d@." n simple_ms simple_cmps direct_ms
-        direct_cmps)
+      let (in_forest, forest_cmps), forest_ms =
+        time_ms (fun () ->
+            cmps (fun () ->
+                Pat.Region_set.directly_including_in forest windows points))
+      in
+      let layered, layered_ms =
+        time_ms (fun () ->
+            Ralg.Eval.direct_including_layered ~context:ctx windows points)
+      in
+      assert (Pat.Region_set.laminar forest);
+      assert (Pat.Region_set.equal direct layered);
+      assert (Pat.Region_set.equal direct in_forest);
+      say "%8d | %9.2f %6d | %9.2f %6d | %9.2f %6d | %14.2f@." n simple_ms
+        simple_cmps direct_ms direct_cmps forest_ms forest_cmps layered_ms;
+      (n, (direct_cmps, forest_cmps)))
     [ 250; 500; 1000; 2000 ]
+  in
+  (* the gate: at n = 2000 the forest kernel does at most 1% of the
+     scan's comparisons, and from n = 500 to 2000 (4x the points) its
+     count grows at most 4x — linear, not quadratic *)
+  let scan_2000, forest_2000 = List.assoc 2000 worst in
+  let _, forest_500 = List.assoc 500 worst in
+  let share_pct = 100.0 *. float forest_2000 /. float scan_2000 in
+  let growth = float forest_2000 /. float forest_500 in
+  say "E8 forest >d at n=2000: %.3f%% of the scan's cmps; n=500->2000 growth %.2fx@."
+    share_pct growth;
+  say "E8 forest check: %s@."
+    (if share_pct <= 1.0 && growth <= 4.0 then "PASS" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
 (* B1 — index construction cost.  Not a paper claim (the paper assumes
@@ -1115,6 +1150,7 @@ let bechamel_tests () =
   let sections = Pat.Instance.find sgml_src.Oqf.Execute.instance "Section" in
   let paras = Pat.Instance.find sgml_src.Oqf.Execute.instance "Para" in
   let ctx = Pat.Instance.universe sgml_src.Oqf.Execute.instance in
+  let forest = Pat.Instance.forest sgml_src.Oqf.Execute.instance in
   [
     Test.make ~name:"e1_naive_expression"
       (Staged.stage (fun () ->
@@ -1143,6 +1179,9 @@ let bechamel_tests () =
     Test.make ~name:"e8_direct_inclusion"
       (Staged.stage (fun () ->
            Pat.Region_set.directly_including ~context:ctx sections paras));
+    Test.make ~name:"e8_forest_direct_inclusion"
+      (Staged.stage (fun () ->
+           Pat.Region_set.directly_including_in forest sections paras));
   ]
 
 let run_bechamel () =
@@ -1784,6 +1823,7 @@ let w1 () =
    refreshes use this *)
 let single =
   [
+    ("e8", (e8, None));
     ("b1", (b1, None));
     ("c1", (c1, Some ("C1_", "BENCH_catalog.json")));
     ("r1", (r1, Some ("R1_", "BENCH_robust.json")));

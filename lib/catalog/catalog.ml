@@ -694,34 +694,28 @@ let instance_stats instance =
 (* Per-name nesting-depth histograms: how many regions of each name lie
    under 0, 1, 2, … enclosing indexed regions.  The cost model uses the
    overlap of these histograms to estimate how often a direct-inclusion
-   probe can succeed at all.  One stack sweep over the universe — region
-   order is start ascending, stop descending, so every enclosing region
-   is visited before the regions it contains.  The stack holds universe
-   indices; [depth] is aligned with the universe and is taken before a
-   region is pushed, so it counts only strictly enclosing regions.
-   Each name's regions (a subset of the universe) find their depth by
-   binary search. *)
+   probe can succeed at all.  A node's depth is its parent's plus one,
+   and parents precede their children in the instance's region forest,
+   so one pass fills the depths.  Each name's regions (a subset of the
+   nodes, both in document order) find their nodes in one forward walk. *)
 let depth_buckets = 8
 
 let instance_depths instance =
-  let u = Pat.Region_set.to_array (Pat.Instance.universe instance) in
-  let n = Array.length u in
-  let depth = Array.make n 0 and stack = Array.make n 0 and top = ref 0 in
-  for i = 0 to n - 1 do
-    while !top > 0 && not (Pat.Region.includes u.(stack.(!top - 1)) u.(i)) do
-      decr top
-    done;
-    depth.(i) <- min !top (depth_buckets - 1);
-    stack.(!top) <- i;
-    incr top
-  done;
+  let forest = Pat.Instance.forest instance in
+  let u = Pat.Region_set.to_array (Pat.Region_set.nodes forest) in
+  let parent = Pat.Region_set.parents forest in
+  let depth = Array.make (Array.length u) 0 in
+  Array.iteri (fun i p -> if p >= 0 then depth.(i) <- depth.(p) + 1) parent;
   List.map
     (fun name ->
-      let hist = Array.make depth_buckets 0 in
+      let hist = Array.make depth_buckets 0 and i = ref 0 in
       Pat.Region_set.iter
         (fun r ->
-          let i = Stdx.Sorted_array.lower_bound ~cmp:Pat.Region.compare u r in
-          hist.(depth.(i)) <- hist.(depth.(i)) + 1)
+          while Pat.Region.compare u.(!i) r < 0 do
+            incr i
+          done;
+          let b = min depth.(!i) (depth_buckets - 1) in
+          hist.(b) <- hist.(b) + 1)
         (Pat.Instance.find instance name);
       (* trim trailing empty buckets so flat instances stay compact *)
       let last = ref 0 in

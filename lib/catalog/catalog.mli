@@ -70,7 +70,7 @@ type entry = {
 
 val instance_depths : Pat.Instance.t -> (string * int array) list
 (** The [depths] histograms of an instance, per indexed name in sorted
-    name order, from one stack sweep over its universe (8 buckets,
+    name order, read off its region forest's parents (8 buckets,
     trailing empty buckets trimmed).  {!add} records these; the cost
     planner computes the same from a live instance. *)
 

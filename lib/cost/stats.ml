@@ -28,8 +28,9 @@ let make ?(default = default_card) ~bytes table =
 
 let uniform ?(card = default_card) () = make ~default:card ~bytes:0 SM.empty
 
-(* Linear in the universe (a union of every name's set, then a depth
-   sweep), so only sources without manifest statistics pay it, and
+(* Linear in the universe (one pass over the region forest's parents,
+   then a walk per name), so only sources without manifest statistics
+   pay it, and
    [Oqf.Execute] computes it at most once per source. *)
 let of_instance inst =
   let table =

@@ -42,9 +42,9 @@ val uniform : ?card:int -> unit -> t
 
 val of_instance : Pat.Instance.t -> t
 (** Per-name cardinalities plus depth histograms from a loaded
-    instance: a union of every name's region set, then one depth sweep
-    with a binary search per region — linear-logarithmic in the
-    universe, so callers keep the result.  There is no word-index
+    instance: depths read off the instance's region forest, then one
+    forward walk per name — linear in the universe, so callers keep
+    the result.  There is no word-index
     scan, so match-point densities are left unknown. *)
 
 val of_entries : Oqf_catalog.Catalog.entry list -> t

@@ -147,10 +147,10 @@ module Join_assist = struct
      the indexed attribute chain with strict ⊂d (strictness matters for
      self-nested names; elsewhere it coincides with ⊂d). *)
   let project src ~attrs ~cands =
-    let context = Pat.Instance.universe src.instance in
+    let forest = Pat.Instance.forest src.instance in
     List.fold_left
       (fun acc attr ->
-        Pat.Region_set.directly_included_strict ~context
+        Pat.Region_set.directly_included_strict_in forest
           (Pat.Instance.find src.instance attr)
           acc)
       cands attrs
@@ -158,7 +158,7 @@ module Join_assist = struct
   (* Climb from matching final regions back to candidate roots with
      strict ⊃d. *)
   let climb src ~attrs ~cands ~finals =
-    let context = Pat.Instance.universe src.instance in
+    let forest = Pat.Instance.forest src.instance in
     match List.rev attrs with
     | [] -> cands
     | _final :: above ->
@@ -166,12 +166,12 @@ module Join_assist = struct
         let inner =
           List.fold_left
             (fun acc attr ->
-              Pat.Region_set.directly_including_strict ~context
+              Pat.Region_set.directly_including_strict_in forest
                 (Pat.Instance.find src.instance attr)
                 acc)
             finals above
         in
-        Pat.Region_set.directly_including_strict ~context cands inner
+        Pat.Region_set.directly_including_strict_in forest cands inner
 
   let side_info src bindings (rp : Odb.Query.rooted_path) =
     match List.assoc_opt rp.Odb.Query.var bindings with

@@ -4,7 +4,7 @@ type t = {
   text : Text.t;
   word_index : Word_index.t;
   regions : Region_set.t Smap.t;
-  mutable universe_cache : Region_set.t option;
+  forest : Region_set.forest;
 }
 
 let region_map bindings =
@@ -15,18 +15,23 @@ let region_map bindings =
       else Smap.add name set acc)
     Smap.empty bindings
 
+let forest_of regions =
+  Region_set.forest
+    (Region_set.merge (Smap.fold (fun _ set acc -> set :: acc) regions []))
+
+let make text word_index regions =
+  { text; word_index; regions; forest = forest_of regions }
+
 let create text bindings =
-  {
-    text;
-    word_index = Word_index.build text;
-    regions = region_map bindings;
-    universe_cache = None;
-  }
+  make text (Word_index.build text) (region_map bindings)
 
 let create_with_word_index text word_index bindings =
   if Word_index.text word_index != text then
     invalid_arg "Instance.create_with_word_index: word index over another text";
-  { text; word_index; regions = region_map bindings; universe_cache = None }
+  make text word_index (region_map bindings)
+
+let create_with_forest text ~forest bindings =
+  { text; word_index = Word_index.build text; regions = region_map bindings; forest }
 
 let text t = t.text
 let word_index t = t.word_index
@@ -34,29 +39,17 @@ let names t = List.map fst (Smap.bindings t.regions)
 let find t name = Smap.find name t.regions
 let find_opt t name = Smap.find_opt name t.regions
 let mem t name = Smap.mem name t.regions
-
-let universe t =
-  match t.universe_cache with
-  | Some u -> u
-  | None ->
-      let u =
-        Smap.fold
-          (fun _ set acc -> Region_set.union acc set)
-          t.regions Region_set.empty
-      in
-      t.universe_cache <- Some u;
-      u
+let forest t = t.forest
+let universe t = Region_set.nodes t.forest
 
 let restrict t keep =
   let keep_set = List.fold_left (fun m k -> Smap.add k () m) Smap.empty keep in
-  {
-    t with
-    regions = Smap.filter (fun name _ -> Smap.mem name keep_set) t.regions;
-    universe_cache = None;
-  }
+  let regions = Smap.filter (fun name _ -> Smap.mem name keep_set) t.regions in
+  { t with regions; forest = forest_of regions }
 
 let add t name set =
-  { t with regions = Smap.add name set t.regions; universe_cache = None }
+  let regions = Smap.add name set t.regions in
+  { t with regions; forest = forest_of regions }
 
 let total_regions t =
   Smap.fold (fun _ set acc -> acc + Region_set.cardinal set) t.regions 0

@@ -4,7 +4,9 @@
     each name to a set of regions in one text (paper, Definition of the
     region algebra, §3.1).  The instance also carries the word index and
     the {e universe} — the union of all indexed regions — which is the
-    context against which direct inclusion is decided. *)
+    context against which direct inclusion is decided.  The universe is
+    kept as a {!Region_set.forest}: its node array plus one parent
+    array, built with the instance. *)
 
 type t
 
@@ -17,6 +19,12 @@ val create_with_word_index : Text.t -> Word_index.t -> (string * Region_set.t) l
     {e same} text value (physical equality is required) — the
     incremental-maintenance path, where the word index was extended
     rather than rebuilt.  Raises [Invalid_argument] otherwise. *)
+
+val create_with_forest :
+  Text.t -> forest:Region_set.forest -> (string * Region_set.t) list -> t
+(** Like {!create} for a caller that already holds the forest, whose
+    nodes must equal the union of the sets — the index decoder, which
+    derives both from one node table. *)
 
 val text : t -> Text.t
 val word_index : t -> Word_index.t
@@ -31,7 +39,11 @@ val find_opt : t -> string -> Region_set.t option
 val mem : t -> string -> bool
 
 val universe : t -> Region_set.t
-(** Union of all indexed region sets (cached). *)
+(** Union of all indexed region sets: the forest's nodes. *)
+
+val forest : t -> Region_set.forest
+(** The universe as a region forest, for the direct-inclusion kernels
+    and nesting depths. *)
 
 val restrict : t -> string list -> t
 (** Keep only the given names (partial indexing); the word index is

@@ -7,10 +7,12 @@
     [ι] and outermost [ω], and the word selections [σ].
 
     Inclusion joins run in O((|R| + |S|) log) using range-min/max
-    tables; direct inclusion additionally scans the indexed regions that
-    may lie between the two operands, which is what makes it
-    "significantly more expensive than the simple inclusion operation"
-    (paper, §3.1). *)
+    tables.  The scan kernels for direct inclusion additionally scan
+    the indexed regions that may lie between the two operands, which is
+    what makes it "significantly more expensive than the simple
+    inclusion operation" (paper, §3.1); over a laminar universe the
+    forest kernels ({!directly_including_in} and its kin) replace that
+    scan with parent lookups. *)
 
 type t
 
@@ -20,6 +22,11 @@ val cardinal : t -> int
 
 val of_list : Region.t list -> t
 (** Sort and deduplicate. *)
+
+val of_array : Region.t array -> t
+(** Equal to [of_list] on the same regions.  A strictly increasing
+    array costs one linear check and is kept as it is (it must not be
+    mutated afterwards); anything else is sorted. *)
 
 val of_pairs : (int * int) list -> t
 (** Build from [(start, stop)] pairs; equal to [of_list] on the same
@@ -73,6 +80,71 @@ val directly_including : context:t -> t -> t -> t
 
 val directly_included : context:t -> t -> t -> t
 (** [directly_included ~context r s] is [r ⊂d s] (symmetric). *)
+
+(** {2 The region forest}
+
+    A universe whose extents are pairwise disjoint or nested — every
+    universe built from a parse tree — is {e laminar} (see {!laminar}):
+    its distinct extents form an ordered forest.  There, [r ⊃d s] holds iff [s]'s
+    extent is [r]'s or a child of [r]'s, so the direct-inclusion
+    operators become parent lookups.  The [_in] kernels below answer
+    exactly as their scan counterparts with [~context:(nodes f)].  They
+    start from the witness operand [s] (locate its nodes, then look up
+    parents or walk the [r]-regions inside them), so their cost follows
+    [s] and the answer, not [r] or the universe.  They run the scan
+    kernel when the universe is not laminar.
+
+    Both operands must be subsets of [nodes f], as every expression
+    result over an instance is.  Regions that are not nodes are not
+    supported: a kernel raises [Invalid_argument] on those it meets
+    (any [s] region when [r] is not empty; for the ⊂d shapes also the
+    [r]-regions inside an [s] node), and the ⊃d shapes
+    ([directly_including*_in], [including_at_depth_in]) never look at
+    the other [r]-regions. *)
+
+type forest
+
+val forest : t -> forest
+(** The forest over a universe (one stack sweep); the set is kept as
+    the node array. *)
+
+val forest_init : int -> (int -> Region.t) -> forest
+(** [forest_init n node] is [forest] of the [n] regions [node 0], …,
+    [node (n-1)], swept as they are produced, so a decoder builds the
+    node array and the parents in one pass.  [node] is called once per
+    index, in increasing order.  Raises [Invalid_argument] unless the
+    regions are strictly increasing. *)
+
+val nodes : forest -> t
+(** The universe, in {!Region.compare} order. *)
+
+val parents : forest -> int array
+(** Index into {!nodes} of each node's parent, [-1] for a root.  A
+    parent precedes its children.  Must not be mutated. *)
+
+val laminar : forest -> bool
+(** Whether the regions including each node form a chain, so that the
+    parent array is the inclusion forest: each node's includers are
+    exactly its ancestors.  Parse-tree universes always are; a pair of
+    crossing extents with a node inside both, or an empty extent where
+    two regions touch, is not.  When it is false the parents are still
+    the stack sweep's (each node's nearest includer left on the
+    stack). *)
+
+val merge : t list -> t
+(** Union of many sets in one k-way merge, keeping the first record
+    of equal extents.  A build step: nothing is counted. *)
+
+val directly_including_in : forest -> t -> t -> t
+(** [r ⊃d s]: like {!directly_including} with [~context:(nodes f)]. *)
+
+val directly_including_strict_in : forest -> t -> t -> t
+val directly_included_in : forest -> t -> t -> t
+val directly_included_strict_in : forest -> t -> t -> t
+
+val including_at_depth_in : forest -> depth:int -> t -> t -> t
+(** Like {!including_at_depth} with [~context:(nodes f)]: the ancestor
+    at distance [depth + 1], and at depth 0 also the equal extent. *)
 
 val innermost : t -> t
 (** [ι]: elements that include no other element of the set. *)

@@ -17,7 +17,7 @@ let operands = function
    budget aborts at the next operator boundary (see Obs.Deadline). *)
 let apply inst expr children =
   Obs.Deadline.check ();
-  let ctx () = Pat.Instance.universe inst in
+  let forest () = Pat.Instance.forest inst in
   match (expr, children) with
   | Expr.Name n, [] -> begin
       match Pat.Instance.find_opt inst n with
@@ -39,20 +39,20 @@ let apply inst expr children =
       match op with
       | Expr.Including -> Rs.including a b
       | Expr.Included -> Rs.included a b
-      | Expr.Directly_including -> Rs.directly_including ~context:(ctx ()) a b
-      | Expr.Directly_included -> Rs.directly_included ~context:(ctx ()) a b
+      | Expr.Directly_including -> Rs.directly_including_in (forest ()) a b
+      | Expr.Directly_included -> Rs.directly_included_in (forest ()) a b
     end
   | Expr.Chain_strict (_, op, _), [ a; b ] -> begin
       match op with
       | Expr.Including -> Rs.including_strict a b
       | Expr.Included -> Rs.included_strict a b
       | Expr.Directly_including ->
-          Rs.directly_including_strict ~context:(ctx ()) a b
+          Rs.directly_including_strict_in (forest ()) a b
       | Expr.Directly_included ->
-          Rs.directly_included_strict ~context:(ctx ()) a b
+          Rs.directly_included_strict_in (forest ()) a b
     end
   | Expr.At_depth (n, _, _), [ a; b ] ->
-      Rs.including_at_depth ~context:(ctx ()) ~depth:n a b
+      Rs.including_at_depth_in (forest ()) ~depth:n a b
   | _ -> invalid_arg "Eval.apply: operator/operand arity mismatch"
 
 let recall memo expr =

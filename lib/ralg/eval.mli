@@ -7,7 +7,9 @@ exception Unknown_region of string
 
 val eval : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
 (** Evaluate with the efficient operators of {!Pat.Region_set}.  Direct
-    inclusion is decided against the instance universe.  When a trace
+    inclusion is decided against the instance universe, by parent
+    lookups in its region forest (the scan kernels when the universe is
+    not laminar; see {!Pat.Region_set.forest}).  When a trace
     sink is installed (see {!Obs.Trace}) this routes through
     {!eval_annotated} so every operator application is spanned;
     otherwise it is {!eval_plain}. *)

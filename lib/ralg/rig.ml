@@ -152,23 +152,34 @@ let count_paths_avoiding t a b ~avoid_interior =
     match count a with 0 -> `Zero | 1 -> `One | _ -> `Many
   end
 
+(* One avoiding search per kept source: explore from [a] through nodes
+   outside [keep]; every node met on the way — a successor of [a] or of
+   an explored interior — ends such a walk.  The per-pair definition
+   is [reachable_avoiding t a b ~avoid:keep] for each kept [b]. *)
 let partial t ~keep =
   let keep_set = Sset.of_list keep in
-  let keep = Sset.elements (Sset.inter keep_set t.nodes) in
-  let edges =
-    List.concat_map
-      (fun a ->
-        List.filter_map
-          (fun b ->
-            if
-              reachable_avoiding t a b
-                ~avoid:(Sset.elements keep_set)
-            then Some (a, b)
-            else None)
-          keep)
-      keep
+  let keep = Sset.inter keep_set t.nodes in
+  let targets a =
+    let explored = ref Sset.empty and met = ref Sset.empty in
+    let rec go n =
+      List.iter
+        (fun m ->
+          met := Sset.add m !met;
+          if not (Sset.mem m keep_set || Sset.mem m !explored) then begin
+            explored := Sset.add m !explored;
+            go m
+          end)
+        (successors t n)
+    in
+    go a;
+    Sset.inter !met keep
   in
-  create ~names:keep ~edges
+  let edges =
+    Sset.fold
+      (fun a acc -> Sset.fold (fun b acc -> (a, b) :: acc) (targets a) acc)
+      keep []
+  in
+  create ~names:(Sset.elements keep) ~edges
 
 let interior_nodes t a b =
   List.filter

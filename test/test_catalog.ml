@@ -534,8 +534,87 @@ let setup_two_file_catalog () =
 
 let healed_counter = Obs.Metrics.counter "catalog.healed"
 
+(* The format-2 body: the text and each name's (start, stop) list,
+   marshalled. *)
+type v2_payload = {
+  contents : string;
+  bindings : (string * (int * int) list) list;
+}
+
+let write_v2_index path instance =
+  let payload =
+    {
+      contents = Pat.Text.unsafe_contents (Pat.Instance.text instance);
+      bindings =
+        List.map
+          (fun name ->
+            ( name,
+              List.map
+                (fun (r : Pat.Region.t) -> (r.start, r.stop))
+                (Pat.Region_set.to_list (Pat.Instance.find instance name)) ))
+          (Pat.Instance.names instance);
+    }
+  in
+  let body = Marshal.to_string payload [] in
+  write_file path ("OQF-INDEX-2\n" ^ Digest.string body ^ body)
+
 let robustness_tests =
   [
+    Alcotest.test_case "format-2 index: healed on load, rebuilt on refresh"
+      `Quick (fun () ->
+        let _, log_path, cat = setup_catalog 30 in
+        let q =
+          Odb.Query_parser.parse_exn
+            {|SELECT e.Service, e.Level FROM Entries e WHERE e.Level = "WARN"|}
+        in
+        (* the rows [catalog query] prints, off the current corpus *)
+        let rows cat =
+          let corpus = or_fail (Oqf.Corpus.of_catalog cat ~schema:"log") in
+          let r = or_fail (Exec.Driver.run_parallel ~jobs:1 corpus q) in
+          List.map
+            (fun (file, row) ->
+              file ^ ": "
+              ^ String.concat " | " (List.map Odb.Value.to_display_string row))
+            r.Exec.Driver.rows
+        in
+        let want = rows cat in
+        Alcotest.(check bool) "some rows" true (want <> []);
+        (* a heal or rebuild writes a new generation's index file *)
+        let downgrade () =
+          let idx = index_path cat log_path in
+          write_v2_index idx (or_fail (Oqf_catalog.Catalog.load cat log_path));
+          (match Pat.Index_store.load_result ~path:idx with
+          | Error (Pat.Index_store.Version_mismatch { found = 2; expected = 3; _ })
+            ->
+              ()
+          | Error e -> Alcotest.fail (Pat.Index_store.error_message e)
+          | Ok _ -> Alcotest.fail "a format-2 file must not load");
+          Oqf_catalog.Instance_cache.remove
+            (Oqf_catalog.Catalog.cache cat)
+            (Option.get (Oqf_catalog.Catalog.find cat log_path))
+              .Oqf_catalog.Catalog.index_file
+        in
+        let loads_as_format_3 msg =
+          match Pat.Index_store.load_result ~path:(index_path cat log_path) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (msg ^ ": " ^ Pat.Index_store.error_message e)
+        in
+        (* catalog query --no-refresh: the load heals *)
+        downgrade ();
+        let healed_before = Obs.Metrics.value healed_counter in
+        Alcotest.(check (list string)) "rows after heal" want (rows cat);
+        Alcotest.(check bool)
+          "catalog.healed incremented" true
+          (Obs.Metrics.value healed_counter > healed_before);
+        loads_as_format_3 "healed";
+        (* catalog refresh: the pre-pass rebuilds *)
+        downgrade ();
+        (match or_fail (Oqf_catalog.Catalog.refresh cat log_path) with
+        | Oqf_catalog.Catalog.Rebuilt _ -> ()
+        | r ->
+            Alcotest.failf "refresh: %a" Oqf_catalog.Catalog.pp_refresh r);
+        loads_as_format_3 "rebuilt";
+        Alcotest.(check (list string)) "rows after refresh" want (rows cat));
     Alcotest.test_case "torn manifest: salvage, warn, rewrite" `Quick
       (fun () ->
         let _, a, _, cat = setup_two_file_catalog () in

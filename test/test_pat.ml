@@ -996,6 +996,239 @@ let instance_tests =
               (Text.length (Instance.text inst'))));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Format-3 decoder: total over any body                               *)
+
+let header = "OQF-INDEX-" ^ string_of_int Index_store.format_version ^ "\n"
+
+(* A body under a valid header and a matching checksum, so it reaches
+   the decoder. *)
+let with_body path body =
+  let oc = open_out_bin path in
+  output_string oc (header ^ Digest.string body ^ body);
+  close_out oc
+
+let body_of_file path =
+  let ic = open_in_bin path in
+  let raw = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let skip = String.length header + 16 in
+  String.sub raw skip (String.length raw - skip)
+
+let strictly_increasing set =
+  Stdx.Sorted_array.is_sorted ~cmp:Region.compare (Region_set.to_array set)
+
+(* [Ok] must hold the Region_set invariants, each region inside the
+   text, and the universe equal to the union of the names' sets; any
+   error must be typed.  An exception escapes and fails the test. *)
+let check_load ~what path =
+  match Index_store.load_result ~path with
+  | Error (Index_store.Corrupt _ | Index_store.Not_an_index_file _) -> `Error
+  | Error (Index_store.Version_mismatch _ as e) ->
+      Alcotest.failf "%s: %s" what (Index_store.error_message e)
+  | Ok inst ->
+      let len = Text.length (Instance.text inst) in
+      let sets = List.map (Instance.find inst) (Instance.names inst) in
+      let inside set =
+        Region_set.fold (fun ok (r : Region.t) -> ok && r.stop <= len) true set
+      in
+      if
+        not
+          (List.for_all strictly_increasing sets
+          && List.for_all inside sets
+          && strictly_increasing (Instance.universe inst)
+          && Region_set.equal (Instance.universe inst) (Region_set.merge sets))
+      then Alcotest.failf "%s: decoded instance breaks an invariant" what;
+      `Ok
+
+let store_sample () =
+  let text = Text.of_string "alpha beta gamma delta epsilon" in
+  Instance.create text
+    [
+      ("All", Region_set.of_pairs [ (0, 30) ]);
+      ("Word", Region_set.of_pairs [ (0, 5); (6, 10); (11, 16); (17, 22); (23, 30) ]);
+      ("Pair", Region_set.of_pairs [ (0, 10); (11, 22); (23, 30) ]);
+      ("Empty", Region_set.empty);
+      ("Tail", Region_set.of_pairs [ (23, 30); (30, 30) ]);
+    ]
+
+let with_temp f =
+  let path = Filename.temp_file "oqf_decode" ".idx" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let varint n =
+  let b = Buffer.create 4 in
+  let rec go n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (n land 0x7f lor 0x80));
+      go (n lsr 7)
+    end
+  in
+  go n;
+  Buffer.contents b
+
+(* A body over [text] and [names] holding [records] (delta start,
+   length, tag), with each name's region count and the node count
+   derived from the records as the encoder would write them; [counts]
+   and [nodes] override them. *)
+let table_body ?counts ?nodes text names records =
+  let k = List.length names in
+  let derived = Array.make k 0 and opened = ref 0 in
+  let start = ref 0 and stop = ref (-1) in
+  List.iter
+    (fun (d, l, t) ->
+      if t < k then derived.(t) <- derived.(t) + 1;
+      let s = !start + d in
+      if not (d = 0 && s + l = !stop) then incr opened;
+      start := s;
+      stop := s + l)
+    records;
+  let counts = Option.value counts ~default:(Array.to_list derived) in
+  let nodes = Option.value nodes ~default:!opened in
+  varint (String.length text) ^ text ^ varint k
+  ^ String.concat ""
+      (List.map2
+         (fun n c -> varint (String.length n) ^ n ^ varint c)
+         names counts)
+  ^ varint nodes
+  ^ String.concat ""
+      (List.map (fun (d, l, t) -> varint d ^ varint l ^ varint t) records)
+
+(* A well-formed text and name list, then a node table of random
+   varints — mostly small, so that some tables are valid — under
+   counts that are usually right; one body in ten is raw noise. *)
+let random_table_body seed =
+  let prng = Stdx.Prng.create seed in
+  let text = String.make (Stdx.Prng.int prng 40) 'x' in
+  let k = Stdx.Prng.int prng 4 in
+  let names = List.init k (Printf.sprintf "N%d") in
+  let value () =
+    match Stdx.Prng.int prng 20 with
+    | 0 -> Stdx.Prng.int prng 1_000_000
+    | 1 -> max_int
+    | _ -> Stdx.Prng.int prng 12
+  in
+  let records =
+    List.init (Stdx.Prng.int prng 6) (fun _ ->
+        let delta = if Stdx.Prng.bool prng then 0 else value () in
+        (delta, value (), Stdx.Prng.int prng (k + 1)))
+  in
+  let counts =
+    if Stdx.Prng.int prng 10 = 0 then Some (List.init k (fun _ -> value ()))
+    else None
+  in
+  let nodes = if Stdx.Prng.int prng 10 = 0 then Some (value ()) else None in
+  if Stdx.Prng.int prng 10 = 0 then
+    String.init (Stdx.Prng.int prng 64) (fun _ -> Char.chr (Stdx.Prng.int prng 256))
+  else table_body ?counts ?nodes text names records
+
+let decoder_tests =
+  [
+    Alcotest.test_case "round-trip keeps names, sets, universe and forest"
+      `Quick (fun () ->
+        with_temp (fun path ->
+            let inst = store_sample () in
+            Index_store.save ~path inst;
+            let back = Index_store.load ~path in
+            Alcotest.(check (list string))
+              "names" (Instance.names inst) (Instance.names back);
+            List.iter
+              (fun n ->
+                Alcotest.(check bool)
+                  n true
+                  (Region_set.equal (Instance.find inst n) (Instance.find back n)))
+              (Instance.names inst);
+            Alcotest.(check bool)
+              "universe" true
+              (Region_set.equal (Instance.universe inst) (Instance.universe back));
+            Alcotest.(check (array int))
+              "parents"
+              (Region_set.parents (Instance.forest inst))
+              (Region_set.parents (Instance.forest back))));
+    Alcotest.test_case "out-of-order and duplicate records are corrupt"
+      `Quick (fun () ->
+        let body records = table_body "abcdef" [ "A"; "B" ] records in
+        with_temp (fun path ->
+            with_body path (body [ (2, 2, 0); (0, 2, 1); (1, 3, 0) ]);
+            Alcotest.(check bool) "well formed" true
+              (check_load ~what:"well formed" path = `Ok);
+            List.iter
+              (fun (what, records) ->
+                with_body path (body records);
+                match Index_store.load_result ~path with
+                | Error
+                    (Index_store.Corrupt { reason = "records out of order"; _ })
+                  ->
+                    ()
+                | _ -> Alcotest.failf "%s: expected records out of order" what)
+              [
+                ("wider extent after narrower", [ (2, 2, 0); (0, 4, 0) ]);
+                ("tag repeated in a node", [ (2, 2, 1); (0, 2, 1) ]);
+                ("tags descending in a node", [ (2, 2, 1); (0, 2, 0) ]);
+              ]));
+    Alcotest.test_case "a file cut at every offset is a typed error" `Quick
+      (fun () ->
+        with_temp (fun path ->
+            Index_store.save ~path (store_sample ());
+            let ic = open_in_bin path in
+            let raw = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            let body = body_of_file path in
+            for cut = 0 to String.length raw - 1 do
+              let oc = open_out_bin path in
+              output_string oc (String.sub raw 0 cut);
+              close_out oc;
+              if check_load ~what:(Printf.sprintf "file cut at %d" cut) path = `Ok
+              then Alcotest.failf "file cut at %d loaded" cut
+            done;
+            (* the same cuts past the checksum reach the decoder *)
+            for cut = 0 to String.length body - 1 do
+              with_body path (String.sub body 0 cut);
+              if check_load ~what:(Printf.sprintf "body cut at %d" cut) path = `Ok
+              then Alcotest.failf "body cut at %d decoded" cut
+            done));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"flipped body bytes (checksum recomputed): Ok or Corrupt"
+         QCheck.(make Gen.(int_bound 1_000_000))
+         (fun seed ->
+           let prng = Stdx.Prng.create seed in
+           with_temp (fun path ->
+               Index_store.save ~path (store_sample ());
+               let body = Bytes.of_string (body_of_file path) in
+               for _ = 1 to Stdx.Prng.int_in prng 1 3 do
+                 let i = Stdx.Prng.int prng (Bytes.length body) in
+                 Bytes.set body i
+                   (Char.chr
+                      (Char.code (Bytes.get body i)
+                      lxor Stdx.Prng.int_in prng 1 255))
+               done;
+               with_body path (Bytes.to_string body);
+               ignore (check_load ~what:(Printf.sprintf "seed %d" seed) path);
+               true)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000
+         ~name:"random node tables: Ok with invariants or Corrupt"
+         QCheck.(make Gen.(int_bound 1_000_000))
+         (fun seed ->
+           with_temp (fun path ->
+               with_body path (random_table_body seed);
+               ignore (check_load ~what:(Printf.sprintf "seed %d" seed) path));
+           true));
+    Alcotest.test_case "random node tables decode and fail both" `Quick
+      (fun () ->
+        with_temp (fun path ->
+            let outcomes =
+              List.init 400 (fun seed ->
+                  with_body path (random_table_body seed);
+                  check_load ~what:(Printf.sprintf "seed %d" seed) path)
+            in
+            let oks = List.length (List.filter (( = ) `Ok) outcomes) in
+            if oks < 20 || oks > 380 then
+              Alcotest.failf "%d/400 random tables decoded" oks));
+  ]
+
 let suites =
   [
     ("pat.region", region_tests);
@@ -1013,4 +1246,5 @@ let suites =
     ("pat.word_index", word_index_tests);
     ("pat.region_scanner", scanner_tests);
     ("pat.instance", instance_tests);
+    ("pat.index_decoder", decoder_tests);
   ]

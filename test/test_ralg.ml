@@ -129,6 +129,46 @@ let rig_tests =
           (Invalid_argument "Rig.create: edge endpoint not a node: Z")
           (fun () ->
             ignore (Rig.create ~names:[ "A" ] ~edges:[ ("A", "Z") ])));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500
+         ~name:"partial == per-pair avoiding walks (cycles, self-loops)"
+         QCheck.(make Gen.(int_bound 100000))
+         (fun seed ->
+           let prng = Stdx.Prng.create seed in
+           let n = Stdx.Prng.int_in prng 1 8 in
+           let names = List.init n (Printf.sprintf "N%d") in
+           let pick () = Printf.sprintf "N%d" (Stdx.Prng.int prng n) in
+           (* dense enough for cycles; self-loops arise from equal picks *)
+           let edges =
+             List.init (Stdx.Prng.int prng (2 * n * n)) (fun _ ->
+                 (pick (), pick ()))
+           in
+           let rig = Rig.create ~names ~edges in
+           (* names outside the graph are ignored but still avoided *)
+           let keep =
+             "Missing"
+             :: Stdx.Prng.sample prng (Stdx.Prng.int_in prng 0 n) names
+           in
+           let partial = Rig.partial rig ~keep in
+           let kept = List.sort_uniq compare (List.filter (Rig.mem rig) keep) in
+           (* the definition: one avoiding search per pair *)
+           let want =
+             List.concat_map
+               (fun a ->
+                 List.filter_map
+                   (fun b ->
+                     if Rig.reachable_avoiding rig a b ~avoid:keep then
+                       Some (a, b)
+                     else None)
+                   kept)
+               kept
+           in
+           if Rig.names partial <> kept || Rig.edges partial <> want then
+             QCheck.Test.fail_reportf "seed %d: edges %s, want %s" seed
+               (String.concat " "
+                  (List.map (fun (a, b) -> a ^ ">" ^ b) (Rig.edges partial)))
+               (String.concat " " (List.map (fun (a, b) -> a ^ ">" ^ b) want))
+           else true));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1006,6 +1046,291 @@ let eval_tests =
           evaluators);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Region forest: the parent-lookup kernels against the scan kernels
+   and the brute-force evaluator.
+
+   Instances are random nested extents, as a parse tree yields: every
+   extent carries one or two names from a small pool, so names nest in
+   themselves and distinct names share extents.  Children may touch
+   each other and their parent's ends, and a few are empty (an empty
+   extent at a sibling's boundary makes the universe non-laminar).
+   With [crossing], two crossing extents and their intersection are
+   added, which makes it non-laminar. *)
+
+module Gen_forest = struct
+  let pool = [ "A"; "B"; "C"; "D" ]
+  let text_len = 48
+
+  let generate prng ~crossing =
+    let acc = ref [] in
+    let tag lo hi =
+      List.iter
+        (fun n -> acc := (n, (lo, hi)) :: !acc)
+        (Stdx.Prng.sample prng (Stdx.Prng.int_in prng 1 2) pool)
+    in
+    let rec children lo hi depth =
+      let cursor = ref lo in
+      while !cursor < hi && depth < 5 do
+        let a = Stdx.Prng.int_in prng !cursor (hi - 1) in
+        let b =
+          if Stdx.Prng.int prng 12 = 0 then a else Stdx.Prng.int_in prng (a + 1) hi
+        in
+        if (a, b) <> (lo, hi) && Stdx.Prng.int prng 4 > 0 then begin
+          tag a b;
+          (* the same extent again, under other names *)
+          if Stdx.Prng.int prng 5 = 0 then tag a b;
+          children a b (depth + 1)
+        end;
+        cursor := max (!cursor + 1) (b + Stdx.Prng.int prng 2)
+      done
+    in
+    children 0 text_len 0;
+    if crossing then begin
+      (* [a,c) and [b,d) cross, and [b,c) lies inside both *)
+      let a = Stdx.Prng.int_in prng 0 (text_len - 3) in
+      let b = Stdx.Prng.int_in prng (a + 1) (text_len - 2) in
+      let c = Stdx.Prng.int_in prng (b + 1) (text_len - 1) in
+      let d = Stdx.Prng.int_in prng (c + 1) text_len in
+      List.iter
+        (fun span -> acc := (Stdx.Prng.choose_list prng pool, span) :: !acc)
+        [ (a, c); (b, d); (b, c) ]
+    end;
+    let text =
+      String.init text_len (fun i ->
+          if i mod 2 = 1 then ' ' else "abc".[Stdx.Prng.int prng 3])
+    in
+    Pat.Instance.create (Pat.Text.of_string text)
+      (List.map
+         (fun n ->
+           ( n,
+             Pat.Region_set.of_pairs
+               (List.filter_map
+                  (fun (m, span) -> if m = n then Some span else None)
+                  !acc) ))
+         pool)
+
+  (* Laminar: the extents including any node form a chain. *)
+  let naive_laminar u =
+    let u = Pat.Region_set.to_list u in
+    List.for_all
+      (fun x ->
+        let above =
+          List.filter
+            (fun y -> Pat.Region.strictly_includes y x)
+            u
+        in
+        List.for_all
+          (fun y ->
+            List.for_all
+              (fun z -> Pat.Region.includes y z || Pat.Region.includes z y)
+              above)
+          above)
+      u
+
+  (* The smallest extent strictly including each node. *)
+  let naive_parents u =
+    let a = Pat.Region_set.to_array u in
+    Array.map
+      (fun x ->
+        let best = ref (-1) in
+        Array.iteri
+          (fun i y ->
+            if
+              Pat.Region.strictly_includes y x
+              && (!best < 0 || Pat.Region.includes a.(!best) y)
+            then best := i)
+          a;
+        !best)
+      a
+end
+
+(* (name, forest kernel, scan kernel) *)
+let forest_kernels =
+  let module Rs = Pat.Region_set in
+  [
+    ( "⊃d",
+      (fun f r s -> Rs.directly_including_in f r s),
+      (fun ~context r s -> Rs.directly_including ~context r s) );
+    ( "⊃d strict",
+      (fun f r s -> Rs.directly_including_strict_in f r s),
+      (fun ~context r s -> Rs.directly_including_strict ~context r s) );
+    ( "⊂d",
+      (fun f r s -> Rs.directly_included_in f r s),
+      (fun ~context r s -> Rs.directly_included ~context r s) );
+    ( "⊂d strict",
+      (fun f r s -> Rs.directly_included_strict_in f r s),
+      (fun ~context r s -> Rs.directly_included_strict ~context r s) );
+  ]
+  @ List.map
+      (fun depth ->
+        ( Printf.sprintf "at depth %d" depth,
+          (fun f r s -> Rs.including_at_depth_in f ~depth r s),
+          (fun ~context r s -> Rs.including_at_depth ~context ~depth r s) ))
+      [ 0; 1; 2 ]
+
+(* Forest kernel == scan kernel on every pair of the instance's name
+   sets and of their random subsets; a witness set outside the universe
+   raises [Invalid_argument] over a laminar universe and takes the scan
+   otherwise; every evaluator == the brute-force reference on random
+   expressions. *)
+let check_forest_instance ~seed ~label prng inst =
+  let forest = Pat.Instance.forest inst in
+  let context = Pat.Instance.universe inst in
+  let fail fmt = QCheck.Test.fail_reportf ("seed %d (%s): " ^^ fmt) seed label in
+  if Pat.Region_set.laminar forest <> Gen_forest.naive_laminar context then
+    fail "laminar flag %b on %a" (Pat.Region_set.laminar forest)
+      Pat.Region_set.pp context;
+  if
+    Pat.Region_set.laminar forest
+    && Pat.Region_set.parents forest <> Gen_forest.naive_parents context
+  then fail "parents differ";
+  let stray =
+    Pat.Region_set.of_pairs
+      (List.init 3 (fun _ ->
+           let a = Stdx.Prng.int_in prng 0 (Gen_forest.text_len - 1) in
+           (a, Stdx.Prng.int_in prng a Gen_forest.text_len)))
+  in
+  let named =
+    List.concat_map
+      (fun n ->
+        let set = Pat.Instance.find inst n in
+        [
+          (n, set);
+          (n ^ "'", Pat.Region_set.filter (fun _ -> Stdx.Prng.bool prng) set);
+        ])
+      (Pat.Instance.names inst)
+  in
+  let stray_raises =
+    Pat.Region_set.laminar forest && not (Pat.Region_set.subset stray context)
+  in
+  List.iter
+    (fun (kernel, on_forest, scan) ->
+      List.iter
+        (fun (rn, r) ->
+          List.iter
+            (fun (sn, s) ->
+              if
+                not
+                  (Pat.Region_set.equal (on_forest forest r s)
+                     (scan ~context r s))
+              then fail "%s %s %s differs from the scan" rn kernel sn)
+            named;
+          match on_forest forest r stray with
+          | out ->
+              if stray_raises && not (Pat.Region_set.is_empty r) then
+                fail "%s %s stray did not raise" rn kernel
+              else if not (Pat.Region_set.equal out (scan ~context r stray))
+              then fail "%s %s stray differs from the scan" rn kernel
+          | exception Invalid_argument _ ->
+              if not stray_raises then fail "%s %s stray raised" rn kernel)
+        named)
+    forest_kernels;
+  let names = Array.of_list (Pat.Instance.names inst) in
+  for _ = 1 to 4 do
+    let e = random_general prng names 3 in
+    let reference = Naive_eval.eval inst e in
+    List.iter
+      (fun (ev, f) ->
+        if not (Pat.Region_set.equal (f inst e) reference) then
+          fail "%s differs on %s" ev (Expr.to_string e))
+      evaluators
+  done
+
+let forest_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"forest kernels == scan kernels == naive (laminar instances)"
+         QCheck.(make Gen.(int_bound 100000))
+         (fun seed ->
+           let prng = Stdx.Prng.create seed in
+           let inst = Gen_forest.generate prng ~crossing:false in
+           check_forest_instance ~seed ~label:"full" prng inst;
+           (* a scoped alias: the A regions inside some B *)
+           let scoped =
+             Pat.Region_set.included_strict (Pat.Instance.find inst "A")
+               (Pat.Instance.find inst "B")
+           in
+           let aliased = Pat.Instance.add inst "A_in_B" scoped in
+           check_forest_instance ~seed ~label:"scoped alias" prng aliased;
+           (* partial indexing: the universe of the kept names only *)
+           let keep =
+             Stdx.Prng.sample prng
+               (Stdx.Prng.int_in prng 1 (List.length Gen_forest.pool))
+               Gen_forest.pool
+           in
+           check_forest_instance ~seed ~label:"partial" prng
+             (Pat.Instance.restrict inst keep);
+           true));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"non-laminar universes take the scan path and agree"
+         QCheck.(make Gen.(int_bound 100000))
+         (fun seed ->
+           let prng = Stdx.Prng.create seed in
+           let inst = Gen_forest.generate prng ~crossing:true in
+           check_forest_instance ~seed ~label:"crossing" prng inst;
+           true));
+    Alcotest.test_case "generators reach both laminar and non-laminar" `Quick
+      (fun () ->
+        let laminar crossing seed =
+          Pat.Region_set.laminar
+            (Pat.Instance.forest
+               (Gen_forest.generate (Stdx.Prng.create seed) ~crossing))
+        in
+        let count crossing =
+          List.length (List.filter (laminar crossing) (List.init 300 Fun.id))
+        in
+        let plain = count false and crossed = count true in
+        if plain < 150 || plain = 300 || crossed > 0 then
+          Alcotest.failf "laminar: %d/300 plain, %d/300 crossing" plain crossed);
+    Alcotest.test_case "witnesses far apart in a large universe agree"
+      `Quick (fun () ->
+        (* 2000 sibling leaves under one root; witnesses at both ends
+           leave the kernels a few indices spread over the universe *)
+        let leaves =
+          Pat.Region_set.of_pairs (List.init 2000 (fun i -> ((2 * i), (2 * i) + 1)))
+        in
+        let root = Pat.Region_set.of_pairs [ (0, 4000) ] in
+        let context = Pat.Region_set.merge [ root; leaves ] in
+        let forest = Pat.Region_set.forest context in
+        let ends = Pat.Region_set.of_pairs [ (0, 1); (3998, 3999) ] in
+        List.iter
+          (fun (kernel, on_forest, scan) ->
+            List.iter
+              (fun (what, r, s) ->
+                if
+                  not
+                    (Pat.Region_set.equal (on_forest forest r s)
+                       (scan ~context r s))
+                then Alcotest.failf "%s: %s differs from the scan" kernel what)
+              [
+                ("universe by ends", context, ends);
+                ("ends by universe", ends, context);
+                ("leaves by ends", leaves, ends);
+                ("root by ends", root, ends);
+              ])
+          forest_kernels);
+    Alcotest.test_case "laminar flag on touching, empty and crossing extents"
+      `Quick (fun () ->
+        let laminar pairs =
+          Pat.Region_set.laminar
+            (Pat.Region_set.forest (Pat.Region_set.of_pairs pairs))
+        in
+        Alcotest.(check bool) "nested" true (laminar [ (0, 9); (0, 4); (4, 9) ]);
+        Alcotest.(check bool) "empty inside" true (laminar [ (0, 4); (4, 4) ]);
+        Alcotest.(check bool)
+          "empty between touching" false
+          (laminar [ (0, 4); (4, 9); (4, 4) ]);
+        Alcotest.(check bool)
+          "crossing, nothing inside both" true
+          (laminar [ (0, 5); (3, 9); (6, 8) ]);
+        Alcotest.(check bool)
+          "crossing around a node" false
+          (laminar [ (0, 5); (3, 9); (3, 4) ]));
+  ]
+
 let suites =
   [
     ("ralg.rig", rig_tests);
@@ -1016,4 +1341,5 @@ let suites =
     ("ralg.annot", annot_tests);
     ("ralg.parser", parser_tests);
     ("ralg.cost", cost_tests);
+    ("ralg.forest", forest_tests);
   ]
