@@ -869,8 +869,9 @@ let r1 () =
   in
   Stdx.Fault.set (Some armed);
   let armed_out, armed_ms = time_ms ~repeat:7 run in
-  (* the ladder, end to end: every task fails permanently, every file
-     comes back through the coordinator retry and the naive scan *)
+  (* the ladder, end to end: every per-file task fails permanently
+     (after the retry layer's attempts), every file comes back through
+     the naive scan *)
   (match Stdx.Fault.parse "permanent:1.0,only:pool.task" with
   | Ok c -> Stdx.Fault.set (Some c)
   | Error e -> failwith e);
@@ -1826,6 +1827,7 @@ let single =
     ("e8", (e8, None));
     ("b1", (b1, None));
     ("c1", (c1, Some ("C1_", "BENCH_catalog.json")));
+    ("p1", (p1, Some ("P1_", "BENCH_parallel.json")));
     ("r1", (r1, Some ("R1_", "BENCH_robust.json")));
     ("s1", (s1, Some ("S1_", "BENCH_serve.json")));
     ("o2", (o2, Some ("O2_", "BENCH_obs2.json")));

@@ -186,9 +186,9 @@ let dump_metrics_if requested =
 let qlog_arg =
   let doc =
     "Append one ndjson record per executed query (normalized query, \
-     workload, trace id, latency, rows, cache hit, shard count, \
-     degradation events) to $(docv) — the durable query log, rotated by \
-     size.  $(b,oqf stats) aggregates it."
+     workload, trace id, latency, rows, cache hit, degradation events) \
+     to $(docv) — the durable query log, rotated by size.  $(b,oqf \
+     stats) aggregates it."
   in
   let env = Cmd.Env.info "OQF_QLOG" ~doc:"Default for $(b,--qlog)." in
   Arg.(value & opt (some string) None & info [ "qlog" ] ~docv:"FILE" ~doc ~env)
@@ -427,9 +427,9 @@ let query_cmd =
         with
         | Ok r -> print_outcome r
         | Error e -> begin
-            (* the per-file recovery ladder, minus the shard rung; a
-               query-level defect fails under every policy — it would
-               fail identically on every file *)
+            (* the driver's per-file recovery ladder; a query-level
+               defect fails under every policy — it would fail
+               identically on every file *)
             if Oqf.Execute.semantic_error src.Oqf.Execute.view q <> None then
               or_die (Error e);
             match fail_policy with
@@ -811,15 +811,7 @@ let catalog_query_cmd =
     let doc = "Query the persisted indices as they are, without a staleness check." in
     Arg.(value & flag & info [ "no-refresh" ] ~doc)
   in
-  let shards =
-    let doc =
-      "Report each shard's file count, weight and elapsed time on stderr \
-       (timings vary run to run, so this never touches stdout)."
-    in
-    Arg.(value & flag & info [ "shards" ] ~doc)
-  in
-  let run dir schema q_text no_refresh jobs shards fail_policy plan faults
-      metrics =
+  let run dir schema q_text no_refresh jobs fail_policy plan faults metrics =
     install_faults faults;
     let fail_policy = resolve_fail_policy fail_policy in
     let plan_mode = resolve_plan_mode plan in
@@ -840,10 +832,6 @@ let catalog_query_cmd =
       or_die (Exec.Driver.run_parallel ~jobs ~fail_policy ~plan_mode corpus q)
     in
     report_degraded (lost @ r.Exec.Driver.degraded);
-    if shards then
-      List.iter
-        (fun s -> Format.eprintf "%a@." Exec.Driver.pp_shard_report s)
-        r.Exec.Driver.per_shard;
     List.iter
       (fun (file, row) ->
         Printf.printf "%s: %s\n" file
@@ -865,7 +853,7 @@ let catalog_query_cmd =
           entries first; other schemas are not touched).")
     Term.(
       const run $ catalog_dir_arg $ schema_arg $ query $ no_refresh $ jobs_arg
-      $ shards $ fail_policy_arg $ plan_arg $ faults_arg $ metrics_arg)
+      $ fail_policy_arg $ plan_arg $ faults_arg $ metrics_arg)
 
 let catalog_repair_cmd =
   let run dir fmt =

@@ -100,7 +100,7 @@ let log_scan ~t0 (r : report) =
                (Printf.sprintf "scan refreshed=%d failed=%d retired=%d"
                   r.refreshed r.failed (List.length r.retired))
              ~latency_ms:(Obs.Trace.now_ms () -. t0)
-             ~rows:r.refreshed ~cached:false ~shards:0
+             ~rows:r.refreshed ~cached:false
              ~outcome:(if r.failed > 0 then "degraded" else "ok")
              ~generation:r.generation ())
       end

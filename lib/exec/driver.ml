@@ -1,10 +1,3 @@
-type shard_report = {
-  shard : int;
-  files : string list;
-  weight_bytes : int;
-  elapsed_ms : float;
-}
-
 type fail_policy = Fail_fast | Partial | Degrade
 
 let fail_policy_of_string = function
@@ -24,14 +17,13 @@ let fail_policy_to_string = function
 type outcome = {
   rows : (string * Odb.Query_eval.row) list;
   per_file : (string * Oqf.Execute.outcome) list;
-  per_shard : shard_report list;
   stats : Stdx.Stats.t;
   from_cache : bool;
   cache_superset : string option;
   degraded : Oqf.Degrade.t list;
 }
 
-let shard_quarantined = Obs.Metrics.counter "shard.quarantined"
+let files_excluded = Obs.Metrics.counter "exec.files_excluded"
 
 let default_jobs () =
   match Sys.getenv_opt "OQF_JOBS" with
@@ -95,16 +87,15 @@ let with_qlog ?qctx ?generation ~kind corpus q run =
       let schema = schema_of_corpus corpus in
       let retries = counter_value "retry.attempts" - retries0 in
       let faults = counter_value "fault.injected" - faults0 in
-      let record ~rows ~cached ~shards ~outcome ?error ~events () =
+      let record ~rows ~cached ~outcome ?error ~events () =
         Obs.Qlog.append log
           (Obs.Qlog.make ~ctx ~workload_default:schema ~schema ~kind
-             ~query:(Odb.Query.to_string q) ~latency_ms ~rows ~cached ~shards
-             ~outcome ?error ~events ~retries ~faults ?generation ())
+             ~query:(Odb.Query.to_string q) ~latency_ms ~rows ~cached ~outcome
+             ?error ~events ~retries ~faults ?generation ())
       in
       (match result with
       | Ok (o : outcome) ->
           record ~rows:(List.length o.rows) ~cached:o.from_cache
-            ~shards:(List.length o.per_shard)
             ~outcome:(if o.degraded = [] then "ok" else "degraded")
             ~events:
               ((match o.cache_superset with
@@ -117,8 +108,8 @@ let with_qlog ?qctx ?generation ~kind corpus q run =
                   o.degraded)
             ()
       | Error e ->
-          record ~rows:0 ~cached:false ~shards:0 ~outcome:"error" ~error:e
-            ~events:[] ());
+          record ~rows:0 ~cached:false ~outcome:"error" ~error:e ~events:[]
+            ());
       let workload = if ctx.workload <> "" then ctx.workload else schema in
       if workload <> "" then
         Obs.Metrics.observe (exec_query_ms workload) latency_ms;
@@ -129,7 +120,6 @@ let cached_outcome ?superset payload =
   {
     rows = payload;
     per_file = [];
-    per_shard = [];
     stats = Stdx.Stats.create ();
     from_cache = true;
     cache_superset = superset;
@@ -170,17 +160,15 @@ let with_cache ~replay cache corpus q run =
         end
     end
 
-let no_rows ~file:_ _ = ()
-
 exception Abort of string
 
 (* Settle corpus-ordered files one at a time, forcing each file's
-   result only when its turn comes — so a sequential run stops
-   evaluating at the first fail-fast error, and a streaming run awaits
-   its tasks in order.  [Fail_fast] aborts the query on the first
-   failure; [Partial] excludes failed files; [Degrade] walks the
-   recovery ladder per failed file: circuit breaker → query-level
-   error check → naive scan of the raw file → exclusion.  [on_rows]
+   result only when its turn comes — so an inline run stops evaluating
+   at the first fail-fast error, and a pooled run awaits its tasks in
+   order.  [Fail_fast] aborts the query on the first failure;
+   [Partial] excludes failed files; [Degrade] walks the recovery
+   ladder per failed file: circuit breaker → query-level error check →
+   naive scan of the raw file → exclusion.  [on_rows]
    receives each file's non-empty answer rows, indexed or naive, as
    soon as that file settles.  Returns the merged rows, the indexed
    per-file outcomes, and the degradation report. *)
@@ -199,7 +187,7 @@ let resolve ~fail_policy ~on_rows q files =
   let settle (name, (src : Oqf.Execute.source), result) =
     let breaker_key = "source:" ^ name in
     let exclude detail =
-      Obs.Metrics.incr shard_quarantined;
+      Obs.Metrics.incr files_excluded;
       note (Oqf.Degrade.make ~file:name Oqf.Degrade.Excluded detail)
     in
     match result () with
@@ -239,185 +227,6 @@ let resolve ~fail_policy ~on_rows q files =
   | () -> Ok (List.rev !rows, List.rev !per_file, List.rev !degraded)
   | exception Abort e -> Error e
 
-let fresh_outcome ~stats ~per_shard (rows, per_file, degraded) =
-  {
-    rows;
-    per_file;
-    per_shard;
-    stats;
-    from_cache = false;
-    cache_superset = None;
-    degraded;
-  }
-
-let run_one ?optimize ?minimize ?force ?plan_mode ?cache
-    ?(fail_policy = Fail_fast) ?qctx ?generation corpus q =
-  with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
-  with_cache ~replay:ignore cache corpus q @@ fun () ->
-  let before = Stdx.Stats.snapshot () in
-  let files =
-    List.map
-      (fun (name, src) ->
-        ( name,
-          src,
-          fun () -> Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q
-        ))
-      (Oqf.Corpus.sources corpus)
-  in
-  resolve ~fail_policy ~on_rows:no_rows q files
-  |> Result.map (fun settled ->
-         let stats = Stdx.Stats.diff ~before ~after:(Stdx.Stats.snapshot ()) in
-         fresh_outcome ~stats ~per_shard:[] settled)
-
-(* Evaluate one shard: its files in order.  Under [stop_at_first]
-   (fail-fast) evaluation stops at the first failing file, mirroring
-   the sequential executor; otherwise every file gets its own result
-   so the policies can recover per file.  The [pool.task] fault site
-   fires here, inside the retryable task body. *)
-let eval_shard ?optimize ?minimize ?force ?plan_mode ~stop_at_first q
-    (shard : (string * Oqf.Execute.source) Shard.t) =
-  Stdx.Fault.hit "pool.task";
-  let t0 = Obs.Trace.now_ms () in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (name, src) :: rest -> begin
-        match Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q with
-        | Error e ->
-            let acc = (name, Error e) :: acc in
-            if stop_at_first then List.rev acc else go acc rest
-        | Ok r -> go ((name, Ok r) :: acc) rest
-      end
-  in
-  let result =
-    if Obs.Trace.enabled () then
-      Obs.Trace.with_span "exec.shard"
-        ~attrs:(fun () ->
-          [
-            ("shard", Obs.Trace.Int shard.Shard.id);
-            ("files", Obs.Trace.Int (List.length shard.Shard.items));
-            ("weight_bytes", Obs.Trace.Int shard.Shard.weight);
-          ])
-        (fun () -> go [] shard.Shard.items)
-    else go [] shard.Shard.items
-  in
-  let report =
-    {
-      shard = shard.Shard.id;
-      files = List.map fst shard.Shard.items;
-      weight_bytes = shard.Shard.weight;
-      elapsed_ms = Obs.Trace.now_ms () -. t0;
-    }
-  in
-  (report, result)
-
-let run_parallel ?optimize ?minimize ?force ?plan_mode ?jobs ?cache
-    ?timeout_ms ?(fail_policy = Fail_fast) ?qctx ?generation corpus q =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then
-    Error (Printf.sprintf "jobs must be at least 1 (got %d)" jobs)
-  else
-    with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
-    with_cache ~replay:ignore cache corpus q @@ fun () ->
-    let sources = Oqf.Corpus.sources corpus in
-    let position =
-      let tbl = Hashtbl.create (List.length sources) in
-      List.iteri (fun i (name, _) -> Hashtbl.replace tbl name i) sources;
-      fun name -> try Hashtbl.find tbl name with Not_found -> max_int
-    in
-    let stop_at_first = fail_policy = Fail_fast in
-    let eval s =
-      eval_shard ?optimize ?minimize ?force ?plan_mode ~stop_at_first q s
-    in
-    let shards = Shard.of_corpus ~shards:jobs corpus in
-    let before = Stdx.Stats.snapshot () in
-    let shard_results =
-      match shards with
-      | [] -> []
-      | _ ->
-          Pool.with_pool ~jobs:(min jobs (List.length shards)) @@ fun pool ->
-          Pool.run_all ?timeout_ms pool
-            (List.map
-               (fun s () -> Stdx.Retry.io ~site:"pool.task" (fun () -> eval s))
-               shards)
-    in
-    (* A task-level failure (timeout, worker death, injected fault that
-       outlived its retry budget) has no file attribution.  Fail-fast
-       surfaces it against its shard; the recovering policies re-run
-       the shard once on the coordinator and only then push the
-       failure down to its files. *)
-    let task_errors = ref [] in
-    let degraded_shards = ref [] in
-    let shard_outcomes =
-      List.filter_map
-        (fun (shard, res) ->
-          match res with
-          | Ok (report, per_shard_result) -> Some (report, per_shard_result)
-          | Error msg when fail_policy = Fail_fast ->
-              task_errors :=
-                Printf.sprintf "shard %d: %s" shard.Shard.id msg
-                :: !task_errors;
-              None
-          | Error msg -> begin
-              degraded_shards :=
-                Oqf.Degrade.make
-                  ~file:(Printf.sprintf "shard %d" shard.Shard.id)
-                  Oqf.Degrade.Shard_retried msg
-                :: !degraded_shards;
-              match
-                Stdx.Retry.io ~site:"pool.task" (fun () -> eval shard)
-              with
-              | outcome -> Some outcome
-              | exception e ->
-                  (* even the direct re-run failed: fail each file and
-                     let the per-file ladder take over *)
-                  let err = Printexc.to_string e in
-                  Some
-                    ( {
-                        shard = shard.Shard.id;
-                        files = List.map fst shard.Shard.items;
-                        weight_bytes = shard.Shard.weight;
-                        elapsed_ms = 0.;
-                      },
-                      List.map
-                        (fun (name, _) -> (name, Error err))
-                        shard.Shard.items )
-            end)
-        (List.combine shards shard_results)
-    in
-    let after = Stdx.Stats.snapshot () in
-    match List.rev !task_errors with
-    | e :: _ -> Error e
-    | [] -> begin
-        let by_position field =
-          List.sort (fun (a, _) (b, _) -> compare (position a) (position b))
-            field
-        in
-        let files =
-          List.concat_map (fun (_, r) -> r) shard_outcomes
-          |> by_position
-          |> List.map (fun (name, result) ->
-                 let src =
-                   match List.assoc_opt name sources with
-                   | Some src -> src
-                   | None -> assert false  (* shards partition the corpus *)
-                 in
-                 (name, src, fun () -> result))
-        in
-        let per_shard =
-          List.sort
-            (fun a b -> compare a.shard b.shard)
-            (List.map fst shard_outcomes)
-        in
-        resolve ~fail_policy ~on_rows:no_rows q files
-        |> Result.map (fun (rows, per_file, degraded) ->
-               fresh_outcome
-                 ~stats:(Stdx.Stats.diff ~before ~after)
-                 ~per_shard
-                 (rows, per_file, List.rev !degraded_shards @ degraded))
-      end
-
-(* --- streaming execution: the serve daemon's per-client path ------- *)
-
 (* Cached payloads are (file, row) pairs in corpus order; re-group the
    consecutive runs so a cache hit still streams per-file blocks. *)
 let rec emit_blocks on_rows = function
@@ -431,42 +240,88 @@ let rec emit_blocks on_rows = function
       on_rows ~file file_rows;
       emit_blocks on_rows rest
 
-let run_streaming ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
-    ?(fail_policy = Fail_fast) ?qctx ?generation ~pool ~on_rows corpus q =
-  with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
-  with_cache ~replay:(emit_blocks on_rows) cache corpus q @@ fun () ->
-  let before = Stdx.Stats.snapshot () in
-  (* one task per file — finer than the shard-per-worker batch path on
-     purpose: file k's rows go to the client as soon as its own task
-     resolves, while later files are still scanning on other workers.
-     The shared pool's FIFO queue is what arbitrates between
-     concurrent clients. *)
-  let files =
-    List.map
-      (fun (name, src) ->
-        let task () =
-          Stdx.Retry.io ~site:"pool.task" (fun () ->
-              Stdx.Fault.hit "pool.task";
-              Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q)
-        in
-        let h = Pool.submit ?timeout_ms pool task in
-        (* a task death or deadline expiry fails the file like an
-           evaluation error *)
-        (name, src, fun () -> Result.join (Pool.await h)))
-      (Oqf.Corpus.sources corpus)
+(* --- the per-file engine ------------------------------------------- *)
+
+(* Where each file's evaluation runs.  [Inline]: on the caller, when
+   [resolve] reaches the file.  [Shared pool]: one task per file on
+   the caller's long-lived pool.  [Private jobs]: the same, on a pool
+   of [min jobs files] workers spawned for this query only — and not
+   at all for a cache hit or an empty corpus. *)
+type lanes = Inline | Shared of Pool.t | Private of int
+
+let with_lanes lanes ~files k =
+  match lanes with
+  | Inline -> k None
+  | Shared pool -> k (Some pool)
+  | Private _ when files = 0 -> k None
+  | Private jobs -> Pool.with_pool ~jobs:(min jobs files) (fun p -> k (Some p))
+
+(* The one query engine behind every entry point: the qlog record
+   around the cache protocol around the per-file ladder.  Regions of
+   distinct files never overlap, so a corpus query is one independent
+   two-phase run per file, merged by concatenation in corpus order.
+   On a pool every file is submitted up front, so file k settles (and
+   streams) while later files are still scanning; a task death,
+   deadline expiry or spent [pool.task] retry budget fails its file
+   like an evaluation error. *)
+let run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
+    ?(fail_policy = Fail_fast) ?qctx ?generation ?on_rows ~lanes corpus q =
+  let replay, on_rows =
+    match on_rows with
+    | Some f -> (emit_blocks f, f)
+    | None -> (ignore, fun ~file:_ _ -> ())
   in
-  resolve ~fail_policy ~on_rows q files
-  |> Result.map (fun settled ->
-         let stats = Stdx.Stats.diff ~before ~after:(Stdx.Stats.snapshot ()) in
-         fresh_outcome ~stats ~per_shard:[] settled)
+  with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
+  with_cache ~replay cache corpus q @@ fun () ->
+  let sources = Oqf.Corpus.sources corpus in
+  let before = Stdx.Stats.snapshot () in
+  with_lanes lanes ~files:(List.length sources) (fun pool ->
+      List.map
+        (fun (name, src) ->
+          let run () =
+            Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q
+          in
+          match pool with
+          | None -> (name, src, run)
+          | Some pool ->
+              let h =
+                Pool.submit ?timeout_ms pool (fun () ->
+                    Stdx.Retry.io ~site:"pool.task" (fun () ->
+                        Stdx.Fault.hit "pool.task";
+                        run ()))
+              in
+              (name, src, fun () -> Result.join (Pool.await h)))
+        sources
+      |> resolve ~fail_policy ~on_rows q)
+  |> Result.map (fun (rows, per_file, degraded) ->
+         {
+           rows;
+           per_file;
+           stats = Stdx.Stats.diff ~before ~after:(Stdx.Stats.snapshot ());
+           from_cache = false;
+           cache_superset = None;
+           degraded;
+         })
+
+let bad_jobs jobs = Printf.sprintf "jobs must be at least 1 (got %d)" jobs
+
+let run_parallel ?optimize ?minimize ?force ?plan_mode ?jobs ?cache
+    ?timeout_ms ?fail_policy ?qctx ?generation corpus q =
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  if jobs < 1 then Error (bad_jobs jobs)
+  else
+    run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
+      ?fail_policy ?qctx ?generation ~lanes:(Private jobs) corpus q
+
+let run_streaming ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
+    ?fail_policy ?qctx ?generation ~pool ~on_rows corpus q =
+  run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
+    ?fail_policy ?qctx ?generation ~on_rows ~lanes:(Shared pool) corpus q
 
 let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
     ?(workload = "") corpus queries =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then
-    List.map
-      (fun q -> (q, Error (Printf.sprintf "jobs must be at least 1 (got %d)" jobs)))
-      queries
+  if jobs < 1 then List.map (fun q -> (q, Error (bad_jobs jobs))) queries
   else
     Pool.with_pool ~jobs @@ fun pool ->
     (* A duplicate of an in-flight query waits for the first occurrence
@@ -501,8 +356,8 @@ let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
                         }
                   | None -> None
                 in
-                run_one ?optimize ?minimize ?force ?plan_mode ?cache
-                  ?fail_policy ?qctx corpus q)
+                run_files ?optimize ?minimize ?force ?plan_mode ?cache
+                  ?fail_policy ?qctx ~lanes:Inline corpus q)
           in
           (match (key, first) with
           | Some k, None -> Hashtbl.replace seen k h
@@ -515,7 +370,3 @@ let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
         (* a task that died fails its query *)
         (q, Result.join (Pool.await h)))
       handles
-
-let pp_shard_report ppf r =
-  Format.fprintf ppf "shard %d: %d files, %d KB, %.2f ms" r.shard
-    (List.length r.files) (r.weight_bytes / 1024) r.elapsed_ms

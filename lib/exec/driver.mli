@@ -1,21 +1,16 @@
-(** Parallel corpus execution.
+(** Corpus execution: one per-file query engine behind three doors.
 
-    [run_parallel] is the multicore twin of {!Oqf.Corpus.run}: it
-    partitions the corpus into weight-balanced shards ({!Shard}),
-    evaluates each shard on a {!Pool} worker with the existing
-    two-phase executor, and merges the per-file results back into
-    corpus order — so its rows are {e identical} to the sequential
-    run's (qcheck-verified in the test suite).  [run_one] is the
-    sequential path with the same cache handling; [run_batch] fans a
-    query list out over the pool, one query per task, sharing one
-    result cache. *)
-
-type shard_report = {
-  shard : int;
-  files : string list;
-  weight_bytes : int;  (** summed indexed-text bytes of the shard *)
-  elapsed_ms : float;
-}
+    Regions of distinct files never overlap, so a corpus query is one
+    independent two-phase run ({!Oqf.Execute.run}) per file, and the
+    answers merge by concatenation in corpus order.  Every entry point
+    is the same engine — one qlog record ([qctx]) around the result
+    cache protocol ([cache]) around the per-file recovery ladder
+    ([fail_policy]) — and differs only in where each file runs:
+    {!run_parallel} submits one task per file to a private {!Pool},
+    {!run_streaming} to the caller's shared pool, and {!run_batch}
+    evaluates each query's files inline inside its task.  The rows are
+    {e identical} to the sequential reference {!Oqf.Corpus.run}'s
+    (qcheck-verified in the test suite). *)
 
 type fail_policy =
   | Fail_fast
@@ -25,8 +20,7 @@ type fail_policy =
       (** failed files are excluded; the outcome carries a
           {!Oqf.Degrade} report saying which and why *)
   | Degrade
-      (** per-file recovery ladder before giving up: the failed shard
-          is re-evaluated on the coordinator, a still-failing file
+      (** per-file recovery ladder before giving up: a failed file
           falls back to a naive scan of its raw bytes
           ({!Oqf.Execute.run_naive}), and only a file with no
           remaining path to its data is excluded.  A per-source
@@ -47,13 +41,12 @@ type outcome = {
       (** corpus order; empty when served from the cache.  Only files
           answered from their index appear — naive-fallback files are
           in [rows] and [degraded] instead. *)
-  per_shard : shard_report list;
-      (** shard timings; empty when sequential or cached *)
   stats : Stdx.Stats.t;
-      (** work across the whole run.  Under concurrency the global
-          counters interleave, so per-file stats inside [per_file] may
-          include neighbouring shards' work; this field diffs around
-          the whole fan-out and stays exact. *)
+      (** work across the whole run, recovery work included.  Under
+          concurrency the global counters interleave, so per-file
+          stats inside [per_file] may include neighbouring files'
+          work; this field diffs around the whole fan-out and stays
+          exact. *)
   from_cache : bool;
   cache_superset : string option;
       (** [Some q] when the result was served by filtering the cached
@@ -61,8 +54,8 @@ type outcome = {
           exact cache entry or a fresh evaluation; the qlog record
           carries it as an [rcache.containment] event *)
   degraded : Oqf.Degrade.t list;
-      (** every recovery action taken, in corpus order (shard-level
-          retries first); [[]] for a clean run.  A degraded outcome is
+      (** every recovery action taken, in corpus order; [[]] for a
+          clean run.  A degraded outcome is
           never written to the result cache. *)
 }
 
@@ -84,56 +77,38 @@ val run_parallel :
   Oqf.Corpus.t ->
   Odb.Query.t ->
   (outcome, string) result
-(** [jobs] defaults to {!default_jobs}; the pool gets
-    [min jobs (number of non-empty shards)] workers.  [timeout_ms]
-    bounds each shard task (expiry fails the query with a timeout
-    message).  [force] and [plan_mode] reach {!Oqf.Execute.run}:
+(** [jobs] defaults to {!default_jobs}; a cache miss on a non-empty
+    corpus spawns a pool of [min jobs (number of files)] workers for
+    this query and submits one task per file, whose body retries the
+    [pool.task] fault site ({!Stdx.Retry.io}).  [timeout_ms] bounds
+    each file's task (expiry fails that file like an evaluation
+    error).  [force] and [plan_mode] reach {!Oqf.Execute.run}:
     execute despite error-severity static-analysis findings / select
-    the rule-based or cost-based planner.  With [cache], a hit skips evaluation entirely, a resident
-    {e superset} entry answers by filtering its rows
-    ({!Rcache.find_contained} — byte-identical, recorded in
-    [cache_superset]), and a successful non-degraded run populates the
-    cache.  [fail_policy]
-    (default {!Fail_fast}) decides what a failure does; under
-    [Fail_fast] errors name the failing file — deterministically the
-    earliest one in corpus order.  A query-level defect (validation
-    failure, unknown class) fails the query under every policy: it
-    would fail identically on every file, and degrading it away would
-    silently return nothing.  [jobs < 1] is rejected as an error. *)
-
-val run_one :
-  ?optimize:bool ->
-  ?minimize:bool ->
-  ?force:bool ->
-  ?plan_mode:Oqf_cost.Planner.mode ->
-  ?cache:Rcache.t ->
-  ?fail_policy:fail_policy ->
-  ?qctx:Obs.Qlog.ctx ->
-  ?generation:int ->
-  Oqf.Corpus.t ->
-  Odb.Query.t ->
-  (outcome, string) result
-(** Sequential execution behind the same cache protocol — the
-    per-task body of {!run_batch}: each file in corpus order through
-    {!Oqf.Execute.run}, stopping at the first failure under
-    [Fail_fast], with rows identical to {!Oqf.Corpus.run}'s.
-    [fail_policy] as in {!run_parallel} (minus the shard-retry rung —
-    there are no shards).
+    the rule-based or cost-based planner.  With [cache], a hit skips
+    evaluation entirely, a resident {e superset} entry answers by
+    filtering its rows ({!Rcache.find_contained} — byte-identical,
+    recorded in [cache_superset]), and a successful non-degraded run
+    populates the cache.  [fail_policy] (default {!Fail_fast}) decides
+    what a failure does; under [Fail_fast] errors name the failing
+    file — deterministically the earliest one in corpus order, task
+    failures included.  A query-level defect (validation failure,
+    unknown class) fails the query under every policy: it would fail
+    identically on every file, and degrading it away would silently
+    return nothing.  [jobs < 1] is rejected as an error.  An empty
+    corpus answers [Ok] with no rows and spawns no pool.
 
     [qctx] (here and on every driver entry point): when present and a
     query log is installed ({!Obs.Qlog.install}), the run appends
     exactly one qlog record — whole-query latency, row count, cache
-    hit, shard count, outcome, and the degradation/retry/fault events
-    observed during the run — under [qctx]'s trace id, and observes
-    the whole-query latency in the [exec.query_ms{workload}]
-    histogram.  The per-file {!Oqf.Execute.run} calls underneath never
-    receive a [qctx], so a driven query logs once, not once per
-    file.
+    hit, outcome, and the degradation/retry/fault events observed
+    during the run — under [qctx]'s trace id, and observes the
+    whole-query latency in the [exec.query_ms{workload}] histogram.
+    The per-file {!Oqf.Execute.run} calls underneath never receive a
+    [qctx], so a driven query logs once, not once per file.
 
-    [generation] (here and on the other qlog-writing entry points):
-    the catalog generation the corpus was pinned at, recorded in the
-    qlog record's [gen] field — omitted when absent (static
-    corpus). *)
+    [generation] (here and on {!run_streaming}): the catalog
+    generation the corpus was pinned at, recorded in the qlog record's
+    [gen] field — omitted when absent (static corpus). *)
 
 val run_streaming :
   ?optimize:bool ->
@@ -150,28 +125,25 @@ val run_streaming :
   Oqf.Corpus.t ->
   Odb.Query.t ->
   (outcome, string) result
-(** The serve daemon's per-request path: submit one task per corpus
-    file to a {e shared} long-lived [pool] (so concurrent requests
-    interleave at file granularity instead of monopolising workers),
-    then await the handles in corpus order, calling [on_rows] with
-    each file's rows as soon as that file settles — the client streams
-    file [k]'s answers while later files are still scanning.
+(** The serve daemon's per-request path: the engine of
+    {!run_parallel} on a {e shared} long-lived [pool] — one task per
+    corpus file, so concurrent requests interleave at file granularity
+    instead of monopolising workers.  The handles are awaited in
+    corpus order, and [on_rows] gets each file's rows as soon as that
+    file settles — the client streams file [k]'s answers while later
+    files are still scanning.
     [on_rows] runs on the caller's thread and is never called with an
     empty row list.  Each task is a whole {!Oqf.Execute.run} of its
-    file (phase 1 through {!Ralg.Eval.eval_shared}, as on every other
-    path), so the first rows arrive once the first file settles, not
-    earlier.  The outcome's [stats] count the work of every file.
+    file, so the first rows arrive once the first file settles, not
+    earlier.
 
-    The returned outcome's [rows] are identical to {!run_parallel}'s
-    for the same corpus and query (qcheck-verified).  The cache
-    protocol is {!run_parallel}'s, and a hit replays the payload
-    through [on_rows] in per-file blocks.  [timeout_ms] bounds each
-    file task individually.  [fail_policy] applies the same per-file
-    ladder as {!run_parallel}, settling each file as its task is
-    awaited; note that under [Fail_fast] an error
-    can arrive {e after} rows have already been streamed — the wire
-    protocol surfaces this as an error event terminating the row
-    stream. *)
+    The returned outcome is {!run_parallel}'s for the same corpus and
+    query (qcheck-verified): same cache protocol (a hit replays the
+    payload through [on_rows] in per-file blocks), same per-file
+    [timeout_ms] and [fail_policy] ladder, settling each file as its
+    task is awaited.  Note that under [Fail_fast] an error can arrive
+    {e after} rows have already been streamed — the wire protocol
+    surfaces this as an error event terminating the row stream. *)
 
 val run_batch :
   ?optimize:bool ->
@@ -186,12 +158,12 @@ val run_batch :
   Odb.Query.t list ->
   (Odb.Query.t * (outcome, string) result) list
 (** Run every query through a [jobs]-worker pool (inter-query
-    parallelism; each query evaluates sequentially within its task),
-    returning results in input order.  With [cache], a query repeated
-    within the batch waits for its first occurrence before probing, so
-    duplicates hit deterministically rather than racing the original's
-    insert.  When a query log is installed, each batched query gets
+    parallelism; each query's files evaluate inline, in corpus order,
+    within its task, stopping at the first failure under [Fail_fast]),
+    returning results in input order.  Cache protocol and
+    [fail_policy] as in {!run_parallel}.  With [cache], a query
+    repeated within the batch waits for its first occurrence before
+    probing, so duplicates hit deterministically rather than racing
+    the original's insert.  When a query log is installed, each batched query gets
     its own freshly minted trace id and one qlog record labelled
     [workload]. *)
-
-val pp_shard_report : Format.formatter -> shard_report -> unit

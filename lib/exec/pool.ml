@@ -139,9 +139,6 @@ let await h =
       in
       wait ())
 
-let run_all ?timeout_ms t thunks =
-  List.map await (List.map (fun f -> submit ?timeout_ms t f) thunks)
-
 let shutdown t =
   let workers =
     locked t.lock (fun () ->

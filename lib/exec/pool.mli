@@ -43,9 +43,6 @@ val await : 'a handle -> ('a, string) result
 (** Block until the task has run.  [Error] carries the exception
     message ("task timed out after <n> ms" for a deadline expiry). *)
 
-val run_all : ?timeout_ms:float -> t -> (unit -> 'a) list -> ('a, string) result list
-(** Submit every thunk, then await them in order. *)
-
 val shutdown : t -> unit
 (** Drain the queue, complete every outstanding handle, join the
     workers.  Idempotent; subsequent {!submit}s raise. *)

@@ -19,8 +19,8 @@
     separately ([exec.rcache.containment_hits]) and refresh the
     superset entry's LRU stamp.
 
-    All operations are mutex-serialized — batch workers on different
-    domains share one cache.  Hits, misses, evictions and containment
+    All operations are mutex-serialized — batch workers and
+    concurrent serve requests on different domains share one cache.  Hits, misses, evictions and containment
     hits feed the [exec.rcache.*] registry counters. *)
 
 type t
@@ -43,8 +43,9 @@ val fingerprint : Oqf.Corpus.t -> string
     triples, in corpus order. *)
 
 type payload = (string * Odb.Query_eval.row) list
-(** Result rows tagged with the file they came from, as
-    {!Oqf.Corpus.run} returns them. *)
+(** Result rows tagged with the file they came from, in corpus order
+    — the [rows] of an {!Driver.outcome}, whichever entry point
+    computed them, so a payload cached by one path serves them all. *)
 
 val find : t -> key -> payload option
 (** Exact lookup; counts a hit or a miss. *)

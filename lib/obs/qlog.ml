@@ -20,7 +20,6 @@ type record = {
   latency_ms : float;
   rows : int;
   cached : bool;
-  shards : int;
   outcome : string;
   error : string option;
   events : (string * string) list;
@@ -32,7 +31,7 @@ type record = {
 }
 
 let make ~(ctx : ctx) ~workload_default ~schema ~kind ~query ~latency_ms ~rows ~cached
-    ~shards ~outcome ?error ?(events = []) ?(retries = 0) ?(faults = 0)
+    ~outcome ?error ?(events = []) ?(retries = 0) ?(faults = 0)
     ?(candidates = 0) ?(est_cost = 0.) ?(generation = 0) () =
   let workload =
     if ctx.workload <> "" then ctx.workload else workload_default
@@ -47,7 +46,6 @@ let make ~(ctx : ctx) ~workload_default ~schema ~kind ~query ~latency_ms ~rows ~
     latency_ms;
     rows;
     cached;
-    shards;
     outcome;
     error;
     events;
@@ -71,7 +69,6 @@ let record_to_json r =
       ("ms", Num r.latency_ms);
       ("rows", Num (float_of_int r.rows));
       ("cached", Bool r.cached);
-      ("shards", Num (float_of_int r.shards));
       ("outcome", Str r.outcome);
     ]
   in
@@ -132,7 +129,6 @@ let record_of_json j =
           latency_ms;
           rows = num_i "rows" 0;
           cached = (match member "cached" j with Some (Bool b) -> b | _ -> false);
-          shards = num_i "shards" 0;
           outcome = str_d "outcome" "ok";
           error = (match member "error" j with Some (Str e) -> Some e | _ -> None);
           events =

@@ -39,7 +39,6 @@ type record = {
   latency_ms : float;
   rows : int;
   cached : bool;
-  shards : int;  (** parallel shards (0 = unsharded path) *)
   outcome : string;  (** ["ok"], ["degraded"] or ["error"] *)
   error : string option;
   events : (string * string) list;
@@ -66,7 +65,6 @@ val make :
   latency_ms:float ->
   rows:int ->
   cached:bool ->
-  shards:int ->
   outcome:string ->
   ?error:string ->
   ?events:(string * string) list ->

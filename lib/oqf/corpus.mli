@@ -67,8 +67,9 @@ val files : t -> string list
 val source : t -> string -> Execute.source option
 
 val sources : t -> (string * Execute.source) list
-(** Every (file, source) pair in corpus order — the unit the Exec
-    sharding layer partitions across domains. *)
+(** Every (file, source) pair in corpus order — the unit of work of
+    the parallel driver ([Exec.Driver]), which evaluates each file as
+    one task. *)
 
 type outcome = {
   rows : (string * Odb.Query_eval.row) list;
@@ -85,6 +86,11 @@ val run :
   t ->
   Odb.Query.t ->
   (outcome, string) result
-(** [force] and [plan_mode] are passed to {!Execute.run}: execute
+(** The sequential reference: every file in corpus order through
+    {!Execute.run}, stopping at the first failure, which it names.
+    Like {!Ralg.Naive_eval} for the region algebra, it stays as the
+    oracle the parallel, streaming and batch driver paths
+    ([Exec.Driver]) are tested against — byte-identical rows.
+    [force] and [plan_mode] are passed to {!Execute.run}: execute
     despite error-severity static-analysis findings / select the
     rule-based or cost-based planner. *)

@@ -1,18 +1,16 @@
-type action = Shard_retried | Naive_fallback | Excluded
+type action = Naive_fallback | Excluded
 
 type t = { file : string; action : action; detail : string }
 
 let make ~file action detail = { file; action; detail }
 
 let action_to_string = function
-  | Shard_retried -> "shard retried"
   | Naive_fallback -> "naive fallback"
   | Excluded -> "excluded"
 
 let pp ppf t =
   let verb =
     match t.action with
-    | Shard_retried -> "re-evaluated directly after a task failure"
     | Naive_fallback -> "fell back to a naive scan"
     | Excluded -> "excluded from the result"
   in

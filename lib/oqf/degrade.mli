@@ -2,16 +2,13 @@
 
     When execution under [--fail-policy partial|degrade] cannot serve
     a file from its index, each recovery step that fired is recorded
-    as one entry: the shard was re-evaluated after a task failure, the
-    file fell back to a §3.1 naive scan ({!Execute.run_naive}), or it
-    was excluded because no path to its data remained.  Reports ride
-    on {!Exec.Driver} outcomes and render under [--explain] and on
-    stderr, so degraded results are never silently incomplete. *)
+    as one entry: the file fell back to a §3.1 naive scan
+    ({!Execute.run_naive}), or it was excluded because no path to its
+    data remained.  Reports ride on {!Exec.Driver} outcomes and render
+    under [--explain] and on stderr, so degraded results are never
+    silently incomplete. *)
 
 type action =
-  | Shard_retried
-      (** the whole shard failed as a task (worker death, timeout,
-          injected fault) and was re-evaluated on the coordinator *)
   | Naive_fallback
       (** indexed evaluation failed; answered by parsing the raw file *)
   | Excluded

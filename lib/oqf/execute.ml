@@ -318,7 +318,7 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
             (Obs.Qlog.make ~ctx ~workload_default:schema_name
                ~schema:schema_name ~kind:"query"
                ~query:(Odb.Query.to_string q) ~latency_ms ~rows ~cached:false
-               ~shards:0 ~outcome ?error ?candidates ?est_cost ())
+               ~outcome ?error ?candidates ?est_cost ())
         in
         (match result with
         | Ok o ->

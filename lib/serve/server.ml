@@ -260,7 +260,7 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
               (Obs.Qlog.make ~ctx:(qctx ~trace q) ~workload_default:q.schema
                  ~schema:q.schema ~kind:"rexpr" ~query:q.text
                  ~latency_ms:(Obs.Trace.now_ms () -. t0)
-                 ~rows ~cached:false ~shards:0 ~outcome ~generation ?error ())
+                 ~rows ~cached:false ~outcome ~generation ?error ())
       in
       match Ralg.Expr_parser.parse q.text with
       | Error e ->

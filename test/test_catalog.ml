@@ -785,7 +785,7 @@ let iso_query =
   | Error _ -> assert false
 
 (* A reader pinned at generation G answers byte-identically while a
-   writer commits G+1..G+k, across 1..8 shards.  Each read evicts the
+   writer commits G+1..G+k, at 1..8 jobs.  Each read evicts the
    pinned index from the instance cache first, so it genuinely
    re-reads the pinned generation's files from disk — proving the
    writer's commits never touch them. *)
@@ -793,7 +793,7 @@ let snapshot_isolation =
   QCheck.Test.make ~count:12
     ~name:"pinned snapshot is byte-stable under concurrent commits"
     QCheck.(triple (int_range 4 24) (int_range 1 5) (int_range 1 8))
-    (fun (n, k, shards) ->
+    (fun (n, k, jobs) ->
       let dir = temp_dir () in
       let files = Array.init 3 (fun i -> Filename.concat dir (Printf.sprintf "f%d.log" i)) in
       let sizes = Array.init 3 (fun i -> n + i) in
@@ -826,7 +826,7 @@ let snapshot_isolation =
         if degraded <> [] then
           QCheck.Test.fail_reportf "pinned read degraded (%d files lost)"
             (List.length degraded);
-        match Exec.Driver.run_parallel ~jobs:shards corpus iso_query with
+        match Exec.Driver.run_parallel ~jobs corpus iso_query with
         | Ok out -> render_rows out.Exec.Driver.rows
         | Error e -> QCheck.Test.fail_reportf "query: %s" e
       in

@@ -1,11 +1,15 @@
 (* Tests for the multicore execution subsystem: the domain worker pool
    (graceful shutdown with in-flight tasks, per-task deadlines), the
-   weight-balanced sharder, the master qcheck property that parallel
-   execution is result-identical to sequential execution at any shard
-   count, and the fingerprint-keyed result cache including automatic
-   invalidation across a catalog refresh. *)
+   master qcheck property that the per-file driver is result-identical
+   to the sequential reference Corpus.run at any jobs count, and the
+   fingerprint-keyed result cache including automatic invalidation
+   across a catalog refresh. *)
 
 let or_fail = function Ok x -> x | Error e -> Alcotest.fail e
+
+(* submit every thunk, then await them in submission order *)
+let run_all pool thunks =
+  List.map Exec.Pool.await (List.map (Exec.Pool.submit pool) thunks)
 
 (* monotonic busy-wait so the pool tests need no Unix dependency *)
 let spin_ms ms =
@@ -15,55 +19,12 @@ let spin_ms ms =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Shard                                                               *)
-
-let shard_all_items_kept () =
-  let items = [ ("a", 50); ("b", 10); ("c", 40); ("d", 10); ("e", 30) ] in
-  let shards = Exec.Shard.by_weight ~shards:2 ~weight:snd items in
-  let flat = List.concat_map (fun s -> s.Exec.Shard.items) shards in
-  Alcotest.(check (list (pair string int)))
-    "every item lands in exactly one shard" (List.sort compare items)
-    (List.sort compare flat);
-  Alcotest.(check int) "two shards" 2 (List.length shards);
-  List.iter
-    (fun s ->
-      Alcotest.(check int)
-        "shard weight is the sum of its items" s.Exec.Shard.weight
-        (List.fold_left (fun acc (_, w) -> acc + w) 0 s.Exec.Shard.items))
-    shards
-
-let shard_balances () =
-  (* LPT on 50/40/30/10/10 over 2 bins: {50,10,10} vs {40,30} — within
-     30% of each other, far better than a naive round-robin split *)
-  let items = [ ("a", 50); ("b", 10); ("c", 40); ("d", 10); ("e", 30) ] in
-  let shards = Exec.Shard.by_weight ~shards:2 ~weight:snd items in
-  let weights = List.map (fun s -> s.Exec.Shard.weight) shards in
-  Alcotest.(check (list int)) "LPT assignment" [ 70; 70 ] weights
-
-let shard_no_empty_bins () =
-  let items = [ ("a", 1); ("b", 1) ] in
-  let shards = Exec.Shard.by_weight ~shards:8 ~weight:snd items in
-  Alcotest.(check int) "only non-empty shards" 2 (List.length shards);
-  List.iteri
-    (fun i s -> Alcotest.(check int) "dense ids" i s.Exec.Shard.id)
-    shards;
-  Alcotest.check_raises "shards < 1 rejected"
-    (Invalid_argument "Exec.Shard.by_weight: shards must be at least 1")
-    (fun () -> ignore (Exec.Shard.by_weight ~shards:0 ~weight:snd items))
-
-let shard_deterministic () =
-  let items = List.init 17 (fun i -> (string_of_int i, (i * 7 mod 13) + 1)) in
-  let run () = Exec.Shard.by_weight ~shards:4 ~weight:snd items in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "same partition on every call" true (a = b)
-
-(* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
 let pool_runs_tasks_in_order () =
   Exec.Pool.with_pool ~jobs:3 @@ fun pool ->
   let results =
-    Exec.Pool.run_all pool (List.init 20 (fun i () -> i * i))
+    run_all pool (List.init 20 (fun i () -> i * i))
   in
   List.iteri
     (fun i r ->
@@ -231,12 +192,12 @@ let check_parallel_equals_sequential corpus q_text jobs =
 
 let parallel_equals_sequential_qcheck =
   QCheck.Test.make ~count:25
-    ~name:"run_parallel == sequential Corpus.run (any shard count)"
+    ~name:"run_parallel == sequential Corpus.run (any jobs count)"
     QCheck.(
       quad
         (int_range 1 4)  (* number of files *)
         (int_range 3 14)  (* entries per file *)
-        (int_range 1 8)  (* jobs / shard count *)
+        (int_range 1 8)  (* jobs *)
         (pair bool (int_range 0 9)) (* workload pick, query pick *))
     (fun (n_files, size, jobs, (use_log, q_pick)) ->
       let sizes = List.init n_files (fun i -> size + (i * 3)) in
@@ -283,18 +244,48 @@ let parallel_battery () =
         jobs)
     [ 1; 2; 3; 8 ]
 
-let parallel_reports_shards () =
+let parallel_per_file_covers_corpus () =
+  (* more files than workers: each file is its own task, and the
+     outcomes come back once per file, in corpus order *)
   let corpus = log_corpus [ 30; 10; 10; 5; 5 ] in
   let q = Odb.Query_parser.parse_exn {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|} in
   let r = or_fail (Exec.Driver.run_parallel ~jobs:2 corpus q) in
-  Alcotest.(check int) "two shard reports" 2 (List.length r.Exec.Driver.per_shard);
-  let shard_files =
-    List.concat_map (fun s -> s.Exec.Driver.files) r.Exec.Driver.per_shard
-  in
   Alcotest.(check (list string))
-    "shards cover every file exactly once"
-    (List.sort compare (Oqf.Corpus.files corpus))
-    (List.sort compare shard_files)
+    "one outcome per file, in corpus order" (Oqf.Corpus.files corpus)
+    (List.map fst r.Exec.Driver.per_file)
+
+let empty_corpus_answers_nothing () =
+  (* a zero-file corpus is a query with no answers on every door;
+     run_parallel must not ask the pool for zero workers *)
+  let corpus = Oqf.Corpus.of_sources [] in
+  let q = Odb.Query_parser.parse_exn {|SELECT e FROM Entries e|} in
+  let check door (r : (Exec.Driver.outcome, string) result) =
+    match r with
+    | Ok o ->
+        Alcotest.check rows_t (door ^ ": no rows") [] o.Exec.Driver.rows;
+        Alcotest.(check int) (door ^ ": no files") 0
+          (List.length o.Exec.Driver.per_file)
+    | Error e -> Alcotest.failf "%s failed on an empty corpus: %s" door e
+  in
+  List.iter
+    (fun jobs ->
+      check "run_parallel" (Exec.Driver.run_parallel ~jobs corpus q);
+      check "run_parallel (cached)"
+        (Exec.Driver.run_parallel ~jobs ~cache:(Exec.Rcache.create ()) corpus
+           q))
+    [ 1; 4 ];
+  let streamed = ref 0 in
+  check "run_streaming"
+    (Exec.Pool.with_pool ~jobs:1 (fun pool ->
+         Exec.Driver.run_streaming ~pool
+           ~on_rows:(fun ~file:_ _ -> incr streamed)
+           corpus q));
+  Alcotest.(check int) "nothing streamed" 0 !streamed;
+  match Exec.Driver.run_batch ~jobs:2 corpus [ q; q ] with
+  | [ (_, a); (_, b) ] ->
+      check "run_batch" a;
+      check "run_batch (repeat)" b
+  | rs -> Alcotest.failf "run_batch returned %d results" (List.length rs)
 
 let parallel_rejects_bad_jobs () =
   let corpus = log_corpus [ 3 ] in
@@ -342,9 +333,9 @@ let rcache_hit_and_normalization () =
         FROM Entries   e
         WHERE e.Level = "ERROR"|}
   in
-  let r1 = or_fail (Exec.Driver.run_one ~cache corpus q1) in
+  let r1 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus q1) in
   Alcotest.(check bool) "first run misses" false r1.Exec.Driver.from_cache;
-  let r2 = or_fail (Exec.Driver.run_one ~cache corpus q2) in
+  let r2 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus q2) in
   Alcotest.(check bool) "reformatted query hits" true r2.Exec.Driver.from_cache;
   Alcotest.check rows_t "cached rows identical" r1.Exec.Driver.rows
     r2.Exec.Driver.rows;
@@ -372,15 +363,15 @@ let rcache_lru_eviction () =
     Odb.Query_parser.parse_exn
       (Printf.sprintf {|SELECT e FROM Entries e WHERE e.Pid = "%d"|} n)
   in
-  ignore (or_fail (Exec.Driver.run_one ~cache corpus (q 1)));
-  ignore (or_fail (Exec.Driver.run_one ~cache corpus (q 2)));
+  ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 1)));
+  ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 2)));
   (* touch q1 so q2 is the LRU victim when q3 arrives *)
-  ignore (or_fail (Exec.Driver.run_one ~cache corpus (q 1)));
-  ignore (or_fail (Exec.Driver.run_one ~cache corpus (q 3)));
-  let r1 = or_fail (Exec.Driver.run_one ~cache corpus (q 1)) in
+  ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 1)));
+  ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 3)));
+  let r1 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 1)) in
   Alcotest.(check bool) "recently-used entry survived" true
     r1.Exec.Driver.from_cache;
-  let r2 = or_fail (Exec.Driver.run_one ~cache corpus (q 2)) in
+  let r2 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 2)) in
   Alcotest.(check bool) "LRU entry was evicted" false r2.Exec.Driver.from_cache;
   let s = Exec.Rcache.stats cache in
   Alcotest.(check bool) "evictions counted" true (s.Exec.Rcache.evictions >= 1)
@@ -479,10 +470,10 @@ let rcache_containment_serves_subset () =
   let broad = parse_q {|SELECT e FROM Entries e|} in
   let narrow = parse_q {|SELECT e FROM Entries e WHERE e.Level = "ERROR"|} in
   (* the reference: a fresh, cache-free evaluation of the narrow query *)
-  let fresh = or_fail (Exec.Driver.run_one corpus narrow) in
+  let fresh = or_fail (Exec.Driver.run_parallel ~jobs:1 corpus narrow) in
   let cache = Exec.Rcache.create () in
-  ignore (or_fail (Exec.Driver.run_one ~cache corpus broad));
-  let served = or_fail (Exec.Driver.run_one ~cache corpus narrow) in
+  ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus broad));
+  let served = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus narrow) in
   Alcotest.(check bool) "subset served from cache" true
     served.Exec.Driver.from_cache;
   (match served.Exec.Driver.cache_superset with
@@ -496,7 +487,7 @@ let rcache_containment_serves_subset () =
     (Exec.Rcache.stats cache).Exec.Rcache.containment_hits;
   (* serving by containment populates the exact key, so the same probe
      now hits directly, with no superset attribution *)
-  let again = or_fail (Exec.Driver.run_one ~cache corpus narrow) in
+  let again = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus narrow) in
   Alcotest.(check bool) "exact hit on repeat" true
     again.Exec.Driver.from_cache;
   Alcotest.(check bool) "no superset attribution on an exact hit" true
@@ -509,8 +500,8 @@ let rcache_containment_disabled () =
   let broad = parse_q {|SELECT e FROM Entries e|} in
   let narrow = parse_q {|SELECT e FROM Entries e WHERE e.Level = "ERROR"|} in
   let cache = Exec.Rcache.create ~containment:false () in
-  ignore (or_fail (Exec.Driver.run_one ~cache corpus broad));
-  let r = or_fail (Exec.Driver.run_one ~cache corpus narrow) in
+  ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus broad));
+  let r = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus narrow) in
   Alcotest.(check bool) "no containment serving when disabled" false
     r.Exec.Driver.from_cache;
   Alcotest.(check int) "no containment hits" 0
@@ -544,8 +535,8 @@ let rcache_invalidated_by_catalog_refresh () =
   in
   let corpus = or_fail (Oqf.Corpus.of_catalog cat ~schema:"log") in
   let fp_before = Exec.Rcache.fingerprint corpus in
-  let r1 = or_fail (Exec.Driver.run_one ~cache corpus q) in
-  let r2 = or_fail (Exec.Driver.run_one ~cache corpus q) in
+  let r1 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus q) in
+  let r2 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus q) in
   Alcotest.(check bool) "warm repeat hits" true r2.Exec.Driver.from_cache;
   (* the source grows; refresh extends the index; the rebuilt corpus
      fingerprints differently, so the cached rows cannot be served *)
@@ -559,13 +550,13 @@ let rcache_invalidated_by_catalog_refresh () =
   let fp_after = Exec.Rcache.fingerprint corpus' in
   Alcotest.(check bool) "refresh changed the corpus fingerprint" false
     (String.equal fp_before fp_after);
-  let r3 = or_fail (Exec.Driver.run_one ~cache corpus' q) in
+  let r3 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus' q) in
   Alcotest.(check bool) "post-refresh run recomputes" false
     r3.Exec.Driver.from_cache;
   Alcotest.(check bool)
     "the grown log has at least as many answers" true
     (List.length r3.Exec.Driver.rows >= List.length r1.Exec.Driver.rows);
-  let r4 = or_fail (Exec.Driver.run_one ~cache corpus' q) in
+  let r4 = or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus' q) in
   Alcotest.(check bool) "fresh result cached under the new key" true
     r4.Exec.Driver.from_cache
 
@@ -636,7 +627,7 @@ let pool_worker_survives_raising_tasks () =
      worker died on the first failure, the later awaits would hang *)
   Exec.Pool.with_pool ~jobs:1 @@ fun pool ->
   match
-    Exec.Pool.run_all pool
+    run_all pool
       [
         (fun () -> failwith "task 1 dies");
         (fun () -> 42);
@@ -652,9 +643,8 @@ let degrade_falls_back_to_naive () =
   let q = Odb.Query_parser.parse_exn error_query in
   let reference = or_fail (Oqf.Corpus.run corpus q) in
   with_faults "permanent:1.0,only:pool.task" (fun () ->
-      (* every pool task and the coordinator's shard retry fail, so
-         every file must come back through the naive scan — with the
-         same rows as the fault-free run *)
+      (* every pool task fails, so every file must come back through
+         the naive scan — with the same rows as the fault-free run *)
       let out =
         or_fail
           (Exec.Driver.run_parallel ~jobs:2
@@ -679,15 +669,13 @@ let partial_excludes_failed_files () =
              ~fail_policy:Exec.Driver.Partial corpus q)
       in
       Alcotest.check rows_t "no rows survive" [] out.Exec.Driver.rows;
-      Alcotest.(check bool) "every file excluded" true
-        (List.for_all
-           (fun d ->
-             d.Oqf.Degrade.action = Oqf.Degrade.Excluded
-             || d.Oqf.Degrade.action = Oqf.Degrade.Shard_retried)
-           out.Exec.Driver.degraded
-        && List.exists
-             (fun d -> d.Oqf.Degrade.action = Oqf.Degrade.Excluded)
-             out.Exec.Driver.degraded))
+      Alcotest.(check (list (pair string string)))
+        "exactly one exclusion per file, in corpus order"
+        (List.map (fun f -> (f, "excluded")) (Oqf.Corpus.files corpus))
+        (List.map
+           (fun (d : Oqf.Degrade.t) ->
+             (d.file, Oqf.Degrade.action_to_string d.action))
+           out.Exec.Driver.degraded))
 
 let fail_fast_still_fails () =
   let corpus = log_corpus [ 10; 6 ] in
@@ -696,23 +684,20 @@ let fail_fast_still_fails () =
       match Exec.Driver.run_parallel ~jobs:2 corpus q with
       | Ok _ -> Alcotest.fail "fail-fast must surface the task failure"
       | Error e ->
-          Alcotest.(check bool) "attributed to a shard" true
-            (Astring.String.is_infix ~affix:"shard" e))
+          Alcotest.(check string) "names the earliest failing file"
+            "node0.log: injected permanent fault at pool.task" e)
 
-(* The streaming path settles each file through the same recovery
-   ladder as the batch path.  With every pool task failing, both must
-   return the same rows, the same per-file actions (leaving aside the
-   batch path's shard-level retries), and the streamed blocks must be
-   the batch rows grouped by file. *)
+(* The streaming path is the parallel path's engine on a shared pool.
+   With every pool task failing, both must return the same rows and
+   the same degradation report, and the streamed blocks must be the
+   batch rows grouped by file. *)
 let streaming_ladder_matches_parallel () =
   let corpus = log_corpus [ 10; 6; 8 ] in
   let q = Odb.Query_parser.parse_exn error_query in
   let per_file_actions (o : Exec.Driver.outcome) =
-    List.filter_map
+    List.map
       (fun (d : Oqf.Degrade.t) ->
-        if d.action = Oqf.Degrade.Shard_retried then None
-        else
-          Some (d.file, Oqf.Degrade.action_to_string d.action, d.detail))
+        (d.file, Oqf.Degrade.action_to_string d.action, d.detail))
       o.Exec.Driver.degraded
   in
   let rec blocks_of = function
@@ -791,7 +776,7 @@ let transient_faults_are_invisible () =
 
 (* Disk-backed equivalence: build a catalog on disk, corrupt an index,
    arm a recoverable fault schedule, and check a Degrade run still
-   returns the fault-free sequential rows at any shard count. *)
+   returns the fault-free sequential rows at any jobs count. *)
 
 let temp_dir () =
   let path = Filename.temp_file "oqf_exec_fault" "" in
@@ -811,7 +796,7 @@ let degrade_equals_fault_free_qcheck =
       quad
         (int_range 1 3)  (* number of files *)
         (int_range 3 10)  (* entries per file *)
-        (int_range 1 8)  (* jobs / shard count *)
+        (int_range 1 8)  (* jobs *)
         (int_range 0 999) (* fault schedule seed *))
     (fun (n_files, size, jobs, seed) ->
       (* clamp against shrinker excursions outside the range *)
@@ -911,13 +896,6 @@ let degrade_equals_fault_free_qcheck =
 
 let suites =
   [
-    ( "exec.shard",
-      [
-        Alcotest.test_case "all items kept" `Quick shard_all_items_kept;
-        Alcotest.test_case "LPT balance" `Quick shard_balances;
-        Alcotest.test_case "no empty bins, dense ids" `Quick shard_no_empty_bins;
-        Alcotest.test_case "deterministic" `Quick shard_deterministic;
-      ] );
     ( "exec.pool",
       [
         Alcotest.test_case "results in order" `Quick pool_runs_tasks_in_order;
@@ -935,11 +913,13 @@ let suites =
         QCheck_alcotest.to_alcotest parallel_equals_sequential_qcheck;
         Alcotest.test_case "battery at jobs 1..8 and OQF_JOBS default" `Quick
           parallel_battery;
-        Alcotest.test_case "shard reports cover the corpus" `Quick
-          parallel_reports_shards;
+        Alcotest.test_case "per-file outcomes cover the corpus" `Quick
+          parallel_per_file_covers_corpus;
         Alcotest.test_case "jobs < 1 rejected" `Quick parallel_rejects_bad_jobs;
         Alcotest.test_case "deterministic error propagation" `Quick
           parallel_propagates_deterministic_error;
+        Alcotest.test_case "empty corpus: Ok, no rows, on every door"
+          `Quick empty_corpus_answers_nothing;
       ] );
     ( "exec.rcache",
       [

@@ -269,7 +269,7 @@ let mk_record ?(trace = "t1") ?(workload = "w") ?(ms = 1.0) ?(cached = false)
   Obs.Qlog.make
     ~ctx:{ Obs.Qlog.trace_id = trace; workload }
     ~workload_default:"default" ~schema:"log" ~kind:"query" ~query
-    ~latency_ms:ms ~rows:3 ~cached ~shards:2 ~outcome ?error ~events ~retries
+    ~latency_ms:ms ~rows:3 ~cached ~outcome ?error ~events ~retries
     ~faults ()
 
 let qlog_tests =

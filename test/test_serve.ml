@@ -302,7 +302,7 @@ let streaming_matches_parallel corpus q_text jobs =
 
 let streaming_qcheck =
   QCheck.Test.make ~count:20
-    ~name:"run_streaming == run_parallel (per-file tasks, any shard count)"
+    ~name:"run_streaming == run_parallel (per-file tasks, any jobs count)"
     QCheck.(
       quad (int_range 1 4) (int_range 3 14) (int_range 1 8)
         (pair bool (int_range 0 9)))
