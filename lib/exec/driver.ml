@@ -242,19 +242,24 @@ let rec emit_blocks on_rows = function
 
 (* --- the per-file engine ------------------------------------------- *)
 
-(* Where each file's evaluation runs.  [Inline]: on the caller, when
-   [resolve] reaches the file.  [Shared pool]: one task per file on
-   the caller's long-lived pool.  [Private jobs]: the same, on a pool
-   of [min jobs files] workers spawned for this query only — and not
-   at all for a cache hit or an empty corpus. *)
+(* Where each file's evaluation runs.  [Inline]: bare, on the caller,
+   when [resolve] reaches the file.  [Shared pool]: one task per file
+   on the caller's long-lived pool.  [Private jobs]: the same, on a
+   pool of [min jobs files] workers spawned for this query only —
+   except that one worker would only hand each file back in turn, so
+   a one-worker lane runs each file's task on the caller when
+   [resolve] reaches it, and spawns nothing. *)
 type lanes = Inline | Shared of Pool.t | Private of int
+
+type lane = Bare | Caller | Pooled of Pool.t
 
 let with_lanes lanes ~files k =
   match lanes with
-  | Inline -> k None
-  | Shared pool -> k (Some pool)
-  | Private _ when files = 0 -> k None
-  | Private jobs -> Pool.with_pool ~jobs:(min jobs files) (fun p -> k (Some p))
+  | Inline -> k Bare
+  | Shared pool -> k (Pooled pool)
+  | Private jobs when min jobs files <= 1 -> k Caller
+  | Private jobs ->
+      Pool.with_pool ~jobs:(min jobs files) (fun p -> k (Pooled p))
 
 (* The one query engine behind every entry point: the qlog record
    around the cache protocol around the per-file ladder.  Regions of
@@ -263,7 +268,9 @@ let with_lanes lanes ~files k =
    On a pool every file is submitted up front, so file k settles (and
    streams) while later files are still scanning; a task death,
    deadline expiry or spent [pool.task] retry budget fails its file
-   like an evaluation error. *)
+   like an evaluation error.  Once [resolve] is done with the query —
+   answered, aborted, or cut short by an exception from [on_rows] —
+   the tasks that have not started yet skip their files. *)
 let run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
     ?(fail_policy = Fail_fast) ?qctx ?generation ?on_rows ~lanes corpus q =
   let replay, on_rows =
@@ -275,24 +282,37 @@ let run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
   with_cache ~replay cache corpus q @@ fun () ->
   let sources = Oqf.Corpus.sources corpus in
   let before = Stdx.Stats.snapshot () in
-  with_lanes lanes ~files:(List.length sources) (fun pool ->
-      List.map
-        (fun (name, src) ->
-          let run () =
-            Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q
-          in
-          match pool with
-          | None -> (name, src, run)
-          | Some pool ->
-              let h =
-                Pool.submit ?timeout_ms pool (fun () ->
-                    Stdx.Retry.io ~site:"pool.task" (fun () ->
-                        Stdx.Fault.hit "pool.task";
-                        run ()))
-              in
-              (name, src, fun () -> Result.join (Pool.await h)))
-        sources
-      |> resolve ~fail_policy ~on_rows q)
+  with_lanes lanes ~files:(List.length sources) (fun lane ->
+      let cancelled = Atomic.make false in
+      let task run () =
+        Stdx.Retry.io ~site:"pool.task" (fun () ->
+            Stdx.Fault.hit "pool.task";
+            run ())
+      in
+      let files =
+        List.map
+          (fun (name, src) ->
+            let run () =
+              Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q
+            in
+            match lane with
+            | Bare -> (name, src, run)
+            | Caller ->
+                ( name,
+                  src,
+                  fun () -> Result.join (Pool.capture ?timeout_ms (task run)) )
+            | Pooled pool ->
+                let h =
+                  Pool.submit ?timeout_ms pool (fun () ->
+                      if Atomic.get cancelled then Error "query cancelled"
+                      else task run ())
+                in
+                (name, src, fun () -> Result.join (Pool.await h)))
+          sources
+      in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set cancelled true)
+        (fun () -> resolve ~fail_policy ~on_rows q files))
   |> Result.map (fun (rows, per_file, degraded) ->
          {
            rows;
@@ -330,7 +350,6 @@ let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
        wait cannot deadlock: the queue is FIFO, so the first occurrence
        is dequeued (and its handle eventually completed) strictly
        before any task that waits on it starts. *)
-    let fingerprint = lazy (Rcache.fingerprint corpus) in
     let seen = Hashtbl.create 8 in
     let handles =
       List.map
@@ -339,7 +358,9 @@ let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
             match cache with
             | None -> None
             | Some _ ->
-                Some (Rcache.key ~query:q ~fingerprint:(Lazy.force fingerprint))
+                Some
+                  (Rcache.key ~query:q
+                     ~fingerprint:(Rcache.fingerprint corpus))
           in
           let first = Option.bind key (Hashtbl.find_opt seen) in
           let h =

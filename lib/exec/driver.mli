@@ -8,7 +8,9 @@
     ([fail_policy]) — and differs only in where each file runs:
     {!run_parallel} submits one task per file to a private {!Pool},
     {!run_streaming} to the caller's shared pool, and {!run_batch}
-    evaluates each query's files inline inside its task.  The rows are
+    evaluates each query's files inline inside its task.  A private
+    pool of one worker is never spawned: each file's task runs on the
+    caller instead, when its turn comes.  The rows are
     {e identical} to the sequential reference {!Oqf.Corpus.run}'s
     (qcheck-verified in the test suite). *)
 
@@ -77,12 +79,18 @@ val run_parallel :
   Oqf.Corpus.t ->
   Odb.Query.t ->
   (outcome, string) result
-(** [jobs] defaults to {!default_jobs}; a cache miss on a non-empty
-    corpus spawns a pool of [min jobs (number of files)] workers for
-    this query and submits one task per file, whose body retries the
-    [pool.task] fault site ({!Stdx.Retry.io}).  [timeout_ms] bounds
-    each file's task (expiry fails that file like an evaluation
-    error).  [force] and [plan_mode] reach {!Oqf.Execute.run}:
+(** [jobs] defaults to {!default_jobs}; a cache miss on a corpus of
+    two or more files with [jobs >= 2] spawns a pool of
+    [min jobs (number of files)] workers for this query and submits
+    one task per file, whose body retries the [pool.task] fault site
+    ({!Stdx.Retry.io}).  When [min jobs (number of files)] is 1 no
+    domain is spawned: each file's task — the same body, through
+    {!Pool.capture} — runs on the caller when its turn comes.
+    [timeout_ms] bounds each file's task (expiry fails that file like
+    an evaluation error).  Once the query is answered or has failed,
+    tasks that have not started skip their files, so under
+    [Fail_fast] an error at one file cancels the files still queued
+    behind it.  [force] and [plan_mode] reach {!Oqf.Execute.run}:
     execute despite error-severity static-analysis findings / select
     the rule-based or cost-based planner.  With [cache], a hit skips
     evaluation entirely, a resident {e superset} entry answers by
@@ -143,7 +151,10 @@ val run_streaming :
     [timeout_ms] and [fail_policy] ladder, settling each file as its
     task is awaited.  Note that under [Fail_fast] an error can arrive
     {e after} rows have already been streamed — the wire protocol
-    surfaces this as an error event terminating the row stream. *)
+    surfaces this as an error event terminating the row stream.
+    Queued tasks of a query that has failed, or whose [on_rows]
+    raised (a client that hung up), skip their files instead of
+    evaluating them on the shared pool. *)
 
 val run_batch :
   ?optimize:bool ->

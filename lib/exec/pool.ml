@@ -91,6 +91,22 @@ let complete h result =
       h.state <- Done result;
       Condition.broadcast h.h_done)
 
+let capture ?timeout_ms f =
+  match
+    match timeout_ms with
+    | None -> f ()
+    | Some ms -> Obs.Deadline.with_timeout_ms ms f
+  with
+  | v ->
+      Obs.Metrics.incr tasks_completed;
+      Ok v
+  | exception Obs.Deadline.Expired budget ->
+      Obs.Metrics.incr tasks_timed_out;
+      Error (Printf.sprintf "task timed out after %.0f ms" budget)
+  | exception e ->
+      Obs.Metrics.incr tasks_failed;
+      Error (Printexc.to_string e)
+
 let submit ?timeout_ms t f =
   let h = { h_lock = Mutex.create (); h_done = Condition.create (); state = Pending } in
   let run () =
@@ -100,22 +116,7 @@ let submit ?timeout_ms t f =
     let result = ref (Error "task abandoned by its worker") in
     Fun.protect
       ~finally:(fun () -> complete h !result)
-      (fun () ->
-        result :=
-          (match
-             match timeout_ms with
-             | None -> f ()
-             | Some ms -> Obs.Deadline.with_timeout_ms ms f
-           with
-          | v ->
-              Obs.Metrics.incr tasks_completed;
-              Ok v
-          | exception Obs.Deadline.Expired budget ->
-              Obs.Metrics.incr tasks_timed_out;
-              Error (Printf.sprintf "task timed out after %.0f ms" budget)
-          | exception e ->
-              Obs.Metrics.incr tasks_failed;
-              Error (Printexc.to_string e)))
+      (fun () -> result := capture ?timeout_ms f)
   in
   locked t.lock (fun () ->
       if t.closing then invalid_arg "Exec.Pool.submit: pool is shut down";

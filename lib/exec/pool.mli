@@ -33,11 +33,20 @@ val jobs : t -> int
 type 'a handle
 (** The pending result of one submitted task. *)
 
+val capture : ?timeout_ms:float -> (unit -> 'a) -> ('a, string) result
+(** Run a task body on the calling thread exactly as a worker runs a
+    submitted one: under {!Obs.Deadline.with_timeout_ms} when
+    [timeout_ms] is given, with every exception captured as [Error]
+    (the {!await} messages) and the outcome counted in
+    [exec.pool.tasks_completed] / [tasks_failed] / [tasks_timed_out].
+    The driver uses it to run a one-worker lane on the caller instead
+    of spawning a domain. *)
+
 val submit : ?timeout_ms:float -> t -> (unit -> 'a) -> 'a handle
-(** Enqueue a task.  With [timeout_ms] the worker runs it under
-    {!Obs.Deadline.with_timeout_ms}; expiry (or any other exception)
-    is captured in the handle rather than killing the worker.  Raises
-    [Invalid_argument] if the pool is shut down. *)
+(** Enqueue a task; the worker runs it through {!capture}, so expiry
+    (or any other exception) is captured in the handle rather than
+    killing the worker.  Raises [Invalid_argument] if the pool is shut
+    down. *)
 
 val await : 'a handle -> ('a, string) result
 (** Block until the task has run.  [Error] carries the exception

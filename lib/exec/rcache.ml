@@ -44,19 +44,7 @@ let key ~query ~fingerprint =
   (* the canonical rendering normalizes whitespace and parenthesization *)
   { skey = Odb.Query.to_string query ^ "\x00" ^ fingerprint; query; fingerprint }
 
-let fingerprint corpus =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (name, src) ->
-      let text = src.Oqf.Execute.text in
-      Buffer.add_string buf name;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int (Pat.Text.length text));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Digest.to_hex (Digest.string (Pat.Text.unsafe_contents text)));
-      Buffer.add_char buf ';')
-    (Oqf.Corpus.sources corpus);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+let fingerprint = Oqf.Corpus.fingerprint
 
 let locked t f =
   Mutex.lock t.lock;

@@ -39,8 +39,11 @@ val key : query:Odb.Query.t -> fingerprint:string -> key
     parsed query for subsumption probing. *)
 
 val fingerprint : Oqf.Corpus.t -> string
-(** Hex MD5 over the corpus members' (name, length, content digest)
-    triples, in corpus order. *)
+(** {!Oqf.Corpus.fingerprint}: hex MD5 over the corpus members' (name,
+    length, content digest) triples, in corpus order.  The corpus
+    computes it once and keeps it, so a warm lookup costs no hashing;
+    serve, which keeps one corpus per catalog generation, hashes its
+    text once per generation. *)
 
 type payload = (string * Odb.Query_eval.row) list
 (** Result rows tagged with the file they came from, in corpus order

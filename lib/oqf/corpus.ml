@@ -1,8 +1,23 @@
-type t = { sources : (string * Execute.source) list }
+(* The result-cache fingerprint is filled on first use and published
+   through an [Atomic] under a lock, like a source's plan statistics:
+   serve shares one corpus per generation across connection threads
+   and worker domains, and [Lazy] is not domain-safe. *)
+type fingerprint = { value : string option Atomic.t; lock : Mutex.t }
+
+type t = {
+  sources : (string * Execute.source) list;
+  fingerprint : fingerprint;
+}
+
+let of_sources sources =
+  {
+    sources;
+    fingerprint = { value = Atomic.make None; lock = Mutex.create () };
+  }
 
 let make view files ~index =
   let rec go acc = function
-    | [] -> Ok { sources = List.rev acc }
+    | [] -> Ok (of_sources (List.rev acc))
     | (name, text) :: rest -> begin
         match Execute.make_source view text ~index with
         | Ok src -> go ((name, src) :: acc) rest
@@ -25,7 +40,7 @@ let of_entries ~degrade ~load ~schema entries =
   | Error e -> Error e
   | Ok view ->
       let rec go srcs degs = function
-        | [] -> Ok ({ sources = List.rev srcs }, List.rev degs)
+        | [] -> Ok (of_sources (List.rev srcs), List.rev degs)
         | (e : Oqf_catalog.Catalog.entry) :: rest when e.schema <> schema ->
             go srcs degs rest
         | e :: rest -> begin
@@ -78,10 +93,37 @@ let of_snapshot snapshot ~schema =
     ~schema
     (Oqf_catalog.Catalog.snapshot_entries snapshot)
 
-let of_sources sources = { sources }
 let files t = List.map fst t.sources
 let source t name = List.assoc_opt name t.sources
 let sources t = t.sources
+
+let compute_fingerprint sources =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (name, (src : Execute.source)) ->
+      let text = src.text in
+      Buffer.add_string buf name;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int (Pat.Text.length text));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf
+        (Digest.to_hex (Digest.string (Pat.Text.unsafe_contents text)));
+      Buffer.add_char buf ';')
+    sources;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fingerprint t =
+  let { value; lock } = t.fingerprint in
+  match Atomic.get value with
+  | Some fp -> fp
+  | None ->
+      Mutex.protect lock (fun () ->
+          match Atomic.get value with
+          | Some fp -> fp
+          | None ->
+              let fp = compute_fingerprint t.sources in
+              Atomic.set value (Some fp);
+              fp)
 
 type outcome = {
   rows : (string * Odb.Query_eval.row) list;

@@ -71,6 +71,13 @@ val sources : t -> (string * Execute.source) list
     the parallel driver ([Exec.Driver]), which evaluates each file as
     one task. *)
 
+val fingerprint : t -> string
+(** Hex MD5 over the members' (name, length, content digest) triples,
+    in corpus order — the result cache's corpus key.  Any change to
+    any member's bytes changes it.  Computed on the first call and
+    kept with the corpus, so a corpus value hashes its text once
+    however many queries it serves; safe to call from any domain. *)
+
 type outcome = {
   rows : (string * Odb.Query_eval.row) list;
       (** each answer row tagged with the file it came from *)

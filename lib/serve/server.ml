@@ -61,21 +61,54 @@ let latency_h = Obs.Metrics.histogram "serve.request_latency_ms"
 
 exception Closed_connection
 
-let write_line fd line =
-  let b = Bytes.of_string (line ^ "\n") in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      match Unix.write fd b off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
-        ->
-          raise Closed_connection
-  in
-  go 0
+let rec write_fully write fd b off n =
+  if n > 0 then
+    match write fd b off n with
+    | w -> write_fully write fd b (off + w) (n - w)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+        write_fully write fd b off n
+    | exception
+        Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
+        raise Closed_connection
 
-let send fd resp = write_line fd (Protocol.render_response resp)
+let send fd resp =
+  let line = Protocol.render_response resp ^ "\n" in
+  write_fully Unix.write_substring fd line 0 (String.length line)
+
+(* A request's row stream goes out in blocks: its lines are rendered
+   into one fixed buffer, written when full and at the end of every
+   file block, so a scan costs a handful of write(2) calls (and
+   runtime-lock handoffs between connection threads) instead of one
+   per row.  A line longer than the buffer is written straight from
+   its string. *)
+type out = { fd : Unix.file_descr; buf : Bytes.t; mutable len : int }
+
+let out_create fd = { fd; buf = Bytes.create (16 * 1024); len = 0 }
+
+let out_flush o =
+  let n = o.len in
+  o.len <- 0;
+  write_fully Unix.write o.fd o.buf 0 n
+
+let out_line o line =
+  let n = String.length line and cap = Bytes.length o.buf in
+  if o.len + n + 1 > cap then out_flush o;
+  if n + 1 > cap then begin
+    (* the flush above emptied the buffer; its newline follows *)
+    write_fully Unix.write_substring o.fd line 0 n;
+    Bytes.set o.buf 0 '\n';
+    o.len <- 1
+  end
+  else begin
+    Bytes.blit_string line 0 o.buf o.len n;
+    Bytes.set o.buf (o.len + n) '\n';
+    o.len <- o.len + n + 1
+  end
+
+(* the terminal event of a streamed response, after its last rows *)
+let out_finish o resp =
+  out_flush o;
+  send o.fd resp
 
 let with_lock m f =
   Mutex.lock m;
@@ -209,17 +242,20 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
               (Protocol.Diagnostics
                  { id; diagnostics = diagnostics_payload gate })
           else
+            let out = out_create fd in
             let on_rows ~file rows =
               List.iter
                 (fun row ->
-                  send fd
-                    (Protocol.Row
-                       {
-                         id;
-                         file;
-                         values = List.map Odb.Value.to_display_string row;
-                       }))
-                rows
+                  out_line out
+                    (Protocol.render_response
+                       (Protocol.Row
+                          {
+                            id;
+                            file;
+                            values = List.map Odb.Value.to_display_string row;
+                          })))
+                rows;
+              out_flush out
             in
             match
               Exec.Driver.run_streaming ~force:q.force ~cache:t.rcache
@@ -227,7 +263,7 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
                 ~pool:t.pool ~on_rows corpus query
             with
             | Ok outcome ->
-                send fd
+                out_finish out
                   (Protocol.Done
                      {
                        id;
@@ -237,7 +273,7 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
                          degraded_triples outcome.Exec.Driver.degraded;
                        trace;
                      })
-            | Error e -> send fd (Protocol.Failed { id; message = e })))
+            | Error e -> out_finish out (Protocol.Failed { id; message = e })))
 
 let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
   let timeout_ms =
@@ -309,6 +345,7 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
                 raise (Stop message)
           in
           let count = ref 0 in
+          let out = out_create fd in
           match
             List.iter
               (fun (file, src) ->
@@ -317,20 +354,22 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
                   (fun (r : Pat.Region.t) ->
                     check_clock ();
                     incr count;
-                    send fd
-                      (Protocol.Region
-                         { id; file; start = r.start; stop = r.stop }))
-                  (eval_file src))
+                    out_line out
+                      (Protocol.render_response
+                         (Protocol.Region
+                            { id; file; start = r.start; stop = r.stop })))
+                  (eval_file src);
+                out_flush out)
               (Oqf.Corpus.sources corpus)
           with
           | () ->
               qlog ~rows:!count ~outcome:"ok" ();
-              send fd
+              out_finish out
                 (Protocol.Done
                    { id; rows = !count; cached = false; degraded = []; trace })
           | exception Stop message ->
               qlog ~rows:!count ~outcome:"error" ~error:message ();
-              send fd (Protocol.Failed { id; message })))
+              out_finish out (Protocol.Failed { id; message })))
 
 let stats_payload () =
   let counters = Obs.Metrics.counters () in

@@ -151,17 +151,20 @@ let bibtex_corpus sizes =
   in
   or_fail (Oqf.Corpus.make_full Fschema.Bibtex_schema.view files)
 
-let log_corpus sizes =
-  let files =
-    List.mapi
-      (fun i n ->
-        ( Printf.sprintf "node%d.log" i,
-          Pat.Text.of_string
-            (Workload.Log_gen.generate
-               { (Workload.Log_gen.with_size n) with seed = 2000 + i }) ))
-      sizes
-  in
-  or_fail (Oqf.Corpus.make_full Fschema.Log_schema.view files)
+let log_texts sizes =
+  List.mapi
+    (fun i n ->
+      ( Printf.sprintf "node%d.log" i,
+        Workload.Log_gen.generate
+          { (Workload.Log_gen.with_size n) with seed = 2000 + i } ))
+    sizes
+
+let log_corpus_of texts =
+  or_fail
+    (Oqf.Corpus.make_full Fschema.Log_schema.view
+       (List.map (fun (name, text) -> (name, Pat.Text.of_string text)) texts))
+
+let log_corpus sizes = log_corpus_of (log_texts sizes)
 
 let bibtex_queries =
   [
@@ -560,6 +563,64 @@ let rcache_invalidated_by_catalog_refresh () =
   Alcotest.(check bool) "fresh result cached under the new key" true
     r4.Exec.Driver.from_cache
 
+(* The whole-corpus formula the corpus's fingerprint cell must keep
+   computing: MD5 over each member's name, length and text digest. *)
+let fingerprint_oracle corpus =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (name, (src : Oqf.Execute.source)) ->
+      let text = src.text in
+      Buffer.add_string buf name;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int (Pat.Text.length text));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf
+        (Digest.to_hex (Digest.string (Pat.Text.unsafe_contents text)));
+      Buffer.add_char buf ';')
+    (Oqf.Corpus.sources corpus);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fingerprint_matches_the_formula () =
+  let texts = log_texts [ 6; 4; 3 ] in
+  let corpus = log_corpus_of texts in
+  let fp = Oqf.Corpus.fingerprint corpus in
+  Alcotest.(check string) "equals the whole-corpus formula"
+    (fingerprint_oracle corpus) fp;
+  Alcotest.(check string) "the cached value answers again" fp
+    (Exec.Rcache.fingerprint corpus);
+  (* one member's text grows by one byte *)
+  let grown =
+    log_corpus_of
+      (List.mapi
+         (fun i (name, text) -> (name, if i = 1 then text ^ "\n" else text))
+         texts)
+  in
+  let fp' = Oqf.Corpus.fingerprint grown in
+  Alcotest.(check bool) "a one-byte growth changes it" false
+    (String.equal fp fp');
+  Alcotest.(check string) "the grown corpus equals the formula too"
+    (fingerprint_oracle grown) fp'
+
+let fingerprint_is_domain_safe () =
+  let corpus = log_corpus [ 40; 30; 20 ] in
+  (* four domains released together force the empty cell at once *)
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            Oqf.Corpus.fingerprint corpus))
+  in
+  let expected = fingerprint_oracle corpus in
+  List.iter
+    (fun d ->
+      Alcotest.(check string) "every domain gets the formula's value" expected
+        (Domain.join d))
+    domains
+
 (* ------------------------------------------------------------------ *)
 (* batch + workload-labelled metrics                                   *)
 
@@ -686,6 +747,58 @@ let fail_fast_still_fails () =
       | Error e ->
           Alcotest.(check string) "names the earliest failing file"
             "node0.log: injected permanent fault at pool.task" e)
+
+let counter_value name =
+  match Obs.Metrics.find_counter name with
+  | Some c -> Obs.Metrics.value c
+  | None -> 0
+
+(* Once a fail-fast query aborts, its tasks that have not started skip
+   their files.  Every task body visits the [pool.task] fault site
+   before evaluating; with every visit failing transiently and a
+   two-attempt retry budget that backs off 20 ms, each file that gets
+   as far as evaluating costs two injections and holds the one worker
+   long enough for the aborting caller to cancel the rest. *)
+let fail_fast_cancels_the_rest () =
+  let corpus = log_corpus (List.init 8 (fun _ -> 4)) in
+  let q = Odb.Query_parser.parse_exn error_query in
+  Stdx.Retry.set_site_policy "pool.task"
+    { Stdx.Retry.attempts = 2; base_delay_ms = 20.; max_delay_ms = 20. };
+  Fun.protect ~finally:(fun () ->
+      Stdx.Retry.set_site_policy "pool.task" Stdx.Retry.default_policy)
+  @@ fun () ->
+  Exec.Pool.with_pool ~jobs:1 @@ fun pool ->
+  let evaluated fail_policy =
+    with_faults "transient:1.0,only:pool.task" (fun () ->
+        let before = counter_value "fault.injected" in
+        let result =
+          Exec.Driver.run_streaming ~fail_policy ~pool
+            ~on_rows:(fun ~file:_ _ -> ())
+            corpus q
+        in
+        (* one FIFO worker: once this task has run, so has every task
+           the query queued before it *)
+        ignore (Exec.Pool.await (Exec.Pool.submit pool ignore));
+        (result, (counter_value "fault.injected" - before) / 2))
+  in
+  (match evaluated Exec.Driver.Fail_fast with
+  | Ok _, _ -> Alcotest.fail "fail-fast must surface the task failure"
+  | Error e, n ->
+      Alcotest.(check string) "names the first file"
+        "node0.log: injected transient fault at pool.task" e;
+      Alcotest.(check bool)
+        (Printf.sprintf "at most the first file and the one in flight (%d)" n)
+        true (n <= 2));
+  List.iter
+    (fun fail_policy ->
+      match evaluated fail_policy with
+      | Ok _, n ->
+          Alcotest.(check int)
+            (Exec.Driver.fail_policy_to_string fail_policy
+            ^ ": every file evaluated")
+            8 n
+      | Error e, _ -> Alcotest.fail e)
+    [ Exec.Driver.Partial; Exec.Driver.Degrade ]
 
 (* The streaming path is the parallel path's engine on a shared pool.
    With every pool task failing, both must return the same rows and
@@ -942,6 +1055,10 @@ let suites =
           `Quick rcache_containment_serves_subset;
         Alcotest.test_case "containment layer can be disabled" `Quick
           rcache_containment_disabled;
+        Alcotest.test_case "corpus fingerprint equals the formula" `Quick
+          fingerprint_matches_the_formula;
+        Alcotest.test_case "corpus fingerprint is domain-safe" `Quick
+          fingerprint_is_domain_safe;
       ] );
     ( "exec.batch",
       [
@@ -959,6 +1076,8 @@ let suites =
         Alcotest.test_case "partial excludes failed files" `Quick
           partial_excludes_failed_files;
         Alcotest.test_case "fail-fast still fails" `Quick fail_fast_still_fails;
+        Alcotest.test_case "fail-fast cancels the unstarted files" `Quick
+          fail_fast_cancels_the_rest;
         Alcotest.test_case "streaming ladder == run_parallel's" `Quick
           streaming_ladder_matches_parallel;
         Alcotest.test_case "query defects abort under degrade" `Quick

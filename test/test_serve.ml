@@ -467,9 +467,10 @@ let watch_mode =
   | Some ("1" | "true") -> true
   | _ -> false
 
-let with_server ?(max_active = 4) ?(max_queue = 8) ?(jobs = 2) ?http_port f =
+let with_server ?(max_active = 4) ?(max_queue = 8) ?(jobs = 2) ?http_port
+    ?(setup = setup_catalog) f =
   let dir = fresh_dir () in
-  let (_ : Oqf_catalog.Catalog.t) = setup_catalog dir in
+  let (_ : Oqf_catalog.Catalog.t) = setup dir in
   let config =
     {
       (Serve.Server.default_config
@@ -516,6 +517,198 @@ let collect_rows events =
     events
 
 let terminal_of conn req = or_fail (Serve.Client.stream conn req ~on_event:ignore)
+
+(* Send one request on a raw socket and return its response lines as
+   they crossed the wire, terminal event last. *)
+let wire_lines config req =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX config.Serve.Server.socket_path);
+  let line = Serve.Protocol.render_request 1 req ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  let reader = Serve.Protocol.reader fd in
+  let rec go acc =
+    match Serve.Protocol.read_line reader with
+    | `Line l -> (
+        match Serve.Protocol.parse_response l with
+        | Ok r when Serve.Client.is_terminal r -> List.rev (l :: acc)
+        | Ok _ -> go (l :: acc)
+        | Error e -> Alcotest.fail e)
+    | `Eof | `Overflow -> Alcotest.fail "response stream cut short"
+  in
+  go []
+
+(* Two logs whose INFO scans answer in blocks well over the daemon's
+   16 KiB write buffer, and a third holding one WARN entry of the
+   [bulk] service whose message alone is longer than that buffer. *)
+let long_message =
+  String.concat " " (List.init 4000 (fun i -> Printf.sprintf "w%d" i))
+
+let setup_big_catalog dir =
+  let cat = or_fail (Oqf_catalog.Catalog.init (Filename.concat dir "cat")) in
+  List.iter
+    (fun (name, text) ->
+      let path = Filename.concat dir name in
+      write_file path text;
+      let (_ : Oqf_catalog.Catalog.entry) =
+        or_fail (Oqf_catalog.Catalog.add cat ~schema:"log" path)
+      in
+      ())
+    [
+      ( "a.log",
+        Workload.Log_gen.generate
+          { (Workload.Log_gen.with_size 1200) with seed = 41 } );
+      ( "b.log",
+        Workload.Log_gen.generate
+          { (Workload.Log_gen.with_size 800) with seed = 42 } );
+      ( "c.log",
+        Printf.sprintf
+          "== log ==\n\
+           [2026-07-04 00:00:00] level=INFO service=web msg=\"short\"\n\
+           [2026-07-04 00:00:01] level=WARN service=bulk msg=\"%s\"\n"
+          long_message );
+    ];
+  cat
+
+let info_scan = {|SELECT e FROM Entries e WHERE e.Level = "INFO"|}
+
+(* The lines the daemon must send for [req]'s rows: the protocol
+   rendering of the streaming driver's blocks over the same catalog. *)
+let expected_row_lines dir text =
+  let cat =
+    or_fail (Oqf_catalog.Catalog.open_dir (Filename.concat dir "cat"))
+  in
+  let corpus = or_fail (Oqf.Corpus.of_catalog cat ~schema:"log") in
+  let blocks = ref [] in
+  let (_ : Exec.Driver.outcome) =
+    or_fail
+      (Exec.Pool.with_pool ~jobs:1 (fun pool ->
+           Exec.Driver.run_streaming ~pool
+             ~on_rows:(fun ~file rows -> blocks := (file, rows) :: !blocks)
+             corpus
+             (Odb.Query_parser.parse_exn text)))
+  in
+  List.rev_map
+    (fun (file, rows) ->
+      ( file,
+        List.map
+          (fun row ->
+            Serve.Protocol.render_response
+              (Serve.Protocol.Row
+                 {
+                   id = 1;
+                   file;
+                   values = List.map Odb.Value.to_display_string row;
+                 }))
+          rows ))
+    !blocks
+
+let check_done_last what lines n =
+  let last = List.nth lines (List.length lines - 1) in
+  match Serve.Protocol.parse_response last with
+  | Ok (Serve.Protocol.Done { rows; _ }) ->
+      Alcotest.(check int) (what ^ ": done counts the rows") n rows
+  | _ -> Alcotest.fail (what ^ ": expected done last")
+
+let wire_tests =
+  [
+    Alcotest.test_case "a scan arrives as the rendered rows, in order"
+      `Quick (fun () ->
+        with_server ~setup:setup_big_catalog (fun config dir ->
+            let blocks = expected_row_lines dir info_scan in
+            let big =
+              List.filter
+                (fun (_, lines) ->
+                  List.fold_left
+                    (fun n l -> n + String.length l + 1)
+                    0 lines
+                  > 16 * 1024)
+                blocks
+            in
+            Alcotest.(check bool) "two blocks over the buffer" true
+              (List.length big >= 2);
+            let expected = List.concat_map snd blocks in
+            let lines = wire_lines config (query_req info_scan) in
+            Alcotest.(check (list string)) "row lines" expected
+              (List.filteri (fun i _ -> i < List.length lines - 1) lines);
+            check_done_last "scan" lines (List.length expected)));
+    Alcotest.test_case "a row longer than the buffer arrives intact" `Quick
+      (fun () ->
+        with_server ~setup:setup_big_catalog (fun config dir ->
+            let text = {|SELECT e FROM Entries e WHERE e.Service = "bulk"|} in
+            let expected = List.concat_map snd (expected_row_lines dir text) in
+            (match expected with
+            | [ l ] ->
+                Alcotest.(check bool) "the row is over 16 KiB" true
+                  (String.length l > 16 * 1024)
+            | _ -> Alcotest.fail "expected exactly one bulk row");
+            (* a small row before it in the buffer, the long one after *)
+            let text2 =
+              {|SELECT e FROM Entries e
+                WHERE e.Service = "bulk" OR e.Service = "web"|}
+            in
+            List.iter
+              (fun text ->
+                let expected =
+                  List.concat_map snd (expected_row_lines dir text)
+                in
+                let lines = wire_lines config (query_req text) in
+                Alcotest.(check (list string)) "row lines" expected
+                  (List.filteri (fun i _ -> i < List.length lines - 1) lines);
+                check_done_last text lines (List.length expected))
+              [ text; text2 ]));
+    Alcotest.test_case "rexpr regions arrive as the rendered regions" `Quick
+      (fun () ->
+        with_server ~setup:setup_big_catalog (fun config dir ->
+            let text = {|Entry > sigma["INFO"](Level)|} in
+            let cat =
+              or_fail
+                (Oqf_catalog.Catalog.open_dir (Filename.concat dir "cat"))
+            in
+            let corpus = or_fail (Oqf.Corpus.of_catalog cat ~schema:"log") in
+            let expr = Ralg.Expr_parser.parse_exn text in
+            let expected =
+              List.concat_map
+                (fun (file, (src : Oqf.Execute.source)) ->
+                  List.map
+                    (fun (r : Pat.Region.t) ->
+                      Serve.Protocol.render_response
+                        (Serve.Protocol.Region
+                           { id = 1; file; start = r.start; stop = r.stop }))
+                    (Pat.Region_set.to_list
+                       (Ralg.Eval.eval_shared src.instance expr)))
+                (Oqf.Corpus.sources corpus)
+            in
+            Alcotest.(check bool) "over the buffer" true
+              (List.fold_left (fun n l -> n + String.length l + 1) 0 expected
+              > 2 * 16 * 1024);
+            let lines = wire_lines config (rexpr_req text) in
+            Alcotest.(check (list string)) "region lines" expected
+              (List.filteri (fun i _ -> i < List.length lines - 1) lines);
+            check_done_last "rexpr" lines (List.length expected)));
+    Alcotest.test_case "a client closing mid-stream leaves the daemon serving"
+      `Quick (fun () ->
+        with_server ~setup:setup_big_catalog (fun config _dir ->
+            for _ = 1 to 3 do
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Unix.connect fd (Unix.ADDR_UNIX config.Serve.Server.socket_path);
+              let line =
+                Serve.Protocol.render_request 1 (query_req info_scan) ^ "\n"
+              in
+              ignore (Unix.write_substring fd line 0 (String.length line));
+              (match Serve.Protocol.read_line (Serve.Protocol.reader fd) with
+              | `Line _ -> ()
+              | _ -> Alcotest.fail "expected a first row");
+              Unix.close fd
+            done;
+            let c = connect config in
+            (match terminal_of c (query_req info_scan) with
+            | Serve.Protocol.Done { rows; _ } ->
+                Alcotest.(check bool) "the next connection answers" true
+                  (rows > 0)
+            | _ -> Alcotest.fail "expected done");
+            Serve.Client.close c));
+  ]
 
 let server_tests =
   [
@@ -735,6 +928,53 @@ let server_tests =
                  before after)
               true (after > before);
             Serve.Client.close c));
+    Alcotest.test_case "an appended log misses the cached result" `Quick
+      (fun () ->
+        with_server (fun config dir ->
+            let c = connect config in
+            let all = {|SELECT e FROM Entries e|} in
+            let ask () =
+              let events = or_fail (Serve.Client.request c (query_req all)) in
+              match List.rev events with
+              | Serve.Protocol.Done { cached; _ } :: _ ->
+                  (cached, collect_rows events)
+              | _ -> Alcotest.fail "expected done"
+            in
+            let _, before = ask () in
+            let cached, again = ask () in
+            Alcotest.(check bool) "the repeat is cached" true cached;
+            Alcotest.(check bool) "same rows" true (again = before);
+            (* the generator appends byte-for-byte: 20 more entries *)
+            write_file
+              (Filename.concat dir "a.log")
+              (Workload.Log_gen.generate
+                 { (Workload.Log_gen.with_size 40) with seed = 41 });
+            let deadline = Unix.gettimeofday () +. 5. in
+            let rec poll () =
+              let ((_, rows) as answer) = ask () in
+              if List.length rows > List.length before
+                 || (not watch_mode) || Unix.gettimeofday () > deadline
+              then answer
+              else begin
+                Thread.delay 0.02;
+                poll ()
+              end
+            in
+            let cached, after = poll () in
+            Alcotest.(check bool) "the refreshed corpus misses the cache"
+              false cached;
+            let of_a =
+              List.filter (fun (f, _) -> Filename.basename f = "a.log")
+            in
+            Alcotest.(check int) "the 20 appended rows arrive"
+              (List.length (of_a before) + 20)
+              (List.length (of_a after));
+            Alcotest.(check bool) "after the rows already there" true
+              (List.filteri
+                 (fun i _ -> i < List.length (of_a before))
+                 (of_a after)
+              = of_a before);
+            Serve.Client.close c));
     Alcotest.test_case "daemon survives injected transient faults" `Quick
       (fun () ->
         with_server (fun config _dir ->
@@ -895,5 +1135,6 @@ let suites =
     ("serve.admission", admission_tests);
     ("serve.streaming", streaming_tests);
     ("serve.server", server_tests);
+    ("serve.wire", wire_tests);
     ("serve.telemetry", telemetry_tests);
   ]
