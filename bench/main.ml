@@ -1031,11 +1031,13 @@ let o2 () =
    picks among semantics-equivalent candidates (the Prop 3.5 closure),
    so on these workloads it can only lose by planning overhead (the
    per-run statistics sweep and plan enumeration) or a bad estimate;
-   the acceptance gate is cost-mode workload total <= rules-mode total
-   x 1.05.  The advisor then replays the measured workload under a
-   root-only index, and its top recommendation's predicted saving is
-   compared against the delta actually measured after building the
-   recommended index — EXPERIMENTS CB1 requires agreement within 2x. *)
+   the acceptance gate is cost-mode workload time <= rules-mode time
+   x 1.05, read as the median of [gate_pairs] paired ratios
+   ([paired_overhead]).  The advisor then replays the measured
+   workload under a root-only index, and its top recommendation's
+   predicted saving is compared against the delta actually measured
+   after building the recommended index — EXPERIMENTS CB1 requires
+   agreement within 2x. *)
 
 let cb1_log_queries =
   [
@@ -1067,42 +1069,34 @@ let cb1 () =
   in
   let jobs = min 4 (Domain.recommended_domain_count ()) in
   let bib = bibtex_source 400 in
-  let rules_total = ref 0.0 and cost_total = ref 0.0 in
-  let short qt = if String.length qt <= 44 then qt else String.sub qt 0 44 in
-  say "%-44s | %9s | %9s | %7s@." "query" "rules ms" "cost ms" "delta";
-  let bench_pair label run =
-    let rows_rules, ms_rules =
-      time_ms ~repeat:5 (fun () -> run Oqf_cost.Planner.Rules)
-    in
-    let rows_cost, ms_cost =
-      time_ms ~repeat:5 (fun () -> run Oqf_cost.Planner.Cost_based)
-    in
-    (* both modes pick from rewrite-equivalent plans only *)
-    assert (rows_rules = rows_cost);
-    rules_total := !rules_total +. ms_rules;
-    cost_total := !cost_total +. ms_cost;
-    say "%-44s | %9.3f | %9.3f | %+6.1f%%@." label ms_rules ms_cost
-      ((ms_cost -. ms_rules) /. ms_rules *. 100.0)
-  in
-  List.iter
-    (fun qt ->
-      let q = Odb.Query_parser.parse_exn qt in
-      bench_pair (short qt) (fun mode ->
+  let parse = List.map Odb.Query_parser.parse_exn in
+  let log_qs = parse cb1_log_queries and bib_qs = parse cb1_bibtex_queries in
+  let workload mode () =
+    ( List.map
+        (fun q ->
           (or_die (Exec.Driver.run_parallel ~jobs ~plan_mode:mode log_corpus q))
-            .Exec.Driver.rows))
-    cb1_log_queries;
-  List.iter
-    (fun qt ->
-      let q = Odb.Query_parser.parse_exn qt in
-      bench_pair (short qt) (fun mode ->
-          (or_die (Oqf.Execute.run ~plan_mode:mode bib q)).Oqf.Execute.rows))
-    cb1_bibtex_queries;
-  let overhead_pct = (!cost_total -. !rules_total) /. !rules_total *. 100.0 in
-  record "CB1_rules_ms" !rules_total;
-  record "CB1_cost_ms" !cost_total;
+            .Exec.Driver.rows)
+        log_qs,
+      List.map
+        (fun q -> (or_die (Oqf.Execute.run ~plan_mode:mode bib q)).Oqf.Execute.rows)
+        bib_qs )
+  in
+  let rules_rows, cost_rows, rules_ms, cost_ms, ratio =
+    paired_overhead ~arm:ignore ~disarm:ignore
+      ~off:(workload Oqf_cost.Planner.Rules)
+      ~armed:(workload Oqf_cost.Planner.Cost_based)
+      ()
+  in
+  (* both modes pick from rewrite-equivalent plans only *)
+  assert (rules_rows = cost_rows);
+  let overhead_pct = (ratio -. 1.0) *. 100.0 in
+  record "CB1_rules_ms" rules_ms;
+  record "CB1_cost_ms" cost_ms;
   record "CB1_overhead_pct" overhead_pct;
-  say "workload totals: rules %.2f ms, cost %.2f ms (%+.1f%%)@." !rules_total
-    !cost_total overhead_pct;
+  say "workload of %d queries: rules %.2f ms, cost %.2f ms (median of %d \
+       pairs; median paired ratio %+.1f%%)@."
+    (List.length log_qs + List.length bib_qs)
+    rules_ms cost_ms gate_pairs overhead_pct;
   say "CB1 planner check: %s@."
     (if overhead_pct <= 5.0 then "PASS" else "FAIL");
   (* --- advisor: predicted vs measured ----------------------------- *)

@@ -36,6 +36,15 @@ let or_die = function
       prerr_endline ("oqf: " ^ e);
       exit 1
 
+let parse_query q_text =
+  or_die
+    (Result.map_error
+       (Format.asprintf "%a" Odb.Query_parser.pp_error)
+       (Odb.Query_parser.parse q_text))
+
+let display_row row =
+  String.concat " | " (List.map Odb.Value.to_display_string row)
+
 let resolve_index view names =
   match names with
   | Some names -> names
@@ -186,9 +195,9 @@ let dump_metrics_if requested =
 let qlog_arg =
   let doc =
     "Append one ndjson record per executed query (normalized query, \
-     workload, trace id, latency, rows, cache hit, degradation events) \
-     to $(docv) — the durable query log, rotated by size.  $(b,oqf \
-     stats) aggregates it."
+     workload, trace id, latency, rows, cache hit, phase-1 candidates, \
+     estimated plan cost, degradation events) to $(docv) — the durable \
+     query log, rotated by size.  $(b,oqf stats) aggregates it."
   in
   let env = Cmd.Env.info "OQF_QLOG" ~doc:"Default for $(b,--qlog)." in
   Arg.(value & opt (some string) None & info [ "qlog" ] ~docv:"FILE" ~doc ~env)
@@ -360,19 +369,11 @@ let query_cmd =
       | Some instance -> Pat.Instance.text instance
       | None -> Pat.Text.of_file file
     in
-    let q =
-      match Odb.Query_parser.parse q_text with
-      | Ok q -> q
-      | Error e ->
-          or_die (Error (Format.asprintf "%a" Odb.Query_parser.pp_error e))
-    in
+    let q = parse_query q_text in
+    let print_row row = print_endline (display_row row) in
     if baseline then begin
       let rows, stats = or_die (Oqf.Execute.run_baseline view text q) in
-      List.iter
-        (fun row ->
-          print_endline
-            (String.concat " | " (List.map Odb.Value.to_display_string row)))
-        rows;
+      List.iter print_row rows;
       Format.printf "-- %d rows; %a@." (List.length rows) Stdx.Stats.pp stats
     end
     else begin
@@ -383,78 +384,32 @@ let query_cmd =
             let index = resolve_index view (split_names names) in
             or_die (Oqf.Execute.make_source view text ~index)
       in
-      let print_row row =
-        print_endline
-          (String.concat " | " (List.map Odb.Value.to_display_string row))
+      (* the single file is a one-file corpus on the driver, like every
+         other indexed query: one recovery ladder, one qlog writer *)
+      let corpus = Oqf.Corpus.of_sources [ (file, src) ] in
+      let out =
+        or_die
+          (Exec.Driver.run_parallel ~optimize:(not no_optimize) ?minimize
+             ~explain ~force ~jobs ~fail_policy ~plan_mode ?qctx corpus q)
       in
-      let print_outcome (r : Oqf.Execute.outcome) =
-        if explain then
-          Format.printf "%a" (Oqf.Explain.pp ~show_times:false ~source:src) r;
-        List.iter print_row r.Oqf.Execute.rows;
-        Format.printf "-- %d rows (%d candidates%s); %a@."
-          r.Oqf.Execute.answers_count r.Oqf.Execute.candidates_count
-          (if r.Oqf.Execute.plan.Oqf.Plan.exact then ", exact plan" else "")
-          Stdx.Stats.pp r.Oqf.Execute.stats
-      in
-      (* --explain stays on the direct path (the plan printer wants
-         the instrumented run); otherwise jobs > 1 or a recovery
-         policy routes the single file through the parallel driver,
-         whose merged output is identical to the sequential run's *)
-      if (jobs > 1 || fail_policy <> Exec.Driver.Fail_fast) && not explain
-      then begin
-        let corpus = Oqf.Corpus.of_sources [ (file, src) ] in
-        let out =
-          or_die
-            (Exec.Driver.run_parallel ~optimize:(not no_optimize) ?minimize
-               ~force ~jobs ~fail_policy ~plan_mode ?qctx corpus q)
-        in
-        report_degraded out.Exec.Driver.degraded;
-        match out.Exec.Driver.per_file with
-        | [ (_, r) ] -> print_outcome r
-        | _ ->
-            (* the file did not answer from its index: a naive
-               fallback's rows are in [out.rows], an exclusion leaves
-               them empty *)
-            List.iter (fun (_, row) -> print_row row) out.Exec.Driver.rows;
-            Format.printf "-- %d rows (degraded); %a@."
-              (List.length out.Exec.Driver.rows)
-              Stdx.Stats.pp out.Exec.Driver.stats
-      end
-      else begin
-        match
-          Oqf.Execute.run ~optimize:(not no_optimize) ?minimize ~explain
-            ~force ~plan_mode ?qctx src q
-        with
-        | Ok r -> print_outcome r
-        | Error e -> begin
-            (* the driver's per-file recovery ladder; a query-level
-               defect fails under every policy — it would fail
-               identically on every file *)
-            if Oqf.Execute.semantic_error src.Oqf.Execute.view q <> None then
-              or_die (Error e);
-            match fail_policy with
-            | Exec.Driver.Fail_fast -> or_die (Error e)
-            | Exec.Driver.Partial ->
-                report_degraded [ Oqf.Degrade.make ~file Oqf.Degrade.Excluded e ];
-                Format.printf "-- 0 rows (file excluded)@."
-            | Exec.Driver.Degrade -> begin
-                match Oqf.Execute.run_naive ~file src q with
-                | Ok rows ->
-                    report_degraded
-                      [ Oqf.Degrade.make ~file Oqf.Degrade.Naive_fallback e ];
-                    List.iter print_row rows;
-                    Format.printf "-- %d rows (degraded); naive fallback@."
-                      (List.length rows)
-                | Error ne ->
-                    report_degraded
-                      [
-                        Oqf.Degrade.make ~file Oqf.Degrade.Excluded
-                          (e ^ "; " ^ ne);
-                      ];
-                    Format.printf "-- 0 rows (file excluded)@."
-              end
-          end
-      end
+      report_degraded out.Exec.Driver.degraded;
+      match out.Exec.Driver.per_file with
+      | [ (_, r) ] ->
+          if explain then
+            Format.printf "%a" (Oqf.Explain.pp ~show_times:false ~source:src) r;
+          List.iter print_row r.Oqf.Execute.rows;
+          Format.printf "-- %d rows (%d candidates%s); %a@."
+            r.Oqf.Execute.answers_count r.Oqf.Execute.candidates_count
+            (if r.Oqf.Execute.plan.Oqf.Plan.exact then ", exact plan" else "")
+            Stdx.Stats.pp r.Oqf.Execute.stats
+      | _ ->
+          (* the file did not answer from its index: a naive
+             fallback's rows are in [out.rows], an exclusion leaves
+             them empty *)
+          List.iter (fun (_, row) -> print_row row) out.Exec.Driver.rows;
+          Format.printf "-- %d rows (degraded); %a@."
+            (List.length out.Exec.Driver.rows)
+            Stdx.Stats.pp out.Exec.Driver.stats
     end;
     dump_metrics_if metrics
   in
@@ -474,12 +429,7 @@ let explain_cmd =
      uniform command shape but its contents are not read *)
   let run schema _file names q_text =
     let view = or_die (view_of_schema schema) in
-    let q =
-      match Odb.Query_parser.parse q_text with
-      | Ok q -> q
-      | Error e ->
-          or_die (Error (Format.asprintf "%a" Odb.Query_parser.pp_error e))
-    in
+    let q = parse_query q_text in
     let index = resolve_index view (split_names names) in
     print_string (or_die (Oqf.Advisor.explain view ~index q))
   in
@@ -818,12 +768,7 @@ let catalog_query_cmd =
     let jobs = resolve_jobs jobs in
     let cat = open_catalog dir in
     if not no_refresh then refresh_catalog cat ~schema ~fail_policy;
-    let q =
-      match Odb.Query_parser.parse q_text with
-      | Ok q -> q
-      | Error e ->
-          or_die (Error (Format.asprintf "%a" Odb.Query_parser.pp_error e))
-    in
+    let q = parse_query q_text in
     let corpus, lost = corpus_of_catalog cat ~schema ~fail_policy in
     (* the parallel driver merges in corpus order, so the output is
        byte-identical whatever the jobs count — CI runs this at
@@ -833,9 +778,7 @@ let catalog_query_cmd =
     in
     report_degraded (lost @ r.Exec.Driver.degraded);
     List.iter
-      (fun (file, row) ->
-        Printf.printf "%s: %s\n" file
-          (String.concat " | " (List.map Odb.Value.to_display_string row)))
+      (fun (file, row) -> Printf.printf "%s: %s\n" file (display_row row))
       r.Exec.Driver.rows;
     Format.printf "-- %d rows from %d files; %a@."
       (List.length r.Exec.Driver.rows)
@@ -1037,9 +980,7 @@ let batch_cmd =
           | Ok (out : Exec.Driver.outcome) ->
               List.iter
                 (fun (file, row) ->
-                  Printf.printf "%s: %s\n" file
-                    (String.concat " | "
-                       (List.map Odb.Value.to_display_string row)))
+                  Printf.printf "%s: %s\n" file (display_row row))
                 out.Exec.Driver.rows;
               Printf.printf "-- %d rows%s\n"
                 (List.length out.Exec.Driver.rows)
@@ -1132,8 +1073,9 @@ let check_cmd =
   in
   let cost_threshold =
     let doc =
-      "OQF006 threshold: warn when a direct-inclusion expression's weighted \
-       cost estimate exceeds $(docv) (default 50000)."
+      "OQF006 threshold: warn when a direct-inclusion expression's \
+       estimated cost exceeds $(docv) (default 50000).  The estimate is the \
+       cost planner's model under uniform statistics (no file is read)."
     in
     Arg.(value & opt (some string) None & info [ "cost-threshold" ] ~docv:"N" ~doc)
   in
@@ -1155,7 +1097,7 @@ let check_cmd =
     let doc = "Structuring schema: bibtex, log, sgml or mbox." in
     Arg.(value & opt (some string) None & info [ "s"; "schema" ] ~doc)
   in
-  let run schema names queries_files exprs fmt threshold plan declared_rig
+  let run schema names queries_files exprs fmt threshold declared_rig
       list_codes pos_queries =
     let fmt = resolve_format fmt in
     if list_codes then begin
@@ -1185,22 +1127,11 @@ let check_cmd =
       | None -> or_die (Error "a schema is required: pass -s bibtex|log|sgml|mbox")
     in
     let threshold = resolve_cost_threshold threshold in
-    let plan_mode = resolve_plan_mode plan in
     let view = or_die (view_of_schema schema) in
     let index = resolve_index view (split_names names) in
     let env = Oqf.Compile.env view ~index in
     let query_rig =
       Ralg.Rig.partial env.Oqf.Compile.full_rig ~keep:index
-    in
-    (* OQF006 prices expressions with the same model the chosen planner
-       uses, so check and execution never disagree about what is
-       expensive.  Static analysis has no file at hand, so cost mode
-       prices against uniform assumed statistics. *)
-    let cost =
-      match plan_mode with
-      | Oqf_cost.Planner.Rules -> None
-      | Oqf_cost.Planner.Cost_based ->
-          Some (Oqf_cost.Model.legacy (Oqf_cost.Stats.uniform ()))
     in
     let parse_failure pp e =
       [
@@ -1212,7 +1143,7 @@ let check_cmd =
       match Odb.Query_parser.parse text with
       | Error e -> parse_failure Odb.Query_parser.pp_error e
       | Ok q ->
-          (Oqf.Check.query ~text ?cost ?cost_threshold:threshold env
+          (Oqf.Check.query ~text ?cost_threshold:threshold env
              ~query_rig q)
             .Oqf.Check.diagnostics
     in
@@ -1220,7 +1151,7 @@ let check_cmd =
       match Ralg.Expr_parser.parse text with
       | Error e -> parse_failure Ralg.Expr_parser.pp_error e
       | Ok e ->
-          Analysis.Expr_check.check ~text ?cost ?cost_threshold:threshold
+          Analysis.Expr_check.check ~text ?cost_threshold:threshold
             query_rig e
     in
     let file_entries =
@@ -1300,13 +1231,13 @@ let check_cmd =
          "Statically analyze queries, region expressions and structuring \
           schemas against the RIG: trivial emptiness (OQF001), unknown \
           names (OQF002), optimizer rewrites (OQF003/4), unreachable pairs \
-          (OQF005), cost (OQF006), containment findings (OQF301-305, with \
+          (OQF005), cost under the planner's model (OQF006), containment findings (OQF301-305, with \
           a cross-query subsumption pass over batches) and schema checks \
           (OQF101-103).  $(b,--list-codes) prints the full code table.  \
           Exits 1 when any error-severity diagnostic is found.")
     Term.(
       const run $ schema_opt $ index_names_arg $ queries_files $ exprs
-      $ format_arg $ cost_threshold $ plan_arg $ declared_rig $ list_codes
+      $ format_arg $ cost_threshold $ declared_rig $ list_codes
       $ pos_queries)
 
 (* --- advise -------------------------------------------------------- *)
@@ -1391,14 +1322,9 @@ let advise_cmd =
         let names =
           List.fold_left
             (fun acc q_text ->
-              let q =
-                match Odb.Query_parser.parse q_text with
-                | Ok q -> q
-                | Error e ->
-                    or_die
-                      (Error (Format.asprintf "%a" Odb.Query_parser.pp_error e))
+              let names =
+                or_die (Oqf.Advisor.required_indices view (parse_query q_text))
               in
-              let names = or_die (Oqf.Advisor.required_indices view q) in
               Sset.union acc (Sset.of_list names))
             Sset.empty queries
         in

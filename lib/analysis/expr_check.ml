@@ -62,7 +62,27 @@ let describe_witness (l, op, r) =
 
 let default_cost_threshold = 50_000.
 
-let check ?text ?cost ?(cost_threshold = default_cost_threshold) rig e =
+(* OQF006's detail: simple inclusions, direct inclusions (depth
+   selections count as direct), set operators (innermost/outermost
+   among them) and word selections. *)
+let operator_counts e =
+  let rec go ((simple, direct, set, sel) as acc) = function
+    | Expr.Name _ -> acc
+    | Expr.Select (_, e1) -> go (simple, direct, set, sel + 1) e1
+    | Expr.Innermost e1 | Expr.Outermost e1 -> go (simple, direct, set + 1, sel) e1
+    | Expr.Setop (_, a, b) -> go (go (simple, direct, set + 1, sel) a) b
+    | Expr.Chain (a, op, b) | Expr.Chain_strict (a, op, b) ->
+        let acc =
+          if Expr.is_direct op then (simple, direct + 1, set, sel)
+          else (simple + 1, direct, set, sel)
+        in
+        go (go acc a) b
+    | Expr.At_depth (_, a, b) -> go (go (simple, direct + 1, set, sel) a) b
+  in
+  go (0, 0, 0, 0) e
+
+let check ?text ?(stats = Oqf_cost.Stats.uniform ())
+    ?(cost_threshold = default_cost_threshold) rig e =
   let span_of name =
     match text with
     | None -> None
@@ -212,19 +232,18 @@ let check ?text ?cost ?(cost_threshold = default_cost_threshold) rig e =
     List.rev (walk e []) @ minimizable
   in
   let cost_diag =
-    let estimate =
-      match cost with Some f -> f | None -> fun e -> Ralg.Cost.estimate e
-    in
-    let c = estimate e in
-    if c.Ralg.Cost.direct_ops > 0 && c.Ralg.Cost.weighted > cost_threshold
-    then
+    let cost = (Oqf_cost.Model.estimate stats e).Oqf_cost.Model.cost in
+    let simple, direct, set, sel = operator_counts e in
+    if direct > 0 && cost > cost_threshold then
       [
         Diagnostic.make ~code:"OQF006" ~severity:Diagnostic.Warning
-          ~detail:(Format.asprintf "%a" Ralg.Cost.pp c)
+          ~detail:
+            (Printf.sprintf "simple=%d direct=%d set=%d sel=%d weighted=%.1f"
+               simple direct set sel cost)
           (Printf.sprintf
              "estimated evaluation cost %.0f exceeds threshold %.0f and the \
               expression uses %d direct-inclusion operator(s)"
-             c.Ralg.Cost.weighted cost_threshold c.Ralg.Cost.direct_ops);
+             cost cost_threshold direct);
       ]
     else []
   in

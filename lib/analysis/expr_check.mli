@@ -50,17 +50,18 @@ val describe_witness : string * Ralg.Expr.op * string -> string
     oriented by the operator's family. *)
 
 val default_cost_threshold : float
-(** 50,000 weighted units — roughly the paper's four-element direct
-    chain on a 1000-regions-per-name instance. *)
+(** 50,000 cost units of {!Oqf_cost.Model} — roughly the paper's
+    four-element direct chain on a 1000-regions-per-name instance. *)
 
 val check :
   ?text:string ->
-  ?cost:(Ralg.Expr.t -> Ralg.Cost.t) ->
+  ?stats:Oqf_cost.Stats.t ->
   ?cost_threshold:float ->
   Ralg.Rig.t ->
   Ralg.Expr.t ->
   Diagnostic.t list
 (** All diagnostics for one expression, sorted by severity.  [text]
-    (the source the expression was parsed from) anchors spans;
-    [cost] defaults to {!Ralg.Cost.estimate} with default
-    cardinalities. *)
+    (the source the expression was parsed from) anchors spans.
+    OQF006 prices the expression with {!Oqf_cost.Model.estimate}
+    under [stats] (default {!Oqf_cost.Stats.uniform}), the model the
+    cost planner minimizes; its detail counts the operators by kind. *)

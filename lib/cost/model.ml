@@ -114,39 +114,6 @@ let estimate stats e =
 
 let rows stats e = (estimate stats e).rows
 
-(* Operator counts exactly as Ralg.Cost.walk buckets them; only the
-   scalar changes model. *)
-let legacy stats e =
-  let open Ralg.Expr in
-  let rec count (acc : Ralg.Cost.t) e =
-    match e with
-    | Name _ -> acc
-    | Select (_, inner) -> count { acc with selections = acc.selections + 1 } inner
-    | Setop (_, a, b) -> count (count { acc with set_ops = acc.set_ops + 1 } a) b
-    | Innermost inner | Outermost inner ->
-        count { acc with set_ops = acc.set_ops + 1 } inner
-    | Chain (a, op, b) | Chain_strict (a, op, b) ->
-        let acc =
-          if is_direct op then { acc with direct_ops = acc.direct_ops + 1 }
-          else { acc with simple_ops = acc.simple_ops + 1 }
-        in
-        count (count acc a) b
-    | At_depth (_, a, b) ->
-        count (count { acc with direct_ops = acc.direct_ops + 1 } a) b
-  in
-  let counts =
-    count
-      {
-        simple_ops = 0;
-        direct_ops = 0;
-        set_ops = 0;
-        selections = 0;
-        weighted = 0.0;
-      }
-      e
-  in
-  { counts with weighted = (estimate stats e).cost }
-
 (* Phase 2 slices each candidate's extent out of the text and re-parses
    it; the constant prices one region's slice+parse relative to index
    work. *)

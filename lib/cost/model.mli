@@ -5,9 +5,13 @@
     {!Stats}; [upper], a hard bound that holds whenever the leaf
     cardinalities are exact (every operator of the algebra returns a
     subset of one operand, or at most the sum for unions — so the
-    bound composes structurally); and [cost], a scalar in the same
-    units as {!Ralg.Cost.weighted} (lower is better).  All three are
-    clamped finite and non-negative regardless of input. *)
+    bound composes structurally); and [cost], a scalar (lower is
+    better).  All three are clamped finite and non-negative regardless
+    of input.
+
+    This is the one cost model: the cost planner minimizes it, OQF006
+    ({!Analysis.Expr_check}) warns on it, and EXPLAIN and
+    [oqf explain] print it. *)
 
 type est = {
   rows : float;  (** expected result cardinality *)
@@ -25,13 +29,6 @@ val estimate : Stats.t -> Ralg.Expr.t -> est
 val rows : Stats.t -> Ralg.Expr.t -> float
 (** [(estimate stats e).rows] — the shape {!Ralg.Annot.pp} wants for
     estimated-vs-actual display. *)
-
-val legacy : Stats.t -> Ralg.Expr.t -> Ralg.Cost.t
-(** The same estimate shaped as the PR 4 heuristic record: operator
-    counts exactly as {!Ralg.Cost.estimate} counts them, [weighted]
-    replaced by this model's [cost].  This is what [oqf check
-    --cost-threshold] consumes in cost mode, so the checker and the
-    planner can never disagree about a query's estimated cost. *)
 
 val materialize_cost : Stats.t -> rows:float -> float
 (** Cost of phase-2 materializing [rows] candidate regions of an exact

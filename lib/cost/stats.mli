@@ -32,13 +32,14 @@ type name_stats = {
 type t
 
 val default_card : int
-(** Cardinality assumed for names with no recorded statistics (1000,
-    matching {!Ralg.Cost.estimate}'s default). *)
+(** Cardinality assumed for names with no recorded statistics
+    (1000). *)
 
 val uniform : ?card:int -> unit -> t
 (** No statistics at all: every name gets [card] regions (default
-    {!default_card}), no densities, no depth histograms.  The estimator
-    degrades to the PR 4 heuristic on this. *)
+    {!default_card}), no densities, no depth histograms.  What static
+    analysis ([oqf check], [oqf explain]) prices with, having no file
+    at hand. *)
 
 val of_instance : Pat.Instance.t -> t
 (** Per-name cardinalities plus depth histograms from a loaded
@@ -76,7 +77,7 @@ val word_selectivity : t -> string -> float
     spanning [m] match points survives [σ_w] with probability
     [min 1 (m/W)] under independent word placement, where [W] is the
     corpus vocabulary proxy — and clamped; 0.1 when density is
-    unknown (the PR 4 heuristic).  The corpus totals behind [W] are
+    unknown.  The corpus totals behind [W] are
     summed once when the value is built, so a call is a table lookup. *)
 
 val depth_overlap : t -> outer:string -> inner:string -> float

@@ -87,16 +87,27 @@ let with_qlog ?qctx ?generation ~kind corpus q run =
       let schema = schema_of_corpus corpus in
       let retries = counter_value "retry.attempts" - retries0 in
       let faults = counter_value "fault.injected" - faults0 in
-      let record ~rows ~cached ~outcome ?error ~events () =
+      let record ~rows ~cached ~outcome ?error ?candidates ?est_cost ~events
+          () =
         Obs.Qlog.append log
           (Obs.Qlog.make ~ctx ~workload_default:schema ~schema ~kind
              ~query:(Odb.Query.to_string q) ~latency_ms ~rows ~cached ~outcome
-             ?error ~events ~retries ~faults ?generation ())
+             ?error ?candidates ?est_cost ~events ~retries ~faults ?generation
+             ())
       in
       (match result with
       | Ok (o : outcome) ->
+          let per_file = List.map snd o.per_file in
           record ~rows:(List.length o.rows) ~cached:o.from_cache
             ~outcome:(if o.degraded = [] then "ok" else "degraded")
+            ~candidates:
+              (List.fold_left
+                 (fun acc (r : Oqf.Execute.outcome) -> acc + r.candidates_count)
+                 0 per_file)
+            ~est_cost:
+              (List.fold_left
+                 (fun acc (r : Oqf.Execute.outcome) -> acc +. r.est_cost)
+                 0. per_file)
             ~events:
               ((match o.cache_superset with
                | Some superset -> [ ("rcache.containment", superset) ]
@@ -168,11 +179,12 @@ exception Abort of string
    order.  [Fail_fast] aborts the query on the first failure;
    [Partial] excludes failed files; [Degrade] walks the recovery
    ladder per failed file: circuit breaker → query-level error check →
-   naive scan of the raw file → exclusion.  [on_rows]
+   naive scan of the raw file, under the per-file [timeout_ms] →
+   exclusion.  [on_rows]
    receives each file's non-empty answer rows, indexed or naive, as
    soon as that file settles.  Returns the merged rows, the indexed
    per-file outcomes, and the degradation report. *)
-let resolve ~fail_policy ~on_rows q files =
+let resolve ?timeout_ms ~fail_policy ~on_rows q files =
   let rows = ref [] in
   let per_file = ref [] in
   let degraded = ref [] in
@@ -209,7 +221,11 @@ let resolve ~fail_policy ~on_rows q files =
                      same way, degrading would silently return nothing *)
                   raise (Abort (Printf.sprintf "%s: %s" name se))
               | None -> begin
-                  match Oqf.Execute.run_naive ~file:name src q with
+                  match
+                    Result.join
+                      (Pool.capture ?timeout_ms (fun () ->
+                           Oqf.Execute.run_naive ~file:name src q))
+                  with
                   | Ok nrows ->
                       Stdx.Retry.Breaker.success breaker_key;
                       emit name nrows;
@@ -271,7 +287,7 @@ let with_lanes lanes ~files k =
    like an evaluation error.  Once [resolve] is done with the query —
    answered, aborted, or cut short by an exception from [on_rows] —
    the tasks that have not started yet skip their files. *)
-let run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
+let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
     ?(fail_policy = Fail_fast) ?qctx ?generation ?on_rows ~lanes corpus q =
   let replay, on_rows =
     match on_rows with
@@ -293,7 +309,8 @@ let run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
         List.map
           (fun (name, src) ->
             let run () =
-              Oqf.Execute.run ?optimize ?minimize ?force ?plan_mode src q
+              Oqf.Execute.run ?optimize ?minimize ?explain ?force ?plan_mode
+                src q
             in
             match lane with
             | Bare -> (name, src, run)
@@ -312,7 +329,7 @@ let run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
       in
       Fun.protect
         ~finally:(fun () -> Atomic.set cancelled true)
-        (fun () -> resolve ~fail_policy ~on_rows q files))
+        (fun () -> resolve ?timeout_ms ~fail_policy ~on_rows q files))
   |> Result.map (fun (rows, per_file, degraded) ->
          {
            rows;
@@ -325,12 +342,12 @@ let run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
 
 let bad_jobs jobs = Printf.sprintf "jobs must be at least 1 (got %d)" jobs
 
-let run_parallel ?optimize ?minimize ?force ?plan_mode ?jobs ?cache
+let run_parallel ?optimize ?minimize ?explain ?force ?plan_mode ?jobs ?cache
     ?timeout_ms ?fail_policy ?qctx ?generation corpus q =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then Error (bad_jobs jobs)
   else
-    run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
+    run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
       ?fail_policy ?qctx ?generation ~lanes:(Private jobs) corpus q
 
 let run_streaming ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms

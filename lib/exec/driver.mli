@@ -24,8 +24,10 @@ type fail_policy =
   | Degrade
       (** per-file recovery ladder before giving up: a failed file
           falls back to a naive scan of its raw bytes
-          ({!Oqf.Execute.run_naive}), and only a file with no
-          remaining path to its data is excluded.  A per-source
+          ({!Oqf.Execute.run_naive}, on the caller, bounded by the
+          same per-file [timeout_ms] as the task it replaces), and
+          only a file with no remaining path to its data, or whose
+          scan runs out of time, is excluded.  A per-source
           circuit breaker ({!Stdx.Retry.Breaker}) stops a flapping
           file from burning the retry budget on every query.  Rows
           are byte-identical to a fault-free run whenever every file
@@ -68,6 +70,7 @@ val default_jobs : unit -> int
 val run_parallel :
   ?optimize:bool ->
   ?minimize:bool ->
+  ?explain:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
   ?jobs:int ->
@@ -90,9 +93,11 @@ val run_parallel :
     an evaluation error).  Once the query is answered or has failed,
     tasks that have not started skip their files, so under
     [Fail_fast] an error at one file cancels the files still queued
-    behind it.  [force] and [plan_mode] reach {!Oqf.Execute.run}:
-    execute despite error-severity static-analysis findings / select
-    the rule-based or cost-based planner.  With [cache], a hit skips
+    behind it.  [explain], [force] and [plan_mode] reach
+    {!Oqf.Execute.run}: fill each file's EXPLAIN ANALYZE annotations
+    (how [oqf query --explain] runs) / execute despite error-severity
+    static-analysis findings / select the rule-based or cost-based
+    planner.  With [cache], a hit skips
     evaluation entirely, a resident {e superset} entry answers by
     filtering its rows ({!Rcache.find_contained} — byte-identical,
     recorded in [cache_superset]), and a successful non-degraded run
@@ -108,11 +113,13 @@ val run_parallel :
     [qctx] (here and on every driver entry point): when present and a
     query log is installed ({!Obs.Qlog.install}), the run appends
     exactly one qlog record — whole-query latency, row count, cache
-    hit, outcome, and the degradation/retry/fault events observed
-    during the run — under [qctx]'s trace id, and observes the
+    hit, outcome, the degradation/retry/fault events observed during
+    the run, and the phase-1 [candidates] and planner [est_cost]
+    summed over [per_file] — under [qctx]'s trace id, and observes the
     whole-query latency in the [exec.query_ms{workload}] histogram.
-    The per-file {!Oqf.Execute.run} calls underneath never receive a
-    [qctx], so a driven query logs once, not once per file.
+    This is the only qlog writer of a query: the per-file
+    {!Oqf.Execute.run} calls underneath write none, so a driven query
+    logs once, not once per file.
 
     [generation] (here and on {!run_streaming}): the catalog
     generation the corpus was pinned at, recorded in the qlog record's

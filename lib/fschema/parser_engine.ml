@@ -139,7 +139,11 @@ and parse_rhs ctx name rhs pos =
             | None -> None
           end
         | Grammar.Star { nonterm; separator } :: rest -> begin
+            (* one deadline poll per element: a whole-file parse (the
+               naive fallback, a full scan) is a loop over the file's
+               entries, so a task's timeout can cut it short *)
             let rec elems acc pos =
+              Obs.Deadline.check ();
               match parse_nonterm ctx nonterm pos with
               | None -> (List.rev acc, pos)
               | Some (node, next) -> begin
@@ -161,6 +165,7 @@ and parse_rhs ctx name rhs pos =
                     end
                 end
             and continue_with acc pos =
+              Obs.Deadline.check ();
               match separator with
               | None -> elems acc pos
               | Some sep -> begin

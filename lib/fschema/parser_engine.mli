@@ -8,7 +8,12 @@
 
     Parsing is where file bytes are consumed, so the engine reports the
     bytes it touched to {!Stdx.Stats.global} ([bytes_parsed]) — this is
-    the quantity partial indexing is designed to shrink. *)
+    the quantity partial indexing is designed to shrink.
+
+    Every repetition polls {!Obs.Deadline.check} once per element, so a
+    parse running under a task deadline raises {!Obs.Deadline.Expired}
+    close to its budget; with no deadline armed the poll is one
+    domain-local load. *)
 
 type error = { position : int; expected : string }
 

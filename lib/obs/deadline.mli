@@ -2,15 +2,16 @@
 
     The Exec worker pool gives each task an optional deadline; the
     region-algebra evaluator polls {!check} once per operator
-    application so a runaway expression aborts close to its budget
-    instead of holding a worker forever.  The armed deadline lives in
+    application, and the file parser once per repetition element, so
+    a runaway expression or whole-file parse aborts close to its
+    budget instead of holding a worker forever.  The armed deadline lives in
     domain-local storage, so concurrent tasks on different workers
     cannot see each other's budgets.
 
     Granularity: a single operator application (one inclusion join,
     one selection) runs to completion — the poll sits between
     operators, not inside their loops — so an expiry is detected at
-    the next operator boundary. *)
+    the next operator boundary, or at the parser's next element. *)
 
 exception Expired of float
 (** Raised by {!check} (and thus out of the evaluator) when the armed

@@ -154,17 +154,19 @@ let explain view ~index q =
           let ppf = Format.formatter_of_buffer buf in
           Format.fprintf ppf "%a@." Plan.pp plan;
           let rig = Ralg.Rig.partial env.Compile.full_rig ~keep:index in
+          (* no file is read: price with uniform statistics *)
+          let uniform = Oqf_cost.Stats.uniform () in
+          let cost e = (Oqf_cost.Model.estimate uniform e).Oqf_cost.Model.cost in
           List.iter
             (fun (vp : Plan.var_plan) ->
               match vp.Plan.candidates with
               | Plan.Expr e ->
                   let opt = Ralg.Optimizer.optimize rig e in
                   Format.fprintf ppf
-                    "var %s:@.  naive:     %a@.  optimized: %a@.  cost: %a -> \
-                     %a@.  trivially empty: %b@."
-                    vp.Plan.var Ralg.Expr.pp e Ralg.Expr.pp opt Ralg.Cost.pp
-                    (Ralg.Cost.estimate e) Ralg.Cost.pp
-                    (Ralg.Cost.estimate opt)
+                    "var %s:@.  naive:     %a@.  optimized: %a@.  cost: %.1f \
+                     -> %.1f@.  trivially empty: %b@."
+                    vp.Plan.var Ralg.Expr.pp e Ralg.Expr.pp opt (cost e)
+                    (cost opt)
                     (Ralg.Trivial.check rig e)
               | Plan.All ->
                   Format.fprintf ppf "var %s: full scan@." vp.Plan.var

@@ -16,5 +16,6 @@ val required_indices :
 val explain :
   Fschema.View.t -> index:string list -> Odb.Query.t -> (string, string) result
 (** Human-readable plan report: per-variable naive and optimized
-    expressions, cost estimates, exactness, and the advisor's
+    expressions, their {!Oqf_cost.Model} costs under uniform
+    statistics (no file is read), exactness, and the advisor's
     sufficient index set. *)

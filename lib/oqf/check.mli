@@ -24,7 +24,7 @@ type checked = {
 
 val plan_diagnostics :
   ?text:string ->
-  ?cost:(Ralg.Expr.t -> Ralg.Cost.t) ->
+  ?stats:Oqf_cost.Stats.t ->
   ?cost_threshold:float ->
   Compile.env ->
   query_rig:Ralg.Rig.t ->
@@ -32,14 +32,13 @@ val plan_diagnostics :
   Analysis.Diagnostic.t list
 (** Diagnose a compiled plan: path-level walks over [env]'s full RIG
     plus per-variable expression checks against [query_rig].  [text]
-    is the query's source text (spans); [cost] defaults to
-    {!Ralg.Cost.estimate} with default cardinalities — pass
-    [Ralg.Cost.of_instance] applied to an instance for true
-    cardinalities.  Sorted by severity, deduplicated. *)
+    is the query's source text (spans); [stats] prices OQF006 (default
+    {!Oqf_cost.Stats.uniform}; {!Execute.run} passes its source's
+    planning statistics).  Sorted by severity, deduplicated. *)
 
 val query :
   ?text:string ->
-  ?cost:(Ralg.Expr.t -> Ralg.Cost.t) ->
+  ?stats:Oqf_cost.Stats.t ->
   ?cost_threshold:float ->
   Compile.env ->
   query_rig:Ralg.Rig.t ->

@@ -1,10 +1,10 @@
 type origin = Memory | Disk
 
 (* Catalog sources are built holding their manifest entry's statistics;
-   the others sweep their instance the first time a cost-mode run or
-   EXPLAIN asks.  The sweep is published through an [Atomic] under a
-   lock rather than a [Lazy.t]: serve shares sources across worker
-   domains, and [Lazy] is not domain-safe. *)
+   the others sweep their instance the first time a run asks.  The
+   sweep is published through an [Atomic] under a lock rather than a
+   [Lazy.t]: serve shares sources across worker domains, and [Lazy] is
+   not domain-safe. *)
 type plan_stats = { value : Oqf_cost.Stats.t option Atomic.t; lock : Mutex.t }
 
 type source = {
@@ -107,18 +107,14 @@ let labelled_histograms =
             Hashtbl.replace table workload hs;
             hs)
 
-let observe_query ?workload ~view ~latency_ms ~answers ~candidates () =
+let observe_query ~view ~latency_ms ~answers ~candidates =
   let obs (lat_h, ans_h, cand_h) =
     Obs.Metrics.observe lat_h latency_ms;
     Obs.Metrics.observe ans_h (float_of_int answers);
     Obs.Metrics.observe cand_h (float_of_int candidates)
   in
   obs (query_latency_ms, query_answers, query_candidates);
-  match
-    match workload with
-    | Some w when w <> "" -> Some w
-    | _ -> Oqf_catalog.Schemas.name_of_view view
-  with
+  match Oqf_catalog.Schemas.name_of_view view with
   | Some workload -> obs (labelled_histograms workload)
   | None -> ()
 
@@ -291,7 +287,7 @@ let materialize_region src ~symbol (r : Pat.Region.t) =
   end
 
 let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
-    ?(force = false) ?(plan_mode = Oqf_cost.Planner.Rules) ?qctx src
+    ?(force = false) ?(plan_mode = Oqf_cost.Planner.Rules) src
     (q : Odb.Query.t) =
   let minimize =
     match minimize with
@@ -304,38 +300,12 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
     if Obs.Trace.enabled () then Obs.Trace.begin_span "query.run"
     else Obs.Trace.null
   in
-  let schema_name =
-    Option.value (Oqf_catalog.Schemas.name_of_view src.view) ~default:""
-  in
-  let qlog_finish latency_ms result =
-    (* Only executions handed an explicit correlation context log here:
-       the driver logs one record per driven query itself, so its
-       per-file calls must not produce a second record each. *)
-    match (qctx, Obs.Qlog.installed ()) with
-    | Some ctx, Some log ->
-        let record ~rows ~outcome ?error ?candidates ?est_cost () =
-          Obs.Qlog.append log
-            (Obs.Qlog.make ~ctx ~workload_default:schema_name
-               ~schema:schema_name ~kind:"query"
-               ~query:(Odb.Query.to_string q) ~latency_ms ~rows ~cached:false
-               ~outcome ?error ?candidates ?est_cost ())
-        in
-        (match result with
-        | Ok o ->
-            record ~rows:o.answers_count ~outcome:"ok"
-              ~candidates:o.candidates_count ~est_cost:o.est_cost ()
-        | Error e -> record ~rows:0 ~outcome:"error" ~error:e ())
-    | _ -> ()
-  in
   let finish result =
     let latency_ms = Obs.Trace.now_ms () -. t0 in
-    qlog_finish latency_ms result;
     (match result with
     | Ok o ->
-        observe_query
-          ?workload:(Option.map (fun (c : Obs.Qlog.ctx) -> c.workload) qctx)
-          ~view:src.view ~latency_ms ~answers:o.answers_count
-          ~candidates:o.candidates_count ();
+        observe_query ~view:src.view ~latency_ms ~answers:o.answers_count
+          ~candidates:o.candidates_count;
         if Obs.Trace.enabled () then
           Obs.Trace.end_span root
             ~attrs:
@@ -357,17 +327,11 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
   | Ok plan ->
       let diagnostics =
         Obs.Trace.with_span "query.analyze" @@ fun () ->
-        (* in cost mode the checker prices expressions with the same
-           model the planner minimizes, so OQF006 and plan selection
-           can never disagree about a query's estimated cost *)
-        let cost =
-          match plan_mode with
-          | Oqf_cost.Planner.Rules -> Ralg.Cost.of_instance src.instance
-          | Oqf_cost.Planner.Cost_based ->
-              Oqf_cost.Model.legacy (stats src)
-        in
-        Check.plan_diagnostics ~text:(Odb.Query.to_string q) ~cost src.env
-          ~query_rig:src.query_rig plan
+        (* the checker prices expressions with the model the cost
+           planner minimizes, so OQF006 and plan selection can never
+           disagree about a query's estimated cost *)
+        Check.plan_diagnostics ~text:(Odb.Query.to_string q)
+          ~stats:(stats src) src.env ~query_rig:src.query_rig plan
       in
       if (not force) && Analysis.Diagnostic.has_errors diagnostics then
         Error (Check.refusal diagnostics)

@@ -24,8 +24,8 @@ type source = {
                                optimizer *)
   origin : origin;
   plan_stats : plan_stats;
-      (** what the cost planner and EXPLAIN price with: given by
-          {!with_stats}, or swept from [instance] on first use *)
+      (** what the cost planner, OQF006 and EXPLAIN price with: given
+          by {!with_stats}, or swept from [instance] on first use *)
 }
 
 val make_source :
@@ -95,7 +95,6 @@ val run :
   ?explain:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
-  ?qctx:Obs.Qlog.ctx ->
   source ->
   Odb.Query.t ->
   (outcome, string) result
@@ -117,7 +116,8 @@ val run :
     EXPLAIN ANALYZE path; otherwise phase 1 runs
     {!Ralg.Eval.eval_shared}.
 
-    Static analysis ({!Check.plan_diagnostics}) runs between compiling
+    Static analysis ({!Check.plan_diagnostics}, OQF006 priced over
+    the source's {!stats} in either plan mode) runs between compiling
     and phase 1.  Error-severity findings — the plan is provably empty
     on every conforming file (Prop 3.3) — refuse execution with
     {!Check.refusal} unless [force] (default [false]) is set; the
@@ -128,14 +128,8 @@ val run :
     [query.candidates] registry histograms; when a trace sink is
     installed the phases (i)–(iv) appear as spans ([query.compile],
     [query.analyze], [query.phase1], [query.join_assist],
-    [query.phase2]) under a [query.run] root.
-
-    [qctx] is the query-log correlation context: when present {e and}
-    a log is installed ({!Obs.Qlog.install}), the run appends one qlog
-    record carrying [qctx]'s trace id and workload label.  Callers
-    that drive many per-file runs for one logical query (the
-    {!Exec.Driver}) log at their own level and leave [qctx] unset
-    here. *)
+    [query.phase2]) under a [query.run] root.  A run writes no qlog
+    record: {!Exec.Driver} logs one per driven query. *)
 
 val run_baseline :
   Fschema.View.t ->

@@ -1,17 +1,8 @@
 let pp ?(show_times = false) ~source ppf (o : Execute.outcome) =
-  let estimate = Ralg.Cost.of_instance source.Execute.instance in
-  (* cost mode prices with the statistics model and shows estimated
-     rows beside each node's actuals; rules mode keeps the PR 2 output
-     byte-identical (the obs cram pins it) *)
-  let cost_based = o.Execute.plan_mode = Oqf_cost.Planner.Cost_based in
-  let estimate, est_rows =
-    if cost_based then begin
-      let stats = Execute.stats source in
-      ( (fun e -> Oqf_cost.Model.legacy stats e),
-        Some (fun e -> Oqf_cost.Model.rows stats e) )
-    end
-    else (estimate, None)
-  in
+  (* every node is priced by the one cost model over the source's
+     planning statistics, in either plan mode *)
+  let stats = Execute.stats source in
+  let estimate e = (Oqf_cost.Model.estimate stats e).Oqf_cost.Model.cost in
   Format.fprintf ppf "%a@." Plan.pp o.Execute.plan;
   (* before [rewrites:] — the obs cram slices the output from that
      line on, and must stay byte-identical *)
@@ -32,7 +23,9 @@ let pp ?(show_times = false) ~source ppf (o : Execute.outcome) =
             rw.Ralg.Optimizer.detail)
         rws);
   (match o.Execute.decisions with
-  | [] -> if cost_based then Format.fprintf ppf "cost plan: (no choices)@."
+  | [] ->
+      if o.Execute.plan_mode = Oqf_cost.Planner.Cost_based then
+        Format.fprintf ppf "cost plan: (no choices)@."
   | ds ->
       Format.fprintf ppf "cost plan:@.";
       List.iter
@@ -52,7 +45,9 @@ let pp ?(show_times = false) ~source ppf (o : Execute.outcome) =
             (Ralg.Expr.to_string annot.Ralg.Annot.expr);
           let body =
             Format.asprintf "%a"
-              (Ralg.Annot.pp ~estimate ?est_rows ~show_times)
+              (Ralg.Annot.pp ~estimate
+                 ~est_rows:(Oqf_cost.Model.rows stats)
+                 ~show_times)
               annot
           in
           String.split_on_char '\n' body

@@ -3,8 +3,10 @@
     Combines the static side of an executed query — the plan and the
     optimizer rewrites that shaped it — with the actual per-node costs
     collected by {!Ralg.Eval.eval_shared_annotated} (via
-    [Execute.run ~explain:true]) and the static {!Ralg.Cost} estimate
-    for each node, so estimated and actual work sit side by side.
+    [Execute.run ~explain:true]) and each node's {!Oqf_cost.Model}
+    estimate over the source's planning statistics ({!Execute.stats}):
+    estimated rows beside the actual [out=] count, estimated cost
+    beside the actual work, in either plan mode.
 
     The "analyzed totals" line sums the per-node self costs across all
     annotated trees; for plans whose index work happens entirely in

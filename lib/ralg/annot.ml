@@ -33,7 +33,7 @@ let pp ?estimate ?est_rows ?(show_times = false) ppf root =
         (total_cmps n);
     (match estimate with
     | Some est ->
-        Format.fprintf ppf " | est weighted=%.1f" (est n.expr).Cost.weighted
+        Format.fprintf ppf " | est weighted=%.1f" (est n.expr)
     | None -> ());
     if show_times then Format.fprintf ppf " | %.3f ms" n.duration_ms;
     Format.fprintf ppf "]@.";

@@ -33,15 +33,16 @@ val total_lookups : t -> int
 val node_count : t -> int
 
 val pp :
-  ?estimate:(Expr.t -> Cost.t) ->
+  ?estimate:(Expr.t -> float) ->
   ?est_rows:(Expr.t -> float) ->
   ?show_times:bool ->
   Format.formatter ->
   t ->
   unit
 (** Indented tree: one line per operator with actual out-cardinality
-    and self/subtree work, and — when [estimate] is given — the static
-    {!Cost} estimate of the subtree next to the actuals.  [est_rows]
+    and self/subtree work, and — when [estimate] is given — the
+    subtree's estimated cost (in the caller's cost model) next to the
+    actuals.  [est_rows]
     additionally prints an estimated result cardinality beside each
     node's actual [out=] count (the cost-based planner's
     estimated-vs-actual display).  [show_times] (default [false])

@@ -666,6 +666,60 @@ let workload_labelled_histograms () =
     "unlabelled alias still recorded" true
     (List.mem "query.latency_ms" names)
 
+(* The driver is a query's one qlog writer: a driven query appends
+   exactly one record, whose candidates and est_cost sum the per-file
+   outcomes. *)
+let qlog_one_record_per_query () =
+  let corpus = log_corpus [ 30; 20 ] in
+  let q =
+    Odb.Query_parser.parse_exn
+      {|SELECT e.Level FROM Entries e WHERE e.Service = "db"|}
+  in
+  let path = Filename.concat (temp_dir ()) "q.log" in
+  let log = or_fail (Obs.Qlog.open_log path) in
+  Obs.Qlog.install (Some log);
+  let out =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Qlog.install None;
+        Obs.Qlog.close log)
+      (fun () ->
+        or_fail
+          (Exec.Driver.run_parallel ~jobs:2
+             ~plan_mode:Oqf_cost.Planner.Cost_based
+             ~qctx:{ Obs.Qlog.trace_id = "t-one"; workload = "test" }
+             corpus q))
+  in
+  let per_file = List.map snd out.Exec.Driver.per_file in
+  Alcotest.(check int) "both files answered from their index" 2
+    (List.length per_file);
+  let candidates =
+    List.fold_left
+      (fun acc (r : Oqf.Execute.outcome) -> acc + r.candidates_count)
+      0 per_file
+  and est_cost =
+    List.fold_left
+      (fun acc (r : Oqf.Execute.outcome) -> acc +. r.est_cost)
+      0. per_file
+  in
+  let records, skipped =
+    or_fail (Obs.Qlog.fold path ~init:[] ~f:(fun acc r -> r :: acc))
+  in
+  Alcotest.(check int) "no torn records" 0 skipped;
+  match records with
+  | [ r ] ->
+      Alcotest.(check string) "trace id" "t-one" r.Obs.Qlog.trace_id;
+      Alcotest.(check int) "candidates = sum over per_file" candidates
+        r.Obs.Qlog.candidates;
+      Alcotest.(check bool) "candidates recorded" true (candidates > 0);
+      Alcotest.(check bool) "est_cost recorded" true (est_cost > 0.);
+      Alcotest.(check bool)
+        (Printf.sprintf "est_cost %g = sum over per_file %g"
+           r.Obs.Qlog.est_cost est_cost)
+        true
+        (Float.abs (r.Obs.Qlog.est_cost -. est_cost) <= 1e-9 *. est_cost)
+  | rs -> Alcotest.failf "expected one qlog record, got %d" (List.length rs)
+
 (* ------------------------------------------------------------------ *)
 (* Fail policies and fault recovery                                    *)
 
@@ -719,6 +773,56 @@ let degrade_falls_back_to_naive () =
         (List.exists
            (fun d -> d.Oqf.Degrade.action = Oqf.Degrade.Naive_fallback)
            out.Exec.Driver.degraded))
+
+(* The naive fallback runs under the file's timeout: with every pool
+   task failing, a whole-file parse of a >= 1 MB log must be cut off
+   by a 1 ms budget (the parser polls the deadline per entry) and
+   exclude the file, while with no budget it answers the fault-free
+   rows. *)
+let degrade_fallback_obeys_timeout () =
+  let text =
+    Workload.Log_gen.generate
+      { (Workload.Log_gen.with_size 10_000) with seed = 77 }
+  in
+  Alcotest.(check bool) "at least 1 MB" true
+    (String.length text >= 1_000_000);
+  let corpus = log_corpus_of [ ("big.log", text) ] in
+  let q = Odb.Query_parser.parse_exn error_query in
+  let reference = or_fail (Exec.Driver.run_parallel ~jobs:1 corpus q) in
+  Alcotest.(check bool) "the query has answers" true
+    (reference.Exec.Driver.rows <> []);
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  with_faults "permanent:1.0,only:pool.task" (fun () ->
+      let run ?timeout_ms () =
+        Stdx.Retry.Breaker.reset_all ();
+        or_fail
+          (Exec.Driver.run_parallel ~jobs:1 ?timeout_ms
+             ~fail_policy:Exec.Driver.Degrade corpus q)
+      in
+      let full, full_s = timed (fun () -> run ()) in
+      Alcotest.check rows_t "no timeout: rows identical to fault-free"
+        reference.Exec.Driver.rows full.Exec.Driver.rows;
+      let cut, cut_s = timed (fun () -> run ~timeout_ms:1.0 ()) in
+      Alcotest.check rows_t "timed out: no rows" [] cut.Exec.Driver.rows;
+      (match cut.Exec.Driver.degraded with
+      | [ d ] ->
+          Alcotest.(check string) "excluded" "excluded"
+            (Oqf.Degrade.action_to_string d.Oqf.Degrade.action);
+          Alcotest.(check bool)
+            ("detail names the timeout: " ^ d.Oqf.Degrade.detail)
+            true
+            (Astring.String.is_infix ~affix:"timed out"
+               d.Oqf.Degrade.detail)
+      | ds -> Alcotest.failf "expected one exclusion, got %d" (List.length ds));
+      Alcotest.(check bool)
+        (Printf.sprintf "cut off promptly (%.1f ms vs %.1f ms unbounded)"
+           (cut_s *. 1000.) (full_s *. 1000.))
+        true
+        (cut_s *. 4. < full_s))
 
 let partial_excludes_failed_files () =
   let corpus = log_corpus [ 10; 6 ] in
@@ -1066,6 +1170,8 @@ let suites =
           batch_runs_all_queries;
         Alcotest.test_case "workload-labelled histograms" `Quick
           workload_labelled_histograms;
+        Alcotest.test_case "one qlog record per driven query" `Quick
+          qlog_one_record_per_query;
       ] );
     ( "exec.robustness",
       [
@@ -1073,6 +1179,8 @@ let suites =
           pool_worker_survives_raising_tasks;
         Alcotest.test_case "degrade falls back to naive scan" `Quick
           degrade_falls_back_to_naive;
+        Alcotest.test_case "degrade fallback obeys the file timeout" `Quick
+          degrade_fallback_obeys_timeout;
         Alcotest.test_case "partial excludes failed files" `Quick
           partial_excludes_failed_files;
         Alcotest.test_case "fail-fast still fails" `Quick fail_fast_still_fails;

@@ -844,50 +844,6 @@ let parser_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Cost model sanity *)
-
-let cost_tests =
-  [
-    Alcotest.test_case "direct ops cost more than simple ones" `Quick
-      (fun () ->
-        let direct = Expr.(name "A" >.. name "B") in
-        let simple = Expr.(name "A" >. name "B") in
-        Alcotest.(check bool) "ordering" true
-          (Cost.compare_weighted (Cost.estimate simple) (Cost.estimate direct)
-          < 0));
-    Alcotest.test_case "longer chains cost more" `Quick (fun () ->
-        let long_e = Expr.(name "A" >. (name "B" >. name "C")) in
-        let short_e = Expr.(name "A" >. name "C") in
-        Alcotest.(check bool) "ordering" true
-          (Cost.compare_weighted (Cost.estimate short_e) (Cost.estimate long_e)
-          < 0));
-    Alcotest.test_case "of_instance uses real cardinalities" `Quick (fun () ->
-        let inst =
-          Pat.Instance.create
-            (Pat.Text.of_string "a b c d e f")
-            [
-              ("Big", Pat.Region_set.of_pairs [ (0, 1); (2, 3); (4, 5); (6, 7) ]);
-              ("Small", Pat.Region_set.of_pairs [ (0, 11) ]);
-            ]
-        in
-        let on_big = Cost.of_instance inst Expr.(name "Big" >. name "Big") in
-        let on_small = Cost.of_instance inst Expr.(name "Small" >. name "Small") in
-        Alcotest.(check bool) "bigger operands cost more" true
-          (Cost.compare_weighted on_small on_big < 0));
-    Alcotest.test_case "paper e1 costs more than e2" `Quick (fun () ->
-        let e1 =
-          Expr_parser.parse_exn
-            "Reference >d Authors >d Name >d sigma[\"Chang\"](Last_Name)"
-        in
-        let e2 =
-          Expr_parser.parse_exn
-            "Reference > Authors > sigma[\"Chang\"](Last_Name)"
-        in
-        Alcotest.(check bool) "optimized is cheaper" true
-          (Cost.compare_weighted (Cost.estimate e2) (Cost.estimate e1) < 0));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE: the annotated evaluator's per-node self costs must
    sum to exactly the work the evaluation charged to the global
    counters, and sharing must show up as cached zero-cost nodes. *)
@@ -1340,6 +1296,5 @@ let suites =
     ("ralg.eval", eval_tests);
     ("ralg.annot", annot_tests);
     ("ralg.parser", parser_tests);
-    ("ralg.cost", cost_tests);
     ("ralg.forest", forest_tests);
   ]
