@@ -139,7 +139,7 @@ let e1 () =
     let plan = or_die (Oqf.Compile.compile src.Oqf.Execute.env q_chang) in
     match plan.Oqf.Plan.var_plans with
     | [ { Oqf.Plan.candidates = Oqf.Plan.Expr e; _ } ] ->
-        (e, Ralg.Optimizer.optimize src.Oqf.Execute.query_rig e)
+        (e, Ralg.Optimizer.optimize src.Oqf.Execute.env.Oqf.Compile.query_rig e)
     | _ -> failwith "unexpected plan shape"
   in
   List.iter
@@ -747,7 +747,7 @@ let o1 () =
     let plan = or_die (Oqf.Compile.compile src.Oqf.Execute.env q_chang) in
     match plan.Oqf.Plan.var_plans with
     | [ { Oqf.Plan.candidates = Oqf.Plan.Expr e; _ } ] ->
-        Ralg.Optimizer.optimize src.Oqf.Execute.query_rig e
+        Ralg.Optimizer.optimize src.Oqf.Execute.env.Oqf.Compile.query_rig e
     | _ -> failwith "unexpected plan shape"
   in
   assert (not (Obs.Trace.enabled ()));
@@ -1605,16 +1605,12 @@ let ct1 () =
       (fun (view, path, fallback) ->
         let texts = ct1_read_queries path fallback in
         let index = Fschema.Grammar.indexable view.Fschema.View.grammar in
-        let env = Oqf.Compile.env view ~index in
-        let query_rig =
-          Ralg.Rig.partial env.Oqf.Compile.full_rig ~keep:index
-        in
-        (env, query_rig, texts))
+        (Oqf.Compile.env view ~index, texts))
       ct1_example_queries
   in
   let check_all () =
     List.fold_left
-      (fun acc (env, query_rig, texts) ->
+      (fun acc (env, texts) ->
         let labelled =
           List.mapi
             (fun i t -> (Printf.sprintf "query %d" (i + 1), t))
@@ -1623,7 +1619,7 @@ let ct1 () =
         let per_query =
           List.concat_map
             (fun (_, t) ->
-              (Oqf.Check.query ~text:t env ~query_rig
+              (Oqf.Check.query ~text:t env
                  (Odb.Query_parser.parse_exn t))
                 .Oqf.Check.diagnostics)
             labelled

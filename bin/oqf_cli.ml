@@ -1130,9 +1130,6 @@ let check_cmd =
     let view = or_die (view_of_schema schema) in
     let index = resolve_index view (split_names names) in
     let env = Oqf.Compile.env view ~index in
-    let query_rig =
-      Ralg.Rig.partial env.Oqf.Compile.full_rig ~keep:index
-    in
     let parse_failure pp e =
       [
         Analysis.Diagnostic.make ~code:"OQF000"
@@ -1143,8 +1140,7 @@ let check_cmd =
       match Odb.Query_parser.parse text with
       | Error e -> parse_failure Odb.Query_parser.pp_error e
       | Ok q ->
-          (Oqf.Check.query ~text ?cost_threshold:threshold env
-             ~query_rig q)
+          (Oqf.Check.query ~text ?cost_threshold:threshold env q)
             .Oqf.Check.diagnostics
     in
     let check_expr text =
@@ -1152,7 +1148,7 @@ let check_cmd =
       | Error e -> parse_failure Ralg.Expr_parser.pp_error e
       | Ok e ->
           Analysis.Expr_check.check ~text ?cost_threshold:threshold
-            query_rig e
+            env.Oqf.Compile.query_rig e
     in
     let file_entries =
       List.concat_map

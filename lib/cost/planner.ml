@@ -5,8 +5,6 @@ let mode_of_string = function
   | "cost" -> Ok Cost_based
   | s -> Error (Printf.sprintf "unknown plan mode %S (expected rules|cost)" s)
 
-let mode_to_string = function Rules -> "rules" | Cost_based -> "cost"
-
 type decision = {
   chosen : Ralg.Expr.t;
   rewrites : Ralg.Optimizer.rewrite list;
@@ -65,19 +63,21 @@ let swap_variants ?(max_sites = 3) ?(max_variants = 8) e =
   in
   take max_variants (go e)
 
-let choose ~stats ~rig e =
+(* candidate, its Prop 3.5 rewrites, provenance tag *)
+type candidates = (Ralg.Expr.t * Ralg.Optimizer.rewrite list * string) list
+
+let candidates ~rig e =
   let rules, rewrites = Ralg.Optimizer.optimize_logged rig e in
-  let candidates =
-    (* candidate, its Prop 3.5 rewrites, provenance tag — rules first
-       so ties keep today's behaviour *)
-    [ (rules, rewrites, "rules") ]
-    @ (if Ralg.Expr.equal e rules then [] else [ (e, [], "original") ])
-    @ List.filter_map
-        (fun v ->
-          if Ralg.Expr.equal v rules then None
-          else Some (v, rewrites, "operand-swap"))
-        (swap_variants rules)
-  in
+  (* rules first, so ties keep today's behaviour *)
+  [ (rules, rewrites, "rules") ]
+  @ (if Ralg.Expr.equal e rules then [] else [ (e, [], "original") ])
+  @ List.filter_map
+      (fun v ->
+        if Ralg.Expr.equal v rules then None
+        else Some (v, rewrites, "operand-swap"))
+      (swap_variants rules)
+
+let choose ~stats candidates =
   let scored =
     List.map (fun (c, rws, tag) -> (c, rws, tag, Model.estimate stats c)) candidates
   in

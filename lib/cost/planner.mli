@@ -14,8 +14,6 @@ type mode = Rules | Cost_based
 val mode_of_string : string -> (mode, string) result
 (** ["rules"] or ["cost"]. *)
 
-val mode_to_string : mode -> string
-
 type decision = {
   chosen : Ralg.Expr.t;
   rewrites : Ralg.Optimizer.rewrite list;
@@ -28,9 +26,14 @@ type decision = {
   considered : int;  (** candidates enumerated *)
 }
 
-val choose :
-  stats:Stats.t -> rig:Ralg.Rig.t -> Ralg.Expr.t -> decision
-(** Enumerate, estimate, pick.  Ties prefer the rules choice, so cost
+type candidates
+(** An expression's equivalent plans, which depend on the RIG alone. *)
+
+val candidates : rig:Ralg.Rig.t -> Ralg.Expr.t -> candidates
+(** The rules rewrite (bumping the optimizer rewrite counters once),
+    the original when it differs, and its operand-order variants. *)
+
+val choose : stats:Stats.t -> candidates -> decision
+(** Estimate and pick silently.  Ties prefer the rules choice, so cost
     mode degenerates to rules mode exactly when statistics are
-    uninformative.  Bumps the optimizer rewrite counters once (like
-    rules-mode optimization) but prices silently. *)
+    uninformative. *)

@@ -50,28 +50,25 @@ let schema_of_corpus corpus =
   | [] -> ""
 
 (* Whole-query latency under the workload label, interned per
-   workload.  Execute.run's query.latency_ms{workload} is per *file*;
+   workload.  Execute.exec's query.latency_ms{workload} is per *file*;
    this histogram is per driven query — the series `oqf stats` over a
    qlog of the same traffic reproduces. *)
 let exec_query_ms =
   let table : (string, Obs.Metrics.histogram) Hashtbl.t = Hashtbl.create 8 in
   let lock = Mutex.create () in
   fun workload ->
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match Hashtbl.find_opt table workload with
-        | Some h -> h
-        | None ->
-            let h =
-              Obs.Metrics.histogram
-                (Obs.Label.render "exec.query_ms" [ ("workload", workload) ])
-            in
-            Hashtbl.replace table workload h;
-            h)
+    Mutex.protect lock @@ fun () ->
+    match Hashtbl.find_opt table workload with
+    | Some h -> h
+    | None ->
+        let h =
+          Obs.Metrics.histogram
+            (Obs.Label.render "exec.query_ms" [ ("workload", workload) ])
+        in
+        Hashtbl.replace table workload h;
+        h
 
-(* One qlog record per driven query (the per-file Execute.run calls
+(* One qlog record per driven query (the per-file Execute.exec calls
    underneath deliberately get no qctx, so they stay silent).  The
    retry/fault figures are process-global counter deltas around the
    run — exact when requests are sequential, attribution-approximate
@@ -178,9 +175,8 @@ exception Abort of string
    at the first fail-fast error, and a pooled run awaits its tasks in
    order.  [Fail_fast] aborts the query on the first failure;
    [Partial] excludes failed files; [Degrade] walks the recovery
-   ladder per failed file: circuit breaker → query-level error check →
-   naive scan of the raw file, under the per-file [timeout_ms] →
-   exclusion.  [on_rows]
+   ladder per failed file: circuit breaker → naive scan of the raw
+   file, under the per-file [timeout_ms] → exclusion.  [on_rows]
    receives each file's non-empty answer rows, indexed or naive, as
    soon as that file settles.  Returns the merged rows, the indexed
    per-file outcomes, and the degradation report. *)
@@ -215,27 +211,19 @@ let resolve ?timeout_ms ~fail_policy ~on_rows q files =
             if Stdx.Retry.Breaker.state breaker_key = Stdx.Retry.Breaker.Open
             then exclude ("circuit open; " ^ e)
             else begin
-              match Oqf.Execute.semantic_error src.Oqf.Execute.view q with
-              | Some se ->
-                  (* the query itself is broken: every file fails the
-                     same way, degrading would silently return nothing *)
-                  raise (Abort (Printf.sprintf "%s: %s" name se))
-              | None -> begin
-                  match
-                    Result.join
-                      (Pool.capture ?timeout_ms (fun () ->
-                           Oqf.Execute.run_naive ~file:name src q))
-                  with
-                  | Ok nrows ->
-                      Stdx.Retry.Breaker.success breaker_key;
-                      emit name nrows;
-                      note
-                        (Oqf.Degrade.make ~file:name
-                           Oqf.Degrade.Naive_fallback e)
-                  | Error ne ->
-                      Stdx.Retry.Breaker.failure breaker_key;
-                      exclude (e ^ "; " ^ ne)
-                end
+              match
+                Result.join
+                  (Pool.capture ?timeout_ms (fun () ->
+                       Oqf.Execute.run_naive ~file:name src q))
+              with
+              | Ok nrows ->
+                  Stdx.Retry.Breaker.success breaker_key;
+                  emit name nrows;
+                  note
+                    (Oqf.Degrade.make ~file:name Oqf.Degrade.Naive_fallback e)
+              | Error ne ->
+                  Stdx.Retry.Breaker.failure breaker_key;
+                  exclude (e ^ "; " ^ ne)
             end
       end
   in
@@ -277,16 +265,35 @@ let with_lanes lanes ~files k =
   | Private jobs ->
       Pool.with_pool ~jobs:(min jobs files) (fun p -> k (Pooled p))
 
+(* Prepare once per distinct index set (a catalog has one), on the
+   set's first file.  A failed preparation would fail every file of the
+   set alike, so it fails the query under every policy, naming that
+   file. *)
+let prepare_files ?optimize ?minimize ?force ?plan_mode sources q =
+  let rec go prepared acc = function
+    | [] -> Ok (List.rev acc)
+    | (name, (src : Oqf.Execute.source)) :: rest -> (
+        let index = src.env.Oqf.Compile.index_names in
+        match List.assoc_opt index prepared with
+        | Some p -> go prepared ((name, src, p) :: acc) rest
+        | None -> (
+            match Oqf.Execute.prepare ?optimize ?minimize ?force ?plan_mode src q with
+            | Error e -> Error (Printf.sprintf "%s: %s" name e)
+            | Ok p -> go ((index, p) :: prepared) ((name, src, p) :: acc) rest))
+  in
+  go [] [] sources
+
 (* The one query engine behind every entry point: the qlog record
-   around the cache protocol around the per-file ladder.  Regions of
-   distinct files never overlap, so a corpus query is one independent
-   two-phase run per file, merged by concatenation in corpus order.
-   On a pool every file is submitted up front, so file k settles (and
-   streams) while later files are still scanning; a task death,
-   deadline expiry or spent [pool.task] retry budget fails its file
-   like an evaluation error.  Once [resolve] is done with the query —
-   answered, aborted, or cut short by an exception from [on_rows] —
-   the tasks that have not started yet skip their files. *)
+   around the cache protocol around one preparation and the per-file
+   ladder.  Regions of distinct files never overlap, so a corpus query
+   is one independent execution of the prepared query per file, merged
+   by concatenation in corpus order.  On a pool every file is
+   submitted up front, so file k settles (and streams) while later
+   files are still scanning; a task death, deadline expiry or spent
+   [pool.task] retry budget fails its file like an evaluation error.
+   Once [resolve] is done with the query — answered, aborted, or cut
+   short by an exception from [on_rows] — the tasks that have not
+   started yet skip their files. *)
 let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
     ?(fail_policy = Fail_fast) ?qctx ?generation ?on_rows ~lanes corpus q =
   let replay, on_rows =
@@ -296,8 +303,10 @@ let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
   in
   with_qlog ?qctx ?generation ~kind:"query" corpus q @@ fun () ->
   with_cache ~replay cache corpus q @@ fun () ->
-  let sources = Oqf.Corpus.sources corpus in
   let before = Stdx.Stats.snapshot () in
+  let sources = Oqf.Corpus.sources corpus in
+  Result.bind (prepare_files ?optimize ?minimize ?force ?plan_mode sources q)
+  @@ fun sources ->
   with_lanes lanes ~files:(List.length sources) (fun lane ->
       let cancelled = Atomic.make false in
       let task run () =
@@ -307,11 +316,8 @@ let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
       in
       let files =
         List.map
-          (fun (name, src) ->
-            let run () =
-              Oqf.Execute.run ?optimize ?minimize ?explain ?force ?plan_mode
-                src q
-            in
+          (fun (name, src, prepared) ->
+            let run () = Oqf.Execute.exec ?explain prepared src in
             match lane with
             | Bare -> (name, src, run)
             | Caller ->

@@ -1,11 +1,12 @@
 (** Corpus execution: one per-file query engine behind three doors.
 
-    Regions of distinct files never overlap, so a corpus query is one
-    independent two-phase run ({!Oqf.Execute.run}) per file, and the
-    answers merge by concatenation in corpus order.  Every entry point
-    is the same engine — one qlog record ([qctx]) around the result
-    cache protocol ([cache]) around the per-file recovery ladder
-    ([fail_policy]) — and differs only in where each file runs:
+    Regions of distinct files never overlap, so a corpus query is
+    prepared once ({!Oqf.Execute.prepare}), executed independently per
+    file ({!Oqf.Execute.exec}), and the answers merge by concatenation
+    in corpus order.  Every entry point is the same engine — one qlog
+    record ([qctx]) around the result cache protocol ([cache]) around
+    the preparation and the per-file recovery ladder ([fail_policy]) —
+    and differs only in where each file runs:
     {!run_parallel} submits one task per file to a private {!Pool},
     {!run_streaming} to the caller's shared pool, and {!run_batch}
     evaluates each query's files inline inside its task.  A private
@@ -93,22 +94,23 @@ val run_parallel :
     an evaluation error).  Once the query is answered or has failed,
     tasks that have not started skip their files, so under
     [Fail_fast] an error at one file cancels the files still queued
-    behind it.  [explain], [force] and [plan_mode] reach
-    {!Oqf.Execute.run}: fill each file's EXPLAIN ANALYZE annotations
-    (how [oqf query --explain] runs) / execute despite error-severity
-    static-analysis findings / select the rule-based or cost-based
-    planner.  With [cache], a hit skips
+    behind it.  [force] and [plan_mode] reach {!Oqf.Execute.prepare}
+    (execute despite a refusal by static analysis / select the
+    planner), [explain] {!Oqf.Execute.exec} (fill each file's EXPLAIN
+    ANALYZE annotations).  With [cache], a hit skips preparation and
     evaluation entirely, a resident {e superset} entry answers by
     filtering its rows ({!Rcache.find_contained} — byte-identical,
     recorded in [cache_superset]), and a successful non-degraded run
-    populates the cache.  [fail_policy] (default {!Fail_fast}) decides
-    what a failure does; under [Fail_fast] errors name the failing
-    file — deterministically the earliest one in corpus order, task
-    failures included.  A query-level defect (validation failure,
-    unknown class) fails the query under every policy: it would fail
-    identically on every file, and degrading it away would silently
-    return nothing.  [jobs < 1] is rejected as an error.  An empty
-    corpus answers [Ok] with no rows and spawns no pool.
+    populates the cache.  A miss prepares the query once per distinct
+    index set, on the set's first file, before any file runs; a failed
+    preparation (validation failure, unknown class, unforced refusal)
+    would fail every file alike, so it fails the query under every
+    policy, naming that file.  [fail_policy] (default {!Fail_fast})
+    decides what a file's failure does; under [Fail_fast] errors name
+    the failing file — deterministically the earliest one in corpus
+    order, task failures included.  [jobs < 1] is rejected as an
+    error.  An empty corpus answers [Ok] with no rows and spawns no
+    pool.
 
     [qctx] (here and on every driver entry point): when present and a
     query log is installed ({!Obs.Qlog.install}), the run appends
@@ -118,7 +120,7 @@ val run_parallel :
     summed over [per_file] — under [qctx]'s trace id, and observes the
     whole-query latency in the [exec.query_ms{workload}] histogram.
     This is the only qlog writer of a query: the per-file
-    {!Oqf.Execute.run} calls underneath write none, so a driven query
+    {!Oqf.Execute.exec} calls underneath write none, so a driven query
     logs once, not once per file.
 
     [generation] (here and on {!run_streaming}): the catalog
@@ -148,7 +150,7 @@ val run_streaming :
     file settles — the client streams file [k]'s answers while later
     files are still scanning.
     [on_rows] runs on the caller's thread and is never called with an
-    empty row list.  Each task is a whole {!Oqf.Execute.run} of its
+    empty row list.  Each task is a whole {!Oqf.Execute.exec} of its
     file, so the first rows arrive once the first file settles, not
     earlier.
 

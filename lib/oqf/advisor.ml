@@ -153,7 +153,7 @@ let explain view ~index q =
           let buf = Buffer.create 512 in
           let ppf = Format.formatter_of_buffer buf in
           Format.fprintf ppf "%a@." Plan.pp plan;
-          let rig = Ralg.Rig.partial env.Compile.full_rig ~keep:index in
+          let rig = env.Compile.query_rig in
           (* no file is read: price with uniform statistics *)
           let uniform = Oqf_cost.Stats.uniform () in
           let cost e = (Oqf_cost.Model.estimate uniform e).Oqf_cost.Model.cost in

@@ -66,8 +66,7 @@ let path_diags env ?text ~root (rp : Odb.Query.rooted_path) =
 
 (* ---------------- plan-level analysis ---------------- *)
 
-let var_plan_diags ?text ?stats ?cost_threshold ~query_rig
-    (vp : Plan.var_plan) =
+let var_plan_diags ?text ?stats ?cost_threshold env (vp : Plan.var_plan) =
   match vp.Plan.candidates with
   | Plan.All -> []
   | Plan.Empty ->
@@ -79,14 +78,14 @@ let var_plan_diags ?text ?stats ?cost_threshold ~query_rig
   | Plan.Expr e ->
       List.map
         (D.with_subject vp.Plan.var)
-        (Analysis.Expr_check.check ?text ?stats ?cost_threshold query_rig e)
+        (Analysis.Expr_check.check ?text ?stats ?cost_threshold
+           env.Compile.query_rig e)
 
 let dedup ds =
   List.rev
     (List.fold_left (fun acc d -> if List.mem d acc then acc else d :: acc) [] ds)
 
-let plan_diagnostics ?text ?stats ?cost_threshold env ~query_rig
-    (plan : Plan.t) =
+let plan_diagnostics ?text ?stats ?cost_threshold env (plan : Plan.t) =
   let q = plan.Plan.query in
   let root_of var =
     List.find_map
@@ -105,12 +104,12 @@ let plan_diagnostics ?text ?stats ?cost_threshold env ~query_rig
   in
   let plan_level =
     List.concat_map
-      (var_plan_diags ?text ?stats ?cost_threshold ~query_rig)
+      (var_plan_diags ?text ?stats ?cost_threshold env)
       plan.Plan.var_plans
   in
   D.sort (dedup (path_level @ plan_level))
 
-let query ?text ?stats ?cost_threshold env ~query_rig q =
+let query ?text ?stats ?cost_threshold env q =
   match Compile.compile env q with
   | Error e ->
       let unknown_class =
@@ -121,8 +120,7 @@ let query ?text ?stats ?cost_threshold env ~query_rig q =
   | Ok plan ->
       {
         plan = Some plan;
-        diagnostics =
-          plan_diagnostics ?text ?stats ?cost_threshold env ~query_rig plan;
+        diagnostics = plan_diagnostics ?text ?stats ?cost_threshold env plan;
       }
 
 (* ---------------- cross-query analysis ---------------- *)

@@ -14,8 +14,8 @@
       candidate set is reported as OQF001 — the compiler already
       proved the query empty.
 
-    {!Execute.run} runs {!plan_diagnostics} before phase 1 and refuses
-    error-severity findings unless forced. *)
+    {!Execute.prepare} runs {!plan_diagnostics} once per query and
+    refuses error-severity findings unless forced. *)
 
 type checked = {
   plan : Plan.t option;  (** [None] when the query failed to compile *)
@@ -27,13 +27,12 @@ val plan_diagnostics :
   ?stats:Oqf_cost.Stats.t ->
   ?cost_threshold:float ->
   Compile.env ->
-  query_rig:Ralg.Rig.t ->
   Plan.t ->
   Analysis.Diagnostic.t list
 (** Diagnose a compiled plan: path-level walks over [env]'s full RIG
-    plus per-variable expression checks against [query_rig].  [text]
+    plus per-variable expression checks against its query RIG.  [text]
     is the query's source text (spans); [stats] prices OQF006 (default
-    {!Oqf_cost.Stats.uniform}; {!Execute.run} passes its source's
+    {!Oqf_cost.Stats.uniform}; {!Execute.prepare} passes its source's
     planning statistics).  Sorted by severity, deduplicated. *)
 
 val query :
@@ -41,7 +40,6 @@ val query :
   ?stats:Oqf_cost.Stats.t ->
   ?cost_threshold:float ->
   Compile.env ->
-  query_rig:Ralg.Rig.t ->
   Odb.Query.t ->
   checked
 (** Compile then {!plan_diagnostics}.  A compile failure becomes one
@@ -57,6 +55,6 @@ val cross_query :
     occurrence, so one representative always stays clean. *)
 
 val refusal : Analysis.Diagnostic.t list -> string
-(** The error message {!Execute.run} returns when error-severity
+(** The error message {!Execute.prepare} returns when error-severity
     diagnostics block an unforced run: a summary line plus one
     indented line per error. *)

@@ -2,13 +2,16 @@ type env = {
   view : Fschema.View.t;
   full_rig : Ralg.Rig.t;
   index_names : string list;
+  query_rig : Ralg.Rig.t;
 }
 
 let env view ~index =
+  let full_rig = Fschema.Rig_of_grammar.full view.Fschema.View.grammar in
   {
     view;
-    full_rig = Fschema.Rig_of_grammar.full view.Fschema.View.grammar;
+    full_rig;
     index_names = index;
+    query_rig = Ralg.Rig.partial full_rig ~keep:index;
   }
 
 let indexed env n = List.mem n env.index_names
@@ -25,6 +28,8 @@ let non_literal_items items =
       | Fschema.Grammar.Tok _ -> true)
     items
 
+(* Follow single-child pass-through rules ([Year → "{" Year_value "}"])
+   to the non-terminal whose value the name denotes. *)
 let rec value_carrier env name =
   match Fschema.Grammar.rules_of (grammar env) name with
   | [ Fschema.Grammar.Seq items ] -> begin
@@ -34,6 +39,7 @@ let rec value_carrier env name =
     end
   | _ -> name
 
+(* Every rule of the name is a token rule: its text is its value. *)
 let is_atomic env name =
   match Fschema.Grammar.rules_of (grammar env) name with
   | [] -> false
@@ -66,6 +72,8 @@ let literal_safe l w =
   && (not (is_word_char l.[String.length l - 1]))
   && not (literal_contains_word l w)
 
+(* Every literal reachable from [name] is safe for [w], so containment
+   of [w] over the region is containment over the value's strings. *)
 let word_containment_exact env name w =
   (* closure over the sub-grammar reachable from [name] *)
   let seen = Hashtbl.create 8 in

@@ -19,25 +19,13 @@ type env = {
   view : Fschema.View.t;
   full_rig : Ralg.Rig.t;
   index_names : string list;
+  query_rig : Ralg.Rig.t;
+      (** the RIG of the indexed names, which the optimizer, the
+          minimizer and the plan-level checks work over *)
 }
 
 val env : Fschema.View.t -> index:string list -> env
 (** [index] lists the region names available at query time. *)
-
-val value_carrier : env -> string -> string
-(** Follow single-child pass-through rules ([Year → "{" Year_value "}"])
-    to the non-terminal whose value the name denotes. *)
-
-val is_atomic : env -> string -> bool
-(** Every rule of the name is a token rule: its region text {e is} its
-    value. *)
-
-val word_containment_exact : env -> string -> string -> bool
-(** [word_containment_exact env name w]: every literal reachable in the
-    name's sub-grammar is safe for the query word [w] (does not contain
-    it as a word and has non-word edge characters), so containment of
-    [w] over the region coincides with containment over the value's
-    nested strings. *)
 
 val step_possible :
   env -> src:string -> dst:string -> stars:int -> anys:int -> bool

@@ -9,7 +9,3 @@ val link_exact :
   full_rig:Ralg.Rig.t -> indexed:(string -> bool) -> string -> string -> bool
 (** Does the partial-RIG edge [(a, b)] correspond to exactly one full
     RIG path with unindexed interior? *)
-
-val star_link : unit -> bool
-(** A link produced by a [*X] path variable is exact by definition
-    (any path is acceptable); provided for symmetry and clarity. *)

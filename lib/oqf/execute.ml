@@ -12,19 +12,16 @@ type source = {
   text : Pat.Text.t;
   instance : Pat.Instance.t;
   env : Compile.env;
-  query_rig : Ralg.Rig.t;
   origin : origin;
   plan_stats : plan_stats;
 }
 
 let build ~origin view instance ~index =
-  let env = Compile.env view ~index in
   {
     view;
     text = Pat.Instance.text instance;
     instance;
-    env;
-    query_rig = Ralg.Rig.partial env.Compile.full_rig ~keep:index;
+    env = Compile.env view ~index;
     origin;
     plan_stats = { value = Atomic.make None; lock = Mutex.create () };
   }
@@ -92,20 +89,17 @@ let labelled_histograms =
   in
   let lock = Mutex.create () in
   fun workload ->
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match Hashtbl.find_opt table workload with
-        | Some hs -> hs
-        | None ->
-            let h suffix =
-              Obs.Metrics.histogram
-                (Obs.Label.render ("query." ^ suffix) [ ("workload", workload) ])
-            in
-            let hs = (h "latency_ms", h "answers", h "candidates") in
-            Hashtbl.replace table workload hs;
-            hs)
+    Mutex.protect lock @@ fun () ->
+    match Hashtbl.find_opt table workload with
+    | Some hs -> hs
+    | None ->
+        let h suffix =
+          Obs.Metrics.histogram
+            (Obs.Label.render ("query." ^ suffix) [ ("workload", workload) ])
+        in
+        let hs = (h "latency_ms", h "answers", h "candidates") in
+        Hashtbl.replace table workload hs;
+        hs
 
 let observe_query ~view ~latency_ms ~answers ~candidates =
   let obs (lat_h, ans_h, cand_h) =
@@ -286,14 +280,83 @@ let materialize_region src ~symbol (r : Pat.Region.t) =
     res
   end
 
-let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
-    ?(force = false) ?(plan_mode = Oqf_cost.Planner.Rules) src
-    (q : Odb.Query.t) =
+(* A candidate expression as prepared: the minimize and rules rewrites
+   already applied, and what is left to each file — nothing, or a pick
+   among its Prop 3.5 candidates by the file's statistics. *)
+type choice = Fixed of Ralg.Expr.t | Priced of Oqf_cost.Planner.candidates
+
+type prepared = {
+  query : Odb.Query.t;
+  plan : Plan.t;
+  diagnostics : Analysis.Diagnostic.t list;
+  plan_mode : Oqf_cost.Planner.mode;
+  vars : (Plan.var_plan * (Ralg.Optimizer.rewrite list * choice) option) list;
+      (* [None] unless an expression Ralg.Trivial cannot prove empty *)
+  select : (Ralg.Optimizer.rewrite list * choice) option;
+      (* the index-only projection of an exact plan *)
+}
+
+let prepare ?(optimize = true) ?minimize ?(force = false)
+    ?(plan_mode = Oqf_cost.Planner.Rules) src (q : Odb.Query.t) =
   let minimize =
-    match minimize with
-    | Some m -> m
-    | None -> plan_mode = Oqf_cost.Planner.Cost_based
+    Option.value minimize ~default:(plan_mode = Oqf_cost.Planner.Cost_based)
   in
+  let rig = src.env.Compile.query_rig in
+  match Obs.Trace.with_span "query.compile" (fun () -> Compile.compile src.env q) with
+  | Error _ as e -> e
+  | Ok plan ->
+      let diagnostics =
+        Obs.Trace.with_span "query.analyze" @@ fun () ->
+        (* the checker prices expressions with the model the cost
+           planner minimizes, so OQF006 and plan selection can never
+           disagree about a query's estimated cost *)
+        Check.plan_diagnostics ~text:(Odb.Query.to_string q)
+          ~stats:(stats src) src.env plan
+      in
+      if (not force) && Analysis.Diagnostic.has_errors diagnostics then
+        Error (Check.refusal diagnostics)
+      else
+        Obs.Trace.with_span "query.plan" @@ fun () ->
+        let plan_expr e =
+          (* containment-based minimization runs before planning:
+             dropped conjuncts never reach the plan enumerator, and the
+             rewrite log records the substitution like any other rule *)
+          let e' = if minimize then Analysis.Contain.minimize rig e else e in
+          let logged =
+            if (not minimize) || Ralg.Expr.equal e' e then []
+            else
+              let detail =
+                Printf.sprintf "%s => %s" (Ralg.Expr.to_string e)
+                  (Ralg.Expr.to_string e')
+              in
+              [ { Ralg.Optimizer.rule = "minimize"; detail } ]
+          in
+          match plan_mode with
+          | _ when not optimize -> (logged, Fixed e')
+          | Oqf_cost.Planner.Rules ->
+              let rewritten, rws = Ralg.Optimizer.optimize_logged rig e' in
+              (logged @ rws, Fixed rewritten)
+          | Oqf_cost.Planner.Cost_based ->
+              (logged, Priced (Oqf_cost.Planner.candidates ~rig e'))
+        in
+        let vars =
+          List.map
+            (fun (vp : Plan.var_plan) ->
+              match vp.Plan.candidates with
+              | Plan.Expr e when not (Ralg.Trivial.check rig e) ->
+                  (vp, Some (plan_expr e))
+              | _ -> (vp, None))
+            plan.Plan.var_plans
+        in
+        let select =
+          match plan.Plan.select_plans with
+          | [ Plan.Project_regions e ] when plan.Plan.exact -> Some (plan_expr e)
+          | _ -> None
+        in
+        Ok { query = q; plan; diagnostics; plan_mode; vars; select }
+
+let exec ?(join_assist = true) ?(explain = false) p src =
+  let q = p.query and plan = p.plan in
   let before = Stdx.Stats.snapshot () in
   let t0 = Obs.Trace.now_ms () in
   let root =
@@ -322,230 +385,172 @@ let run ?(optimize = true) ?minimize ?(join_assist = true) ?(explain = false)
   in
   finish
   @@
-  match Obs.Trace.with_span "query.compile" (fun () -> Compile.compile src.env q) with
-  | Error e -> Error e
-  | Ok plan ->
-      let diagnostics =
-        Obs.Trace.with_span "query.analyze" @@ fun () ->
-        (* the checker prices expressions with the model the cost
-           planner minimizes, so OQF006 and plan selection can never
-           disagree about a query's estimated cost *)
-        Check.plan_diagnostics ~text:(Odb.Query.to_string q)
-          ~stats:(stats src) src.env ~query_rig:src.query_rig plan
-      in
-      if (not force) && Analysis.Diagnostic.has_errors diagnostics then
-        Error (Check.refusal diagnostics)
-      else begin
-      let rewrites = ref [] in
-      let annots = ref [] in
-      let decisions = ref [] in
-      let maybe_optimize ~label e =
-        (* containment-based minimization runs before planning: dropped
-           conjuncts never reach the plan enumerator, and the rewrite
-           log records the substitution like any other rule *)
-        let e =
-          if not minimize then e
-          else begin
-            let e' = Analysis.Contain.minimize src.query_rig e in
-            if not (Ralg.Expr.equal e' e) then
-              rewrites :=
-                !rewrites
-                @ [
-                    {
-                      Ralg.Optimizer.rule = "minimize";
-                      detail =
-                        Printf.sprintf "%s => %s" (Ralg.Expr.to_string e)
-                          (Ralg.Expr.to_string e');
-                    };
-                  ];
-            e'
-          end
-        in
-        if not optimize then e
-        else
-          match plan_mode with
-          | Oqf_cost.Planner.Rules ->
-              let e', rws = Ralg.Optimizer.optimize_logged src.query_rig e in
-              rewrites := !rewrites @ rws;
-              e'
-          | Oqf_cost.Planner.Cost_based ->
-              let d =
-                Oqf_cost.Planner.choose ~stats:(stats src) ~rig:src.query_rig
-                  e
-              in
-              rewrites := !rewrites @ d.Oqf_cost.Planner.rewrites;
-              decisions := (label, d) :: !decisions;
-              d.Oqf_cost.Planner.chosen
-      in
-      let eval_candidates label e =
-        if explain then begin
-          let r, a = Ralg.Eval.eval_shared_annotated src.instance e in
-          annots := (label, a) :: !annots;
-          r
-        end
-        else Ralg.Eval.eval_shared src.instance e
-      in
-      let exception Fail of string in
-      try
-        (* phase 1: candidate regions per variable *)
-        let evaluated = ref [] in
-        let candidates =
-          Obs.Trace.with_span "query.phase1" @@ fun () ->
-          List.map
-            (fun (vp : Plan.var_plan) ->
-              match vp.Plan.candidates with
-              | Plan.Empty -> (vp, `Regions Pat.Region_set.empty)
-              | Plan.All -> (vp, `Full_scan)
-              | Plan.Expr e ->
-                  let e =
-                    if Ralg.Trivial.check src.query_rig e then begin
-                      evaluated := (vp.Plan.var, e) :: !evaluated;
-                      None
-                    end
-                    else begin
-                      let e = maybe_optimize ~label:vp.Plan.var e in
-                      evaluated := (vp.Plan.var, e) :: !evaluated;
-                      Some e
-                    end
-                  in
-                  let regions =
-                    match e with
-                    | None -> Pat.Region_set.empty
-                    | Some e ->
-                        Obs.Trace.with_span
-                          ("phase1." ^ vp.Plan.var)
-                          (fun () -> eval_candidates vp.Plan.var e)
-                  in
-                  (vp, `Regions regions))
-            plan.Plan.var_plans
-        in
-        (* §5.2 index-assisted join refinement *)
-        let candidates, join_assisted =
-          if not join_assist then (candidates, false)
-          else begin
-            Obs.Trace.with_span "query.join_assist" @@ fun () ->
-            let bindings =
-              List.map
-                (fun ((vp : Plan.var_plan), c) -> (vp.Plan.var, (vp, c)))
-                candidates
-            in
-            let bindings, assisted = Join_assist.apply src q bindings in
-            (List.map snd bindings, assisted)
-          end
-        in
-        let candidates_count =
-          List.fold_left
-            (fun acc (_, c) ->
-              match c with
-              | `Regions rs -> acc + Pat.Region_set.cardinal rs
-              | `Full_scan -> acc)
-            0 candidates
-        in
-        (* index-only projection fast path *)
-        let all_projections =
-          plan.Plan.select_plans <> []
-          && List.for_all
-               (function Plan.Project_regions _ -> true | _ -> false)
-               plan.Plan.select_plans
-          && List.length plan.Plan.select_plans = 1
-        in
-        let rows =
-          Obs.Trace.with_span "query.phase2" @@ fun () ->
-          if plan.Plan.exact && all_projections then begin
-            match plan.Plan.select_plans with
-            | [ Plan.Project_regions e ] ->
-                let e = maybe_optimize ~label:"<select>" e in
-                evaluated := ("<select>", e) :: !evaluated;
-                let regions = eval_candidates "<select>" e in
-                List.sort_uniq (List.compare Odb.Value.compare)
-                  (List.map
-                     (fun r -> [ Odb.Value.Str (Pat.Region.text src.text r) ])
-                     (Pat.Region_set.to_list regions))
-            | _ -> assert false
-          end
-          else begin
-            (* phase 2: materialise candidates into a scratch database,
-               pushing single-variable conjuncts into the load (§6.2).
-               Each variable gets its own scratch extent: two variables
-               over the same class have different candidate sets, and
-               sharing one extent would cross-contaminate them. *)
-            let scratch_class (vp : Plan.var_plan) =
-              vp.Plan.class_name ^ "/" ^ vp.Plan.var
-            in
-            let db = Odb.Database.create () in
-            List.iter
-              (fun ((vp : Plan.var_plan), c) ->
-                let keep =
-                  if plan.Plan.exact then fun _ -> true
-                  else single_var_filter q vp.Plan.var
-                in
-                match c with
-                | `Regions rs ->
-                    Pat.Region_set.iter
-                      (fun r ->
-                        match
-                          materialize_region src ~symbol:vp.Plan.root r
-                        with
-                        | Ok v ->
-                            if keep v then
-                              Odb.Database.insert db
-                                ~class_name:(scratch_class vp) v
-                        | Error e -> raise (Fail e))
-                      rs
-                | `Full_scan -> begin
-                    (* no index support: parse the whole file *)
-                    match Fschema.View.load_file src.view src.text with
-                    | Ok full ->
-                        Odb.Database.insert_all db
-                          ~class_name:(scratch_class vp)
-                          (Odb.Database.extent full vp.Plan.class_name)
-                    | Error e -> raise (Fail e)
-                  end)
-              candidates;
-            let residual_query =
-              {
-                q with
-                Odb.Query.from_ =
-                  List.map
-                    (fun (_, v) ->
-                      let vp =
-                        List.find
-                          (fun ((vp : Plan.var_plan), _) -> vp.Plan.var = v)
-                          candidates
-                        |> fst
-                      in
-                      (scratch_class vp, v))
-                    q.Odb.Query.from_;
-                where =
-                  (if plan.Plan.exact then Odb.Query.True else q.Odb.Query.where);
-              }
-            in
-            Odb.Query_eval.eval db residual_query
-          end
-        in
-        let after = Stdx.Stats.snapshot () in
-        Ok
-          {
-            rows;
-            plan;
-            diagnostics;
-            evaluated = List.rev !evaluated;
-            candidates_count;
-            answers_count = List.length rows;
-            join_assisted;
-            stats = Stdx.Stats.diff ~before ~after;
-            rewrites = !rewrites;
-            annotations = List.rev !annots;
-            plan_mode;
-            decisions = List.rev !decisions;
-            est_cost =
-              List.fold_left
-                (fun acc (_, (d : Oqf_cost.Planner.decision)) ->
-                  acc +. d.est.Oqf_cost.Model.cost)
-                0.0 !decisions;
-          }
-      with Fail e -> Error e
+  let rewrites = ref [] in
+  let annots = ref [] in
+  let decisions = ref [] in
+  let evaluated = ref [] in
+  let choose label (logged, choice) =
+    rewrites := !rewrites @ logged;
+    let e =
+      match choice with
+      | Fixed e -> e
+      | Priced candidates ->
+          let d = Oqf_cost.Planner.choose ~stats:(stats src) candidates in
+          rewrites := !rewrites @ d.Oqf_cost.Planner.rewrites;
+          decisions := (label, d) :: !decisions;
+          d.Oqf_cost.Planner.chosen
+    in
+    evaluated := (label, e) :: !evaluated;
+    e
+  in
+  let eval_candidates label e =
+    if explain then begin
+      let r, a = Ralg.Eval.eval_shared_annotated src.instance e in
+      annots := (label, a) :: !annots;
+      r
     end
+    else Ralg.Eval.eval_shared src.instance e
+  in
+  let exception Fail of string in
+  try
+    (* phase 1: candidate regions per variable *)
+    let candidates =
+      Obs.Trace.with_span "query.phase1" @@ fun () ->
+      List.map
+        (fun ((vp : Plan.var_plan), planned) ->
+          match (vp.Plan.candidates, planned) with
+          | Plan.All, _ -> (vp, `Full_scan)
+          | Plan.Expr e, None ->
+              (* Ralg.Trivial proved it empty: reported, not evaluated *)
+              evaluated := (vp.Plan.var, e) :: !evaluated;
+              (vp, `Regions Pat.Region_set.empty)
+          | Plan.Expr _, Some planned ->
+              let e = choose vp.Plan.var planned in
+              ( vp,
+                `Regions
+                  (Obs.Trace.with_span ("phase1." ^ vp.Plan.var) (fun () ->
+                       eval_candidates vp.Plan.var e)) )
+          | Plan.Empty, _ -> (vp, `Regions Pat.Region_set.empty))
+        p.vars
+    in
+    (* §5.2 index-assisted join refinement *)
+    let candidates, join_assisted =
+      if not join_assist then (candidates, false)
+      else begin
+        Obs.Trace.with_span "query.join_assist" @@ fun () ->
+        let bindings =
+          List.map
+            (fun ((vp : Plan.var_plan), c) -> (vp.Plan.var, (vp, c)))
+            candidates
+        in
+        let bindings, assisted = Join_assist.apply src q bindings in
+        (List.map snd bindings, assisted)
+      end
+    in
+    let candidates_count =
+      List.fold_left
+        (fun acc (_, c) ->
+          match c with
+          | `Regions rs -> acc + Pat.Region_set.cardinal rs
+          | `Full_scan -> acc)
+        0 candidates
+    in
+    let rows =
+      Obs.Trace.with_span "query.phase2" @@ fun () ->
+      match p.select with
+      | Some select ->
+          (* index-only projection fast path *)
+          let regions = eval_candidates "<select>" (choose "<select>" select) in
+          List.sort_uniq (List.compare Odb.Value.compare)
+            (List.map
+               (fun r -> [ Odb.Value.Str (Pat.Region.text src.text r) ])
+               (Pat.Region_set.to_list regions))
+      | None ->
+          (* phase 2: materialise candidates into a scratch database,
+             pushing single-variable conjuncts into the load (§6.2).
+             Each variable gets its own scratch extent: two variables
+             over the same class have different candidate sets, and
+             sharing one extent would cross-contaminate them. *)
+          let scratch_class (vp : Plan.var_plan) =
+            vp.Plan.class_name ^ "/" ^ vp.Plan.var
+          in
+          let db = Odb.Database.create () in
+          List.iter
+            (fun ((vp : Plan.var_plan), c) ->
+              let keep =
+                if plan.Plan.exact then fun _ -> true
+                else single_var_filter q vp.Plan.var
+              in
+              match c with
+              | `Regions rs ->
+                  Pat.Region_set.iter
+                    (fun r ->
+                      match
+                        materialize_region src ~symbol:vp.Plan.root r
+                      with
+                      | Ok v ->
+                          if keep v then
+                            Odb.Database.insert db
+                              ~class_name:(scratch_class vp) v
+                      | Error e -> raise (Fail e))
+                    rs
+              | `Full_scan -> begin
+                  (* no index support: parse the whole file *)
+                  match Fschema.View.load_file src.view src.text with
+                  | Ok full ->
+                      Odb.Database.insert_all db
+                        ~class_name:(scratch_class vp)
+                        (Odb.Database.extent full vp.Plan.class_name)
+                  | Error e -> raise (Fail e)
+                end)
+            candidates;
+          let residual_query =
+            {
+              q with
+              Odb.Query.from_ =
+                List.map
+                  (fun (_, v) ->
+                    let vp =
+                      List.find
+                        (fun ((vp : Plan.var_plan), _) -> vp.Plan.var = v)
+                        candidates
+                      |> fst
+                    in
+                    (scratch_class vp, v))
+                  q.Odb.Query.from_;
+              where =
+                (if plan.Plan.exact then Odb.Query.True else q.Odb.Query.where);
+            }
+          in
+          Odb.Query_eval.eval db residual_query
+    in
+    let after = Stdx.Stats.snapshot () in
+    Ok
+      {
+        rows;
+        plan;
+        diagnostics = p.diagnostics;
+        evaluated = List.rev !evaluated;
+        candidates_count;
+        answers_count = List.length rows;
+        join_assisted;
+        stats = Stdx.Stats.diff ~before ~after;
+        rewrites = !rewrites;
+        annotations = List.rev !annots;
+        plan_mode = p.plan_mode;
+        decisions = List.rev !decisions;
+        est_cost =
+          List.fold_left
+            (fun acc (_, (d : Oqf_cost.Planner.decision)) ->
+              acc +. d.est.Oqf_cost.Model.cost)
+            0.0 !decisions;
+      }
+  with Fail e -> Error e
+
+let run ?optimize ?minimize ?join_assist ?explain ?force ?plan_mode src q =
+  Result.bind
+    (prepare ?optimize ?minimize ?force ?plan_mode src q)
+    (fun p -> exec ?join_assist ?explain p src)
 
 (* A query-level defect: the query would fail identically on every
    file, so degradation must surface it instead of excluding files. *)

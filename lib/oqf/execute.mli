@@ -20,8 +20,6 @@ type source = {
   text : Pat.Text.t;
   instance : Pat.Instance.t;
   env : Compile.env;
-  query_rig : Ralg.Rig.t;  (** the RIG of the indexed names, used by the
-                               optimizer *)
   origin : origin;
   plan_stats : plan_stats;
       (** what the cost planner, OQF006 and EXPLAIN price with: given
@@ -88,6 +86,46 @@ type outcome = {
           recorded in the qlog for estimate-vs-actual calibration *)
 }
 
+type prepared
+(** A query compiled, analyzed and rewritten for one index set. *)
+
+val prepare :
+  ?optimize:bool ->
+  ?minimize:bool ->
+  ?force:bool ->
+  ?plan_mode:Oqf_cost.Planner.mode ->
+  source ->
+  Odb.Query.t ->
+  (prepared, string) result
+(** The query-level half of a run, valid for every source with
+    [source]'s index set; traced as [query.compile], [query.analyze]
+    and [query.plan].  Fails on a compile error (validation, unknown
+    class) and, unless [force] (default [false]), on error-severity
+    findings of {!Check.plan_diagnostics} (OQF006 priced over
+    [source]'s {!stats}): {!Check.refusal}.  [optimize] defaults to
+    [true]; [false] executes the naive translation (benchmark E1).
+    [minimize] runs {!Analysis.Contain.minimize} on every candidate
+    expression before planning, logged as ["minimize"] rewrites; it
+    defaults to on under [Cost_based] and off under [Rules].
+    [plan_mode] (default [Rules]) selects the optimizer: the paper's
+    Prop 3.5 rewrite system, or the rewrite-equivalent plans for
+    {!exec} to price — byte-identical rows either way. *)
+
+val exec :
+  ?join_assist:bool -> ?explain:bool -> prepared -> source ->
+  (outcome, string) result
+(** The per-file half, on a source with the prepared index set: under
+    [Cost_based] pick each plan by {!Oqf_cost.Model} estimate over the
+    source's {!stats}, then run phases 1 and 2.  [join_assist]
+    (default [true]) runs the §5.2 join refinement (off: benchmark
+    E6).  [explain] (default [false]) evaluates phase 1 through
+    {!Ralg.Eval.eval_shared_annotated} and fills [annotations].
+
+    Every call observes the [query.latency_ms], [query.answers] and
+    [query.candidates] histograms and traces [query.phase1],
+    [query.join_assist] and [query.phase2] under a [query.run] root.
+    It writes no qlog record: {!Exec.Driver} logs one per query. *)
+
 val run :
   ?optimize:bool ->
   ?minimize:bool ->
@@ -98,38 +136,8 @@ val run :
   source ->
   Odb.Query.t ->
   (outcome, string) result
-(** [optimize] defaults to [true]; pass [false] to execute the naive
-    translation (benchmark E1).  [minimize] runs
-    {!Analysis.Contain.minimize} on every candidate expression before
-    planning, dropping provably-redundant conjuncts and subsumed union
-    arms; it defaults to on under [Cost_based] and off under [Rules],
-    and logs its substitutions as ["minimize"] rewrites.
-    [join_assist] defaults to [true]; pass
-    [false] to skip the §5.2 join refinement (benchmark E6).
-    [plan_mode] (default [Rules]) selects the optimizer: [Rules] is
-    the paper's Prop 3.5 rewrite system; [Cost_based] enumerates the
-    rewrite-equivalent plans and picks by {!Oqf_cost.Model} estimate
-    over the source's {!stats} — byte-identical rows either way, only
-    the work differs.
-    [explain] (default [false]) evaluates phase 1 through
-    {!Ralg.Eval.eval_shared_annotated} and fills [annotations] — the
-    EXPLAIN ANALYZE path; otherwise phase 1 runs
-    {!Ralg.Eval.eval_shared}.
-
-    Static analysis ({!Check.plan_diagnostics}, OQF006 priced over
-    the source's {!stats} in either plan mode) runs between compiling
-    and phase 1.  Error-severity findings — the plan is provably empty
-    on every conforming file (Prop 3.3) — refuse execution with
-    {!Check.refusal} unless [force] (default [false]) is set; the
-    findings of a run that proceeds are in the outcome's
-    [diagnostics].
-
-    Every run observes the [query.latency_ms], [query.answers] and
-    [query.candidates] registry histograms; when a trace sink is
-    installed the phases (i)–(iv) appear as spans ([query.compile],
-    [query.analyze], [query.phase1], [query.join_assist],
-    [query.phase2]) under a [query.run] root.  A run writes no qlog
-    record: {!Exec.Driver} logs one per driven query. *)
+(** {!prepare} then {!exec} on one source: the per-file step of the
+    sequential reference {!Corpus.run}. *)
 
 val run_baseline :
   Fschema.View.t ->
@@ -141,9 +149,8 @@ val run_baseline :
 
 val semantic_error : Fschema.View.t -> Odb.Query.t -> string option
 (** A defect in the query itself (fails validation, or names a class
-    the view does not have) — it would fail identically on every
-    file, so degradation policies surface it as a query error instead
-    of excluding files one by one. *)
+    the view does not have), which {!run_baseline} refuses instead of
+    answering from an empty extent. *)
 
 val run_naive : file:string -> source -> Odb.Query.t ->
   (Odb.Query_eval.row list, string) result

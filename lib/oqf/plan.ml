@@ -18,8 +18,6 @@ type t = {
   index_names : string list;
 }
 
-let find_var t v = List.find_opt (fun vp -> vp.var = v) t.var_plans
-
 let pp_candidates ppf = function
   | All -> Format.pp_print_string ppf "<all regions / full parse>"
   | Empty -> Format.pp_print_string ppf "<provably empty>"

@@ -38,7 +38,5 @@ type t = {
   index_names : string list;
 }
 
-val find_var : t -> string -> var_plan option
-
 val pp : Format.formatter -> t -> unit
 (** Multi-line EXPLAIN-style rendering. *)

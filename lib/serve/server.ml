@@ -233,8 +233,7 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
             match sources with
             | [] -> []
             | (_, (src : Oqf.Execute.source)) :: _ ->
-                (Oqf.Check.query ~text:q.text src.env
-                   ~query_rig:src.query_rig query)
+                (Oqf.Check.query ~text:q.text src.env query)
                   .Oqf.Check.diagnostics
           in
           if Analysis.Diagnostic.has_errors gate && not q.force then

@@ -499,12 +499,10 @@ let bibtex_env () =
     | None -> Alcotest.fail "bibtex schema missing"
   in
   let index = Fschema.Grammar.indexable view.Fschema.View.grammar in
-  let env = Oqf.Compile.env view ~index in
-  (env, Ralg.Rig.partial env.Oqf.Compile.full_rig ~keep:index)
+  Oqf.Compile.env view ~index
 
 let query_check text =
-  let env, query_rig = bibtex_env () in
-  (Oqf.Check.query ~text env ~query_rig (Odb.Query_parser.parse_exn text))
+  (Oqf.Check.query ~text (bibtex_env ()) (Odb.Query_parser.parse_exn text))
     .Oqf.Check.diagnostics
 
 let query_impossible_path_is_oqf001 () =

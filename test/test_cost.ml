@@ -230,7 +230,7 @@ let planner_tests =
            let stats = Stats.of_instance inst in
            let naive = Ralg.Eval.eval_plain inst e in
            let rules = Ralg.Eval.eval_plain inst (Ralg.Optimizer.optimize rig e) in
-           let d = Planner.choose ~stats ~rig e in
+           let d = Planner.choose ~stats (Planner.candidates ~rig e) in
            let cost = Ralg.Eval.eval_plain inst d.Planner.chosen in
            if not (Pat.Region_set.equal naive rules) then
              QCheck.Test.fail_reportf "seed %d: rules differs on %s" seed
@@ -247,7 +247,9 @@ let planner_tests =
           Ralg.Rig.create ~names:[ "A"; "B" ] ~edges:[ ("A", "B") ]
         in
         let e = Expr.(name "A" >.. name "B") in
-        let d = Planner.choose ~stats:(Stats.uniform ()) ~rig e in
+        let d =
+          Planner.choose ~stats:(Stats.uniform ()) (Planner.candidates ~rig e)
+        in
         Alcotest.(check string) "rules wins ties" "rules" d.Planner.tag;
         Alcotest.(check bool)
           "chosen is the rules rewrite" true

@@ -965,17 +965,78 @@ let streaming_ladder_matches_parallel () =
     ]
 
 let degrade_aborts_query_defects () =
-  (* a query-level defect fails under every policy: degrading it away
-     would silently return nothing *)
-  let corpus = log_corpus [ 4 ] in
-  let q = Odb.Query_parser.parse_exn {|SELECT x FROM Nope x|} in
-  match
-    Exec.Driver.run_parallel ~jobs:2 ~fail_policy:Exec.Driver.Degrade corpus q
-  with
-  | Ok _ -> Alcotest.fail "expected a query-level failure"
-  | Error e ->
-      Alcotest.(check bool) "names the unknown class" true
-        (Astring.String.is_infix ~affix:"unknown class" e)
+  (* a query-level defect — an unknown class, or a plan that static
+     analysis refuses (OQF001: Ts has no Entry inside it) — fails the
+     query with fail-fast's message under every policy and on every
+     door, before any file is parsed: degrading it away would silently
+     return nothing, or naive-scan every file for it *)
+  let corpus = log_corpus [ 4; 3; 5 ] in
+  let refused = {|SELECT b.Ts FROM Entries b WHERE b.Ts.Entry = "x"|} in
+  let doors =
+    [
+      ( "run_parallel",
+        fun ~fail_policy q ->
+          Exec.Driver.run_parallel ~jobs:2 ~fail_policy corpus q );
+      ( "run_streaming",
+        fun ~fail_policy q ->
+          Exec.Pool.with_pool ~jobs:2 @@ fun pool ->
+          Exec.Driver.run_streaming ~fail_policy ~pool
+            ~on_rows:(fun ~file:_ _ -> ())
+            corpus q );
+      ( "run_batch",
+        fun ~fail_policy q ->
+          match Exec.Driver.run_batch ~jobs:2 ~fail_policy corpus [ q ] with
+          | [ (_, r) ] -> r
+          | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
+      );
+    ]
+  in
+  List.iter
+    (fun (text, affix) ->
+      let q = Odb.Query_parser.parse_exn text in
+      let expected =
+        match Exec.Driver.run_parallel ~jobs:1 corpus q with
+        | Ok _ -> Alcotest.failf "%s: expected a query-level failure" text
+        | Error e -> e
+      in
+      Alcotest.(check bool)
+        (text ^ ": names the first file and the defect")
+        true
+        (String.starts_with ~prefix:"node0.log: " expected
+        && Astring.String.is_infix ~affix expected);
+      List.iter
+        (fun (door, run) ->
+          List.iter
+            (fun fail_policy ->
+              let label =
+                Printf.sprintf "%s %s %s" door
+                  (Exec.Driver.fail_policy_to_string fail_policy)
+                  text
+              in
+              let parsed = Stdx.Stats.(value bytes_parsed) in
+              (match run ~fail_policy q with
+              | Ok _ -> Alcotest.failf "%s: expected the query to fail" label
+              | Error e -> Alcotest.(check string) label expected e);
+              Alcotest.(check int)
+                (label ^ ": no file parsed")
+                0
+                (Stdx.Stats.(value bytes_parsed) - parsed))
+            Exec.Driver.[ Fail_fast; Partial; Degrade ])
+        doors)
+    [ ({|SELECT x FROM Nope x|}, "unknown class: Nope"); (refused, "OQF001") ];
+  (* forcing the refused query still executes it: no rows, no
+     degradation *)
+  let out =
+    or_fail
+      (Exec.Driver.run_parallel ~jobs:2 ~force:true
+         ~fail_policy:Exec.Driver.Degrade corpus
+         (Odb.Query_parser.parse_exn refused))
+  in
+  Alcotest.(check int) "forced: no rows" 0 (List.length out.Exec.Driver.rows);
+  Alcotest.(check int) "forced: every file ran" 3
+    (List.length out.Exec.Driver.per_file);
+  Alcotest.(check int) "forced: nothing degraded" 0
+    (List.length out.Exec.Driver.degraded)
 
 let transient_faults_are_invisible () =
   (* a recoverable schedule (burst < retry budget) is fully masked by

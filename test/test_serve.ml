@@ -755,6 +755,28 @@ let server_tests =
             | Serve.Protocol.Pong _ -> ()
             | _ -> Alcotest.fail "connection should survive diagnostics");
             Serve.Client.close c));
+    Alcotest.test_case "a refused query answers diagnostics; force runs it"
+      `Quick (fun () ->
+        with_server (fun config _dir ->
+            let c = connect config in
+            let refused = {|SELECT b.Ts FROM Entries b WHERE b.Ts.Entry = "x"|} in
+            (match terminal_of c (query_req refused) with
+            | Serve.Protocol.Diagnostics { diagnostics; _ } ->
+                Alcotest.(check bool) "has OQF001" true
+                  (List.exists
+                     (fun d ->
+                       Obs.Jsonx.member "code" d
+                       = Some (Obs.Jsonx.Str "OQF001"))
+                     diagnostics)
+            | _ -> Alcotest.fail "expected diagnostics");
+            (match terminal_of c Serve.Protocol.Ping with
+            | Serve.Protocol.Pong _ -> ()
+            | _ -> Alcotest.fail "connection should survive a refusal");
+            (match terminal_of c (query_req ~force:true refused) with
+            | Serve.Protocol.Done { rows; _ } ->
+                Alcotest.(check int) "forced: no rows" 0 rows
+            | _ -> Alcotest.fail "expected done");
+            Serve.Client.close c));
     Alcotest.test_case "rexpr streams eval_shared regions per file" `Quick
       (fun () ->
         with_server (fun config dir ->
