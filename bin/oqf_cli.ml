@@ -546,7 +546,8 @@ let open_catalog dir =
 
 (* Refresh every entry of the queried schema, as serve does per
    request; the other schemas' files are never opened, so one of them
-   going missing cannot fail the query.  Every entry is attempted, so
+   going missing cannot fail the query.  A current index is left for
+   the load to check (and heal), so each is read and hashed once.  Every entry is attempted, so
    the healthy ones are up to date either way.  Under fail-fast the
    collected failures then fail the command; under the recovery
    policies they become warnings — load-time self-healing and the
@@ -557,7 +558,7 @@ let refresh_catalog cat ~schema ~fail_policy =
       (fun (e : Oqf_catalog.Catalog.entry) ->
         if e.schema <> schema then None
         else
-          match Oqf_catalog.Catalog.refresh cat e.source with
+          match Oqf_catalog.Catalog.refresh_for_load cat e.source with
           | Ok _ -> None
           | Error msg -> Some msg)
       (Oqf_catalog.Catalog.entries cat)

@@ -634,7 +634,8 @@ let possibly_stale t e =
         | idx -> src.Unix.st_mtime > idx.Unix.st_mtime
       end
 
-let staleness t e =
+(* [check] probes an index whose source fingerprint is current. *)
+let staleness_by ~check t e =
   if not (Sys.file_exists e.source) then Source_missing
   else begin
     let text = Pat.Text.of_file e.source in
@@ -647,7 +648,7 @@ let staleness t e =
           (Printf.sprintf "index format version %d, expected %d" e.version
              Pat.Index_store.format_version)
       else begin
-        match Pat.Index_store.verify ~path with
+        match check path with
         | Ok () -> Fresh
         | Error err -> Index_unreadable (Pat.Index_store.error_message err)
       end
@@ -658,6 +659,9 @@ let staleness t e =
       Appended { old_len = e.length; new_len = n }
     else Changed
   end
+
+let verify_index path = Pat.Index_store.verify ~path
+let staleness t e = staleness_by ~check:verify_index t e
 
 let status t = List.map (fun e -> (e, staleness t e)) t.entries
 
@@ -835,36 +839,42 @@ let rebuild_instance t e =
         end
     end
 
+(* Read through the instance cache: on a miss the index file is read,
+   checksummed and decoded, and the instance cached under its file name. *)
+let load_cached t e =
+  match Instance_cache.find t.cache e.index_file with
+  | Some instance -> Ok instance
+  | None ->
+      Result.map
+        (fun instance ->
+          Instance_cache.add t.cache e.index_file instance;
+          instance)
+        (Pat.Index_store.load_result ~path:(index_path t e))
+
 (* Self-healing load: a missing/corrupt/outdated index is transparently
    rebuilt from its source while serving the request.  Only when the
    source is gone too is there genuinely no path to the data. *)
 let load_persisted t e =
-  match Instance_cache.find t.cache e.index_file with
-  | Some instance -> Ok instance
-  | None -> begin
-      match Pat.Index_store.load_result ~path:(index_path t e) with
-      | Ok instance ->
-          Instance_cache.add t.cache e.index_file instance;
-          Ok instance
-      | Error err -> begin
-          let msg = Pat.Index_store.error_message err in
-          if not (Sys.file_exists e.source) then
-            Error (msg ^ "; source file is missing, cannot heal")
-          else begin
-            match rebuild_instance t e with
-            | Ok instance ->
-                Obs.Metrics.incr catalog_healed;
-                if Obs.Trace.enabled () then
-                  Obs.Trace.instant "catalog.heal"
-                    ~attrs:
-                      [
-                        ("source", Obs.Trace.Str e.source);
-                        ("reason", Obs.Trace.Str msg);
-                      ];
-                Ok instance
-            | Error heal_msg -> Error (msg ^ "; heal failed: " ^ heal_msg)
-          end
-        end
+  match load_cached t e with
+  | Ok instance -> Ok instance
+  | Error err -> begin
+      let msg = Pat.Index_store.error_message err in
+      if not (Sys.file_exists e.source) then
+        Error (msg ^ "; source file is missing, cannot heal")
+      else begin
+        match rebuild_instance t e with
+        | Ok instance ->
+            Obs.Metrics.incr catalog_healed;
+            if Obs.Trace.enabled () then
+              Obs.Trace.instant "catalog.heal"
+                ~attrs:
+                  [
+                    ("source", Obs.Trace.Str e.source);
+                    ("reason", Obs.Trace.Str msg);
+                  ];
+            Ok instance
+        | Error heal_msg -> Error (msg ^ "; heal failed: " ^ heal_msg)
+      end
     end
 
 (* A snapshot load never heals or commits: a pinned generation's bytes
@@ -877,21 +887,8 @@ let snapshot_load s source =
   | None ->
       Error
         (Printf.sprintf "%s is not in snapshot generation %d" source s.s_gen)
-  | Some e -> begin
-      let t = s.s_cat in
-      match Instance_cache.find t.cache e.index_file with
-      | Some instance -> Ok instance
-      | None -> begin
-          match
-            Pat.Index_store.load_result
-              ~path:(Filename.concat t.dir e.index_file)
-          with
-          | Ok instance ->
-              Instance_cache.add t.cache e.index_file instance;
-              Ok instance
-          | Error err -> Error (Pat.Index_store.error_message err)
-        end
-    end
+  | Some e ->
+      Result.map_error Pat.Index_store.error_message (load_cached s.s_cat e)
 
 let rebuild t e ~reason =
   Result.map (fun (_ : Pat.Instance.t) -> Rebuilt reason) (rebuild_instance t e)
@@ -930,7 +927,8 @@ let extend t e ~old_len ~verify_rig =
           rebuild t e ~reason:("incremental failed: " ^ why)
     end
 
-let refresh ?(verify_rig = false) t source =
+(* [check] probes an index whose source fingerprint is current. *)
+let refresh_by ~check ?(verify_rig = false) t source =
   Obs.Trace.with_span "catalog.refresh"
     ~attrs:(fun () -> [ ("source", Obs.Trace.Str source) ])
   @@ fun () ->
@@ -940,7 +938,7 @@ let refresh ?(verify_rig = false) t source =
       let healing r =
         Result.map (fun r -> Obs.Metrics.incr catalog_healed; r) r
       in
-      match staleness t e with
+      match staleness_by ~check t e with
       | Source_missing -> Error (source ^ ": source file is missing")
       | Fresh -> Ok Unchanged
       | Index_missing -> healing (rebuild t e ~reason:"index file missing")
@@ -948,6 +946,15 @@ let refresh ?(verify_rig = false) t source =
       | Changed -> rebuild t e ~reason:"contents changed"
       | Appended { old_len; _ } -> extend t e ~old_len ~verify_rig
     end
+
+let refresh ?verify_rig t source =
+  refresh_by ~check:verify_index ?verify_rig t source
+
+(* The pre-pass of a query that loads every entry it refreshes: a
+   current index is taken on its manifest's format version, and the
+   load that follows checks its header and checksum as it reads it
+   (healing a damaged one), so the file is read and hashed once. *)
+let refresh_for_load t source = refresh_by ~check:(fun _ -> Ok ()) t source
 
 (* Per-entry results: one corrupt source must not block refresh of the
    healthy ones, so every entry is attempted and reports its own

@@ -180,7 +180,8 @@ type staleness =
   | Changed
 
 val staleness : t -> entry -> staleness
-(** Fingerprint one source file against its entry. *)
+(** Fingerprint one source file against its entry.  A current index
+    file is checked (header, version, checksum) but not decoded. *)
 
 val possibly_stale : t -> entry -> bool
 (** A cheap, stat-only pre-check for long-lived processes: [true] when
@@ -209,9 +210,19 @@ val refresh : ?verify_rig:bool -> t -> string -> (refresh, string) result
     append-only growth and a full rebuild otherwise.  A change commits
     a new generation.  A failed incremental attempt (tail does not
     parse, schema not append-only) silently degrades to a rebuild —
-    its reason says why.  With [verify_rig] the extended instance is
-    additionally checked against the RIG of its indexed names (slow;
-    meant for tests). *)
+    its reason says why.  A current entry's index file is checked as
+    {!staleness} checks it, without decoding it, and a corrupt or
+    unreadable index rebuilds.  With [verify_rig] the extended instance is additionally
+    checked against the RIG of its indexed names (slow; meant for
+    tests). *)
+
+val refresh_for_load : t -> string -> (refresh, string) result
+(** {!refresh} for a caller that {!load}s the entry next (the pre-pass
+    of [oqf catalog query]): an index whose source fingerprint is
+    current is taken on its manifest's format version, without reading
+    the file.  The load then checks header and checksum as it decodes,
+    and heals a damaged index there, so a cold query reads and hashes
+    each index once whatever the instance cache's budget. *)
 
 val refresh_all :
   ?verify_rig:bool -> t -> (string * (refresh, string) result) list

@@ -22,12 +22,14 @@ let with_lock t f =
 
 (* Resident footprint estimate: the text bytes, one word per suffix-array
    slot, and three words per region (start, stop, array slot).  The point
-   is a stable relative measure for the budget, not byte-exactness. *)
+   is a stable relative measure for the budget, not byte-exactness.  An
+   n-byte text has at most ceil(n/2) word starts (each but the first
+   follows a non-word byte), so that bound stands in for the slot count:
+   costing an instance collects none of its buckets. *)
 let cost_of_instance instance =
   let word = 8 in
-  Pat.Text.length (Pat.Instance.text instance)
-  + (word * Pat.Word_index.size (Pat.Instance.word_index instance))
-  + (3 * word * Pat.Instance.total_regions instance)
+  let n = Pat.Text.length (Pat.Instance.text instance) in
+  n + (word * ((n + 1) / 2)) + (3 * word * Pat.Instance.total_regions instance)
 
 let create ~budget_bytes =
   {

@@ -248,6 +248,9 @@ let read_header ic path =
         Error (Version_mismatch { path; found = v; expected = format_version })
   end
 
+(* Body bytes hashed by [read_verified], whichever caller asked. *)
+let bytes_checked = Obs.Metrics.counter "pat.index_bytes_checked"
+
 (* The one reader behind [verify] and [load_result]: header, digest and
    body, checked against each other.  [tamper] sees the body before the
    checksum does (the load path's injected-corruption site).  Transient
@@ -278,6 +281,7 @@ let read_verified ~path ~tamper =
                   | exception End_of_file ->
                       Error (Corrupt { path; reason = "truncated" })
                   | stored, body ->
+                      Obs.Metrics.add_to bytes_checked (String.length body);
                       if Digest.equal stored (Digest.string body) then Ok body
                       else Error (Corrupt { path; reason = "checksum mismatch" })
                 end))

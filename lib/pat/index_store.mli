@@ -6,10 +6,9 @@
     rebuilt on load, deterministically.  Storing it would cost ~5
     marshalled bytes per word start, ~0.85 bytes per source byte on
     generated logs (about half again the catalog's size).  Rebuilding
-    it on load only groups the word starts by first byte, ~0.5 ms for a
-    75 KB log of 12,751 word starts on a 2-vCPU host; each bucket is
-    sorted by the first search that needs it, and sorting all of them
-    would take ~3.5 ms (see {!Suffix_array.build}).
+    it on load costs nothing up front: each first-byte bucket is
+    collected and sorted by the first search that needs it (see
+    {!Suffix_array.build}).
 
     Format 3 stores the text once, then the universe once: each name
     with its region count, the node count, then one varint record per
@@ -53,8 +52,11 @@ val load_result : path:string -> (Instance.t, error) result
 
 val verify : path:string -> (unit, error) result
 (** Check header, version and checksum without decoding the body — the
-    catalog's cheap staleness probe.  It reads the file the way
-    {!load_result} does. *)
+    catalog's staleness probe, for callers that load nothing after it
+    ([oqf catalog status] and [catalog refresh], serve, the watcher).
+    It reads the file the way {!load_result} does.  Both add the body
+    bytes they hash to the [pat.index_bytes_checked] counter of
+    {!Obs.Metrics}. *)
 
 val load : path:string -> Instance.t
 (** Like {!load_result} but raises [Failure] with the error message. *)

@@ -1,17 +1,21 @@
-(* A lazily sorted PAT array.  [order] holds every word start, grouped
-   by first byte: bucket [b] is [order.(lo.(b)) .. order.(lo.(b+1)-1)].
-   A bucket stays in position order until the first search that needs
-   it sorts it in place ([ensure]), so a query pays only for the
+(* A lazily collected, lazily sorted PAT array.  Bucket [b] holds the
+   word starts whose first byte is [b], in one of three states: not
+   collected yet, collected (in position order), or sorted (in suffix
+   order).  The first search that needs a bucket collects it if need
+   be and sorts it in place ([sorted]), so a query pays only for the
    buckets its words land in.  Concatenated, the sorted buckets are the
-   full suffix order, since every word start's first byte is its bucket.
-   Sorts run under [lock] and are published by setting [sorted.(b)]:
-   the serve daemon shares one array across domains, and the stdlib's
-   [Lazy] is not domain-safe. *)
+   full suffix order, since every word start's first byte is its
+   bucket.  Collections and sorts run under [lock] and are published by
+   setting the bucket's atomic cell: the serve daemon shares one array
+   across domains, and the stdlib's [Lazy] is not domain-safe.  A
+   collected bucket's array is only read or written under [lock]; a
+   sorted one is never written again. *)
+type bucket = Uncollected | Collected of int array | Sorted of int array
+
 type t = {
   text : Text.t;
-  order : int array;
-  lo : int array; (* [buckets + 1] offsets into [order] *)
-  sorted : bool Atomic.t array; (* one per bucket *)
+  buckets : bucket Atomic.t array; (* one per first byte *)
+  mutable scans : int; (* one-byte collection scans so far, under [lock] *)
   lock : Mutex.t;
 }
 
@@ -124,54 +128,114 @@ let rec mkqs s a lo hi d =
       end
     end
 
+(* Whole-text passes that collect word starts: a one-byte scan and a
+   grouped pass count one each. *)
+let passes = Obs.Metrics.counter "pat.word_start_passes"
+
+(* One-byte scans an array may spend before the next collection groups
+   every remaining bucket at once: a query's few lookups scan, and the
+   worst case stays one grouped pass plus two scans. *)
+let max_scans = 2
+
 (* Counting sort by first byte of the positions [iter] enumerates (in
-   increasing order, twice: count, then fill): the grouped positions,
-   each bucket still ascending, and the bucket offsets. *)
+   increasing order, twice: count, then fill): one array per first
+   byte, each ascending. *)
 let group s iter =
-  let lo = Array.make (buckets + 1) 0 in
+  let count = Array.make buckets 0 in
   let bucket p = Char.code (String.unsafe_get s p) in
-  iter (fun p -> lo.(bucket p + 1) <- lo.(bucket p + 1) + 1);
-  for b = 1 to buckets do
-    lo.(b) <- lo.(b) + lo.(b - 1)
-  done;
-  let next = Array.sub lo 0 buckets in
-  let order = Array.make lo.(buckets) 0 in
   iter (fun p ->
       let b = bucket p in
-      Array.unsafe_set order next.(b) p;
+      count.(b) <- count.(b) + 1);
+  let out = Array.map (fun n -> Array.make n 0) count in
+  let next = Array.make buckets 0 in
+  iter (fun p ->
+      let b = bucket p in
+      Array.unsafe_set out.(b) next.(b) p;
       next.(b) <- next.(b) + 1);
-  (order, lo)
+  out
 
+(* The word starts whose first byte is the word byte [c], ascending:
+   one compare per byte of the text, and a look at the byte before
+   each hit. *)
+let scan s c =
+  let out = ref (Array.make 64 0) and k = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if
+      String.unsafe_get s i = c
+      && (i = 0 || not (Tokenizer.is_word_char (String.unsafe_get s (i - 1))))
+    then begin
+      if !k = Array.length !out then begin
+        let bigger = Array.make (2 * !k) 0 in
+        Array.blit !out 0 bigger 0 !k;
+        out := bigger
+      end;
+      Array.unsafe_set !out !k i;
+      incr k
+    end
+  done;
+  Array.sub !out 0 !k
+
+(* Only word bytes start words: every other bucket is born sorted and
+   empty, so searches for such a byte collect nothing. *)
 let build text =
-  let order, lo =
-    group (Text.unsafe_contents text) (Tokenizer.iter_word_starts text)
-  in
   {
     text;
-    order;
-    lo;
-    sorted = Array.init buckets (fun _ -> Atomic.make false);
+    buckets =
+      Array.init buckets (fun b ->
+          Atomic.make
+            (if Tokenizer.is_word_char (Char.chr b) then Uncollected
+             else Sorted [||]));
+    scans = 0;
     lock = Mutex.create ();
   }
 
-(* Sort bucket [b] unless it already is (double-checked: the flag is
-   read without the lock, and set only after the sort it publishes).
-   Its entries share byte 0, so the sort starts at depth 1. *)
-let ensure t b =
-  if not (Atomic.get t.sorted.(b)) then
-    Mutex.protect t.lock (fun () ->
-        if not (Atomic.get t.sorted.(b)) then begin
-          mkqs (Text.unsafe_contents t.text) t.order t.lo.(b) t.lo.(b + 1) 1;
-          Atomic.set t.sorted.(b) true
-        end)
+let uncollected c = match Atomic.get c with Uncollected -> true | _ -> false
+
+(* Collect every bucket not collected yet, in one grouped pass, and
+   return the pass's per-byte arrays.  Runs under [t.lock]. *)
+let collect_all t =
+  Obs.Metrics.incr passes;
+  let grouped =
+    group (Text.unsafe_contents t.text) (Tokenizer.iter_word_starts t.text)
+  in
+  Array.iteri
+    (fun b c -> if uncollected c then Atomic.set c (Collected grouped.(b)))
+    t.buckets;
+  grouped
+
+(* Collect the uncollected bucket [b]: a one-byte scan while the array
+   has scans left, else the grouped pass.  Runs under [t.lock]. *)
+let collect t b =
+  if t.scans < max_scans then begin
+    t.scans <- t.scans + 1;
+    Obs.Metrics.incr passes;
+    scan (Text.unsafe_contents t.text) (Char.chr b)
+  end
+  else (collect_all t).(b)
+
+(* Bucket [b] in suffix order, collected and sorted first if need be
+   (double-checked: the cell is read without the lock, and set only
+   after the sort it publishes).  Its entries share byte 0, so the sort
+   starts at depth 1. *)
+let sorted t b =
+  match Atomic.get t.buckets.(b) with
+  | Sorted a -> a
+  | Uncollected | Collected _ ->
+      Mutex.protect t.lock (fun () ->
+          let publish a =
+            mkqs (Text.unsafe_contents t.text) a 0 (Array.length a) 1;
+            Atomic.set t.buckets.(b) (Sorted a);
+            a
+          in
+          match Atomic.get t.buckets.(b) with
+          | Sorted a -> a
+          | Collected a -> publish a
+          | Uncollected -> publish (collect t b))
 
 let order t =
-  for b = 0 to buckets - 1 do
-    ensure t b
-  done;
-  Array.copy t.order
-
-let size t = Array.length t.order
+  Mutex.protect t.lock (fun () ->
+      if Array.exists uncollected t.buckets then ignore (collect_all t));
+  Array.concat (List.init buckets (sorted t))
 
 (* Restore suffix order over [a.(lo) .. a.(hi-1)] of a grown text:
    [a.(lo) .. a.(mid-1)] are a bucket's old entries in their old suffix
@@ -210,41 +274,43 @@ let resort s a lo mid hi ~old_len =
    cannot change the sort key of a position whose capped comparison
    window [p, p+prefix_cap) lies entirely inside the unchanged prefix:
    such windows never reached the old end of text either, so those
-   entries keep their relative order.  An unsorted bucket takes the
-   tail's word starts at its end and stays in position order; a sorted
-   one re-sorts only its entries near the old end (window crossing
-   old_len) and the tail's, then merges them with the untouched bulk.
-   The old array is read under its lock and never written: pinned
-   snapshots keep searching it. *)
+   entries keep their relative order.  A bucket not collected yet stays
+   so; a collected one takes the tail's word starts at its end and
+   stays in position order; a sorted one re-sorts only its entries near
+   the old end (window crossing old_len) and the tail's, then merges
+   them with the untouched bulk.  The old array is read under its lock
+   (a collected bucket is copied there, since a search may yet sort it
+   in place) and never written: pinned snapshots keep searching it. *)
 let extend t new_text ~old_len =
   if old_len <> Text.length t.text then
     invalid_arg "Suffix_array.extend: old_len does not match the indexed text";
   let s = Text.unsafe_contents new_text in
-  let tail, tail_lo =
+  let tail =
     group s (fun f ->
         for p = old_len to Text.length new_text - 1 do
           if Tokenizer.is_word_start new_text p then f p
         done)
   in
-  let lo = Array.init (buckets + 1) (fun b -> t.lo.(b) + tail_lo.(b)) in
-  let order = Array.make lo.(buckets) 0 in
-  let was_sorted =
+  let grown =
     Mutex.protect t.lock (fun () ->
-        for b = 0 to buckets - 1 do
-          Array.blit t.order t.lo.(b) order lo.(b) (t.lo.(b + 1) - t.lo.(b))
-        done;
-        Array.map Atomic.get t.sorted)
+        Array.mapi
+          (fun b c ->
+            match Atomic.get c with
+            | Collected a -> Collected (Array.append a tail.(b))
+            | state -> state)
+          t.buckets)
   in
-  for b = 0 to buckets - 1 do
-    let mid = lo.(b) + (t.lo.(b + 1) - t.lo.(b)) in
-    Array.blit tail tail_lo.(b) order mid (lo.(b + 1) - mid);
-    if was_sorted.(b) then resort s order lo.(b) mid lo.(b + 1) ~old_len
-  done;
+  let resorted b = function
+    | Sorted a ->
+        let all = Array.append a tail.(b) in
+        resort s all 0 (Array.length a) (Array.length all) ~old_len;
+        Sorted all
+    | state -> state
+  in
   {
     text = new_text;
-    order;
-    lo;
-    sorted = Array.map Atomic.make was_sorted;
+    buckets = Array.mapi (fun b state -> Atomic.make (resorted b state)) grown;
+    scans = 0;
     lock = Mutex.create ();
   }
 
@@ -262,34 +328,28 @@ let compare_prefix s pos pattern =
   in
   go 1
 
-(* The range of [order] whose sistrings start with the non-empty
-   [pattern]: two binary searches inside its first byte's bucket,
-   sorted first if need be.  An empty bucket (every first byte that is
-   not a word character) sorts nothing. *)
+(* The sorted bucket of the non-empty [pattern]'s first byte and the
+   range of it whose sistrings start with [pattern]: two binary
+   searches. *)
 let bounds t pattern =
-  let b = Char.code pattern.[0] in
-  let first = t.lo.(b) and last = t.lo.(b + 1) in
-  if first = last then (first, first)
-  else begin
-    ensure t b;
-    let s = Text.unsafe_contents t.text in
-    let rec lower lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if compare_prefix s t.order.(mid) pattern < 0 then lower (mid + 1) hi
-        else lower lo mid
-    in
-    let rec upper lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if compare_prefix s t.order.(mid) pattern <= 0 then upper (mid + 1) hi
-        else upper lo mid
-    in
-    let lo = lower first last in
-    (lo, upper lo last)
-  end
+  let a = sorted t (Char.code pattern.[0]) in
+  let s = Text.unsafe_contents t.text in
+  let rec lower lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if compare_prefix s a.(mid) pattern < 0 then lower (mid + 1) hi
+      else lower lo mid
+  in
+  let rec upper lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if compare_prefix s a.(mid) pattern <= 0 then upper (mid + 1) hi
+      else upper lo mid
+  in
+  let lo = lower 0 (Array.length a) in
+  (a, lo, upper lo (Array.length a))
 
 (* Occurrence test for the (rare) patterns longer than the sort cap. *)
 let occurs_at s pos pattern =
@@ -302,11 +362,11 @@ let find t pattern =
   (* the empty pattern needs no bucket: every word start, in order *)
   if m = 0 then Tokenizer.word_starts t.text
   else begin
-    let lo, hi =
+    let a, lo, hi =
       bounds t
         (if m <= prefix_cap then pattern else String.sub pattern 0 prefix_cap)
     in
-    let out = Array.sub t.order lo (hi - lo) in
+    let out = Array.sub a lo (hi - lo) in
     let out =
       if m <= prefix_cap then out
       else begin
@@ -333,8 +393,8 @@ let count t pattern =
   if m > prefix_cap then Array.length (find t pattern)
   else begin
     Stdx.Stats.(incr word_lookups);
-    if m = 0 then size t
+    if m = 0 then Array.length (Tokenizer.word_starts t.text)
     else
-      let lo, hi = bounds t pattern in
+      let _, lo, hi = bounds t pattern in
       hi - lo
   end

@@ -5,20 +5,28 @@
     occurs in the text starting at a word boundary can be located with
     two binary searches, independent of file size.
 
-    The array is sorted lazily, one first-byte bucket at a time
+    The array is built lazily, one first-byte bucket at a time
     (top-down, as in Giegerich, Kurtz & Stoye's lazy suffix trees): a
-    search sorts only the bucket its pattern starts in, once, so a
-    query pays for the buckets its words land in and never for the
-    rest.  One array may be searched and extended from several domains
-    at once; bucket sorts are serialised by a per-array lock. *)
+    search collects and sorts only the bucket its pattern starts in,
+    once, so a query pays for the buckets its words land in and never
+    for the rest.  One array may be searched and extended from several
+    domains at once; bucket collections and sorts are serialised by a
+    per-array lock. *)
 
 type t
 
 val build : Text.t -> t
-(** Collect the word starts of the text grouped by first byte (a
-    counting sort done while tokenizing: two passes over the bytes,
-    O(n)); nothing is sorted yet.  The first search in a bucket sorts it, in place, by the first
-    1024 bytes of its suffixes (end of text first; suffixes equal on all
+(** An array over the text with no bucket collected or sorted yet: O(1)
+    in the text.  The first search in bucket [b] (the word starts whose
+    first byte is [b]) collects it, by one pass over the text comparing
+    each byte with [b].  After two such one-byte scans, the next bucket
+    not collected yet is collected with every other remaining one in a
+    single grouped pass (a counting sort by first byte while
+    tokenizing), so a query's few lookups scan a few times and a search
+    of every bucket costs at most that grouped pass plus two scans.
+    Each such whole-text pass counts one in the [pat.word_start_passes]
+    counter of {!Obs.Metrics}.  The search then sorts the bucket, in
+    place, by the first 1024 bytes of its suffixes (end of text first; suffixes equal on all
     1024 come out in an unspecified order).  The kernel is an in-place
     Bentley–Sedgewick multikey quicksort: three-way partitions on the
     byte at the current depth, so a prefix shared by a partition is read
@@ -33,18 +41,19 @@ val prefix_cap : int
 (** The sort key length: 1024 bytes. *)
 
 val order : t -> int array
-(** The word starts in suffix order (a fresh copy).  Sorts every
-    bucket first. *)
-
-val size : t -> int
-(** Number of indexed sistrings (= number of word starts). *)
+(** The word starts in suffix order (a fresh copy).  Collects every
+    bucket not collected yet in one grouped pass, then sorts every
+    bucket.  (The word-start count is [count t ""]; there is no [size],
+    since knowing it would mean collecting.) *)
 
 val extend : t -> Text.t -> old_len:int -> t
 (** [extend t new_text ~old_len] upgrades an array built over the first
     [old_len] bytes (the old text, which must be a prefix of
     [new_text]) to one over the whole of [new_text], tokenizing only
-    the appended tail.  A bucket no search has sorted yet takes the
-    tail's word starts and stays unsorted.  In a sorted bucket, entries
+    the appended tail.  A bucket no search has collected stays
+    uncollected, and costs nothing here.  A collected but unsorted
+    bucket takes the tail's word starts and stays unsorted.  In a
+    sorted bucket, entries
     whose capped comparison window lies in the unchanged prefix keep
     their order; only the bucket's tail word starts and the few old
     entries whose window crosses the append point are re-sorted, then
@@ -56,9 +65,9 @@ val extend : t -> Text.t -> old_len:int -> t
 val find : t -> string -> int array
 (** [find t pattern] returns every position [p] (sorted increasing) such
     that [pattern] occurs in the text at [p] and [p] is a word start.
-    The empty pattern matches every word start and sorts no bucket; a
-    pattern whose first byte starts no word (not a letter or digit)
-    finds nothing and sorts none either.  Records one word lookup in
+    The empty pattern matches every word start and collects no bucket;
+    a pattern whose first byte starts no word (not a letter or digit)
+    finds nothing and collects none either.  Records one word lookup in
     {!Stdx.Stats.global}. *)
 
 val find_word : t -> string -> int array
@@ -69,4 +78,5 @@ val find_word : t -> string -> int array
 
 val count : t -> string -> int
 (** Number of occurrences of the pattern at word starts, without
-    materialising positions. *)
+    materialising positions.  [count t ""] is the number of word
+    starts, as [Array.length (find t "")]; it collects no bucket. *)

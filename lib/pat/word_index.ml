@@ -6,7 +6,6 @@ let extend t new_text ~old_len =
   { text = new_text; sa = Suffix_array.extend t.sa new_text ~old_len }
 
 let text t = t.text
-let size t = Suffix_array.size t.sa
 let match_points t w = Suffix_array.find_word t.sa w
 let occurrence_count t w = Suffix_array.count t.sa w
 

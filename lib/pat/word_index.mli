@@ -17,9 +17,6 @@ val extend : t -> Text.t -> old_len:int -> t
 
 val text : t -> Text.t
 
-val size : t -> int
-(** Number of indexed sistrings (= word starts of the text). *)
-
 val match_points : t -> string -> int array
 (** Sorted positions where the string occurs starting at a word
     boundary and ending at a token boundary. *)

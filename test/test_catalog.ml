@@ -369,6 +369,63 @@ let catalog_tests =
         check_refresh "missing index" "rebuilt" cat log_path);
     Alcotest.test_case "corrupt index file rebuilds" `Quick (fun () ->
         let _, log_path, cat = setup_catalog 8 in
+        let cache = Oqf_catalog.Catalog.cache cat in
+        (* truncate the entry's current index file; return its name *)
+        let corrupt () =
+          let e = Option.get (Oqf_catalog.Catalog.find cat log_path) in
+          let idx =
+            Filename.concat (Oqf_catalog.Catalog.dir cat)
+              e.Oqf_catalog.Catalog.index_file
+          in
+          let raw = read_file idx in
+          write_file idx (String.sub raw 0 (String.length raw - 7));
+          e.Oqf_catalog.Catalog.index_file
+        in
+        let (_ : string) = corrupt () in
+        (match Oqf_catalog.Catalog.status cat with
+        | [ (_, Oqf_catalog.Catalog.Index_unreadable _) ] -> ()
+        | _ -> Alcotest.fail "status must flag the corrupt index");
+        (* the instance the add cached does not hide the damaged file *)
+        Alcotest.(check int) "still cached" 1
+          (Oqf_catalog.Instance_cache.count cache);
+        check_refresh "corrupt index, instance cached" "rebuilt" cat log_path;
+        (* the cache is keyed by index file *)
+        Oqf_catalog.Instance_cache.remove cache (corrupt ());
+        Alcotest.(check int) "uncached" 0
+          (Oqf_catalog.Instance_cache.count cache);
+        check_refresh "corrupt index, not cached" "rebuilt" cat log_path;
+        check_matches_rebuild "healed" cat log_path);
+    Alcotest.test_case "refresh_for_load leaves the checksum to the load"
+      `Quick (fun () ->
+        let _, log_path, cat = setup_catalog 8 in
+        let reopened =
+          or_fail (Oqf_catalog.Catalog.open_dir (Oqf_catalog.Catalog.dir cat))
+        in
+        let e = Option.get (Oqf_catalog.Catalog.find reopened log_path) in
+        let idx =
+          Filename.concat (Oqf_catalog.Catalog.dir reopened)
+            e.Oqf_catalog.Catalog.index_file
+        in
+        let checked = Obs.Metrics.counter "pat.index_bytes_checked" in
+        let before = Obs.Metrics.value checked in
+        let r = or_fail (Oqf_catalog.Catalog.refresh_for_load reopened log_path) in
+        Alcotest.(check string) "fresh" "unchanged" (refresh_kind r);
+        let (_ : Pat.Instance.t) =
+          or_fail (Oqf_catalog.Catalog.load reopened log_path)
+        in
+        (* the body (the file less its 12-byte header and 16-byte
+           digest) is hashed once, by the load *)
+        Alcotest.(check int) "body hashed once"
+          (String.length (read_file idx) - 28)
+          (Obs.Metrics.value checked - before);
+        let s =
+          Oqf_catalog.Instance_cache.stats (Oqf_catalog.Catalog.cache reopened)
+        in
+        Alcotest.(check int) "one miss" 1 s.Oqf_catalog.Instance_cache.misses;
+        Alcotest.(check int) "no hit" 0 s.Oqf_catalog.Instance_cache.hits);
+    Alcotest.test_case "refresh_for_load: a corrupt index heals on load"
+      `Quick (fun () ->
+        let _, log_path, cat = setup_catalog 8 in
         let e = Option.get (Oqf_catalog.Catalog.find cat log_path) in
         let idx =
           Filename.concat (Oqf_catalog.Catalog.dir cat)
@@ -376,12 +433,15 @@ let catalog_tests =
         in
         let raw = read_file idx in
         write_file idx (String.sub raw 0 (String.length raw - 7));
-        (match Oqf_catalog.Catalog.status cat with
-        | [ (_, Oqf_catalog.Catalog.Index_unreadable _) ] -> ()
-        | _ -> Alcotest.fail "status must flag the corrupt index");
         Oqf_catalog.Instance_cache.remove (Oqf_catalog.Catalog.cache cat)
-          log_path;
-        check_refresh "corrupt index" "rebuilt" cat log_path);
+          e.Oqf_catalog.Catalog.index_file;
+        let r = or_fail (Oqf_catalog.Catalog.refresh_for_load cat log_path) in
+        Alcotest.(check string) "not read" "unchanged" (refresh_kind r);
+        let healed = Obs.Metrics.counter "catalog.healed" in
+        let healed_before = Obs.Metrics.value healed in
+        check_matches_rebuild "healed" cat log_path;
+        Alcotest.(check int) "healed on load" (healed_before + 1)
+          (Obs.Metrics.value healed));
     Alcotest.test_case "reopened catalog serves persisted entries" `Quick
       (fun () ->
         let _, log_path, cat = setup_catalog 8 in

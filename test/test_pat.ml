@@ -600,6 +600,126 @@ let lazy_props =
         && well_sorted old_text old);
   ]
 
+(* Collection: a bucket's word starts are gathered by its first search,
+   by a one-byte scan for an array's first two buckets and by one
+   grouped pass for the rest.  Up to four distinct word bytes are
+   forced here (bytes absent from the text included), so arrays end
+   with buckets uncollected, scanned and grouped, and an array may be
+   extended before any collection: each bucket's state must carry over
+   the append. *)
+let collect_gen =
+  QCheck.Gen.(
+    int_bound 4 >>= fun k ->
+    map
+      (fun (bytes, exts) -> List.combine (List.filteri (fun i _ -> i < k) bytes) exts)
+      (pair
+         (shuffle_l [ 'a'; 'b'; 'Z'; '0'; '7'; 'q' ])
+         (list_repeat k bool)))
+
+let arb_collect =
+  QCheck.make
+    ~print:(fun (((text, _), steps), split) ->
+      Printf.sprintf "%d bytes %S... split %d steps %s" (String.length text)
+        (String.sub text 0 (min 80 (String.length text)))
+        split
+        (String.concat ","
+           (List.map (fun (c, ext) -> Printf.sprintf "%s%C" (if ext then "extend;" else "") c) steps)))
+    QCheck.Gen.(
+      pair
+        (pair
+           (oneof
+              [
+                adversarial_gen;
+                pair mixed_text_gen
+                  (list_size (int_range 1 6)
+                     (pair (int_bound 10_000) (int_bound 8)));
+              ])
+           collect_gen)
+        (int_bound 100_000))
+
+let collect_props =
+  [
+    QCheck.Test.make
+      ~name:"lazy: collections by scan and grouped pass, extended between == build"
+      ~count:150 arb_collect (fun (((text, seeds), steps), split) ->
+        let n = String.length text in
+        let start = split mod (n + 1) in
+        let n_ext = List.length (List.filter snd steps) + 1 in
+        (* the i-th extension grows the text to [len i]; the last to n *)
+        let len i = start + ((n - start) * i / n_ext) in
+        let prefix l = String.sub text 0 l in
+        let pats = edge_patterns @ patterns_of text seeds in
+        let arrays = ref [ (start, Suffix_array.build (Text.of_string (prefix start))) ] in
+        let grow i =
+          let l, sa = List.hd !arrays in
+          arrays :=
+            (len i, Suffix_array.extend sa (Text.of_string (prefix (len i))) ~old_len:l)
+            :: !arrays
+        in
+        let exts = ref 0 in
+        List.iter
+          (fun (c, ext) ->
+            if ext then begin
+              incr exts;
+              grow !exts
+            end;
+            force (snd (List.hd !arrays)) [ Char.code c ])
+          steps;
+        grow n_ext;
+        let sa = snd (List.hd !arrays) in
+        let built = Suffix_array.build (Text.of_string text) in
+        List.for_all
+          (fun pat ->
+            Suffix_array.find sa pat = Suffix_array.find built pat
+            && Suffix_array.find_word sa pat = Suffix_array.find_word built pat
+            && Suffix_array.count sa pat = Suffix_array.count built pat)
+          pats
+        (* every array, the superseded ones too, still answers for its
+           own prefix *)
+        && List.for_all
+             (fun (l, sa) ->
+               answers_like_naive (prefix l) sa pats && well_sorted (prefix l) sa)
+             !arrays);
+  ]
+
+(* Whole-text collection passes, as counted in the metrics registry:
+   one per one-byte scan, one for the grouped pass, none for anything
+   already collected, the empty pattern or a non-word byte. *)
+let passes_test () =
+  let counter = Obs.Metrics.counter "pat.word_start_passes" in
+  let passes f =
+    let before = Obs.Metrics.value counter in
+    f ();
+    Obs.Metrics.value counter - before
+  in
+  let check msg want f = Alcotest.(check int) msg want (passes f) in
+  let text = "alpha beta gamma delta 2026 alpha-beta zeta" in
+  let sa = Suffix_array.build (Text.of_string text) in
+  let find p () = ignore (Suffix_array.find sa p) in
+  check "build collects nothing" 0 (fun () ->
+      ignore (Suffix_array.build (Text.of_string text)));
+  check "every word start, counted" 0 (fun () ->
+      Alcotest.(check int) "count" 8 (Suffix_array.count sa ""));
+  check "a non-word byte" 0 (find "-");
+  check "first scan" 1 (find "al");
+  check "same bucket" 0 (find "alpha");
+  check "second scan" 1 (find "beta");
+  check "grouped pass" 1 (find "gamma");
+  check "grouped already" 0 (find "2026");
+  check "order after grouping" 0 (fun () -> ignore (Suffix_array.order sa));
+  check "a fresh order groups once" 1 (fun () ->
+      ignore (Suffix_array.order (Suffix_array.build (Text.of_string text))));
+  let small = Suffix_array.build (Text.of_string text) in
+  check "scan before extend" 1 (fun () -> ignore (Suffix_array.find small "z"));
+  let grown =
+    Suffix_array.extend small (Text.of_string (text ^ " zz omega"))
+      ~old_len:(String.length text)
+  in
+  check "collected bucket carried over" 0 (fun () ->
+      Alcotest.(check int) "z after extend" 2 (Suffix_array.count grown "z"));
+  check "uncollected stays so" 1 (fun () ->
+      Alcotest.(check int) "omega" 1 (Suffix_array.count grown "omega"))
+
 (* One fresh array searched by four domains at once (same and different
    buckets, the empty pattern, counts) while a fifth extends it: every
    answer must equal the sequential one. *)
@@ -1236,10 +1356,12 @@ let suites =
       region_set_units @ List.map QCheck_alcotest.to_alcotest region_set_props );
     ( "pat.suffix_array",
       List.map QCheck_alcotest.to_alcotest
-        (suffix_array_props @ adversarial_props @ lazy_props)
+        (suffix_array_props @ adversarial_props @ lazy_props @ collect_props)
       @ [
           Alcotest.test_case "lazy buckets are domain-safe" `Quick
             domain_safety_test;
+          Alcotest.test_case "collection passes are counted" `Quick
+            passes_test;
         ] );
     ( "pat.word_selections",
       List.map QCheck_alcotest.to_alcotest word_selection_props );
