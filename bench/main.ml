@@ -805,6 +805,18 @@ let o1 () =
    is interpretable; on a single-core host the 2- and 4-domain rows
    measure the pool's overhead, not a speedup. *)
 
+(* A batch as [oqf batch] runs it: queries in input order through the
+   streaming door on one shared pool and one shared cache. *)
+let run_batch ~jobs ~cache corpus queries =
+  Exec.Pool.with_pool ~jobs @@ fun pool ->
+  List.map
+    (fun q ->
+      or_die
+        (Exec.Driver.run_streaming ~cache ~pool
+           ~on_rows:(fun ~file:_ _ -> ())
+           corpus q))
+    queries
+
 let p1 () =
   heading "P1" "parallel corpus execution (1/2/4 domains) + result cache";
   let cores = Domain.recommended_domain_count () in
@@ -856,13 +868,10 @@ let p1 () =
   in
   let batch = List.concat (List.init 4 (fun _ -> distinct)) in
   let cache = Exec.Rcache.create () in
-  let results, batch_ms =
+  let _, batch_ms =
     time_ms ~repeat:1 (fun () ->
-        Exec.Driver.run_batch ~jobs:(min 4 cores) ~cache corpus batch)
+        run_batch ~jobs:(min 4 cores) ~cache corpus batch)
   in
-  List.iter
-    (fun (_, r) -> match r with Ok _ -> () | Error e -> failwith e)
-    results;
   let s = Exec.Rcache.stats cache in
   let hit_rate =
     float_of_int s.Exec.Rcache.hits
@@ -1563,16 +1572,13 @@ let ct1 () =
   let run_workload ~containment =
     let cache = Exec.Rcache.create ~containment () in
     let results, ms =
-      time_ms ~repeat:1 (fun () ->
-          Exec.Driver.run_batch ~jobs:1 ~cache corpus queries)
+      time_ms ~repeat:1 (fun () -> run_batch ~jobs:1 ~cache corpus queries)
     in
     let rows =
-      List.map
-        (fun (q, r) ->
-          match r with
-          | Ok o -> (Odb.Query.to_string q, o.Exec.Driver.rows)
-          | Error e -> failwith e)
-        results
+      List.map2
+        (fun q (o : Exec.Driver.outcome) ->
+          (Odb.Query.to_string q, o.Exec.Driver.rows))
+        queries results
     in
     let s = Exec.Rcache.stats cache in
     (* a containment-served probe counts an exact miss first, so the

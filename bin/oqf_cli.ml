@@ -132,20 +132,6 @@ let plan_arg =
 
 let resolve_plan_mode s = or_die (Oqf_cost.Planner.mode_of_string s)
 
-let minimize_arg =
-  let on =
-    Arg.info [ "minimize" ]
-      ~doc:
-        "Containment-based query minimization: drop provably-redundant \
-         conjuncts and subsumed union arms before planning.  On by default \
-         under $(b,--plan cost)."
-  in
-  let off =
-    Arg.info [ "no-minimize" ]
-      ~doc:"Disable containment-based query minimization."
-  in
-  Arg.(value & vflag None [ (Some true, on); (Some false, off) ])
-
 let resolve_cost_threshold = function
   | None -> None
   | Some s -> begin
@@ -345,7 +331,7 @@ let query_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run schema file names q_text no_optimize minimize load baseline explain
+  let run schema file names q_text no_optimize load baseline explain
       force jobs fail_policy plan faults trace metrics qlog workload slow_ms =
     install_trace trace;
     install_faults faults;
@@ -389,8 +375,8 @@ let query_cmd =
       let corpus = Oqf.Corpus.of_sources [ (file, src) ] in
       let out =
         or_die
-          (Exec.Driver.run_parallel ~optimize:(not no_optimize) ?minimize
-             ~explain ~force ~jobs ~fail_policy ~plan_mode ?qctx corpus q)
+          (Exec.Driver.run_parallel ~optimize:(not no_optimize) ~explain
+             ~force ~jobs ~fail_policy ~plan_mode ?qctx corpus q)
       in
       report_degraded out.Exec.Driver.degraded;
       match out.Exec.Driver.per_file with
@@ -417,7 +403,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run a query against a file.")
     Term.(
       const run $ schema_arg $ file_arg $ index_names_arg $ query_arg
-      $ no_optimize $ minimize_arg $ load $ baseline $ analyze $ force_arg
+      $ no_optimize $ load $ baseline $ analyze $ force_arg
       $ jobs_arg
       $ fail_policy_arg $ plan_arg $ faults_arg $ trace_arg $ metrics_arg
       $ qlog_arg $ workload_arg $ slow_query_arg)
@@ -817,12 +803,14 @@ let catalog_repair_cmd =
                 ( "collapsed-generation",
                   Printf.sprintf "stray generation %d" g )
           in
-          Printf.sprintf {|{"file":"%s","action":"%s","detail":"%s"}|}
-            (Oqf.Degrade.json_escape file)
-            (Oqf.Degrade.json_escape action)
-            (Oqf.Degrade.json_escape detail)
+          Obs.Jsonx.(
+            Obj
+              [
+                ("file", Str file); ("action", Str action); ("detail", Str detail);
+              ])
         in
-        print_endline ("[" ^ String.concat "," (List.map item actions) ^ "]")
+        print_endline
+          (Obs.Jsonx.to_string (Obs.Jsonx.Arr (List.map item actions)))
     | `Text -> begin
         match actions with
         | [] -> print_endline "catalog is healthy; nothing to repair"
@@ -939,8 +927,8 @@ let batch_cmd =
     in
     go 1 []
   in
-  let run schema queries_file data catalog_dir force minimize jobs
-      fail_policy plan faults trace metrics qlog workload slow_ms =
+  let run schema queries_file data catalog_dir force jobs fail_policy plan
+      faults trace metrics qlog workload slow_ms =
     install_trace trace;
     install_faults faults;
     install_qlog ?slow_ms qlog;
@@ -966,13 +954,15 @@ let batch_cmd =
                (List.map (fun f -> (f, Pat.Text.of_file f)) files))
     in
     let cache = Exec.Rcache.create () in
-    let results =
-      Exec.Driver.run_batch ~force ?minimize ~jobs ~cache ~fail_policy
-        ~plan_mode ~workload corpus (List.map snd queries)
-    in
-    let failed =
-      List.fold_left2
-        (fun failed (line, _) (_, result) ->
+    (* queries in input order, each query's files in parallel on one
+       shared pool; rows are printed once the query has settled.  One
+       worker would only hand each file back in turn, so --jobs 1 runs
+       the files on the caller, as [oqf query] does, and spawns no
+       domain. *)
+    let batch run =
+      List.fold_left
+        (fun failed (line, q) ->
+          let result = run (fresh_qctx ~workload ()) q in
           Printf.printf "== %s\n" line;
           match result with
           | Error e ->
@@ -988,7 +978,20 @@ let batch_cmd =
                 (if out.Exec.Driver.from_cache then " (cached)" else "");
               report_degraded out.Exec.Driver.degraded;
               failed)
-        false queries results
+        false queries
+    in
+    let failed =
+      if jobs = 1 then
+        batch (fun qctx q ->
+            Exec.Driver.run_parallel ~jobs ~force ~cache ~fail_policy ~plan_mode
+              ?qctx corpus q)
+      else
+        Exec.Pool.with_pool ~jobs @@ fun pool ->
+        batch (fun qctx q ->
+            Exec.Driver.run_streaming ~force ~cache ~fail_policy ~plan_mode
+              ?qctx ~pool
+              ~on_rows:(fun ~file:_ _ -> ())
+              corpus q)
     in
     Format.printf "-- result cache: %a@." Exec.Rcache.pp_stats
       (Exec.Rcache.stats cache);
@@ -998,13 +1001,14 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Run a file of queries through the domain worker pool against a \
-          corpus (from a catalog or from data files), sharing one \
-          fingerprint-keyed result cache.")
+         "Run a file of queries, in order, against a corpus (from a \
+          catalog or from data files), each query's files in parallel on \
+          one pool of $(b,--jobs) worker domains (none at $(b,--jobs) 1), \
+          sharing one fingerprint-keyed result cache.")
     Term.(
       const run $ schema_arg $ queries_file $ data $ catalog_dir $ force_arg
-      $ minimize_arg $ jobs_arg $ fail_policy_arg $ plan_arg $ faults_arg
-      $ trace_arg $ metrics_arg $ qlog_arg $ workload_arg $ slow_query_arg)
+      $ jobs_arg $ fail_policy_arg $ plan_arg $ faults_arg $ trace_arg
+      $ metrics_arg $ qlog_arg $ workload_arg $ slow_query_arg)
 
 (* --- check --------------------------------------------------------- *)
 

@@ -85,46 +85,23 @@ let pp ppf d =
 
 let to_string d = Format.asprintf "%a" pp d
 
-(* Hand-rolled JSON: the toolchain image carries no JSON library, and
-   the shapes here are flat. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\"" (json_escape d.code)
-       (severity_to_string d.severity));
-  (match d.subject with
-  | Some s ->
-      Buffer.add_string buf (Printf.sprintf ",\"subject\":\"%s\"" (json_escape s))
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf ",\"message\":\"%s\"" (json_escape d.message));
-  (match d.detail with
-  | Some s ->
-      Buffer.add_string buf (Printf.sprintf ",\"detail\":\"%s\"" (json_escape s))
-  | None -> ());
-  (match d.span with
-  | Some { start; stop } ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"span\":{\"start\":%d,\"stop\":%d}" start stop)
-  | None -> ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let str s = Obs.Jsonx.Str s in
+  let opt key = Option.fold ~none:[] ~some:(fun v -> [ (key, str v) ]) in
+  Obs.Jsonx.Obj
+    ([
+       ("code", str d.code);
+       ("severity", str (severity_to_string d.severity));
+     ]
+    @ opt "subject" d.subject
+    @ [ ("message", str d.message) ]
+    @ opt "detail" d.detail
+    @
+    match d.span with
+    | Some { start; stop } ->
+        let num n = Obs.Jsonx.Num (float_of_int n) in
+        [ ("span", Obs.Jsonx.Obj [ ("start", num start); ("stop", num stop) ]) ]
+    | None -> [])
 
 let list_to_json ds =
   match ds with
@@ -135,7 +112,7 @@ let list_to_json ds =
       List.iteri
         (fun i d ->
           if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf ("  " ^ to_json d))
+          Buffer.add_string buf ("  " ^ Obs.Jsonx.to_string (to_json d)))
         ds;
       Buffer.add_string buf "\n]";
       Buffer.contents buf

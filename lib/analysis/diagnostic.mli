@@ -73,7 +73,7 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_json : t -> string
+val to_json : t -> Obs.Jsonx.t
 (** One JSON object; [span]/[subject]/[detail] are omitted when
     absent.  Field order is stable. *)
 

@@ -226,7 +226,7 @@ let check ?text ?(stats = Oqf_cost.Stats.uniform ())
                  (Expr.to_string e'))
             ~code:"OQF305" ~severity:Diagnostic.Hint
             "minimizable: a provably-equivalent smaller expression exists \
-             (applied by the planner under --minimize)";
+             (applied by the planner under --plan cost)";
         ]
     in
     List.rev (walk e []) @ minimizable

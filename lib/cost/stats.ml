@@ -26,7 +26,7 @@ let make ?(default = default_card) ~bytes table =
   in
   { table; default = max 1 default; bytes; total_regions; total_mps }
 
-let uniform ?(card = default_card) () = make ~default:card ~bytes:0 SM.empty
+let uniform () = make ~bytes:0 SM.empty
 
 (* Linear in the universe (one pass over the region forest's parents,
    then a walk per name), so only sources without manifest statistics

@@ -35,9 +35,9 @@ val default_card : int
 (** Cardinality assumed for names with no recorded statistics
     (1000). *)
 
-val uniform : ?card:int -> unit -> t
-(** No statistics at all: every name gets [card] regions (default
-    {!default_card}), no densities, no depth histograms.  What static
+val uniform : unit -> t
+(** No statistics at all: every name gets {!default_card} regions, no
+    densities, no depth histograms.  What static
     analysis ([oqf check], [oqf explain]) prices with, having no file
     at hand. *)
 

@@ -171,9 +171,9 @@ let with_cache ~replay cache corpus q run =
 exception Abort of string
 
 (* Settle corpus-ordered files one at a time, forcing each file's
-   result only when its turn comes — so an inline run stops evaluating
-   at the first fail-fast error, and a pooled run awaits its tasks in
-   order.  [Fail_fast] aborts the query on the first failure;
+   result only when its turn comes — so a run on the caller stops
+   evaluating at the first fail-fast error, and a pooled run awaits its
+   tasks in order.  [Fail_fast] aborts the query on the first failure;
    [Partial] excludes failed files; [Degrade] walks the recovery
    ladder per failed file: circuit breaker → naive scan of the raw
    file, under the per-file [timeout_ms] → exclusion.  [on_rows]
@@ -246,20 +246,18 @@ let rec emit_blocks on_rows = function
 
 (* --- the per-file engine ------------------------------------------- *)
 
-(* Where each file's evaluation runs.  [Inline]: bare, on the caller,
-   when [resolve] reaches the file.  [Shared pool]: one task per file
+(* Where each file's evaluation runs.  [Shared pool]: one task per file
    on the caller's long-lived pool.  [Private jobs]: the same, on a
    pool of [min jobs files] workers spawned for this query only —
    except that one worker would only hand each file back in turn, so
    a one-worker lane runs each file's task on the caller when
    [resolve] reaches it, and spawns nothing. *)
-type lanes = Inline | Shared of Pool.t | Private of int
+type lanes = Shared of Pool.t | Private of int
 
-type lane = Bare | Caller | Pooled of Pool.t
+type lane = Caller | Pooled of Pool.t
 
 let with_lanes lanes ~files k =
   match lanes with
-  | Inline -> k Bare
   | Shared pool -> k (Pooled pool)
   | Private jobs when min jobs files <= 1 -> k Caller
   | Private jobs ->
@@ -269,7 +267,7 @@ let with_lanes lanes ~files k =
    set's first file.  A failed preparation would fail every file of the
    set alike, so it fails the query under every policy, naming that
    file. *)
-let prepare_files ?optimize ?minimize ?force ?plan_mode sources q =
+let prepare_files ?optimize ?force ?plan_mode sources q =
   let rec go prepared acc = function
     | [] -> Ok (List.rev acc)
     | (name, (src : Oqf.Execute.source)) :: rest -> (
@@ -277,13 +275,13 @@ let prepare_files ?optimize ?minimize ?force ?plan_mode sources q =
         match List.assoc_opt index prepared with
         | Some p -> go prepared ((name, src, p) :: acc) rest
         | None -> (
-            match Oqf.Execute.prepare ?optimize ?minimize ?force ?plan_mode src q with
+            match Oqf.Execute.prepare ?optimize ?force ?plan_mode src q with
             | Error e -> Error (Printf.sprintf "%s: %s" name e)
             | Ok p -> go ((index, p) :: prepared) ((name, src, p) :: acc) rest))
   in
   go [] [] sources
 
-(* The one query engine behind every entry point: the qlog record
+(* The one query engine behind both entry points: the qlog record
    around the cache protocol around one preparation and the per-file
    ladder.  Regions of distinct files never overlap, so a corpus query
    is one independent execution of the prepared query per file, merged
@@ -294,7 +292,7 @@ let prepare_files ?optimize ?minimize ?force ?plan_mode sources q =
    Once [resolve] is done with the query — answered, aborted, or cut
    short by an exception from [on_rows] — the tasks that have not
    started yet skip their files. *)
-let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
+let run_files ?optimize ?explain ?force ?plan_mode ?cache ?timeout_ms
     ?(fail_policy = Fail_fast) ?qctx ?generation ?on_rows ~lanes corpus q =
   let replay, on_rows =
     match on_rows with
@@ -305,7 +303,7 @@ let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
   with_cache ~replay cache corpus q @@ fun () ->
   let before = Stdx.Stats.snapshot () in
   let sources = Oqf.Corpus.sources corpus in
-  Result.bind (prepare_files ?optimize ?minimize ?force ?plan_mode sources q)
+  Result.bind (prepare_files ?optimize ?force ?plan_mode sources q)
   @@ fun sources ->
   with_lanes lanes ~files:(List.length sources) (fun lane ->
       let cancelled = Atomic.make false in
@@ -319,7 +317,6 @@ let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
           (fun (name, src, prepared) ->
             let run () = Oqf.Execute.exec ?explain prepared src in
             match lane with
-            | Bare -> (name, src, run)
             | Caller ->
                 ( name,
                   src,
@@ -346,71 +343,16 @@ let run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
            degraded;
          })
 
-let bad_jobs jobs = Printf.sprintf "jobs must be at least 1 (got %d)" jobs
-
-let run_parallel ?optimize ?minimize ?explain ?force ?plan_mode ?jobs ?cache
-    ?timeout_ms ?fail_policy ?qctx ?generation corpus q =
+let run_parallel ?optimize ?explain ?force ?plan_mode ?jobs ?cache ?timeout_ms
+    ?fail_policy ?qctx corpus q =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then Error (bad_jobs jobs)
+  if jobs < 1 then
+    Error (Printf.sprintf "jobs must be at least 1 (got %d)" jobs)
   else
-    run_files ?optimize ?minimize ?explain ?force ?plan_mode ?cache ?timeout_ms
-      ?fail_policy ?qctx ?generation ~lanes:(Private jobs) corpus q
+    run_files ?optimize ?explain ?force ?plan_mode ?cache ?timeout_ms
+      ?fail_policy ?qctx ~lanes:(Private jobs) corpus q
 
-let run_streaming ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
-    ?fail_policy ?qctx ?generation ~pool ~on_rows corpus q =
-  run_files ?optimize ?minimize ?force ?plan_mode ?cache ?timeout_ms
-    ?fail_policy ?qctx ?generation ~on_rows ~lanes:(Shared pool) corpus q
-
-let run_batch ?optimize ?minimize ?force ?plan_mode ?jobs ?cache ?fail_policy
-    ?(workload = "") corpus queries =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then List.map (fun q -> (q, Error (bad_jobs jobs))) queries
-  else
-    Pool.with_pool ~jobs @@ fun pool ->
-    (* A duplicate of an in-flight query waits for the first occurrence
-       before probing the cache, so intra-batch duplicates hit
-       deterministically instead of racing the original's insert.  The
-       wait cannot deadlock: the queue is FIFO, so the first occurrence
-       is dequeued (and its handle eventually completed) strictly
-       before any task that waits on it starts. *)
-    let seen = Hashtbl.create 8 in
-    let handles =
-      List.map
-        (fun q ->
-          let key =
-            match cache with
-            | None -> None
-            | Some _ ->
-                Some
-                  (Rcache.key ~query:q
-                     ~fingerprint:(Rcache.fingerprint corpus))
-          in
-          let first = Option.bind key (Hashtbl.find_opt seen) in
-          let h =
-            Pool.submit pool (fun () ->
-                Option.iter (fun first -> ignore (Pool.await first)) first;
-                let qctx =
-                  (* one trace id per batched query, minted at task start *)
-                  match Obs.Qlog.installed () with
-                  | Some _ ->
-                      Some
-                        {
-                          Obs.Qlog.trace_id = Obs.Qlog.gen_trace_id ();
-                          workload;
-                        }
-                  | None -> None
-                in
-                run_files ?optimize ?minimize ?force ?plan_mode ?cache
-                  ?fail_policy ?qctx ~lanes:Inline corpus q)
-          in
-          (match (key, first) with
-          | Some k, None -> Hashtbl.replace seen k h
-          | _ -> ());
-          (q, h))
-        queries
-    in
-    List.map
-      (fun (q, h) ->
-        (* a task that died fails its query *)
-        (q, Result.join (Pool.await h)))
-      handles
+let run_streaming ?force ?plan_mode ?cache ?timeout_ms ?fail_policy ?qctx
+    ?generation ~pool ~on_rows corpus q =
+  run_files ?force ?plan_mode ?cache ?timeout_ms ?fail_policy ?qctx
+    ?generation ~on_rows ~lanes:(Shared pool) corpus q

@@ -1,19 +1,20 @@
-(** Corpus execution: one per-file query engine behind three doors.
+(** Corpus execution: one per-file query engine behind two doors.
 
     Regions of distinct files never overlap, so a corpus query is
     prepared once ({!Oqf.Execute.prepare}), executed independently per
     file ({!Oqf.Execute.exec}), and the answers merge by concatenation
-    in corpus order.  Every entry point is the same engine — one qlog
+    in corpus order.  Both entry points are the same engine — one qlog
     record ([qctx]) around the result cache protocol ([cache]) around
     the preparation and the per-file recovery ladder ([fail_policy]) —
-    and differs only in where each file runs:
-    {!run_parallel} submits one task per file to a private {!Pool},
-    {!run_streaming} to the caller's shared pool, and {!run_batch}
-    evaluates each query's files inline inside its task.  A private
-    pool of one worker is never spawned: each file's task runs on the
-    caller instead, when its turn comes.  The rows are
-    {e identical} to the sequential reference {!Oqf.Corpus.run}'s
-    (qcheck-verified in the test suite). *)
+    and differ only in where each file's task runs: {!run_parallel}
+    submits one task per file to a private {!Pool}, {!run_streaming}
+    to the caller's shared pool.  A private pool of one worker is
+    never spawned: each file's task runs on the caller instead, when
+    its turn comes.  A batch of queries ([oqf batch]) is a loop over
+    {!run_streaming} on one shared pool (over [run_parallel ~jobs:1]
+    at one job): queries in order, each query's files in parallel.  The rows are {e identical} to the
+    sequential reference {!Oqf.Corpus.run}'s (qcheck-verified in the
+    test suite). *)
 
 type fail_policy =
   | Fail_fast
@@ -70,7 +71,6 @@ val default_jobs : unit -> int
 
 val run_parallel :
   ?optimize:bool ->
-  ?minimize:bool ->
   ?explain:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
@@ -79,7 +79,6 @@ val run_parallel :
   ?timeout_ms:float ->
   ?fail_policy:fail_policy ->
   ?qctx:Obs.Qlog.ctx ->
-  ?generation:int ->
   Oqf.Corpus.t ->
   Odb.Query.t ->
   (outcome, string) result
@@ -121,15 +120,9 @@ val run_parallel :
     whole-query latency in the [exec.query_ms{workload}] histogram.
     This is the only qlog writer of a query: the per-file
     {!Oqf.Execute.exec} calls underneath write none, so a driven query
-    logs once, not once per file.
-
-    [generation] (here and on {!run_streaming}): the catalog
-    generation the corpus was pinned at, recorded in the qlog record's
-    [gen] field — omitted when absent (static corpus). *)
+    logs once, not once per file. *)
 
 val run_streaming :
-  ?optimize:bool ->
-  ?minimize:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
   ?cache:Rcache.t ->
@@ -163,27 +156,8 @@ val run_streaming :
     surfaces this as an error event terminating the row stream.
     Queued tasks of a query that has failed, or whose [on_rows]
     raised (a client that hung up), skip their files instead of
-    evaluating them on the shared pool. *)
+    evaluating them on the shared pool.
 
-val run_batch :
-  ?optimize:bool ->
-  ?minimize:bool ->
-  ?force:bool ->
-  ?plan_mode:Oqf_cost.Planner.mode ->
-  ?jobs:int ->
-  ?cache:Rcache.t ->
-  ?fail_policy:fail_policy ->
-  ?workload:string ->
-  Oqf.Corpus.t ->
-  Odb.Query.t list ->
-  (Odb.Query.t * (outcome, string) result) list
-(** Run every query through a [jobs]-worker pool (inter-query
-    parallelism; each query's files evaluate inline, in corpus order,
-    within its task, stopping at the first failure under [Fail_fast]),
-    returning results in input order.  Cache protocol and
-    [fail_policy] as in {!run_parallel}.  With [cache], a query
-    repeated within the batch waits for its first occurrence before
-    probing, so duplicates hit deterministically rather than racing
-    the original's insert.  When a query log is installed, each batched query gets
-    its own freshly minted trace id and one qlog record labelled
-    [workload]. *)
+    [generation]: the catalog generation the corpus was pinned at,
+    recorded in the qlog record's [gen] field — omitted when absent
+    (static corpus). *)

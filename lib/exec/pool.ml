@@ -12,7 +12,6 @@ let queue_depth = Obs.Metrics.histogram "exec.pool.queue_depth"
 
 type t = {
   n_jobs : int;
-  capacity : int;
   queue : (unit -> unit) Queue.t;
   lock : Mutex.t;
   not_empty : Condition.t;
@@ -67,14 +66,13 @@ let worker t index =
   in
   loop ()
 
-let create ?(queue_capacity = 256) ~jobs () =
+let queue_capacity = 256
+
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Exec.Pool.create: jobs must be at least 1";
-  if queue_capacity < 1 then
-    invalid_arg "Exec.Pool.create: queue capacity must be at least 1";
   let t =
     {
       n_jobs = jobs;
-      capacity = queue_capacity;
       queue = Queue.create ();
       lock = Mutex.create ();
       not_empty = Condition.create ();
@@ -120,7 +118,7 @@ let submit ?timeout_ms t f =
   in
   locked t.lock (fun () ->
       if t.closing then invalid_arg "Exec.Pool.submit: pool is shut down";
-      while Queue.length t.queue >= t.capacity && not t.closing do
+      while Queue.length t.queue >= queue_capacity && not t.closing do
         Condition.wait t.not_full t.lock
       done;
       if t.closing then invalid_arg "Exec.Pool.submit: pool is shut down";
@@ -157,6 +155,6 @@ let shutdown t =
       try Domain.join d with _ -> Obs.Metrics.incr worker_deaths)
     workers
 
-let with_pool ?queue_capacity ~jobs f =
-  let t = create ?queue_capacity ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -22,11 +22,11 @@
 
 type t
 
-val create : ?queue_capacity:int -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** Spawn [jobs] worker domains ([jobs >= 1], else
-    [Invalid_argument]).  [queue_capacity] (default 256) bounds the
-    number of queued-but-unstarted tasks; a full queue makes {!submit}
-    block until a worker takes something. *)
+    [Invalid_argument]).  At most 256 tasks wait queued but unstarted;
+    a full queue makes {!submit} block until a worker takes
+    something. *)
 
 val jobs : t -> int
 
@@ -56,6 +56,5 @@ val shutdown : t -> unit
 (** Drain the queue, complete every outstanding handle, join the
     workers.  Idempotent; subsequent {!submit}s raise. *)
 
-val with_pool :
-  ?queue_capacity:int -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run the body, [shutdown] (also on exceptions). *)

@@ -113,24 +113,8 @@ let pretty ppf =
 (* ------------------------------------------------------------------ *)
 (* JSON helpers *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_value = function
-  | Trace.Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Trace.Str s -> Printf.sprintf "\"%s\"" (Jsonx.escape s)
   | Trace.Int i -> string_of_int i
   | Trace.Float f -> Printf.sprintf "%g" f
   | Trace.Bool b -> string_of_bool b
@@ -138,7 +122,7 @@ let json_value = function
 let json_attrs attrs =
   String.concat ","
     (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (json_value v))
+       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Jsonx.escape k) (json_value v))
        attrs)
 
 (* ------------------------------------------------------------------ *)
@@ -148,7 +132,7 @@ let jsonl oc =
   let line ev id parent name ts attrs =
     Printf.fprintf oc
       "{\"ev\":\"%s\",\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"ts_ms\":%.3f,\"attrs\":{%s}}\n"
-      ev id parent (json_escape name) ts (json_attrs attrs)
+      ev id parent (Jsonx.escape name) ts (json_attrs attrs)
   in
   let emit = function
     | Trace.Begin { id; parent; name; ts } -> line "begin" id parent name ts []
@@ -168,7 +152,7 @@ let chrome oc =
     if !first then first := false else output_string oc ",\n";
     Printf.fprintf oc
       "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%.1f,\"pid\":1,\"tid\":1%s}"
-      (json_escape name) ph (ts *. 1000.0) extra
+      (Jsonx.escape name) ph (ts *. 1000.0) extra
   in
   let args attrs =
     if attrs = [] then "" else Printf.sprintf ",\"args\":{%s}" (json_attrs attrs)

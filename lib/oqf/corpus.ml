@@ -131,12 +131,12 @@ type outcome = {
   stats : Stdx.Stats.t;
 }
 
-let run ?optimize ?minimize ?force ?plan_mode t q =
+let run ?optimize ?force ?plan_mode t q =
   let rec go rows per_file stats = function
     | [] ->
         Ok { rows = List.rev rows; per_file = List.rev per_file; stats }
     | (name, src) :: rest -> begin
-        match Execute.run ?optimize ?minimize ?force ?plan_mode src q with
+        match Execute.run ?optimize ?force ?plan_mode src q with
         | Error e -> Error (Printf.sprintf "%s: %s" name e)
         | Ok r ->
             Stdx.Stats.add stats r.Execute.stats;

@@ -87,7 +87,6 @@ type outcome = {
 
 val run :
   ?optimize:bool ->
-  ?minimize:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
   t ->
@@ -96,7 +95,7 @@ val run :
 (** The sequential reference: every file in corpus order through
     {!Execute.run}, stopping at the first failure, which it names.
     Like {!Ralg.Naive_eval} for the region algebra, it stays as the
-    oracle the parallel, streaming and batch driver paths
+    oracle the parallel and streaming driver paths
     ([Exec.Driver]) are tested against — byte-identical rows.
     [force] and [plan_mode] are passed to {!Execute.run}: execute
     despite error-severity static-analysis findings / select the

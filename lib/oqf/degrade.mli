@@ -23,10 +23,3 @@ val pp : Format.formatter -> t -> unit
 
 val pp_report : Format.formatter -> t list -> unit
 (** The [degraded:] block (nothing for an empty list). *)
-
-val to_json : t -> string
-val list_to_json : t list -> string
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal (shared with the
-    CLI's other hand-rolled JSON emitters). *)

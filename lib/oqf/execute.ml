@@ -296,11 +296,9 @@ type prepared = {
       (* the index-only projection of an exact plan *)
 }
 
-let prepare ?(optimize = true) ?minimize ?(force = false)
+let prepare ?(optimize = true) ?(force = false)
     ?(plan_mode = Oqf_cost.Planner.Rules) src (q : Odb.Query.t) =
-  let minimize =
-    Option.value minimize ~default:(plan_mode = Oqf_cost.Planner.Cost_based)
-  in
+  let minimize = plan_mode = Oqf_cost.Planner.Cost_based in
   let rig = src.env.Compile.query_rig in
   match Obs.Trace.with_span "query.compile" (fun () -> Compile.compile src.env q) with
   | Error _ as e -> e
@@ -547,9 +545,9 @@ let exec ?(join_assist = true) ?(explain = false) p src =
       }
   with Fail e -> Error e
 
-let run ?optimize ?minimize ?join_assist ?explain ?force ?plan_mode src q =
+let run ?optimize ?join_assist ?explain ?force ?plan_mode src q =
   Result.bind
-    (prepare ?optimize ?minimize ?force ?plan_mode src q)
+    (prepare ?optimize ?force ?plan_mode src q)
     (fun p -> exec ?join_assist ?explain p src)
 
 (* A query-level defect: the query would fail identically on every

@@ -91,7 +91,6 @@ type prepared
 
 val prepare :
   ?optimize:bool ->
-  ?minimize:bool ->
   ?force:bool ->
   ?plan_mode:Oqf_cost.Planner.mode ->
   source ->
@@ -104,12 +103,11 @@ val prepare :
     findings of {!Check.plan_diagnostics} (OQF006 priced over
     [source]'s {!stats}): {!Check.refusal}.  [optimize] defaults to
     [true]; [false] executes the naive translation (benchmark E1).
-    [minimize] runs {!Analysis.Contain.minimize} on every candidate
-    expression before planning, logged as ["minimize"] rewrites; it
-    defaults to on under [Cost_based] and off under [Rules].
     [plan_mode] (default [Rules]) selects the optimizer: the paper's
     Prop 3.5 rewrite system, or the rewrite-equivalent plans for
-    {!exec} to price — byte-identical rows either way. *)
+    {!exec} to price — byte-identical rows either way.  [Cost_based]
+    first runs {!Analysis.Contain.minimize} on every candidate
+    expression, logged as ["minimize"] rewrites. *)
 
 val exec :
   ?join_assist:bool -> ?explain:bool -> prepared -> source ->
@@ -128,7 +126,6 @@ val exec :
 
 val run :
   ?optimize:bool ->
-  ?minimize:bool ->
   ?join_assist:bool ->
   ?explain:bool ->
   ?force:bool ->

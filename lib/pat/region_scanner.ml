@@ -20,11 +20,11 @@ let find_all s pattern =
     List.rev !out
   end
 
-let scan text ~start_marker ~end_marker ?(include_markers = false) () =
+let scan text ~start_marker ~end_marker =
   let s = Text.unsafe_contents text in
   let starts = find_all s start_marker in
   let ends = Array.of_list (find_all s end_marker) in
-  let slen = String.length start_marker and elen = String.length end_marker in
+  let slen = String.length start_marker in
   let next_end pos =
     let i = Stdx.Sorted_array.lower_bound ~cmp:Int.compare ends pos in
     if i < Array.length ends then Some ends.(i) else None
@@ -34,10 +34,7 @@ let scan text ~start_marker ~end_marker ?(include_markers = false) () =
       (fun sp ->
         match next_end (sp + slen) with
         | None -> None
-        | Some ep ->
-            if include_markers then
-              Some (Region.make ~start:sp ~stop:(ep + elen))
-            else Some (Region.make ~start:(sp + slen) ~stop:ep))
+        | Some ep -> Some (Region.make ~start:(sp + slen) ~stop:ep))
       starts
   in
   Region_set.of_list regions

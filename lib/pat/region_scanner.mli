@@ -9,13 +9,10 @@ val scan :
   Text.t ->
   start_marker:string ->
   end_marker:string ->
-  ?include_markers:bool ->
-  unit ->
   Region_set.t
 (** Pair each occurrence of [start_marker] with the nearest following
-    occurrence of [end_marker]; unmatched starts are dropped.  When
-    [include_markers] is false (default) the region covers the content
-    strictly between the two markers. *)
+    occurrence of [end_marker]; unmatched starts are dropped.  The
+    region covers the content strictly between the two markers. *)
 
 val scan_balanced :
   Text.t -> open_char:char -> close_char:char -> Region_set.t

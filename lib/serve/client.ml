@@ -72,49 +72,47 @@ let request c req =
 
 (* A one-shot HTTP GET against the daemon's facade — enough for
    scraping /metrics and /health without depending on curl. *)
-let http_get ?(host = "127.0.0.1") ~port path =
-  match Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ] with
-  | [] -> Error (Printf.sprintf "cannot resolve %s" host)
-  | ai :: _ -> (
-      let fd = Unix.socket ai.Unix.ai_family ai.Unix.ai_socktype 0 in
-      match
-        Unix.connect fd ai.Unix.ai_addr;
-        write_all fd
-          (Printf.sprintf "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
-             path host);
-        let buf = Buffer.create 1024 in
-        let chunk = Bytes.create 4096 in
-        let rec drain () =
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> ()
-          | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              drain ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-        in
-        drain ();
-        Buffer.contents buf
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error
-            (Printf.sprintf "GET %s:%d%s: %s" host port path
-               (Unix.error_message err))
-      | raw -> (
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          (* split head from body at the first blank line *)
-          let sep = "\r\n\r\n" in
-          let n = String.length raw and m = String.length sep in
-          let rec find i =
-            if i + m > n then None
-            else if String.sub raw i m = sep then Some i
-            else find (i + 1)
-          in
-          match find 0 with
-          | None -> Error "malformed HTTP response (no header terminator)"
-          | Some i -> (
-              let head = String.sub raw 0 i in
-              let body = String.sub raw (i + m) (n - i - m) in
-              match String.split_on_char ' ' head with
-              | _ :: code :: _ -> Ok (int_of_string_opt code |> Option.value ~default:0, body)
-              | _ -> Error "malformed HTTP status line")))
+let http_get ~port path =
+  let host = "127.0.0.1" in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    write_all fd
+      (Printf.sprintf "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n"
+         path host);
+    let buf = Buffer.create 1024 in
+    let chunk = Bytes.create 4096 in
+    let rec drain () =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+    in
+    drain ();
+    Buffer.contents buf
+  with
+  | exception Unix.Unix_error (err, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error
+        (Printf.sprintf "GET %s:%d%s: %s" host port path
+           (Unix.error_message err))
+  | raw -> (
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      (* split head from body at the first blank line *)
+      let sep = "\r\n\r\n" in
+      let n = String.length raw and m = String.length sep in
+      let rec find i =
+        if i + m > n then None
+        else if String.sub raw i m = sep then Some i
+        else find (i + 1)
+      in
+      match find 0 with
+      | None -> Error "malformed HTTP response (no header terminator)"
+      | Some i -> (
+          let head = String.sub raw 0 i in
+          let body = String.sub raw (i + m) (n - i - m) in
+          match String.split_on_char ' ' head with
+          | _ :: code :: _ -> Ok (int_of_string_opt code |> Option.value ~default:0, body)
+          | _ -> Error "malformed HTTP status line"))

@@ -30,9 +30,8 @@ val stream :
 val request : conn -> Protocol.request -> (Protocol.response list, string) result
 (** {!stream} collecting all events, terminal last. *)
 
-val http_get :
-  ?host:string -> port:int -> string -> (int * string, string) result
+val http_get : port:int -> string -> (int * string, string) result
 (** [http_get ~port path] performs one blocking [GET] against the
-    daemon's HTTP facade and returns [(status code, body)].  This is
+    daemon's HTTP facade on [127.0.0.1] and returns [(status code, body)].  This is
     what [oqf metrics scrape] (and the CI serve-suite) uses to read
     [/metrics] without depending on an external HTTP client. *)

@@ -33,8 +33,9 @@ type t = {
   config : config;
   catalog : Catalog.t;
   catalog_lock : Mutex.t;
-  corpora : (string, int * Oqf.Corpus.t) Hashtbl.t;
-      (** per schema: (generation it was built at, corpus) *)
+  corpora : (string, int * (Oqf.Corpus.t * Oqf.Degrade.t list)) Hashtbl.t;
+      (** per schema: (generation it was built at, corpus and the
+          files its snapshot could not load) *)
   mutable watcher : Oqf_catalog.Watch.t option;
   pool : Exec.Pool.t;
   rcache : Exec.Rcache.t;
@@ -133,8 +134,10 @@ let with_lock m f =
    the generation it was built at, so concurrent requests on the same
    generation share one corpus and a new generation rebuilds it once.
 
-   The caller must [Catalog.release] the returned snapshot when the
-   request is done streaming. *)
+   The corpus comes with a note per file the snapshot could not load
+   (excluded from the corpus); the caller answers them like any other
+   degradation.  The caller must [Catalog.release] the returned
+   snapshot when the request is done streaming. *)
 let corpus_for t schema =
   let snap =
     with_lock t.catalog_lock @@ fun () ->
@@ -158,30 +161,35 @@ let corpus_for t schema =
   let cached =
     with_lock t.catalog_lock @@ fun () ->
     match Hashtbl.find_opt t.corpora schema with
-    | Some (g, corpus) when g = gen -> Some corpus
+    | Some (g, built) when g = gen -> Some built
     | _ -> None
   in
   match cached with
-  | Some corpus -> Ok (snap, corpus)
+  | Some built -> Ok (snap, built)
   | None -> (
       match Oqf.Corpus.of_snapshot snap ~schema with
-      | Ok (corpus, _notes) ->
+      | Ok built ->
           with_lock t.catalog_lock (fun () ->
-              Hashtbl.replace t.corpora schema (gen, corpus));
-          Ok (snap, corpus)
+              Hashtbl.replace t.corpora schema (gen, built));
+          Ok (snap, built)
       | Error e ->
           Catalog.release snap;
           Error e)
 
+(* A file the pinned snapshot could not load fails a fail-fast
+   request, naming it, as the CLI's corpus does; under the other
+   policies the request answers without it and reports it. *)
+let pinned_corpus t ~fail_policy schema =
+  match corpus_for t schema with
+  | Ok (snap, (_, (lost : Oqf.Degrade.t) :: _))
+    when fail_policy = Exec.Driver.Fail_fast ->
+      Catalog.release snap;
+      Error (Printf.sprintf "%s: %s" lost.file lost.detail)
+  | result -> result
+
 (* --- request handlers ---------------------------------------------- *)
 
-let diagnostics_payload ds =
-  List.map
-    (fun d ->
-      match Obs.Jsonx.parse (Analysis.Diagnostic.to_json d) with
-      | Ok j -> j
-      | Error _ -> Obs.Jsonx.Str (Analysis.Diagnostic.to_string d))
-    ds
+let diagnostics_payload ds = List.map Analysis.Diagnostic.to_json ds
 
 let parse_diagnostic pp e =
   [
@@ -212,9 +220,9 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
   let fail_policy =
     Option.value ~default:t.config.default_fail_policy q.fail_policy
   in
-  match corpus_for t q.schema with
+  match pinned_corpus t ~fail_policy q.schema with
   | Error e -> send fd (Protocol.Failed { id; message = e })
-  | Ok (snap, corpus) -> (
+  | Ok (snap, (corpus, lost)) -> (
       Fun.protect ~finally:(fun () -> Catalog.release snap) @@ fun () ->
       let generation = Catalog.snapshot_generation snap in
       match Odb.Query_parser.parse q.text with
@@ -269,7 +277,7 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
                        rows = List.length outcome.Exec.Driver.rows;
                        cached = outcome.Exec.Driver.from_cache;
                        degraded =
-                         degraded_triples outcome.Exec.Driver.degraded;
+                         degraded_triples (lost @ outcome.Exec.Driver.degraded);
                        trace;
                      })
             | Error e -> out_finish out (Protocol.Failed { id; message = e })))
@@ -280,11 +288,14 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
     | Some _ as s -> s
     | None -> t.config.default_timeout_ms
   in
+  let fail_policy =
+    Option.value ~default:t.config.default_fail_policy q.fail_policy
+  in
   (* rexpr bypasses the driver, so it logs its own qlog record *)
   let t0 = Obs.Trace.now_ms () in
-  match corpus_for t q.schema with
+  match pinned_corpus t ~fail_policy q.schema with
   | Error e -> send fd (Protocol.Failed { id; message = e })
-  | Ok (snap, corpus) -> (
+  | Ok (snap, (corpus, lost)) -> (
       Fun.protect ~finally:(fun () -> Catalog.release snap) @@ fun () ->
       let generation = Catalog.snapshot_generation snap in
       let qlog ~rows ~outcome ?error () =
@@ -365,7 +376,13 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
               qlog ~rows:!count ~outcome:"ok" ();
               out_finish out
                 (Protocol.Done
-                   { id; rows = !count; cached = false; degraded = []; trace })
+                   {
+                     id;
+                     rows = !count;
+                     cached = false;
+                     degraded = degraded_triples lost;
+                     trace;
+                   })
           | exception Stop message ->
               qlog ~rows:!count ~outcome:"error" ~error:message ();
               out_finish out (Protocol.Failed { id; message })))
@@ -397,14 +414,18 @@ let stats_payload () =
     ]
 
 (* Run [body] under an admission slot, observing request latency; the
-   caller streams its own response events. *)
-let admitted t fd id ~trace body =
+   caller streams its own response events.  [head] runs once, before
+   the first event: the HTTP facade writes its status line there. *)
+let admitted t fd id ~trace ~head body =
   match Admission.acquire t.adm with
   | `Overloaded (active, queued) ->
+      head `Unavailable;
       send fd (Protocol.Overloaded { id; active; queued })
   | `Closed ->
+      head `Unavailable;
       send fd (Protocol.Failed { id; message = "server is shutting down" })
   | `Admitted ->
+      head `Ok;
       Fun.protect
         ~finally:(fun () ->
           Admission.release t.adm;
@@ -417,23 +438,30 @@ let admitted t fd id ~trace body =
             body;
           Obs.Metrics.observe latency_h (Obs.Trace.now_ms () -. t0))
 
-let handle_request t fd ~conn id req =
+(* The one request dispatch of both front ends: ping, stats and
+   shutdown answer at once, bypassing admission; a query or rexpr runs
+   under an admission slot. *)
+let handle_request t fd ~conn ~head id req =
   let trace = Printf.sprintf "%s-r%d" conn id in
+  let reply resp =
+    head `Ok;
+    send fd resp
+  in
   match req with
   | Protocol.Ping ->
-      send fd (Protocol.Pong { id });
+      reply (Protocol.Pong { id });
       `Continue
   | Protocol.Stats ->
-      send fd (Protocol.Stats_reply { id; payload = stats_payload () });
+      reply (Protocol.Stats_reply { id; payload = stats_payload () });
       `Continue
   | Protocol.Shutdown ->
-      send fd (Protocol.Bye { id });
+      reply (Protocol.Bye { id });
       `Shutdown
   | Protocol.Query q ->
-      admitted t fd id ~trace (fun () -> handle_query t fd id ~trace q);
+      admitted t fd id ~trace ~head (fun () -> handle_query t fd id ~trace q);
       `Continue
   | Protocol.Rexpr q ->
-      admitted t fd id ~trace (fun () -> handle_rexpr t fd id ~trace q);
+      admitted t fd id ~trace ~head (fun () -> handle_rexpr t fd id ~trace q);
       `Continue
 
 (* --- connection loops ---------------------------------------------- *)
@@ -469,7 +497,7 @@ let serve_connection t ~conn fd =
               send fd (Protocol.Failed { id; message });
               loop ()
           | Ok (id, req) -> (
-              match handle_request t fd ~conn id req with
+              match handle_request t fd ~conn ~head:ignore id req with
               | `Continue -> loop ()
               | `Shutdown -> initiate_shutdown t))
   in
@@ -576,47 +604,19 @@ let serve_http_connection t ~conn fd =
       | Ok (id, req) -> (
           (* stream the same ndjson events as the socket protocol;
              connection close delimits the stream *)
-          match req with
-          | Protocol.Query _ | Protocol.Rexpr _ | Protocol.Ping
-          | Protocol.Stats -> (
-              match Admission.acquire t.adm with
-              | `Overloaded (active, queued) ->
-                  http_respond fd "503 Service Unavailable"
-                    "application/x-ndjson"
-                    (Protocol.render_response
-                       (Protocol.Overloaded { id; active; queued })
-                    ^ "\n")
-              | `Closed ->
-                  http_respond fd "503 Service Unavailable" "text/plain"
-                    "shutting down\n"
-              | `Admitted ->
-                  Fun.protect
-                    ~finally:(fun () ->
-                      Admission.release t.adm;
-                      if Atomic.get t.shutting_down then
-                        Obs.Metrics.incr drained_c)
-                    (fun () ->
-                      Obs.Metrics.incr requests_c;
-                      let t0 = Obs.Trace.now_ms () in
-                      http_respond fd "200 OK" "application/x-ndjson" "";
-                      let trace = Printf.sprintf "h%d-r%d" conn id in
-                      (try
-                         match req with
-                         | Protocol.Query q -> handle_query t fd id ~trace q
-                         | Protocol.Rexpr q -> handle_rexpr t fd id ~trace q
-                         | Protocol.Ping -> send fd (Protocol.Pong { id })
-                         | Protocol.Stats ->
-                             send fd
-                               (Protocol.Stats_reply
-                                  { id; payload = stats_payload () })
-                         | _ -> ()
-                       with Closed_connection -> ());
-                      Obs.Metrics.observe latency_h
-                        (Obs.Trace.now_ms () -. t0)))
-          | Protocol.Shutdown ->
-              http_respond fd "200 OK" "application/x-ndjson"
-                (Protocol.render_response (Protocol.Bye { id }) ^ "\n");
-              initiate_shutdown t))
+          let head status =
+            http_respond fd
+              (match status with
+              | `Ok -> "200 OK"
+              | `Unavailable -> "503 Service Unavailable")
+              "application/x-ndjson" ""
+          in
+          match
+            handle_request t fd ~conn:(Printf.sprintf "h%d" conn) ~head id req
+          with
+          | `Continue -> ()
+          | `Shutdown -> initiate_shutdown t
+          | exception Closed_connection -> ()))
   | Some _ ->
       http_respond fd "405 Method Not Allowed" "text/plain"
         "method not allowed\n"

@@ -48,11 +48,11 @@ let json_field_shape () =
   in
   Alcotest.(check string) "object rendering"
     {|{"code":"OQF001","severity":"error","subject":"r","message":"boom","detail":"why","span":{"start":3,"stop":7}}|}
-    (D.to_json d);
+    (Obs.Jsonx.to_string (D.to_json d));
   let bare = D.make ~code:"OQF005" ~severity:D.Warning "m" in
   Alcotest.(check string) "optional fields omitted"
     {|{"code":"OQF005","severity":"warning","message":"m"}|}
-    (D.to_json bare);
+    (Obs.Jsonx.to_string (D.to_json bare));
   Alcotest.(check string) "empty list" "[]" (D.list_to_json [])
 
 let registry_covers_every_emitted_code () =
@@ -102,7 +102,7 @@ let every_registered_code_renders () =
       let text = D.to_string d in
       Alcotest.(check bool) (code ^ " text rendering mentions the code") true
         (Astring.String.is_infix ~affix:code text);
-      let json = D.to_json d in
+      let json = Obs.Jsonx.to_string (D.to_json d) in
       Alcotest.(check bool) (code ^ " JSON rendering mentions the code") true
         (Astring.String.is_infix ~affix:("\"" ^ code ^ "\"") json);
       Alcotest.(check bool) (code ^ " summary is non-empty") true

@@ -283,12 +283,7 @@ let empty_corpus_answers_nothing () =
          Exec.Driver.run_streaming ~pool
            ~on_rows:(fun ~file:_ _ -> incr streamed)
            corpus q));
-  Alcotest.(check int) "nothing streamed" 0 !streamed;
-  match Exec.Driver.run_batch ~jobs:2 corpus [ q; q ] with
-  | [ (_, a); (_, b) ] ->
-      check "run_batch" a;
-      check "run_batch (repeat)" b
-  | rs -> Alcotest.failf "run_batch returned %d results" (List.length rs)
+  Alcotest.(check int) "nothing streamed" 0 !streamed
 
 let parallel_rejects_bad_jobs () =
   let corpus = log_corpus [ 3 ] in
@@ -635,23 +630,35 @@ let batch_runs_all_queries () =
         {|SELECT r.Key FROM References r|};  (* repeat: cache hit *)
       ]
   in
-  let results = Exec.Driver.run_batch ~jobs:2 ~cache corpus queries in
-  Alcotest.(check int) "one result per query" 3 (List.length results);
-  List.iteri
-    (fun i (q, r) ->
-      Alcotest.(check string)
-        "results come back in input order"
-        (Odb.Query.to_string (List.nth queries i))
-        (Odb.Query.to_string q);
-      match r with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "query %d failed: %s" i e)
-    results;
-  (* the repeated query must agree with its first occurrence *)
-  match (List.nth results 0, List.nth results 2) with
-  | (_, Ok a), (_, Ok b) ->
+  (* the shape of [oqf batch]: queries in input order through the
+     streaming door on one shared pool and one shared cache *)
+  let results =
+    Exec.Pool.with_pool ~jobs:2 @@ fun pool ->
+    List.mapi
+      (fun i q ->
+        match
+          Exec.Driver.run_streaming ~cache ~pool
+            ~on_rows:(fun ~file:_ _ -> ())
+            corpus q
+        with
+        | Ok o -> o
+        | Error e -> Alcotest.failf "query %d failed: %s" i e)
+      queries
+  in
+  List.iter2
+    (fun q (o : Exec.Driver.outcome) ->
+      Alcotest.check rows_t "each query answers like run_parallel"
+        (or_fail (Exec.Driver.run_parallel ~jobs:1 corpus q)).Exec.Driver.rows
+        o.Exec.Driver.rows)
+    queries results;
+  (* the repeated query hits the entry its first occurrence left *)
+  match results with
+  | [ a; b; c ] ->
+      Alcotest.(check (list bool)) "only the repeat is served from the cache"
+        [ false; false; true ]
+        (List.map (fun (o : Exec.Driver.outcome) -> o.from_cache) [ a; b; c ]);
       Alcotest.check rows_t "repeat equals first" a.Exec.Driver.rows
-        b.Exec.Driver.rows
+        c.Exec.Driver.rows
   | _ -> Alcotest.fail "unreachable"
 
 let workload_labelled_histograms () =
@@ -983,12 +990,6 @@ let degrade_aborts_query_defects () =
           Exec.Driver.run_streaming ~fail_policy ~pool
             ~on_rows:(fun ~file:_ _ -> ())
             corpus q );
-      ( "run_batch",
-        fun ~fail_policy q ->
-          match Exec.Driver.run_batch ~jobs:2 ~fail_policy corpus [ q ] with
-          | [ (_, r) ] -> r
-          | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
-      );
     ]
   in
   List.iter

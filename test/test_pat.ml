@@ -988,7 +988,7 @@ let scanner_tests =
       (fun () ->
         let text = Text.of_string "AUTHOR = a b c, TITLE = t, AUTHOR = d," in
         let rs =
-          Region_scanner.scan text ~start_marker:"AUTHOR =" ~end_marker:"," ()
+          Region_scanner.scan text ~start_marker:"AUTHOR =" ~end_marker:","
         in
         Alcotest.(check int) "two author regions" 2 (Region_set.cardinal rs);
         let contents =
@@ -998,7 +998,7 @@ let scanner_tests =
     Alcotest.test_case "unmatched start dropped" `Quick (fun () ->
         let text = Text.of_string "BEGIN x BEGIN y END" in
         let rs =
-          Region_scanner.scan text ~start_marker:"BEGIN" ~end_marker:"END" ()
+          Region_scanner.scan text ~start_marker:"BEGIN" ~end_marker:"END"
         in
         (* both starts pair with the single END; the scanner allows that *)
         Alcotest.(check int) "two regions" 2 (Region_set.cardinal rs));

@@ -458,6 +458,28 @@ let setup_catalog dir =
   in
   cat
 
+(* [setup_catalog], then a.log's index corrupted in place: same
+   length, same mtime, one body byte flipped, so only the checksum on
+   load can tell. *)
+let setup_corrupt_catalog dir =
+  let cat = setup_catalog dir in
+  let entry =
+    List.find
+      (fun (e : Oqf_catalog.Catalog.entry) ->
+        e.source = Filename.concat dir "a.log")
+      (Oqf_catalog.Catalog.entries cat)
+  in
+  let path = Filename.concat (Filename.concat dir "cat") entry.index_file in
+  let st = Unix.stat path in
+  let bytes =
+    In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string
+  in
+  let i = Bytes.length bytes - 2 in
+  Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0x55));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
+  Unix.utimes path st.Unix.st_atime st.Unix.st_mtime;
+  cat
+
 (* OQF_SERVE_WATCH=1 replays the whole suite against a daemon running
    its background watcher (CI does this once under injected faults):
    every test must behave identically whether staleness is caught by
@@ -501,9 +523,9 @@ let query_req ?timeout_ms ?fail_policy ?(force = false) ?(workload = "") text =
   Serve.Protocol.Query
     { schema = "log"; text; timeout_ms; fail_policy; force; workload }
 
-let rexpr_req ?timeout_ms text =
+let rexpr_req ?timeout_ms ?fail_policy text =
   Serve.Protocol.Rexpr
-    { schema = "log"; text; timeout_ms; fail_policy = None; force = false;
+    { schema = "log"; text; timeout_ms; fail_policy; force = false;
       workload = "" }
 
 let rexpr_text =
@@ -1026,6 +1048,45 @@ let server_tests =
             | Serve.Protocol.Bye _ -> ()
             | _ -> Alcotest.fail "expected bye");
             Serve.Client.close c));
+    Alcotest.test_case "a file the snapshot cannot load is never dropped silently"
+      `Quick (fun () ->
+        with_server ~setup:setup_corrupt_catalog (fun config dir ->
+            let bad = Filename.concat dir "a.log" in
+            let c = connect config in
+            (match
+               terminal_of c
+                 (query_req ~fail_policy:Exec.Driver.Fail_fast query_text)
+             with
+            | Serve.Protocol.Failed { message; _ } ->
+                Alcotest.(check bool) "fail-fast names the file" true
+                  (String.starts_with ~prefix:(bad ^ ": ") message)
+            | _ -> Alcotest.fail "fail-fast must fail on an unloadable file");
+            (match
+               terminal_of c
+                 (rexpr_req ~fail_policy:Exec.Driver.Fail_fast rexpr_text)
+             with
+            | Serve.Protocol.Failed { message; _ } ->
+                Alcotest.(check bool) "so does a fail-fast rexpr" true
+                  (String.starts_with ~prefix:(bad ^ ": ") message)
+            | _ -> Alcotest.fail "a fail-fast rexpr must fail too");
+            List.iter
+              (fun fail_policy ->
+                let events =
+                  or_fail
+                    (Serve.Client.request c (query_req ~fail_policy query_text))
+                in
+                Alcotest.(check bool) "only the loadable file answers" true
+                  (List.for_all
+                     (fun (file, _) -> file <> bad)
+                     (collect_rows events));
+                match List.rev events with
+                | Serve.Protocol.Done { degraded; _ } :: _ ->
+                    Alcotest.(check (list (pair string string)))
+                      "the exclusion is reported" [ (bad, "excluded") ]
+                      (List.map (fun (f, a, _) -> (f, a)) degraded)
+                | _ -> Alcotest.fail "expected done")
+              [ Exec.Driver.Partial; Exec.Driver.Degrade ];
+            Serve.Client.close c));
   ]
 
 (* ---------------- telemetry: /metrics, qlog, trace ids ---------------- *)
@@ -1049,8 +1110,58 @@ let done_trace events =
   | Some (Serve.Protocol.Done { trace; _ }) -> trace
   | _ -> Alcotest.fail "no done event"
 
+(* One POST to the HTTP facade; the raw response, head and body. *)
+let http_post ~port body =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let req =
+    Printf.sprintf
+      "POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+  in
+  drain ()
+
+let admitted_count () =
+  Option.fold ~none:0 ~some:Obs.Metrics.value
+    (Obs.Metrics.find_counter "serve.admitted")
+
 let telemetry_tests =
   [
+    Alcotest.test_case "HTTP POST dispatches like the socket" `Quick (fun () ->
+        with_server ~http_port:(free_port ()) (fun config _dir ->
+            let port = Option.get config.Serve.Server.http_port in
+            let before = admitted_count () in
+            let ping =
+              http_post ~port
+                (Serve.Protocol.render_request 7 Serve.Protocol.Ping)
+            in
+            Alcotest.(check bool) "ping answers 200" true
+              (String.starts_with ~prefix:"HTTP/1.1 200 OK" ping);
+            Alcotest.(check bool) "with a pong" true
+              (Astring.String.is_infix ~affix:"pong" ping);
+            Alcotest.(check int) "ping bypasses admission" before
+              (admitted_count ());
+            let query =
+              http_post ~port
+                (Serve.Protocol.render_request 8 (query_req query_text))
+            in
+            Alcotest.(check bool) "query answers 200" true
+              (String.starts_with ~prefix:"HTTP/1.1 200 OK" query);
+            Alcotest.(check bool) "with an h-prefixed trace id" true
+              (Astring.String.is_infix ~affix:"-r8" query
+              && Astring.String.is_infix ~affix:"\"h" query);
+            Alcotest.(check int) "a query is admitted once" (before + 1)
+              (admitted_count ())));
     Alcotest.test_case "/metrics serves a valid exposition page" `Quick
       (fun () ->
         with_server ~http_port:(free_port ()) (fun config _dir ->
