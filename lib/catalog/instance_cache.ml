@@ -1,4 +1,8 @@
-type entry = { instance : Pat.Instance.t; cost : int; mutable stamp : int }
+type entry = {
+  instance : Pat.Instance.t;
+  mutable cost : int;
+  mutable stamp : int;
+}
 
 (* Internally locked: with watch-mode ingest, a background writer
    domain inserts rebuilt instances while reader threads look up
@@ -21,15 +25,20 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Resident footprint estimate: the text bytes, one word per suffix-array
-   slot, and three words per region (start, stop, array slot).  The point
-   is a stable relative measure for the budget, not byte-exactness.  An
-   n-byte text has at most ceil(n/2) word starts (each but the first
-   follows a non-word byte), so that bound stands in for the slot count:
-   costing an instance collects none of its buckets. *)
+   slot collected so far, and three words per region (start, stop, array
+   slot).  The point is a relative measure for the budget, not
+   byte-exactness.  The PAT array collects its buckets as searches land
+   in them, so an instance's cost grows while it is resident: [add]
+   re-costs the resident entries before it makes room. *)
 let cost_of_instance instance =
   let word = 8 in
-  let n = Pat.Text.length (Pat.Instance.text instance) in
-  n + (word * ((n + 1) / 2)) + (3 * word * Pat.Instance.total_regions instance)
+  let slots =
+    Pat.Suffix_array.collected_slots
+      (Pat.Word_index.suffix_array (Pat.Instance.word_index instance))
+  in
+  Pat.Text.length (Pat.Instance.text instance)
+  + (word * slots)
+  + (3 * word * Pat.Instance.total_regions instance)
 
 let create ~budget_bytes =
   {
@@ -99,11 +108,22 @@ let evict_lru_locked t =
       t.evictions <- t.evictions + 1;
       Some key
 
+(* Bring every resident entry's cost up to date: searches since its
+   admission may have collected more of its word starts. *)
+let recost_locked t =
+  Hashtbl.iter
+    (fun _ e ->
+      let cost = cost_of_instance e.instance in
+      t.used <- t.used + cost - e.cost;
+      e.cost <- cost)
+    t.table
+
 let add t key instance =
   let cost = cost_of_instance instance in
   let evicted =
     with_lock t (fun () ->
         remove_locked t key;
+        recost_locked t;
         (* an instance larger than the whole budget is not cached at all *)
         if cost > t.budget then []
         else begin

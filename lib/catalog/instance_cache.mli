@@ -24,8 +24,9 @@ val find : t -> string -> Pat.Instance.t option
 
 val add : t -> string -> Pat.Instance.t -> unit
 (** Insert, evicting least-recently-used entries until the budget
-    holds.  An instance costing more than the whole budget is simply
-    not cached.  Replaces any previous entry under the same key. *)
+    holds under the entries' current costs.  An instance costing more
+    than the whole budget is simply not cached.  Replaces any previous
+    entry under the same key. *)
 
 val remove : t -> string -> unit
 (** Drop one entry (e.g. after its source file changed).  Not counted
@@ -36,7 +37,10 @@ val used_bytes : t -> int
 val budget_bytes : t -> int
 
 val cost_of_instance : Pat.Instance.t -> int
-(** Estimated resident bytes: text + suffix array + regions. *)
+(** Estimated resident bytes: text + the suffix-array slots collected
+    so far ({!Pat.Suffix_array.collected_slots}) + regions.  Grows as
+    searches collect buckets; {!add} re-costs the resident entries
+    before it evicts. *)
 
 type stats = { hits : int; misses : int; evictions : int }
 

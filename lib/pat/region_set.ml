@@ -635,15 +635,6 @@ let containing_match t ~positions ~len =
   in
   produced (filter keep t)
 
-let matching_prefix t ~positions ~len =
-  tick_op ();
-  let cmp = Int.compare in
-  let keep (reg : Region.t) =
-    tick_cmp 1;
-    Region.length reg >= len && Stdx.Sorted_array.mem ~cmp positions reg.start
-  in
-  produced (filter keep t)
-
 let occurrences_within _t ~positions ~len (reg : Region.t) =
   let cmp = Int.compare in
   let lo = Stdx.Sorted_array.lower_bound ~cmp positions reg.start in
@@ -658,12 +649,11 @@ let containing_at_least t ~positions ~len ~count =
   in
   produced (filter keep t)
 
-let matching_exact t ~positions ~len =
+let select keep t =
   tick_op ();
-  let cmp = Int.compare in
-  let keep (reg : Region.t) =
+  let keep reg =
     tick_cmp 1;
-    Region.length reg = len && Stdx.Sorted_array.mem ~cmp positions reg.start
+    keep reg
   in
   produced (filter keep t)
 

@@ -156,14 +156,11 @@ val containing_match : t -> positions:int array -> len:int -> t
 (** [σ_w] (containment form): regions containing at least one occurrence
     of a word of length [len] at one of the sorted [positions]. *)
 
-val matching_exact : t -> positions:int array -> len:int -> t
-(** [σ_w] (exact form): regions whose extent is precisely one occurrence
-    [\[p, p+len)]. *)
-
-val matching_prefix : t -> positions:int array -> len:int -> t
-(** Prefix selection: regions whose extent begins at one of the
-    positions and is at least [len] long (the positions are where the
-    prefix occurs). *)
+val select : (Region.t -> bool) -> t -> t
+(** [σ] as a test of each region's own extent (the exact and prefix
+    forms): the regions that pass, counted as one index operation and
+    one region comparison per region.  Unlike {!filter}, which counts
+    nothing. *)
 
 val containing_at_least : t -> positions:int array -> len:int -> count:int -> t
 (** Frequency search: regions containing at least [count] of the

@@ -232,6 +232,14 @@ let sorted t b =
           | Collected a -> publish a
           | Uncollected -> publish (collect t b))
 
+let collected_slots t =
+  Array.fold_left
+    (fun n c ->
+      match Atomic.get c with
+      | Uncollected -> n
+      | Collected a | Sorted a -> n + Array.length a)
+    0 t.buckets
+
 let order t =
   Mutex.protect t.lock (fun () ->
       if Array.exists uncollected t.buckets then ignore (collect_all t));

@@ -46,6 +46,11 @@ val order : t -> int array
     bucket.  (The word-start count is [count t ""]; there is no [size],
     since knowing it would mean collecting.) *)
 
+val collected_slots : t -> int
+(** The word starts held by the buckets collected so far (sorted or
+    not): the array's resident slots, 0 on a fresh array.  Collects
+    nothing. *)
+
 val extend : t -> Text.t -> old_len:int -> t
 (** [extend t new_text ~old_len] upgrades an array built over the first
     [old_len] bytes (the old text, which must be a prefix of

@@ -2,7 +2,9 @@
 
     Combines the suffix array with the word-selection operators of the
     region algebra, "implemented by combined usage of the word and
-    region indices" (paper §3.1). *)
+    region indices" (paper §3.1).  The exact and prefix forms, which
+    select whole fields, need only the region index and the text: they
+    test each operand region's own bytes and search no PAT array. *)
 
 type t
 
@@ -17,6 +19,9 @@ val extend : t -> Text.t -> old_len:int -> t
 
 val text : t -> Text.t
 
+val suffix_array : t -> Suffix_array.t
+(** The PAT array behind the lookups. *)
+
 val match_points : t -> string -> int array
 (** Sorted positions where the string occurs starting at a word
     boundary and ending at a token boundary. *)
@@ -30,7 +35,12 @@ val select_containing : t -> string -> Region_set.t -> Region_set.t
 
 val select_exact : t -> string -> Region_set.t -> Region_set.t
 (** [σ_w] (exact): the regions whose extent is exactly an occurrence of
-    [w] — "a Last_Name region that is the word Chang". *)
+    [w] — "a Last_Name region that is the word Chang": a region as long
+    as [w], starting a word, holding [w], and ending a word when [w]'s
+    last byte is a word byte.  The same regions as those starting at
+    one of {!match_points}, but decided from each region's own bytes:
+    no PAT search, no word lookup counted.  One index operation and one
+    region comparison per region (see {!Region_set.select}). *)
 
 val prefix_points : t -> string -> int array
 (** Sorted word-start positions where the string occurs as a prefix of
@@ -38,7 +48,10 @@ val prefix_points : t -> string -> int array
 
 val select_prefix : t -> string -> Region_set.t -> Region_set.t
 (** Prefix search: regions whose extent begins with an occurrence of
-    the string ("Key regions starting with Ref00"). *)
+    the string ("Key regions starting with Ref00"): a region at least
+    as long, starting a word, whose bytes begin with it.  Like
+    {!select_exact}, a test of each region's own bytes, equal to
+    keeping the regions that start at one of {!prefix_points}. *)
 
 val select_min_count : t -> string -> count:int -> Region_set.t -> Region_set.t
 (** Frequency search: regions containing at least [count] occurrences

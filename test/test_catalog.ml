@@ -272,6 +272,42 @@ let cache_tests =
         let s = Oqf_catalog.Instance_cache.stats cache in
         Alcotest.(check int)
           "one eviction" 1 s.Oqf_catalog.Instance_cache.evictions);
+    Alcotest.test_case "an instance is charged for the slots it collected"
+      `Quick (fun () ->
+        let module C = Oqf_catalog.Instance_cache in
+        let log () =
+          full_instance Fschema.Log_schema.view log_keep
+            (Pat.Text.of_string (log_text 2500))
+        in
+        let a = log () and b = log () and c = log () in
+        let sa = Pat.Word_index.suffix_array (Pat.Instance.word_index a) in
+        (* the text and three words per region: no slot collected yet *)
+        let uncollected =
+          Pat.Text.length (Pat.Instance.text a)
+          + (3 * 8 * Pat.Instance.total_regions a)
+        in
+        let starts = Pat.Suffix_array.count sa "" in
+        (* three uncollected instances, and half of one's word-start
+           slots to spare *)
+        let cache =
+          C.create ~budget_bytes:((3 * uncollected) + (4 * starts))
+        in
+        List.iter2 (C.add cache) [ "a"; "b"; "c" ] [ a; b; c ];
+        Alcotest.(check int) "all three resident" 3 (C.count cache);
+        Alcotest.(check int) "no eviction" 0 (C.stats cache).C.evictions;
+        ignore (Pat.Suffix_array.order sa);
+        Alcotest.(check int)
+          "one word per collected slot" (uncollected + (8 * starts))
+          (C.cost_of_instance a);
+        (* a tiny newcomer fits under the admission-time costs; re-costed,
+           "a" no longer does, and it is the least recently used *)
+        C.add cache "d" (small_instance "auth");
+        Alcotest.(check int) "one eviction" 1 (C.stats cache).C.evictions;
+        Alcotest.(check bool) "a evicted" true (C.find cache "a" = None);
+        Alcotest.(check int)
+          "used is the residents' cost"
+          ((2 * uncollected) + C.cost_of_instance (small_instance "auth"))
+          (C.used_bytes cache));
     Alcotest.test_case "oversized instances are not cached" `Quick (fun () ->
         let cache = Oqf_catalog.Instance_cache.create ~budget_bytes:16 in
         Oqf_catalog.Instance_cache.add cache "a" (small_instance "auth");

@@ -887,6 +887,140 @@ let word_selection_props =
         Region_set.equal got want);
   ]
 
+(* The exact and prefix selections test each region's own bytes.  The
+   PAT path they replace searched the suffix array and kept the regions
+   starting at a match point; both must select the same regions.  Texts
+   mix word and non-word bytes and sometimes run past the sort cap (one
+   word longer than it, or a repeated block); regions include the empty
+   one at end of text, the whole text, duplicate and nested extents, and
+   every occurrence of the pattern cut to its length and one byte past
+   it; patterns are empty, cut anywhere from the text (so they may start
+   or end with a non-word byte, or be longer than the cap) or not in it. *)
+let region_side_sigma_props =
+  let open QCheck.Gen in
+  let piece = oneofl [ "a"; "ab"; "b"; "abc"; " "; "-"; "\n"; "ab-"; "-a" ] in
+  let short = map (String.concat "") (list_size (int_bound 30) piece) in
+  (* a long text, its patterns longer than the cap that start a word at
+     [p] and their extents: the cut [len] bytes from [p], that cut run on
+     to a word end, and a near miss differing from the text only in its
+     last byte (past the cap: no byte of the texts is a 'z') *)
+  let long_cuts text p len =
+    let n = String.length text in
+    let rec word_end i =
+      if i < n && Tokenizer.is_word_char text.[i] then word_end (i + 1) else i
+    in
+    let len = min len (n - p) in
+    let stop = word_end (p + len) in
+    ( text,
+      [
+        String.sub text p len;
+        String.sub text p (stop - p);
+        String.sub text p (len - 1) ^ "z";
+      ],
+      [ (p, p + len); (p, stop) ] )
+  in
+  let long_word =
+    map3
+      (fun w k j ->
+        let text = w ^ " " ^ String.make (cap + k) 'a' ^ " " ^ w in
+        long_cuts text (String.length w + 1) (cap + j))
+      short (int_bound 64) (int_range 1 64)
+  in
+  let repeated =
+    map3
+      (fun block k j ->
+        let block = block ^ " ab" in
+        let reps = ((2 * cap) + k) / String.length block + 1 in
+        let text = String.concat "" (List.init reps (fun _ -> block)) in
+        long_cuts text (String.length block - 2) (cap + j))
+      short (int_bound cap) (int_range 1 (cap / 2))
+  in
+  let case =
+    frequency
+      [ (6, map (fun t -> (t, [], [])) short); (1, long_word); (1, repeated) ]
+    >>= fun (text, long, long_extents) ->
+    let n = String.length text in
+    let extent =
+      int_bound n >>= fun start ->
+      map (fun len -> (start, start + len)) (int_bound (n - start))
+    in
+    let cut = map (fun (a, b) -> String.sub text a (b - a)) extent in
+    let pattern =
+      frequency
+        ([
+           (1, return "");
+           (6, cut);
+           (2, map2 ( ^ ) cut (oneofl [ "a"; " "; "-" ]));
+           (1, map (( ^ ) "-") cut);
+           (1, string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '-' ]) (int_bound 4));
+         ]
+        @ if long = [] then [] else [ (8, oneofl long) ])
+    in
+    triple (return text)
+      (map (( @ ) long_extents) (list_size (int_bound 12) extent))
+      pattern
+  in
+  let print (text, extents, w) =
+    Printf.sprintf "%d bytes %S, pattern %d bytes %S, regions %s"
+      (String.length text)
+      (String.sub text 0 (min 80 (String.length text)))
+      (String.length w)
+      (String.sub w 0 (min 40 (String.length w)))
+      (String.concat ";"
+         (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) extents))
+  in
+  let regions text extents w =
+    let n = String.length text and m = String.length w in
+    let occurrences =
+      List.concat_map
+        (fun p ->
+          if p + m <= n && String.sub text p m = w then
+            [ (p, p + m); (p, min n (p + m + 1)) ]
+          else [])
+        (List.init (n + 1) Fun.id)
+    in
+    Region_set.of_pairs
+      (((n, n) :: (0, n) :: extents) @ extents @ occurrences)
+  in
+  (* the positions path: match points, then keep the regions of the
+     right length starting at one *)
+  let via_positions points keep_length w set =
+    let m = String.length w in
+    Region_set.filter
+      (fun (r : Region.t) ->
+        keep_length (Region.length r) m
+        && Stdx.Sorted_array.mem ~cmp:Int.compare points r.start)
+      set
+  in
+  [
+    QCheck.Test.make ~name:"region-side exact and prefix sigma == PAT path"
+      ~count:300 (QCheck.make ~print case) (fun (text, extents, w) ->
+        let wi = Word_index.build (Text.of_string text) in
+        let set = regions text extents w in
+        let counted f =
+          let cmps = Stdx.Stats.(value region_comparisons)
+          and ops = Stdx.Stats.(value index_ops)
+          and lookups = Stdx.Stats.(value word_lookups) in
+          let out = f () in
+          ( out,
+            ( Stdx.Stats.(value region_comparisons) - cmps,
+              Stdx.Stats.(value index_ops) - ops,
+              Stdx.Stats.(value word_lookups) - lookups ) )
+        in
+        let exact, exact_work =
+          counted (fun () -> Word_index.select_exact wi w set)
+        in
+        let prefix, prefix_work =
+          counted (fun () -> Word_index.select_prefix wi w set)
+        in
+        let work = (Region_set.cardinal set, 1, 0) in
+        Region_set.equal exact
+          (via_positions (Word_index.match_points wi w) ( = ) w set)
+        && Region_set.equal prefix
+             (via_positions (Word_index.prefix_points wi w) ( >= ) w set)
+        && exact_work = work && prefix_work = work);
+  ]
+
 let sample_text = "the cat sat on the mat; the catalog was flat"
 
 let word_index_tests =
@@ -1364,7 +1498,8 @@ let suites =
             passes_test;
         ] );
     ( "pat.word_selections",
-      List.map QCheck_alcotest.to_alcotest word_selection_props );
+      List.map QCheck_alcotest.to_alcotest
+        (word_selection_props @ region_side_sigma_props) );
     ("pat.word_index", word_index_tests);
     ("pat.region_scanner", scanner_tests);
     ("pat.instance", instance_tests);
