@@ -1192,92 +1192,6 @@ let cb1 () =
     (if ratio >= 0.5 && ratio <= 2.0 then "PASS (within 2x)" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment kernel. *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let src200 = bibtex_source 200 in
-  let src61 = bibtex_source ~index:[ "Reference"; "Key"; "Last_Name" ] 200 in
-  let q_star =
-    Odb.Query_parser.parse_exn
-      {|SELECT r FROM References r WHERE r.*X.Last_Name = "Chang"|}
-  in
-  let q_join =
-    Odb.Query_parser.parse_exn
-      {|SELECT r.Key FROM References r, References s
-        WHERE r.Editors.Name.Last_Name = s.Authors.Name.Last_Name
-        AND r.Year = "1982"|}
-  in
-  let sgml_text =
-    Pat.Text.of_string
-      (Workload.Sgml_gen.generate (Workload.Sgml_gen.with_depth 5))
-  in
-  let sgml_src =
-    or_die (Oqf.Execute.make_source_full Fschema.Sgml_schema.view sgml_text)
-  in
-  let q_closure =
-    Odb.Query_parser.parse_exn
-      {|SELECT s FROM Sections s WHERE s.*X.Para CONTAINS "index"|}
-  in
-  let sections = Pat.Instance.find sgml_src.Oqf.Execute.instance "Section" in
-  let paras = Pat.Instance.find sgml_src.Oqf.Execute.instance "Para" in
-  let ctx = Pat.Instance.universe sgml_src.Oqf.Execute.instance in
-  let forest = Pat.Instance.forest sgml_src.Oqf.Execute.instance in
-  [
-    Test.make ~name:"e1_naive_expression"
-      (Staged.stage (fun () ->
-           or_die (Oqf.Execute.run ~optimize:false src200 q_chang)));
-    Test.make ~name:"e1_optimized_expression"
-      (Staged.stage (fun () -> or_die (Oqf.Execute.run src200 q_chang)));
-    Test.make ~name:"e2_database_baseline"
-      (Staged.stage (fun () ->
-           or_die
-             (Oqf.Execute.run_baseline Fschema.Bibtex_schema.view
-                (bibtex_text 200) q_chang)));
-    Test.make ~name:"e3_partial_index_query"
-      (Staged.stage (fun () -> or_die (Oqf.Execute.run src61 q_chang)));
-    Test.make ~name:"e4_advisor"
-      (Staged.stage (fun () ->
-           or_die
-             (Oqf.Advisor.required_indices Fschema.Bibtex_schema.view q_chang)));
-    Test.make ~name:"e5_star_path"
-      (Staged.stage (fun () -> or_die (Oqf.Execute.run src200 q_star)));
-    Test.make ~name:"e6_assisted_join"
-      (Staged.stage (fun () -> or_die (Oqf.Execute.run src200 q_join)));
-    Test.make ~name:"e7_closure_query"
-      (Staged.stage (fun () -> or_die (Oqf.Execute.run sgml_src q_closure)));
-    Test.make ~name:"e8_simple_inclusion"
-      (Staged.stage (fun () -> Pat.Region_set.including sections paras));
-    Test.make ~name:"e8_direct_inclusion"
-      (Staged.stage (fun () ->
-           Pat.Region_set.directly_including ~context:ctx sections paras));
-    Test.make ~name:"e8_forest_direct_inclusion"
-      (Staged.stage (fun () ->
-           Pat.Region_set.directly_including_in forest sections paras));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  heading "Bechamel" "per-experiment micro-benchmarks (ns/run, OLS)";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let m = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock m in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> say "%-32s %14.0f ns/run@." (Test.Elt.name elt) t
-          | _ -> say "%-32s (no estimate)@." (Test.Elt.name elt))
-        (Test.elements test))
-    (bechamel_tests ())
-
-(* ------------------------------------------------------------------ *)
 (* S1 — serving queries: a warm `oqf serve` daemon vs repeated CLI
    invocation.  The daemon opens the catalog once and keeps the
    instance and result caches warm across requests; every CLI
@@ -1928,7 +1842,6 @@ let () =
       o2 ();
       cb1 ();
       ct1 ();
-      run_bechamel ();
       emit_json ~only_prefix:"C1_" "BENCH_catalog.json";
       emit_json ~only_prefix:"CB1_" "BENCH_cost.json";
       emit_json ~only_prefix:"CT1_" "BENCH_contain.json";

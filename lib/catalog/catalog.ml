@@ -893,25 +893,15 @@ let snapshot_load s source =
 let rebuild t e ~reason =
   Result.map (fun (_ : Pat.Instance.t) -> Rebuilt reason) (rebuild_instance t e)
 
-let extend t e ~old_len ~verify_rig =
+let extend t e ~old_len =
   match Schemas.find_result e.schema with
   | Error msg -> Error msg
   | Ok view -> begin
       let new_text = Pat.Text.of_file e.source in
-      let attempt =
-        match load_persisted t e with
-        | Error msg -> Error msg
-        | Ok old_instance ->
-            Result.bind
-              (Incremental.extend_instance view ~old_instance ~old_len new_text)
-              (fun instance ->
-                if verify_rig then
-                  Result.map
-                    (fun () -> instance)
-                    (Incremental.verify_against_rig view instance)
-                else Ok instance)
-      in
-      match attempt with
+      match
+        Result.bind (load_persisted t e) (fun old_instance ->
+            Incremental.extend_instance view ~old_instance ~old_len new_text)
+      with
       | Ok instance ->
           let added_bytes = Pat.Text.length new_text - old_len in
           let (_ : entry) =
@@ -928,7 +918,7 @@ let extend t e ~old_len ~verify_rig =
     end
 
 (* [check] probes an index whose source fingerprint is current. *)
-let refresh_by ~check ?(verify_rig = false) t source =
+let refresh_by ~check t source =
   Obs.Trace.with_span "catalog.refresh"
     ~attrs:(fun () -> [ ("source", Obs.Trace.Str source) ])
   @@ fun () ->
@@ -944,11 +934,10 @@ let refresh_by ~check ?(verify_rig = false) t source =
       | Index_missing -> healing (rebuild t e ~reason:"index file missing")
       | Index_unreadable reason -> healing (rebuild t e ~reason)
       | Changed -> rebuild t e ~reason:"contents changed"
-      | Appended { old_len; _ } -> extend t e ~old_len ~verify_rig
+      | Appended { old_len; _ } -> extend t e ~old_len
     end
 
-let refresh ?verify_rig t source =
-  refresh_by ~check:verify_index ?verify_rig t source
+let refresh t source = refresh_by ~check:verify_index t source
 
 (* The pre-pass of a query that loads every entry it refreshes: a
    current index is taken on its manifest's format version, and the
@@ -959,8 +948,7 @@ let refresh_for_load t source = refresh_by ~check:(fun _ -> Ok ()) t source
 (* Per-entry results: one corrupt source must not block refresh of the
    healthy ones, so every entry is attempted and reports its own
    outcome. *)
-let refresh_all ?verify_rig t =
-  List.map (fun e -> (e.source, refresh ?verify_rig t e.source)) t.entries
+let refresh_all t = List.map (fun e -> (e.source, refresh t e.source)) t.entries
 
 (* ---------------- serving instances ---------------- *)
 

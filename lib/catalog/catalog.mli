@@ -205,16 +205,14 @@ val orphan_index_files : t -> string list
 
 type refresh = Unchanged | Extended of { added_bytes : int } | Rebuilt of string
 
-val refresh : ?verify_rig:bool -> t -> string -> (refresh, string) result
+val refresh : t -> string -> (refresh, string) result
 (** Bring one entry up to date, choosing incremental extension for
     append-only growth and a full rebuild otherwise.  A change commits
     a new generation.  A failed incremental attempt (tail does not
     parse, schema not append-only) silently degrades to a rebuild —
     its reason says why.  A current entry's index file is checked as
     {!staleness} checks it, without decoding it, and a corrupt or
-    unreadable index rebuilds.  With [verify_rig] the extended instance is additionally
-    checked against the RIG of its indexed names (slow; meant for
-    tests). *)
+    unreadable index rebuilds. *)
 
 val refresh_for_load : t -> string -> (refresh, string) result
 (** {!refresh} for a caller that {!load}s the entry next (the pre-pass
@@ -224,8 +222,7 @@ val refresh_for_load : t -> string -> (refresh, string) result
     and heals a damaged index there, so a cold query reads and hashes
     each index once whatever the instance cache's budget. *)
 
-val refresh_all :
-  ?verify_rig:bool -> t -> (string * (refresh, string) result) list
+val refresh_all : t -> (string * (refresh, string) result) list
 (** {!refresh} every entry, in catalogue order, continuing past
     failures: each entry reports its own outcome, so one corrupt or
     missing source cannot block refresh of the healthy ones. *)

@@ -31,4 +31,4 @@ val verify_against_rig :
   Fschema.View.t -> Pat.Instance.t -> (unit, string) result
 (** Check the extended instance against the RIG of its indexed names
     (Definition 3.1).  Quadratic in the number of regions — meant for
-    tests and paranoid refreshes, not the hot path. *)
+    tests, not the hot path. *)

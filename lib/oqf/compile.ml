@@ -434,67 +434,6 @@ and or_candidates a b =
 (* ------------------------------------------------------------------ *)
 (* Select-item planning                                                 *)
 
-let projection_plan env ~root ~cand_expr ~var_covered (path : Odb.Path.t) =
-  if not var_covered then None
-  else begin
-    match chain_links env ~root path with
-    | None -> None
-    | Some (links, trailing) ->
-        if
-          trailing.stars > 0 || trailing.anys > 0 || trailing.skipped <> []
-          || links = []
-          || List.exists
-               (fun l -> l.via.stars > 0 || l.via.anys > 0)
-               links
-        then None
-        else begin
-          (* extend to the value carrier so the region text is the
-             value — only when the carrier is itself indexed *)
-          let last = (List.hd (List.rev links)).target in
-          let carrier = value_carrier env last in
-          let links =
-            if carrier <> last && indexed env carrier then
-              links @ [ { target = carrier; via = no_pending; plus = false } ]
-            else links
-          in
-          let final = (List.hd (List.rev links)).target in
-          if not (is_atomic env final) then None
-          else begin
-            (* exactness of every link, in either direction the same *)
-            let rec links_exact src = function
-              | [] -> true
-              | l :: rest ->
-                  Exactness.link_exact ~full_rig:env.full_rig
-                    ~indexed:(indexed env) src l.target
-                  && links_exact l.target rest
-            in
-            if not (links_exact root links) then None
-            else begin
-              (* build Final ⊂d … ⊂d A1 ⊂d candidates, strict on
-                 same-name links (self-nested regions) *)
-              let rev = List.rev_map (fun l -> l.target) links in
-              let rec build = function
-                | [] -> (cand_expr, root)
-                | n :: rest ->
-                    let tail, tail_name = build rest in
-                    let e =
-                      if n = tail_name then
-                        Ralg.Expr.Chain_strict
-                          (Ralg.Expr.Name n, Ralg.Expr.Directly_included, tail)
-                      else
-                        Ralg.Expr.Chain
-                          (Ralg.Expr.Name n, Ralg.Expr.Directly_included, tail)
-                    in
-                    (e, n)
-              in
-              match rev with [] -> None | l -> Some (fst (build l))
-            end
-          end
-        end
-  end
-
-(* ------------------------------------------------------------------ *)
-
 let indexed_path_attrs env ~root (path : Odb.Path.t) =
   if Odb.Path.has_variables path then None
   else begin
@@ -535,6 +474,23 @@ let indexed_path_attrs env ~root (path : Odb.Path.t) =
           end
       end
   end
+
+(* §5.2 index-only projection: the path's indexed names, when it ends
+   on one, crosses no unnamed attribute and every step is exact (§6.3). *)
+let projection_attrs env ~root (path : Odb.Path.t) =
+  match (chain_links env ~root path, indexed_path_attrs env ~root path) with
+  | Some (links, trailing), Some attrs
+    when trailing = no_pending && List.for_all (fun l -> l.via.stars = 0) links
+    ->
+      let rec exact src = function
+        | [] -> true
+        | a :: rest ->
+            Exactness.link_exact ~full_rig:env.full_rig ~indexed:(indexed env)
+              src a
+            && exact a rest
+      in
+      if exact root attrs then Some attrs else None
+  | _ -> None
 
 let compile env (q : Odb.Query.t) =
   let module Q = Odb.Query in
@@ -587,19 +543,14 @@ let compile env (q : Odb.Query.t) =
                 let vp =
                   List.find (fun vp -> vp.Plan.var = rp.Q.var) var_plans
                 in
-                if rp.Q.path = [] then Plan.Materialize rp.Q.var
-                else begin
-                  match vp.Plan.candidates with
-                  | Plan.Expr cand_expr when exact -> begin
-                      match
-                        projection_plan env ~root:vp.Plan.root ~cand_expr
-                          ~var_covered:vp.Plan.covered rp.Q.path
-                      with
-                      | Some e -> Plan.Project_regions e
-                      | None -> Plan.Materialize rp.Q.var
-                    end
-                  | _ -> Plan.Materialize rp.Q.var
-                end)
+                match vp.Plan.candidates with
+                | Plan.Expr _ when exact -> begin
+                    match projection_attrs env ~root:vp.Plan.root rp.Q.path with
+                    | Some attrs ->
+                        Plan.Project_regions { var = rp.Q.var; attrs }
+                    | None -> Plan.Materialize rp.Q.var
+                  end
+                | _ -> Plan.Materialize rp.Q.var)
               q.Q.select
           in
           Ok

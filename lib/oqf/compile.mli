@@ -46,5 +46,6 @@ val indexed_path_attrs : env -> root:string -> Odb.Path.t -> string list option
     attribute when that carrier is indexed and atomic.  [None] when the
     path has variables, is provably impossible, ends below the indexed
     names, or its final carrier's text is not its value.  Used by the
-    §5.2 join assist, which needs to read path values straight from
-    region texts. *)
+    §5.2 join assist and, when the path also ends on an indexed name
+    and every step is exact (§6.3), index-only projection, which read
+    path values straight from region texts. *)

@@ -112,6 +112,19 @@ let observe_query ~view ~latency_ms ~answers ~candidates =
   | Some workload -> obs (labelled_histograms workload)
   | None -> ()
 
+(* {!Plan.descent} over [cands]: per step, the [attr] regions directly
+   inside the current ones, strictly when the names are equal. *)
+let project src ~root ~attrs cands =
+  let step (regions, above) attr =
+    let inside =
+      if attr = above then Pat.Region_set.directly_included_strict_in
+      else Pat.Region_set.directly_included_in
+    in
+    let names = Pat.Instance.find src.instance attr in
+    (inside (Pat.Instance.forest src.instance) names regions, attr)
+  in
+  fst (List.fold_left step (cands, root) attrs)
+
 (* ------------------------------------------------------------------ *)
 (* §5.2 join assist.
 
@@ -133,35 +146,24 @@ module Join_assist = struct
     in
     go [] pred
 
-  (* Final-attribute regions of [path] within [cands], by descending
-     the indexed attribute chain with strict ⊂d (strictness matters for
-     self-nested names; elsewhere it coincides with ⊂d). *)
-  let project src ~attrs ~cands =
-    let forest = Pat.Instance.forest src.instance in
-    List.fold_left
-      (fun acc attr ->
-        Pat.Region_set.directly_included_strict_in forest
-          (Pat.Instance.find src.instance attr)
-          acc)
-      cands attrs
-
-  (* Climb from matching final regions back to candidate roots with
-     strict ⊃d. *)
-  let climb src ~attrs ~cands ~finals =
-    let forest = Pat.Instance.forest src.instance in
-    match List.rev attrs with
-    | [] -> cands
-    | _final :: above ->
-        (* [finals] are already regions of the last attribute *)
-        let inner =
-          List.fold_left
-            (fun acc attr ->
-              Pat.Region_set.directly_including_strict_in forest
-                (Pat.Instance.find src.instance attr)
-                acc)
-            finals above
-        in
-        Pat.Region_set.directly_including_strict_in forest cands inner
+  (* The candidates over a matching final region: the steps of
+     [project] in reverse, with ⊃d. *)
+  let climb src ~root ~attrs ~cands ~finals =
+    let up ~above parents attr regions =
+      let including =
+        if attr = above then Pat.Region_set.directly_including_strict_in
+        else Pat.Region_set.directly_including_in
+      in
+      including (Pat.Instance.forest src.instance) parents regions
+    in
+    let rec go above parents = function
+      | [] -> parents
+      | [ attr ] -> up ~above parents attr finals
+      | attr :: rest ->
+          up ~above parents attr
+            (go attr (Pat.Instance.find src.instance attr) rest)
+    in
+    go root cands attrs
 
   let side_info src bindings (rp : Odb.Query.rooted_path) =
     match List.assoc_opt rp.Odb.Query.var bindings with
@@ -170,7 +172,7 @@ module Join_assist = struct
           Compile.indexed_path_attrs src.env ~root:vp.Plan.root
             rp.Odb.Query.path
         with
-        | Some attrs -> Some (rp.Odb.Query.var, attrs, cands)
+        | Some attrs -> Some (vp, attrs, cands)
         | None -> None
       end
     | _ -> None
@@ -180,8 +182,9 @@ module Join_assist = struct
   let refine src bindings a b =
     match (side_info src bindings a, side_info src bindings b) with
     | Some (va, attrs_a, cands_a), Some (vb, attrs_b, cands_b) ->
-        let finals_a = project src ~attrs:attrs_a ~cands:cands_a in
-        let finals_b = project src ~attrs:attrs_b ~cands:cands_b in
+        let root_a = va.Plan.root and root_b = vb.Plan.root in
+        let finals_a = project src ~root:root_a ~attrs:attrs_a cands_a in
+        let finals_b = project src ~root:root_b ~attrs:attrs_b cands_b in
         let texts regions =
           List.map
             (fun r -> (Pat.Region.text src.text r, r))
@@ -197,12 +200,14 @@ module Join_assist = struct
                l)
         in
         let refined_a =
-          climb src ~attrs:attrs_a ~cands:cands_a ~finals:(keep ta)
+          climb src ~root:root_a ~attrs:attrs_a ~cands:cands_a
+            ~finals:(keep ta)
         in
         let refined_b =
-          climb src ~attrs:attrs_b ~cands:cands_b ~finals:(keep tb)
+          climb src ~root:root_b ~attrs:attrs_b ~cands:cands_b
+            ~finals:(keep tb)
         in
-        Some [ (va, refined_a); (vb, refined_b) ]
+        Some [ (va.Plan.var, refined_a); (vb.Plan.var, refined_b) ]
     | _ -> None
 
   (* Apply every applicable Eq_paths conjunct. *)
@@ -292,8 +297,6 @@ type prepared = {
   plan_mode : Oqf_cost.Planner.mode;
   vars : (Plan.var_plan * (Ralg.Optimizer.rewrite list * choice) option) list;
       (* [None] unless an expression Ralg.Trivial cannot prove empty *)
-  select : (Ralg.Optimizer.rewrite list * choice) option;
-      (* the index-only projection of an exact plan *)
 }
 
 let prepare ?(optimize = true) ?(force = false)
@@ -346,12 +349,7 @@ let prepare ?(optimize = true) ?(force = false)
               | _ -> (vp, None))
             plan.Plan.var_plans
         in
-        let select =
-          match plan.Plan.select_plans with
-          | [ Plan.Project_regions e ] when plan.Plan.exact -> Some (plan_expr e)
-          | _ -> None
-        in
-        Ok { query = q; plan; diagnostics; plan_mode; vars; select }
+        Ok { query = q; plan; diagnostics; plan_mode; vars }
 
 let exec ?(join_assist = true) ?(explain = false) p src =
   let q = p.query and plan = p.plan in
@@ -453,12 +451,37 @@ let exec ?(join_assist = true) ?(explain = false) p src =
           | `Full_scan -> acc)
         0 candidates
     in
+    (* an exact plan's single projected item is read off the regions its
+       variable's candidates descend to *)
+    let projection =
+      match plan.Plan.select_plans with
+      | [ Plan.Project_regions { var; attrs } ] ->
+          List.find_map
+            (function
+              | (vp : Plan.var_plan), `Regions cands when vp.Plan.var = var ->
+                  Some (vp, attrs, cands)
+              | _ -> None)
+            candidates
+      | _ -> None
+    in
     let rows =
       Obs.Trace.with_span "query.phase2" @@ fun () ->
-      match p.select with
-      | Some select ->
-          (* index-only projection fast path *)
-          let regions = eval_candidates "<select>" (choose "<select>" select) in
+      match projection with
+      | Some (vp, attrs, cands) ->
+          let root = vp.Plan.root in
+          let regions =
+            if not explain then project src ~root ~attrs cands
+            else begin
+              (* the same steps, as a chain over the candidates *)
+              let base = List.assoc vp.Plan.var !evaluated in
+              let r, a =
+                Ralg.Eval.eval_annotated_from src.instance (base, cands)
+                  (Plan.descent ~root ~attrs base)
+              in
+              annots := ("<select>", a) :: !annots;
+              r
+            end
+          in
           List.sort_uniq (List.compare Odb.Value.compare)
             (List.map
                (fun r -> [ Odb.Value.Str (Pat.Region.text src.text r) ])

@@ -4,7 +4,7 @@
     indexing engine.  Phase 2 materialises candidate regions by parsing
     just those byte ranges and — unless the plan is exact — re-filters
     them with the database evaluator.  Index-only projections skip
-    parsing entirely. *)
+    parsing entirely ({!project}). *)
 
 type origin = Memory | Disk
 (** Where a source's bytes authoritatively live: [Memory] sources own
@@ -75,16 +75,25 @@ type outcome = {
           application order; empty with [~optimize:false] *)
   annotations : (string * Ralg.Annot.t) list;
       (** with [~explain:true], the per-node actual-cost tree for each
-          evaluated expression, keyed like [evaluated]; [[]] otherwise *)
+          evaluated expression, keyed like [evaluated], and a
+          projection's descent as ["<select>"]; [[]] otherwise *)
   plan_mode : Oqf_cost.Planner.mode;
       (** which planner picked the evaluated expressions *)
   decisions : (string * Oqf_cost.Planner.decision) list;
       (** in cost mode, the plan selection per evaluated expression
           (keyed like [evaluated]); [[]] in rules mode *)
   est_cost : float;
-      (** summed estimated cost of the chosen plans (0 in rules mode);
-          recorded in the qlog for estimate-vs-actual calibration *)
+      (** summed estimated cost of the chosen candidate plans (0 in
+          rules mode); recorded in the qlog for estimate-vs-actual
+          calibration *)
 }
+
+val project :
+  source -> root:string -> attrs:string list -> Pat.Region_set.t ->
+  Pat.Region_set.t
+(** The regions {!Plan.descent} [~root ~attrs] selects below the given
+    regions of [root]: an index-only projection (§5.2) reads its values
+    off those below its variable's candidates. *)
 
 type prepared
 (** A query compiled, analyzed and rewritten for one index set. *)

@@ -9,9 +9,8 @@
     beside the actual work, in either plan mode.
 
     The "analyzed totals" line sums the per-node self costs across all
-    annotated trees; for plans whose index work happens entirely in
-    phase 1 (no join assist) it equals the [index_ops] /
-    [region_comparisons] of the outcome's {!Stdx.Stats}. *)
+    annotated trees; for plans without a join assist it equals the
+    [index_ops] / [region_comparisons] of the outcome's {!Stdx.Stats}. *)
 
 val pp :
   ?show_times:bool ->

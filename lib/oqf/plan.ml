@@ -8,7 +8,9 @@ type var_plan = {
   covered : bool;
 }
 
-type select_plan = Materialize of string | Project_regions of Ralg.Expr.t
+type select_plan =
+  | Materialize of string
+  | Project_regions of { var : string; attrs : string list }
 
 type t = {
   query : Odb.Query.t;
@@ -17,6 +19,15 @@ type t = {
   exact : bool;
   index_names : string list;
 }
+
+let descent ~root ~attrs base =
+  let step (e, above) a =
+    let n = Ralg.Expr.Name a and op = Ralg.Expr.Directly_included in
+    ( (if a = above then Ralg.Expr.Chain_strict (n, op, e)
+       else Ralg.Expr.Chain (n, op, e)),
+      a )
+  in
+  fst (List.fold_left step (base, root) attrs)
 
 let pp_candidates ppf = function
   | All -> Format.pp_print_string ppf "<all regions / full parse>"
@@ -36,8 +47,10 @@ let pp ppf t =
     (fun sp ->
       match sp with
       | Materialize v -> Format.fprintf ppf "select: materialize %s@," v
-      | Project_regions e ->
-          Format.fprintf ppf "select: project regions %a@," Ralg.Expr.pp e)
+      | Project_regions { var; attrs } ->
+          let vp = List.find (fun vp -> vp.var = var) t.var_plans in
+          Format.fprintf ppf "select: project regions %a@," Ralg.Expr.pp
+            (descent ~root:vp.root ~attrs (Ralg.Expr.Name var)))
     t.select_plans;
   Format.fprintf ppf "phase 2: %s@]"
     (if t.exact then "materialize only (no re-filtering)"

@@ -25,9 +25,10 @@ type var_plan = {
 type select_plan =
   | Materialize of string  (** variable: parse its surviving candidate
                                regions and navigate the item's path *)
-  | Project_regions of Ralg.Expr.t
-      (** index-only projection (§5.2): the values are the texts of
-          these regions; no parsing at all *)
+  | Project_regions of { var : string; attrs : string list }
+      (** index-only projection (§5.2): the values are the texts of the
+          regions {!descent} through [attrs] selects below [var]'s
+          candidates; no parsing at all *)
 
 type t = {
   query : Odb.Query.t;
@@ -37,6 +38,11 @@ type t = {
       (** every variable covered: phase 2 needs no re-filtering *)
   index_names : string list;
 }
+
+val descent : root:string -> attrs:string list -> Ralg.Expr.t -> Ralg.Expr.t
+(** [An ⊂d … ⊂d A1 ⊂d base] for [attrs = [A1; …; An]] below regions of
+    [root], strict ([⊂d!]) on a step to the name it starts from: a path
+    step always descends a level. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line EXPLAIN-style rendering. *)

@@ -153,6 +153,11 @@ let eval_annotated inst expr = annotate inst ~memo:None expr
 let eval_shared_annotated inst expr =
   annotate inst ~memo:(Some (Hashtbl.create 16)) expr
 
+let eval_annotated_from inst (known, r) expr =
+  let memo = Hashtbl.create 16 in
+  Hashtbl.replace memo known r;
+  annotate inst ~memo:(Some memo) expr
+
 let eval inst expr =
   if Obs.Trace.enabled () then fst (eval_annotated inst expr)
   else eval_plain inst expr

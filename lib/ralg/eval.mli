@@ -41,6 +41,13 @@ val eval_shared_annotated :
 (** {!eval_annotated} with common-subexpression sharing; repeated
     subexpressions appear as [cached] leaf nodes with zero self cost. *)
 
+val eval_annotated_from :
+  Pat.Instance.t -> Expr.t * Pat.Region_set.t -> Expr.t ->
+  Pat.Region_set.t * Annot.t
+(** [eval_annotated_from inst (e0, r0) e] is {!eval_shared_annotated}
+    with [e0]'s result already known to be [r0]: each occurrence of
+    [e0] in [e] is a [cached] leaf. *)
+
 val direct_including_layered :
   context:Pat.Region_set.t ->
   Pat.Region_set.t ->

@@ -484,6 +484,238 @@ let plan_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Index-only projection (§5.2): an exact plan's projected values are
+   the texts of the regions its variable's candidates descend to.  The
+   descent must select exactly what the chain
+   [Final ⊂d … ⊂d A1 ⊂d candidates] selects, strict on a link to the
+   same name. *)
+
+let source view text ~index =
+  match Oqf.Execute.make_source view text ~index with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* The indexed names an exact plan's single select item descends
+   through, or [None] when it materializes. *)
+let projected src q_text =
+  let q = Odb.Query_parser.parse_exn q_text in
+  match Oqf.Compile.compile src.Oqf.Execute.env q with
+  | Error e -> Alcotest.fail e
+  | Ok plan -> begin
+      match plan.Oqf.Plan.select_plans with
+      | [ Oqf.Plan.Project_regions { attrs; _ } ] -> Some attrs
+      | _ -> None
+    end
+
+let chain_over ~root attrs cand =
+  let rec go e above = function
+    | [] -> e
+    | a :: rest ->
+        let n = Ralg.Expr.Name a in
+        let link =
+          if a = above then
+            Ralg.Expr.Chain_strict (n, Ralg.Expr.Directly_included, e)
+          else Ralg.Expr.Chain (n, Ralg.Expr.Directly_included, e)
+        in
+        go link a rest
+  in
+  go cand root attrs
+
+(* Per schema: the view, its root, a text generator by seed and size,
+   and select queries that project under full indexing. *)
+let projection_corpora =
+  [
+    ( Bibtex_schema.view,
+      "Reference",
+      (fun seed n ->
+        Workload.Bibtex_gen.generate
+          { (Workload.Bibtex_gen.with_size n) with seed }),
+      [
+        {|SELECT r.Title FROM References r
+          WHERE r.Authors.Name.Last_Name = "Chang"|};
+        {|SELECT r.Title FROM References r WHERE r.*X.Last_Name = "Milo"|};
+        {|SELECT r.Authors.Name.Last_Name FROM References r
+          WHERE r.Year = "1982"|};
+        {|SELECT r.Keywords.Keyword FROM References r|};
+        {|SELECT r.Year FROM References r WHERE r.Key STARTS WITH "Ref000"|};
+        {|SELECT r.Editors.Name.First_Name FROM References r
+          WHERE r.Title CONTAINS "Retrieval"|};
+      ] );
+    ( Log_schema.view,
+      "Entry",
+      (fun seed n ->
+        Workload.Log_gen.generate { (Workload.Log_gen.with_size n) with seed }),
+      [
+        {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|};
+        {|SELECT e.Level FROM Entries e WHERE e.Service = "db"|};
+        {|SELECT e.Timestamp FROM Entries e WHERE e.Message CONTAINS "index"|};
+        {|SELECT e.Service FROM Entries e|};
+      ] );
+    ( Sgml_schema.view,
+      "Section",
+      (fun seed n ->
+        Workload.Sgml_gen.generate
+          {
+            (Workload.Sgml_gen.with_depth (1 + (n mod 5))) with
+            seed;
+            top_sections = 1 + (n mod 3);
+            fanout = 2;
+          }),
+      [
+        {|SELECT s.Heading FROM Sections s WHERE s.Para CONTAINS "index"|};
+        (* self-nested: the first step is strict *)
+        {|SELECT s.Section.Heading FROM Sections s|};
+        {|SELECT s.Section.Section.Heading FROM Sections s
+          WHERE s.Heading CONTAINS "appendix"|};
+        {|SELECT s.Heading FROM Sections s
+          WHERE s.Section.Heading CONTAINS "level2"|};
+      ] );
+  ]
+
+(* Under full indexing or a random index set holding the root, a
+   projecting plan's descent from its candidates equals the chain over
+   the candidate expression, and its rows the standard implementation's. *)
+let descent_equals_chain =
+  QCheck.Test.make ~count:150
+    ~name:"projection descent == chain over the candidates (Ralg.Eval)"
+    QCheck.(
+      quad (int_bound 2) (int_bound 1000) (int_range 1 14) (int_bound 1000))
+    (fun (corpus, seed, n, pick) ->
+      let view, root, gen, queries = List.nth projection_corpora corpus in
+      let text = Pat.Text.of_string (gen seed n) in
+      let prng = Stdx.Prng.create (seed + pick) in
+      let all = Grammar.indexable view.View.grammar in
+      let full = Stdx.Prng.bool prng in
+      let index =
+        if full then all
+        else
+          let k = Stdx.Prng.int_in prng 0 (List.length all) in
+          root :: Stdx.Prng.sample prng k (List.filter (( <> ) root) all)
+      in
+      let src = source view text ~index in
+      let q_text = List.nth queries (pick mod List.length queries) in
+      let q = Odb.Query_parser.parse_exn q_text in
+      (match Oqf.Compile.compile src.Oqf.Execute.env q with
+      | Error e -> QCheck.Test.fail_reportf "%s: %s" q_text e
+      | Ok
+          {
+            Oqf.Plan.select_plans = [ Oqf.Plan.Project_regions { attrs; _ } ];
+            var_plans = [ { Oqf.Plan.candidates = Oqf.Plan.Expr cand; _ } ];
+            _;
+          } ->
+          let inst = src.Oqf.Execute.instance in
+          let descent =
+            Oqf.Execute.project src ~root ~attrs (Ralg.Eval.eval inst cand)
+          in
+          let chain = Ralg.Eval.eval inst (chain_over ~root attrs cand) in
+          if not (Pat.Region_set.equal descent chain) then
+            QCheck.Test.fail_reportf
+              "%s under {%s}: descent has %d regions, chain %d" q_text
+              (String.concat "," index)
+              (Pat.Region_set.cardinal descent)
+              (Pat.Region_set.cardinal chain)
+      | Ok _ ->
+          if full then
+            QCheck.Test.fail_reportf "%s does not project under full indexing"
+              q_text);
+      match (Oqf.Execute.run src q, Oqf.Execute.run_baseline view text q) with
+      | Ok r, Ok (baseline, _) -> r.Oqf.Execute.rows = baseline
+      | Error e, _ | _, Error e -> QCheck.Test.fail_reportf "%s: %s" q_text e)
+
+let projection_tests =
+  [
+    QCheck_alcotest.to_alcotest descent_equals_chain;
+    Alcotest.test_case "which plans project" `Quick (fun () ->
+        let bib =
+          source Bibtex_schema.view (bibtex_text 8)
+            ~index:(Grammar.indexable Bibtex_schema.grammar)
+        in
+        let log =
+          source Log_schema.view
+            (Pat.Text.of_string
+               (Workload.Log_gen.generate (Workload.Log_gen.with_size 12)))
+            ~index:(Grammar.indexable Log_schema.grammar)
+        in
+        let sgml =
+          source Sgml_schema.view
+            (Pat.Text.of_string
+               (Workload.Sgml_gen.generate (Workload.Sgml_gen.with_depth 3)))
+            ~index:(Grammar.indexable Sgml_schema.grammar)
+        in
+        let bib_on index = source Bibtex_schema.view (bibtex_text 8) ~index in
+        List.iter
+          (fun (src, q_text, expected) ->
+            Alcotest.(check (option (list string))) q_text expected
+              (projected src q_text))
+          [
+            (* the nested-path and *X templates of the benchmark *)
+            ( bib,
+              {|SELECT r.Title FROM References r
+                WHERE r.Authors.Name.Last_Name = "Chang"|},
+              Some [ "Title"; "Title_value" ] );
+            ( bib,
+              {|SELECT r.Title FROM References r
+                WHERE r.*X.Last_Name = "Chang"|},
+              Some [ "Title"; "Title_value" ] );
+            ( log,
+              {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|},
+              Some [ "Service" ] );
+            ( log,
+              {|SELECT e.Level FROM Entries e WHERE e.Service = "db"|},
+              Some [ "Level" ] );
+            ( sgml,
+              {|SELECT s.Section.Heading FROM Sections s|},
+              Some [ "Section"; "Heading"; "Heading_text" ] );
+            (* whole objects are parsed *)
+            (log, {|SELECT e FROM Entries e WHERE e.Level = "ERROR"|}, None);
+            ( bib,
+              {|SELECT r FROM References r
+                WHERE r.Authors.Name.Last_Name = "Chang"|},
+              None );
+            (* Title is not atomic and its carrier is not indexed *)
+            ( bib_on [ "Reference"; "Title" ],
+              {|SELECT r.Title FROM References r|},
+              None );
+            (* an attribute without a named region hides what lies
+               between the root and Key *)
+            (bib, {|SELECT r.Bogus.Key FROM References r|}, None);
+            (* the path ends on an unindexed attribute *)
+            ( bib_on [ "Reference"; "Title_value" ],
+              {|SELECT r.Title FROM References r|},
+              None );
+            (* Reference to Last_Name is reachable through Authors and
+               through Editors: not an exact link *)
+            ( bib_on [ "Reference"; "Last_Name" ],
+              {|SELECT r.Authors.Name.Last_Name FROM References r|},
+              None );
+            (* an inexact WHERE leaves the plan to re-filter *)
+            ( log,
+              {|SELECT e.Service FROM Entries e
+                WHERE e.Level = "ERROR" OR e.Message = "a"|},
+              None );
+            (* a closure step descends any number of levels, which one
+               direct-inclusion step cannot *)
+            ( sgml,
+              {|SELECT s.Section+.Heading FROM Sections s
+                WHERE s.Heading CONTAINS "level1"|},
+              None );
+          ]);
+    Alcotest.test_case "a projected closure step reaches every level" `Quick
+      (fun () ->
+        let text =
+          Pat.Text.of_string
+            (Workload.Sgml_gen.generate (Workload.Sgml_gen.with_depth 4))
+        in
+        let r =
+          check_equiv Sgml_schema.view text
+            {|SELECT s.Section+.Heading FROM Sections s
+              WHERE s.Heading CONTAINS "level1"|}
+        in
+        Alcotest.(check bool) "deeper headings answered" true
+          (r.Oqf.Execute.answers_count > 1));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Random query fuzzing: generate well-formed queries against the
    BibTeX view and check the executor against the baseline under
    arbitrary index subsets, and the advisor's exactness promise. *)
@@ -999,6 +1231,7 @@ let suites =
   [
     ("oqf.equivalence", equivalence_tests);
     ("oqf.plans", plan_tests);
+    ("oqf.projection", projection_tests);
     ("oqf.fuzz", fuzz_tests);
     ("oqf.join", join_tests);
     ("oqf.corpus", corpus_tests);
