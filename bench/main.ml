@@ -627,17 +627,42 @@ let emit_json ?(only_prefix = "") path =
       output_string oc "}\n");
   say "wrote %s@." path
 
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter
+        (fun name -> remove_tree (Filename.concat path name))
+        (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* A new directory under $TMPDIR, removed with its contents when the
+   process that made it exits (not a forked child: W1's crash children
+   exit while their parent still reads the directory).  The name
+   carries a random suffix, drawn again should it exist, so a directory
+   an earlier run left behind under the same pid is no obstacle. *)
 let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
+  let counter = ref 0 and rng = Random.State.make_self_init () in
+  let rec make () =
     let d =
       Filename.concat
         (Filename.get_temp_dir_name ())
-        (Printf.sprintf "oqf_bench_c1_%d_%d" (Unix.getpid ()) !counter)
+        (Printf.sprintf "oqf_bench_%d_%d_%06x" (Unix.getpid ()) !counter
+           (Random.State.bits rng land 0xffffff))
     in
-    Sys.mkdir d 0o755;
-    d
+    match Unix.mkdir d 0o755 with
+    | () ->
+        let owner = Unix.getpid () in
+        at_exit (fun () ->
+            if Unix.getpid () = owner then
+              try remove_tree d with Unix.Unix_error _ -> ());
+        d
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> make ()
+  in
+  fun () ->
+    incr counter;
+    make ()
 
 let write_file path contents =
   let oc = open_out_bin path in

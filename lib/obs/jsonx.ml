@@ -8,20 +8,36 @@ type t =
 
 (* --- printing ------------------------------------------------------ *)
 
+(* The escape of each byte, [""] for a byte that passes verbatim. *)
+let escapes =
+  Array.init 256 (fun code ->
+      match Char.chr code with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ when code < 0x20 -> Printf.sprintf "\\u%04x" code
+      | _ -> "")
+
+let iter_escaped emit s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let e = Array.unsafe_get escapes (Char.code (String.unsafe_get s i)) in
+    if String.length e > 0 then begin
+      if i > !start then emit s !start (i - !start);
+      emit e 0 (String.length e);
+      start := i + 1
+    end
+  done;
+  if n > !start then emit s !start (n - !start)
+
+let add_escaped buf s = iter_escaped (Buffer.add_substring buf) s
+
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
 let rec write buf = function
@@ -29,11 +45,14 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f ->
       if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
+        (* [%.0f] of these, which [string_of_int] matches but for -0 *)
+        Buffer.add_string buf
+          (if f = 0. && Float.sign_bit f then "-0"
+           else string_of_int (int_of_float f))
       else Buffer.add_string buf (Printf.sprintf "%.12g" f)
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | Arr xs ->
       Buffer.add_char buf '[';
@@ -49,7 +68,7 @@ let rec write buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           write buf v)
         kvs;

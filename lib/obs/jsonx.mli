@@ -24,9 +24,22 @@ val to_string : t -> string
     point ([Num 3.] is ["3"]); strings escape control characters,
     backslash and quote, and pass other bytes through verbatim. *)
 
+val write : Buffer.t -> t -> unit
+(** {!to_string} into a buffer. *)
+
 val escape : string -> string
 (** The string-literal body escaping used by {!to_string}, without the
     surrounding quotes. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped buf s] appends [escape s] to [buf]. *)
+
+val iter_escaped : (string -> int -> int -> unit) -> string -> unit
+(** [iter_escaped emit s] hands [escape s] to [emit] in pieces
+    [(str, off, len)]: each run of bytes that needs no escaping as a
+    substring of [s], each escape sequence from a shared table.  Escaping
+    is bytewise, so the escapes of two strings concatenate to the escape
+    of their concatenation. *)
 
 (** Accessors for pulling fields out of a parsed request; all return
     [None] on a type mismatch or missing member. *)

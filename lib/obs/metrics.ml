@@ -1,9 +1,19 @@
 type counter = { c_name : string; count : int Atomic.t }
 
+(* A histogram keeps at most [reservoir] observations: every one until
+   the reservoir is full, then a uniform sample of all of them
+   (Vitter's algorithm R), so a long-lived process's histograms stay
+   bounded.  Count, sum and max cover every observation. *)
+let reservoir = 4096
+
 type histogram = {
   h_name : string;
-  mutable values : float array;  (* observations, first [len] slots live *)
+  mutable values : float array;  (* the sample, first [len] slots live *)
   mutable len : int;
+  mutable seen : int;
+  mutable total : float;
+  mutable top : float;
+  rng : Random.State.t;
 }
 
 type item = Counter of counter | Histogram of histogram
@@ -50,19 +60,37 @@ let histogram name =
   | Some (Counter _) ->
       invalid_arg (Printf.sprintf "Obs.Metrics.histogram: %s is a counter" name)
   | None ->
-      let h = { h_name = name; values = Array.make 16 0.0; len = 0 } in
+      let h =
+        {
+          h_name = name;
+          values = Array.make 16 0.0;
+          len = 0;
+          seen = 0;
+          total = 0.0;
+          top = Float.neg_infinity;
+          rng = Random.State.make [| Hashtbl.hash name |];
+        }
+      in
       Hashtbl.replace registry name (Histogram h);
       h
 
 let observe h x =
   locked @@ fun () ->
-  if h.len = Array.length h.values then begin
-    let bigger = Array.make (2 * h.len) 0.0 in
-    Array.blit h.values 0 bigger 0 h.len;
-    h.values <- bigger
-  end;
-  h.values.(h.len) <- x;
-  h.len <- h.len + 1
+  h.seen <- h.seen + 1;
+  h.total <- h.total +. x;
+  if x > h.top then h.top <- x;
+  if h.len < reservoir then begin
+    if h.len = Array.length h.values then begin
+      let bigger = Array.make (2 * h.len) 0.0 in
+      Array.blit h.values 0 bigger 0 h.len;
+      h.values <- bigger
+    end;
+    h.values.(h.len) <- x;
+    h.len <- h.len + 1
+  end
+  else
+    let j = Random.State.full_int h.rng h.seen in
+    if j < reservoir then h.values.(j) <- x
 
 type summary = {
   count : int;
@@ -73,7 +101,7 @@ type summary = {
   max : float;
 }
 
-(* Nearest-rank percentile on a sorted copy of the observations. *)
+(* Nearest-rank percentile on a sorted copy of the sample. *)
 let summarize_unlocked h =
   if h.len = 0 then None
   else begin
@@ -83,12 +111,12 @@ let summarize_unlocked h =
     let rank q = min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1)) in
     Some
       {
-        count = n;
-        sum = Array.fold_left ( +. ) 0.0 sorted;
+        count = h.seen;
+        sum = h.total;
         p50 = sorted.(rank 0.5);
         p95 = sorted.(rank 0.95);
         p99 = sorted.(rank 0.99);
-        max = sorted.(n - 1);
+        max = h.top;
       }
   end
 
@@ -135,5 +163,9 @@ let reset_all () =
     (fun _ item ->
       match item with
       | Counter c -> Atomic.set c.count 0
-      | Histogram h -> h.len <- 0)
+      | Histogram h ->
+          h.len <- 0;
+          h.seen <- 0;
+          h.total <- 0.0;
+          h.top <- Float.neg_infinity)
     registry

@@ -34,7 +34,10 @@ val find_counter : string -> counter option
 (** Look a counter up without creating it. *)
 
 type histogram
-(** A series of float observations summarised by rank statistics. *)
+(** A series of float observations summarised by rank statistics.  It
+    keeps at most 4096 of them: all until then, a uniform random
+    sample of all of them after, so the rank statistics of a longer
+    series are estimates while its count, sum and max stay exact. *)
 
 val histogram : string -> histogram
 (** Create-or-get, like {!counter}. *)

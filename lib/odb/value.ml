@@ -54,15 +54,44 @@ let rec pp ppf = function
         elts
   | Variant (tag, v) -> Format.fprintf ppf "%s(%a)" tag pp v
 
-let rec to_display_string = function
-  | Str s -> s
+let rec iter_display emit = function
+  | Str s -> emit s
   | Tuple fields ->
-      "{"
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> k ^ "=" ^ to_display_string v) fields)
-      ^ "}"
-  | Set elts -> "{" ^ String.concat "; " (List.map to_display_string elts) ^ "}"
-  | Variant (_, v) -> to_display_string v
+      emit "{";
+      iter_fields emit fields;
+      emit "}"
+  | Set elts ->
+      emit "{";
+      iter_elts emit elts;
+      emit "}"
+  | Variant (_, v) -> iter_display emit v
+
+and iter_fields emit = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      emit k;
+      emit "=";
+      iter_display emit v;
+      if not (List.is_empty rest) then begin
+        emit ", ";
+        iter_fields emit rest
+      end
+
+and iter_elts emit = function
+  | [] -> ()
+  | v :: rest ->
+      iter_display emit v;
+      if not (List.is_empty rest) then begin
+        emit "; ";
+        iter_elts emit rest
+      end
+
+let to_display_string = function
+  | Str s -> s
+  | v ->
+      let buf = Buffer.create 64 in
+      iter_display (Buffer.add_string buf) v;
+      Buffer.contents buf
 
 let str s = Str s
 let tuple fields = Tuple fields

@@ -26,7 +26,14 @@ val field : t -> string -> t option
 (** Tuple attribute lookup ([None] on other shapes). *)
 
 val to_display_string : t -> string
-(** Compact single-line rendering for examples and the CLI. *)
+(** Compact single-line rendering for examples and the CLI: a string is
+    itself, a tuple [{k=v, k=v}], a set [{v; v}], a tagged value its
+    value. *)
+
+val iter_display : (string -> unit) -> t -> unit
+(** [iter_display emit v] hands {!to_display_string}[ v] to [emit] in
+    pieces, building no string of its own: the value's strings and
+    keys as they are, the punctuation as constants. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -122,28 +122,28 @@ let render_request id req =
 
 (* --- responses ----------------------------------------------------- *)
 
+let event id ev rest =
+  Obs.Jsonx.Obj
+    (("id", Obs.Jsonx.Num (float_of_int id)) :: ("ev", Obs.Jsonx.Str ev) :: rest)
+
 let render_response resp =
-  let obj id ev rest =
-    Obs.Jsonx.Obj
-      (("id", Obs.Jsonx.Num (float_of_int id)) :: ("ev", Obs.Jsonx.Str ev) :: rest)
-  in
   Obs.Jsonx.to_string
     (match resp with
     | Row { id; file; values } ->
-        obj id "row"
+        event id "row"
           [
             ("file", Obs.Jsonx.Str file);
             ("values", Obs.Jsonx.Arr (List.map (fun v -> Obs.Jsonx.Str v) values));
           ]
     | Region { id; file; start; stop } ->
-        obj id "region"
+        event id "region"
           [
             ("file", Obs.Jsonx.Str file);
             ("start", Obs.Jsonx.Num (float_of_int start));
             ("stop", Obs.Jsonx.Num (float_of_int stop));
           ]
     | Done { id; rows; cached; degraded; trace } ->
-        obj id "done"
+        event id "done"
           [
             ("rows", Obs.Jsonx.Num (float_of_int rows));
             ("cached", Obs.Jsonx.Bool cached);
@@ -161,17 +161,17 @@ let render_response resp =
                    degraded) );
           ]
     | Diagnostics { id; diagnostics } ->
-        obj id "diagnostics" [ ("diagnostics", Obs.Jsonx.Arr diagnostics) ]
+        event id "diagnostics" [ ("diagnostics", Obs.Jsonx.Arr diagnostics) ]
     | Overloaded { id; active; queued } ->
-        obj id "overloaded"
+        event id "overloaded"
           [
             ("active", Obs.Jsonx.Num (float_of_int active));
             ("queued", Obs.Jsonx.Num (float_of_int queued));
           ]
-    | Failed { id; message } -> obj id "error" [ ("message", Obs.Jsonx.Str message) ]
-    | Pong { id } -> obj id "pong" []
-    | Stats_reply { id; payload } -> obj id "stats" [ ("payload", payload) ]
-    | Bye { id } -> obj id "bye" [])
+    | Failed { id; message } -> event id "error" [ ("message", Obs.Jsonx.Str message) ]
+    | Pong { id } -> event id "pong" []
+    | Stats_reply { id; payload } -> event id "stats" [ ("payload", payload) ]
+    | Bye { id } -> event id "bye" [])
 
 let parse_response line =
   match Obs.Jsonx.parse line with
@@ -256,6 +256,93 @@ let parse_response line =
           Ok (Stats_reply { id; payload })
       | Some "bye" -> Ok (Bye { id })
       | Some ev -> Error (Printf.sprintf "unknown event %S" ev))
+
+(* --- streamed lines -------------------------------------------------- *)
+
+(* A stream's row and region lines are written piecewise into one fixed
+   buffer, which goes out through [write] when full (a line may span
+   the write) and at [flush]: no line or value is built as a string. *)
+type out = {
+  buf : Bytes.t;
+  mutable len : int;
+  write : Bytes.t -> int -> int -> unit;
+  escape : string -> unit;  (** [put] of the string's JSON escape *)
+}
+
+let flush o =
+  let n = o.len in
+  o.len <- 0;
+  o.write o.buf 0 n
+
+let rec put o s off n =
+  let room = Bytes.length o.buf - o.len in
+  if n <= room then begin
+    Bytes.blit_string s off o.buf o.len n;
+    o.len <- o.len + n
+  end
+  else begin
+    Bytes.blit_string s off o.buf o.len room;
+    o.len <- Bytes.length o.buf;
+    flush o;
+    put o s (off + room) (n - room)
+  end
+
+let put_string o s = put o s 0 (String.length s)
+
+let put_char o c =
+  if o.len = Bytes.length o.buf then flush o;
+  Bytes.unsafe_set o.buf o.len c;
+  o.len <- o.len + 1
+
+(* [n] as [Obs.Jsonx] prints [Num (float_of_int n)] *)
+let put_int o n =
+  if n > -1_000_000_000_000_000 && n < 1_000_000_000_000_000 then
+    put_string o (string_of_int n)
+  else put_string o (Obs.Jsonx.to_string (Obs.Jsonx.Num (float_of_int n)))
+
+let out write =
+  let buf = Bytes.create (16 * 1024) in
+  let rec o =
+    {
+      buf;
+      len = 0;
+      write;
+      escape = (fun s -> Obs.Jsonx.iter_escaped emit s);
+    }
+  and emit s off n = put o s off n in
+  o
+
+(* [{"id":…,"ev":…,"file":…], rendered by [render_response]'s code *)
+let line_head id ev file =
+  let s = Obs.Jsonx.to_string (event id ev [ ("file", Obs.Jsonx.Str file) ]) in
+  String.sub s 0 (String.length s - 1)
+
+let rec put_values o = function
+  | [] -> ()
+  | v :: rest ->
+      put_char o '"';
+      Odb.Value.iter_display o.escape v;
+      put_char o '"';
+      if not (List.is_empty rest) then begin
+        put_char o ',';
+        put_values o rest
+      end
+
+let row_writer o ~id ~file =
+  let head = line_head id "row" file ^ {|,"values":[|} in
+  fun values ->
+    put_string o head;
+    put_values o values;
+    put_string o "]}\n"
+
+let region_writer o ~id ~file =
+  let head = line_head id "region" file ^ {|,"start":|} in
+  fun ~start ~stop ->
+    put_string o head;
+    put_int o start;
+    put_string o {|,"stop":|};
+    put_int o stop;
+    put_string o "}\n"
 
 (* --- bounded line framing ------------------------------------------ *)
 

@@ -93,6 +93,31 @@ val render_response : response -> string
 val parse_response : string -> (response, string) result
 (** The client's decoder. *)
 
+(** {b Streamed lines.}  A stream's [row] and [region] events are
+    written piecewise into one fixed 16 KiB buffer, with no per-line or
+    per-value string: each line's head is rendered once per file block,
+    then each value's display form ({!Odb.Value.iter_display}) is
+    escaped straight into the buffer.  The bytes equal
+    {!render_response} of the same event plus its newline. *)
+
+type out
+
+val out : (Bytes.t -> int -> int -> unit) -> out
+(** [out write] is an empty buffer that goes out through
+    [write buf off len] when full (a line may span two writes) and at
+    {!flush}.  [write] must write all [len] bytes. *)
+
+val flush : out -> unit
+(** Write out what the buffer holds. *)
+
+val row_writer : out -> id:int -> file:string -> Odb.Value.t list -> unit
+(** [row_writer o ~id ~file] renders the line head once and returns the
+    writer of one [Row] line per row of [file]; the row's values are
+    shown by {!Odb.Value.to_display_string}. *)
+
+val region_writer : out -> id:int -> file:string -> start:int -> stop:int -> unit
+(** Likewise for [Region] lines. *)
+
 (** Bounded line framing over a file descriptor.  [`Overflow] means a
     line exceeded {!max_line}: the reader consumed and discarded it
     through its newline, and the next call reads the next line. *)

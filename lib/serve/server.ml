@@ -76,40 +76,17 @@ let send fd resp =
   let line = Protocol.render_response resp ^ "\n" in
   write_fully Unix.write_substring fd line 0 (String.length line)
 
-(* A request's row stream goes out in blocks: its lines are rendered
-   into one fixed buffer, written when full and at the end of every
-   file block, so a scan costs a handful of write(2) calls (and
-   runtime-lock handoffs between connection threads) instead of one
-   per row.  A line longer than the buffer is written straight from
-   its string. *)
-type out = { fd : Unix.file_descr; buf : Bytes.t; mutable len : int }
-
-let out_create fd = { fd; buf = Bytes.create (16 * 1024); len = 0 }
-
-let out_flush o =
-  let n = o.len in
-  o.len <- 0;
-  write_fully Unix.write o.fd o.buf 0 n
-
-let out_line o line =
-  let n = String.length line and cap = Bytes.length o.buf in
-  if o.len + n + 1 > cap then out_flush o;
-  if n + 1 > cap then begin
-    (* the flush above emptied the buffer; its newline follows *)
-    write_fully Unix.write_substring o.fd line 0 n;
-    Bytes.set o.buf 0 '\n';
-    o.len <- 1
-  end
-  else begin
-    Bytes.blit_string line 0 o.buf o.len n;
-    Bytes.set o.buf (o.len + n) '\n';
-    o.len <- o.len + n + 1
-  end
+(* A request's row stream goes out in blocks: its lines are written
+   into one fixed buffer ({!Protocol.out}), which is written out when
+   full and at the end of every file block, so a scan costs a handful
+   of write(2) calls (and runtime-lock handoffs between connection
+   threads) instead of one per row. *)
+let out_create fd = Protocol.out (write_fully Unix.write fd)
 
 (* the terminal event of a streamed response, after its last rows *)
-let out_finish o resp =
-  out_flush o;
-  send o.fd resp
+let out_finish fd out resp =
+  Protocol.flush out;
+  send fd resp
 
 let with_lock m f =
   Mutex.lock m;
@@ -251,18 +228,8 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
           else
             let out = out_create fd in
             let on_rows ~file rows =
-              List.iter
-                (fun row ->
-                  out_line out
-                    (Protocol.render_response
-                       (Protocol.Row
-                          {
-                            id;
-                            file;
-                            values = List.map Odb.Value.to_display_string row;
-                          })))
-                rows;
-              out_flush out
+              List.iter (Protocol.row_writer out ~id ~file) rows;
+              Protocol.flush out
             in
             match
               Exec.Driver.run_streaming ~force:q.force ~cache:t.rcache
@@ -270,7 +237,7 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
                 ~pool:t.pool ~on_rows corpus query
             with
             | Ok outcome ->
-                out_finish out
+                out_finish fd out
                   (Protocol.Done
                      {
                        id;
@@ -280,7 +247,7 @@ let handle_query t fd id ~trace (q : Protocol.query_req) =
                          degraded_triples (lost @ outcome.Exec.Driver.degraded);
                        trace;
                      })
-            | Error e -> out_finish out (Protocol.Failed { id; message = e })))
+            | Error e -> out_finish fd out (Protocol.Failed { id; message = e })))
 
 let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
   let timeout_ms =
@@ -360,21 +327,19 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
             List.iter
               (fun (file, src) ->
                 check_clock ();
+                let write = Protocol.region_writer out ~id ~file in
                 Pat.Region_set.iter
                   (fun (r : Pat.Region.t) ->
                     check_clock ();
                     incr count;
-                    out_line out
-                      (Protocol.render_response
-                         (Protocol.Region
-                            { id; file; start = r.start; stop = r.stop })))
+                    write ~start:r.start ~stop:r.stop)
                   (eval_file src);
-                out_flush out)
+                Protocol.flush out)
               (Oqf.Corpus.sources corpus)
           with
           | () ->
               qlog ~rows:!count ~outcome:"ok" ();
-              out_finish out
+              out_finish fd out
                 (Protocol.Done
                    {
                      id;
@@ -385,7 +350,7 @@ let handle_rexpr t fd id ~trace (q : Protocol.query_req) =
                    })
           | exception Stop message ->
               qlog ~rows:!count ~outcome:"error" ~error:message ();
-              out_finish out (Protocol.Failed { id; message })))
+              out_finish fd out (Protocol.Failed { id; message })))
 
 let stats_payload () =
   let counters = Obs.Metrics.counters () in

@@ -56,6 +56,29 @@ let metrics_tests =
             Alcotest.(check (float 0.001)) "p95" 95.0 s.Obs.Metrics.p95;
             Alcotest.(check (float 0.001)) "p99" 99.0 s.Obs.Metrics.p99;
             Alcotest.(check (float 0.001)) "max" 100.0 s.Obs.Metrics.max);
+    Alcotest.test_case "a long series keeps exact totals and a sampled median"
+      `Quick (fun () ->
+        let h = Obs.Metrics.histogram "test.long" in
+        (* 1..n in a scrambled order: [i * 7919 mod n] is a permutation *)
+        let n = 100_000 in
+        for i = 0 to n - 1 do
+          Obs.Metrics.observe h (float_of_int ((i * 7919 mod n) + 1))
+        done;
+        match Obs.Metrics.summarize h with
+        | None -> Alcotest.fail "expected a summary"
+        | Some s ->
+            Alcotest.(check int) "count" n s.Obs.Metrics.count;
+            Alcotest.(check (float 0.001)) "sum"
+              (float_of_int (n * (n + 1) / 2))
+              s.Obs.Metrics.sum;
+            Alcotest.(check (float 0.001)) "max" (float_of_int n)
+              s.Obs.Metrics.max;
+            Alcotest.(check bool) "p50 near the median" true
+              (Float.abs (s.Obs.Metrics.p50 -. float_of_int (n / 2))
+              < 0.05 *. float_of_int n);
+            Alcotest.(check bool) "p99 near the 99th percentile" true
+              (Float.abs (s.Obs.Metrics.p99 -. (0.99 *. float_of_int n))
+              < 0.01 *. float_of_int n));
     Alcotest.test_case "empty histogram has no summary" `Quick (fun () ->
         Alcotest.(check bool)
           "none" true

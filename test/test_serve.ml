@@ -7,9 +7,116 @@ let or_fail = function Ok x -> x | Error e -> Alcotest.fail e
 (* ------------------------------------------------------------------ *)
 (* jsonx                                                               *)
 
+(* The byte-at-a-time printer that [Obs.Jsonx] escapes by runs in place
+   of, kept verbatim as the reference its output must equal. *)
+module Reference_jsonx = struct
+  open Obs.Jsonx
+
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let rec write buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num f ->
+        if Float.is_integer f && Float.abs f < 1e15 then
+          Buffer.add_string buf (Printf.sprintf "%.0f" f)
+        else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+    | Str s ->
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (escape s);
+        Buffer.add_char buf '"'
+    | Arr xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ',';
+            write buf x)
+          xs;
+        Buffer.add_char buf ']'
+    | Obj kvs ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_char buf '"';
+            Buffer.add_string buf (escape k);
+            Buffer.add_string buf "\":";
+            write buf v)
+          kvs;
+        Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 128 in
+    write buf v;
+    Buffer.contents buf
+end
+
+(* Likewise the string-building display form [Odb.Value.iter_display]
+   replaced. *)
+let rec reference_display = function
+  | Odb.Value.Str s -> s
+  | Tuple fields ->
+      "{"
+      ^ String.concat ", "
+          (List.map (fun (k, v) -> k ^ "=" ^ reference_display v) fields)
+      ^ "}"
+  | Set elts -> "{" ^ String.concat "; " (List.map reference_display elts) ^ "}"
+  | Variant (_, v) -> reference_display v
+
+let all_bytes = String.init 256 Char.chr
+
 let jsonx_tests =
   let module J = Obs.Jsonx in
   [
+    Alcotest.test_case "printer equals the byte-at-a-time reference" `Quick
+      (fun () ->
+        let strings =
+          all_bytes :: ""
+          :: "plain ascii, no escapes"
+          :: "\"\\\"\\" :: "caf\xc3\xa9 \xe2\x82\xac \xf0\x9d\x84\x9e\x7f\xff"
+          :: List.init 256 (fun c -> String.make 1 (Char.chr c))
+        in
+        List.iter
+          (fun s ->
+            Alcotest.(check string) "escape" (Reference_jsonx.escape s)
+              (J.escape s))
+          strings;
+        let nums =
+          [
+            -0.; 0.; 1.; -1.; 42.; 0.5; -0.5; 123.456; 1e-7; 2. ** 53.;
+            1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 1e300; Float.nan;
+            Float.infinity; Float.neg_infinity;
+          ]
+        in
+        let values =
+          List.map (fun f -> J.Num f) nums
+          @ List.map (fun s -> J.Str s) strings
+          @ [
+              J.Null;
+              J.Bool false;
+              J.Arr (List.map (fun f -> J.Num f) nums);
+              J.Obj (List.map (fun s -> (s, J.Arr [ J.Str s; J.Bool true ])) strings);
+            ]
+        in
+        List.iter
+          (fun v ->
+            Alcotest.(check string) "to_string" (Reference_jsonx.to_string v)
+              (J.to_string v))
+          values);
     Alcotest.test_case "print/parse round-trip" `Quick (fun () ->
         let v =
           J.Obj
@@ -44,6 +151,105 @@ let jsonx_tests =
         Alcotest.(check string) "int" "42" (J.to_string (J.Num 42.));
         Alcotest.(check string) "float" "2.5" (J.to_string (J.Num 2.5)));
   ]
+
+(* Streamed lines: random values (nested, with strings weighted toward
+   the bytes JSON escapes and toward multi-byte UTF-8, now and then
+   longer than the writer's buffer), random file names and ids
+   (0, negatives, magnitudes Jsonx prints as floats), written as row
+   and region blocks through one [Protocol.out]. *)
+let stream_gen =
+  let open QCheck.Gen in
+  let piece =
+    frequency
+      [
+        (4, map (String.make 1) char);
+        (2, oneofl [ "\""; "\\" ]);
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f));
+        (2, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e"; "\xe6\xbc\xa2" ]);
+        (3, oneofl [ "a"; "word"; " "; ", "; "=" ]);
+      ]
+  in
+  let short = map (String.concat "") (list_size (int_range 0 10) piece) in
+  let str =
+    frequency [ (30, short); (1, map (fun s -> String.make 17_000 'y' ^ s) short) ]
+  in
+  let value =
+    sized_size (int_range 0 3)
+    @@ fix (fun self n ->
+           if n = 0 then map Odb.Value.str str
+           else
+             frequency
+               [
+                 (3, map Odb.Value.str str);
+                 ( 1,
+                   map Odb.Value.tuple
+                     (list_size (int_range 0 3) (pair short (self (n - 1)))) );
+                 (1, map Odb.Value.set (list_size (int_range 0 3) (self (n - 1))));
+                 (1, map2 Odb.Value.variant short (self (n - 1)));
+               ])
+  in
+  let big = 1_000_000_000_000_000 in
+  let int_ =
+    frequency
+      [
+        ( 1,
+          oneofl
+            [ 0; -1; 1; big - 1; big; -big; -(big - 1); max_int; min_int ] );
+        (1, int);
+        (2, int_bound 1_000_000);
+      ]
+  in
+  let block =
+    map3
+      (fun id file items -> (id, file, items))
+      int_ short
+      (oneof
+         [
+           map (fun rows -> `Rows rows) (list_size (int_range 0 8) (list_size (int_range 0 4) value));
+           map (fun rs -> `Regions rs) (list_size (int_range 0 8) (pair int_ int_));
+         ])
+  in
+  list_size (int_range 1 6) block
+
+let stream_qcheck =
+  QCheck.Test.make ~count:300 ~name:"streamed row and region lines equal render_response"
+    (QCheck.make stream_gen)
+    (fun blocks ->
+      let module P = Serve.Protocol in
+      let wire = Buffer.create 4096 in
+      let out = P.out (fun b off n -> Buffer.add_subbytes wire b off n) in
+      let expected = Buffer.create 4096 in
+      let line resp =
+        Buffer.add_string expected (P.render_response resp);
+        Buffer.add_char expected '\n'
+      in
+      List.iteri
+        (fun i (id, file, items) ->
+          (match items with
+          | `Rows rows ->
+              List.iter
+                (fun row ->
+                  List.iter
+                    (fun v ->
+                      if Odb.Value.to_display_string v <> reference_display v
+                      then QCheck.Test.fail_report "display form changed")
+                    row;
+                  P.row_writer out ~id ~file row;
+                  line
+                    (P.Row
+                       { id; file; values = List.map Odb.Value.to_display_string row }))
+                rows
+          | `Regions rs ->
+              List.iter
+                (fun (start, stop) ->
+                  P.region_writer out ~id ~file ~start ~stop;
+                  line (P.Region { id; file; start; stop }))
+                rs);
+          (* flush after some blocks only, so others share the buffer *)
+          if i mod 2 = 0 then P.flush out)
+        blocks;
+      P.flush out;
+      String.equal (Buffer.contents expected) (Buffer.contents wire))
 
 (* ------------------------------------------------------------------ *)
 (* protocol                                                            *)
@@ -163,6 +369,7 @@ let protocol_tests =
         | _ -> Alcotest.fail "expected eof");
         Thread.join writer;
         Unix.close r);
+    QCheck_alcotest.to_alcotest stream_qcheck;
   ]
 
 (* ------------------------------------------------------------------ *)
