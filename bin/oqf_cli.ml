@@ -42,8 +42,26 @@ let parse_query q_text =
        (Format.asprintf "%a" Odb.Query_parser.pp_error)
        (Odb.Query_parser.parse q_text))
 
-let display_row row =
-  String.concat " | " (List.map Odb.Value.to_display_string row)
+(* One result row on stdout, its values separated by " | ".  The row is
+   written piecewise into one buffer, which goes to the channel in one
+   call: no display string is built. *)
+let row_buffer = Buffer.create 4096
+let emit = Buffer.add_string row_buffer
+
+let print_row ?file row =
+  (match file with
+  | Some file ->
+      emit file;
+      emit ": "
+  | None -> ());
+  List.iteri
+    (fun i v ->
+      if i > 0 then emit " | ";
+      Odb.Value.iter_display emit v)
+    row;
+  Buffer.add_char row_buffer '\n';
+  Buffer.output_buffer stdout row_buffer;
+  Buffer.clear row_buffer
 
 let resolve_index view names =
   match names with
@@ -356,7 +374,6 @@ let query_cmd =
       | None -> Pat.Text.of_file file
     in
     let q = parse_query q_text in
-    let print_row row = print_endline (display_row row) in
     if baseline then begin
       let rows, stats = or_die (Oqf.Execute.run_baseline view text q) in
       List.iter print_row rows;
@@ -764,9 +781,7 @@ let catalog_query_cmd =
       or_die (Exec.Driver.run_parallel ~jobs ~fail_policy ~plan_mode corpus q)
     in
     report_degraded (lost @ r.Exec.Driver.degraded);
-    List.iter
-      (fun (file, row) -> Printf.printf "%s: %s\n" file (display_row row))
-      r.Exec.Driver.rows;
+    List.iter (fun (file, row) -> print_row ~file row) r.Exec.Driver.rows;
     Format.printf "-- %d rows from %d files; %a@."
       (List.length r.Exec.Driver.rows)
       (List.length (Oqf.Corpus.files corpus))
@@ -969,9 +984,7 @@ let batch_cmd =
               Printf.printf "-- error: %s\n" e;
               true
           | Ok (out : Exec.Driver.outcome) ->
-              List.iter
-                (fun (file, row) ->
-                  Printf.printf "%s: %s\n" file (display_row row))
+              List.iter (fun (file, row) -> print_row ~file row)
                 out.Exec.Driver.rows;
               Printf.printf "-- %d rows%s\n"
                 (List.length out.Exec.Driver.rows)

@@ -43,30 +43,26 @@ let extend_instance view ~old_instance ~old_len new_text =
         | Ok tree ->
             (* synthetic offset p >= |header| is file offset
                p - |header| + old_len *)
-            let shift = old_len - String.length header in
-            let keep = Pat.Instance.names old_instance in
-            let tail_regions =
-              List.filter_map
-                (fun (symbol, (r : Pat.Region.t)) ->
-                  if r.start >= String.length header && List.mem symbol keep
-                  then Some (symbol, shift_region shift r)
-                  else None)
-                (Fschema.Builder.regions_of_tree tree)
-            in
+            let header_len = String.length header in
+            let shift = old_len - header_len in
             let bindings =
               List.map
-                (fun name ->
+                (fun (name, regions) ->
                   let added =
                     Pat.Region_set.of_list
                       (List.filter_map
-                         (fun (sym, r) -> if sym = name then Some r else None)
-                         tail_regions)
+                         (fun (r : Pat.Region.t) ->
+                           if r.start >= header_len then
+                             Some (shift_region shift r)
+                           else None)
+                         regions)
                   in
                   ( name,
                     Pat.Region_set.union
                       (Pat.Instance.find old_instance name)
                       added ))
-                keep
+                (Fschema.Builder.regions_by_name tree
+                   ~keep:(Pat.Instance.names old_instance))
             in
             let word_index =
               Pat.Word_index.extend

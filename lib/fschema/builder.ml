@@ -28,8 +28,6 @@ and value_of_branch text = function
   | Parse_tree.Text (a, b) ->
       Odb.Value.Str (Pat.Text.sub text ~pos:a ~len:(b - a))
 
-let regions_of_tree = Parse_tree.all_regions
-
 let scoped_regions tree ~name ~within =
   let out = ref [] in
   let rec go inside (node : Parse_tree.t) =
@@ -49,20 +47,31 @@ let scoped_regions tree ~name ~within =
   go false tree;
   List.rev !out
 
-let instance_of_tree text tree ~keep =
-  let all = regions_of_tree tree in
-  let bindings =
-    List.map
-      (fun name ->
-        let spans =
-          List.filter_map
-            (fun (sym, r) -> if sym = name then Some r else None)
-            all
-        in
-        (name, Pat.Region_set.of_list spans))
-      (List.sort_uniq String.compare keep)
+let regions_by_name tree ~keep =
+  let buckets = Hashtbl.create 32 in
+  List.iter (fun name -> Hashtbl.replace buckets name (ref [])) keep;
+  let rec go (node : Parse_tree.t) =
+    (match Hashtbl.find_opt buckets node.Parse_tree.symbol with
+    | Some bucket -> bucket := Parse_tree.region node :: !bucket
+    | None -> ());
+    match node.Parse_tree.content with
+    | Parse_tree.Leaf -> ()
+    | Parse_tree.Branch branches ->
+        List.iter
+          (function
+            | Parse_tree.Child c -> go c
+            | Parse_tree.Children (_, cs) -> List.iter go cs
+            | Parse_tree.Text _ -> ())
+          branches
   in
-  Pat.Instance.create text bindings
+  go tree;
+  List.map (fun name -> (name, List.rev !(Hashtbl.find buckets name))) keep
+
+let instance_of_tree text tree ~keep =
+  Pat.Instance.create text
+    (List.map
+       (fun (name, spans) -> (name, Pat.Region_set.of_list spans))
+       (regions_by_name tree ~keep:(List.sort_uniq String.compare keep)))
 
 let load text tree ~class_of db =
   let rec go (node : Parse_tree.t) =

@@ -9,8 +9,10 @@
 val value_of_tree : Pat.Text.t -> Parse_tree.t -> Odb.Value.t
 (** The database image of one node. *)
 
-val regions_of_tree : Parse_tree.t -> (string * Pat.Region.t) list
-(** All named regions of the tree (symbol, span). *)
+val regions_by_name :
+  Parse_tree.t -> keep:string list -> (string * Pat.Region.t list) list
+(** The regions of each name in [keep], in [keep]'s order, bucketed in
+    one walk of the tree; each bucket lists its regions in preorder. *)
 
 val scoped_regions :
   Parse_tree.t -> name:string -> within:string -> Pat.Region.t list

@@ -11,7 +11,24 @@ type rule = { lhs : string; rhs : rhs }
 
 module Smap = Map.Make (String)
 
-type t = { root : string; rules : rhs list Smap.t }
+module Resolved = struct
+  type spec = Word | Until of string
+
+  type item =
+    | Lit of string
+    | Nonterm of int
+    | Star of int * string option
+    | Tok of spec
+
+  type rhs = Seq of item array | Token of spec
+end
+
+type t = {
+  root : string;
+  rules : rhs list Smap.t;
+  names : string array;
+  resolved : Resolved.rhs array array;
+}
 
 let item_name = function
   | Nonterm n -> Some n
@@ -55,6 +72,49 @@ let validate_rule rule =
         end
       end
 
+(* A token's stop set as a 256-byte mask: byte [c] is ['\001'] when [c]
+   ends the token. *)
+let stop_mask stops =
+  let mask = Bytes.make 256 '\000' in
+  List.iter (fun c -> Bytes.set mask (Char.code c) '\001') stops;
+  Bytes.unsafe_to_string mask
+
+(* The index of [n] in the sorted array [names]. *)
+let find_number names n =
+  let rec find lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = String.compare n names.(mid) in
+      if c = 0 then Some mid
+      else if c < 0 then find lo mid
+      else find (mid + 1) hi
+  in
+  find 0 (Array.length names)
+
+let resolve root table =
+  let names = Array.of_list (List.map fst (Smap.bindings table)) in
+  (* [create] has checked that every non-terminal is defined *)
+  let number n = Option.get (find_number names n) in
+  let spec = function
+    | Word -> Resolved.Word
+    | Until stops -> Resolved.Until (stop_mask stops)
+  in
+  let item = function
+    | Lit s -> Resolved.Lit s
+    | Nonterm n -> Resolved.Nonterm (number n)
+    | Star { nonterm; separator } -> Resolved.Star (number nonterm, separator)
+    | Tok s -> Resolved.Tok (spec s)
+  in
+  let rhs = function
+    | Seq items -> Resolved.Seq (Array.of_list (List.map item items))
+    | Token s -> Resolved.Token (spec s)
+  in
+  let resolved =
+    Array.map (fun n -> Array.of_list (List.map rhs (Smap.find n table))) names
+  in
+  { root; rules = table; names; resolved }
+
 let create ~root rules =
   let table =
     List.fold_left
@@ -91,7 +151,7 @@ let create ~root rules =
   else begin
     match first_error rules with
     | Some e -> Error e
-    | None -> Ok { root; rules = table }
+    | None -> Ok (resolve root table)
   end
 
 let create_exn ~root rules =
@@ -100,11 +160,15 @@ let create_exn ~root rules =
   | Error e -> invalid_arg ("Grammar.create: " ^ e)
 
 let root t = t.root
-let nonterminals t = List.map fst (Smap.bindings t.rules)
+let nonterminals t = Array.to_list t.names
 let indexable t = List.filter (fun n -> n <> t.root) (nonterminals t)
 
 let rules_of t n =
   match Smap.find_opt n t.rules with Some rs -> rs | None -> []
+
+let number t n = find_number t.names n
+let name t i = t.names.(i)
+let resolved t i = t.resolved.(i)
 
 let pp_spec ppf = function
   | Word -> Format.pp_print_string ppf "WORD"

@@ -53,4 +53,30 @@ val indexable : t -> string list
 val rules_of : t -> string -> rhs list
 (** Alternatives for one non-terminal, in declaration order. *)
 
+(** The rules as the parser reads them, resolved once by {!create}:
+    non-terminals are numbered in {!nonterminals} order, items name
+    their non-terminal by number, and a token's stop characters are a
+    256-byte mask (byte [c] is ['\001'] when [c] stops the token). *)
+module Resolved : sig
+  type spec = Word | Until of string
+
+  type item =
+    | Lit of string
+    | Nonterm of int
+    | Star of int * string option  (** element, separator *)
+    | Tok of spec
+
+  type rhs = Seq of item array | Token of spec
+end
+
+val number : t -> string -> int option
+(** The number of a defined non-terminal. *)
+
+val name : t -> int -> string
+(** The non-terminal numbered [i]; the same string on every call. *)
+
+val resolved : t -> int -> Resolved.rhs array
+(** The alternatives of the non-terminal numbered [i], in declaration
+    order. *)
+
 val pp : Format.formatter -> t -> unit

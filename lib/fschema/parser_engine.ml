@@ -10,9 +10,11 @@ let describe_error text e =
   let pos = min (max e.position 0) n in
   (* locate the line containing [pos] *)
   let line_start =
-    match String.rindex_from_opt s (max 0 (pos - 1)) '\n' with
-    | Some i -> i + 1
-    | None -> 0
+    if pos = 0 then 0
+    else
+      match String.rindex_from_opt s (pos - 1) '\n' with
+      | Some i -> i + 1
+      | None -> 0
   in
   let line_stop =
     match String.index_from_opt s (min pos (n - 1)) '\n' with
@@ -34,182 +36,251 @@ let describe_error text e =
     line_no (col + 1) e.expected snippet
     (String.make col ' ')
 
+(* What a failed attempt expected, recorded as a constant: the message
+   is formatted only when the whole parse fails.  [Literal] and
+   [Nonterminal] name their literal or non-terminal in [best_arg]. *)
+type expected =
+  | Input
+  | Literal
+  | Nonterminal
+  | Defined_nonterminal
+  | A_word
+  | Text_content
+
+let message kind arg =
+  match kind with
+  | Input -> "input"
+  | Literal -> Printf.sprintf "%S" arg
+  | Nonterminal -> "non-terminal " ^ arg
+  | Defined_nonterminal -> "defined non-terminal " ^ arg
+  | A_word -> "a word"
+  | Text_content -> "text content"
+
+(* The engine allocates little beyond the tree it returns: a failed
+   attempt returns [no_tree] (or [no_branches], or -1 for a position)
+   and leaves its record in [best_*]; a success returns the node and
+   leaves where it ended in [next].  A token leaves its trimmed span in
+   [tok_start]/[tok_stop], a sequence its span in [span_lo]/[span_hi],
+   a repetition the stop of its last element in [last_stop]; each
+   caller reads them before it parses anything else. *)
 type ctx = {
   s : string;
   limit : int;
   grammar : Grammar.t;
   mutable best_pos : int;
-  mutable best_expected : string;
+  mutable best_kind : expected;
+  mutable best_arg : string;
+  mutable next : int;
+  mutable tok_start : int;
+  mutable tok_stop : int;
+  mutable span_lo : int;
+  mutable span_hi : int;
+  mutable last_stop : int;
 }
 
-let fail ctx pos expected =
+let no_tree =
+  { Parse_tree.symbol = ""; start = -1; stop = -1; content = Parse_tree.Leaf }
+
+let no_branches = [ Parse_tree.Text (-1, -1) ]
+
+let fail ctx pos kind arg =
   if pos >= ctx.best_pos then begin
     ctx.best_pos <- pos;
-    ctx.best_expected <- expected
-  end;
-  None
+    ctx.best_kind <- kind;
+    ctx.best_arg <- arg
+  end
 
 let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
-let skip_ws ctx pos =
-  let rec go p = if p < ctx.limit && is_ws ctx.s.[p] then go (p + 1) else p in
-  go pos
+let rec skip_ws ctx p =
+  if p < ctx.limit && is_ws ctx.s.[p] then skip_ws ctx (p + 1) else p
 
 let is_word_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 
-(* Returns (span_start, span_stop) of the literal, or records failure. *)
+let rec word_stop ctx q =
+  if q < ctx.limit && is_word_char ctx.s.[q] then word_stop ctx (q + 1) else q
+
+let rec until_stop ctx mask q =
+  if q < ctx.limit && String.unsafe_get mask (Char.code ctx.s.[q]) = '\000'
+  then until_stop ctx mask (q + 1)
+  else q
+
+let rec trim_ws ctx p q =
+  if q > p && is_ws ctx.s.[q - 1] then trim_ws ctx p (q - 1) else q
+
+(* [lit] is at [p], matched in place *)
+let rec lit_at s p lit i =
+  i = String.length lit
+  || (s.[p + i] = String.unsafe_get lit i && lit_at s p lit (i + 1))
+
+(* The literal's stop (its start is the stop less its length), or -1
+   with the failure recorded. *)
 let parse_lit ctx pos lit =
   let p = skip_ws ctx pos in
   let m = String.length lit in
-  if p + m <= ctx.limit && String.sub ctx.s p m = lit then Some (p, p + m)
-  else fail ctx p (Printf.sprintf "%S" lit)
+  if p + m <= ctx.limit && lit_at ctx.s p lit 0 then p + m
+  else begin
+    fail ctx p Literal lit;
+    -1
+  end
 
+(* Where the token's scan ended, with its trimmed span in
+   [tok_start]/[tok_stop]; or -1 with the failure recorded. *)
 let parse_token ctx pos spec =
   let p = skip_ws ctx pos in
   match spec with
-  | Grammar.Word ->
-      let rec stop q =
-        if q < ctx.limit && is_word_char ctx.s.[q] then stop (q + 1) else q
-      in
-      let q = stop p in
-      if q > p then Some ((p, q), q) else fail ctx p "a word"
-  | Grammar.Until stops ->
-      let rec scan q =
-        if q < ctx.limit && not (List.mem ctx.s.[q] stops) then scan (q + 1)
-        else q
-      in
-      let q = scan p in
-      (* trim trailing whitespace from the token span *)
-      let rec trim q = if q > p && is_ws ctx.s.[q - 1] then trim (q - 1) else q in
-      let q' = trim q in
-      if q' > p then Some ((p, q'), q) else fail ctx p "text content"
-
-let rec parse_nonterm ctx name pos =
-  let rec try_alts = function
-    | [] -> fail ctx pos ("non-terminal " ^ name)
-    | rhs :: rest -> begin
-        match parse_rhs ctx name rhs pos with
-        | Some _ as ok -> ok
-        | None -> try_alts rest
+  | Grammar.Resolved.Word ->
+      let q = word_stop ctx p in
+      if q > p then begin
+        ctx.tok_start <- p;
+        ctx.tok_stop <- q;
+        q
       end
-  in
-  match Grammar.rules_of ctx.grammar name with
-  | [] -> fail ctx pos ("defined non-terminal " ^ name)
-  | alts -> try_alts alts
+      else begin
+        fail ctx p A_word "";
+        -1
+      end
+  | Grammar.Resolved.Until mask ->
+      let q = until_stop ctx mask p in
+      (* trim trailing whitespace from the token span *)
+      let q' = trim_ws ctx p q in
+      if q' > p then begin
+        ctx.tok_start <- p;
+        ctx.tok_stop <- q';
+        q
+      end
+      else begin
+        fail ctx p Text_content "";
+        -1
+      end
 
-and parse_rhs ctx name rhs pos =
+let rec parse_nonterm ctx nt pos =
+  let alts = Grammar.resolved ctx.grammar nt in
+  try_alts ctx nt alts 0 pos
+
+and try_alts ctx nt alts i pos =
+  if i = Array.length alts then begin
+    fail ctx pos Nonterminal (Grammar.name ctx.grammar nt);
+    no_tree
+  end
+  else
+    let node = parse_rhs ctx nt (Array.unsafe_get alts i) pos in
+    if node != no_tree then node else try_alts ctx nt alts (i + 1) pos
+
+and parse_rhs ctx nt rhs pos =
   match rhs with
-  | Grammar.Token spec -> begin
-      match parse_token ctx pos spec with
-      | Some ((a, b), next) ->
-          Some
-            ( { Parse_tree.symbol = name; start = a; stop = b; content = Leaf },
-              next )
-      | None -> None
-    end
-  | Grammar.Seq items -> begin
-      let lo = ref None and hi = ref None in
-      let touch a b =
-        (match !lo with None -> lo := Some a | Some _ -> ());
-        hi := Some b
-      in
-      let rec go items pos acc =
-        match items with
-        | [] -> Some (List.rev acc, pos)
-        | Grammar.Lit lit :: rest -> begin
-            match parse_lit ctx pos lit with
-            | Some (a, b) ->
-                touch a b;
-                go rest b acc
-            | None -> None
-          end
-        | Grammar.Tok spec :: rest -> begin
-            match parse_token ctx pos spec with
-            | Some ((a, b), next) ->
-                touch a b;
-                go rest next (Parse_tree.Text (a, b) :: acc)
-            | None -> None
-          end
-        | Grammar.Nonterm n :: rest -> begin
-            match parse_nonterm ctx n pos with
-            | Some (node, next) ->
-                touch node.Parse_tree.start node.Parse_tree.stop;
-                go rest next (Parse_tree.Child node :: acc)
-            | None -> None
-          end
-        | Grammar.Star { nonterm; separator } :: rest -> begin
-            (* one deadline poll per element: a whole-file parse (the
-               naive fallback, a full scan) is a loop over the file's
-               entries, so a task's timeout can cut it short *)
-            let rec elems acc pos =
-              Obs.Deadline.check ();
-              match parse_nonterm ctx nonterm pos with
-              | None -> (List.rev acc, pos)
-              | Some (node, next) -> begin
-                  touch node.Parse_tree.start node.Parse_tree.stop;
-                  match separator with
-                  | None -> elems (node :: acc) next
-                  | Some sep -> begin
-                      match parse_lit ctx next sep with
-                      | Some (_, after_sep) -> begin
-                          (* the separator commits only if another
-                             element follows *)
-                          match parse_nonterm ctx nonterm after_sep with
-                          | Some (node2, next2) ->
-                              touch node2.Parse_tree.start node2.Parse_tree.stop;
-                              continue_with (node2 :: node :: acc) next2
-                          | None -> (List.rev (node :: acc), next)
-                        end
-                      | None -> (List.rev (node :: acc), next)
-                    end
-                end
-            and continue_with acc pos =
-              Obs.Deadline.check ();
-              match separator with
-              | None -> elems acc pos
-              | Some sep -> begin
-                  match parse_lit ctx pos sep with
-                  | Some (_, after_sep) -> begin
-                      match parse_nonterm ctx nonterm after_sep with
-                      | Some (node, next) ->
-                          touch node.Parse_tree.start node.Parse_tree.stop;
-                          continue_with (node :: acc) next
-                      | None -> (List.rev acc, pos)
-                    end
-                  | None -> (List.rev acc, pos)
-                end
-            in
-            let children, next = elems [] pos in
-            go rest next (Parse_tree.Children (nonterm, children) :: acc)
-          end
-      in
-      match go items pos [] with
-      | None -> None
-      | Some (branches, next) -> begin
-          match (!lo, !hi) with
-          | Some a, Some b ->
-              Some
-                ( {
-                    Parse_tree.symbol = name;
-                    start = a;
-                    stop = b;
-                    content = Branch branches;
-                  },
-                  next )
-          | _ ->
-              (* all items were empty repetitions: a zero-width node *)
-              let p = skip_ws ctx pos in
-              Some
-                ( {
-                    Parse_tree.symbol = name;
-                    start = p;
-                    stop = p;
-                    content = Branch branches;
-                  },
-                  next )
-        end
-    end
+  | Grammar.Resolved.Token spec ->
+      let next = parse_token ctx pos spec in
+      if next < 0 then no_tree
+      else begin
+        ctx.next <- next;
+        {
+          Parse_tree.symbol = Grammar.name ctx.grammar nt;
+          start = ctx.tok_start;
+          stop = ctx.tok_stop;
+          content = Leaf;
+        }
+      end
+  | Grammar.Resolved.Seq items ->
+      let branches = parse_items ctx items 0 pos (-1) (-1) in
+      if branches == no_branches then no_tree
+      else if ctx.span_lo >= 0 then
+        {
+          Parse_tree.symbol = Grammar.name ctx.grammar nt;
+          start = ctx.span_lo;
+          stop = ctx.span_hi;
+          content = Branch branches;
+        }
+      else begin
+        (* all items were empty repetitions: a zero-width node *)
+        let p = skip_ws ctx pos in
+        {
+          Parse_tree.symbol = Grammar.name ctx.grammar nt;
+          start = p;
+          stop = p;
+          content = Branch branches;
+        }
+      end
+
+(* Items [i..] of a sequence from [pos]; [lo] is the start of the first
+   item that matched (-1 before one has), [hi] the stop of the last.
+   The branches come back in order, or [no_branches]; the span and the
+   end are left in [span_lo]/[span_hi] and [next]. *)
+and parse_items ctx items i pos lo hi =
+  if i = Array.length items then begin
+    ctx.span_lo <- lo;
+    ctx.span_hi <- hi;
+    ctx.next <- pos;
+    []
+  end
+  else
+    match Array.unsafe_get items i with
+    | Grammar.Resolved.Lit lit ->
+        let b = parse_lit ctx pos lit in
+        if b < 0 then no_branches
+        else
+          parse_items ctx items (i + 1) b
+            (if lo < 0 then b - String.length lit else lo)
+            b
+    | Grammar.Resolved.Tok spec ->
+        let next = parse_token ctx pos spec in
+        if next < 0 then no_branches
+        else
+          let a = ctx.tok_start and b = ctx.tok_stop in
+          let rest =
+            parse_items ctx items (i + 1) next (if lo < 0 then a else lo) b
+          in
+          if rest == no_branches then rest else Parse_tree.Text (a, b) :: rest
+    | Grammar.Resolved.Nonterm nt ->
+        let node = parse_nonterm ctx nt pos in
+        if node == no_tree then no_branches
+        else
+          let rest =
+            parse_items ctx items (i + 1) ctx.next
+              (if lo < 0 then node.Parse_tree.start else lo)
+              node.Parse_tree.stop
+          in
+          if rest == no_branches then rest else Parse_tree.Child node :: rest
+    | Grammar.Resolved.Star (nt, separator) ->
+        let elems = parse_star ctx nt separator pos in
+        let lo, hi =
+          match elems with
+          | [] -> (lo, hi)
+          | first :: _ ->
+              ((if lo < 0 then first.Parse_tree.start else lo), ctx.last_stop)
+        in
+        let rest = parse_items ctx items (i + 1) ctx.next lo hi in
+        if rest == no_branches then rest
+        else Parse_tree.Children (Grammar.name ctx.grammar nt, elems) :: rest
+
+(* A greedy repetition from [pos]: the elements in order, with the end
+   in [next] and the last element's stop in [last_stop].  A separator
+   commits only if another element follows it.  One deadline poll per
+   element: a whole-file parse (the naive fallback, a full scan) is a
+   loop over the file's entries, so a task's timeout can cut it short. *)
+and parse_star ctx nt separator pos =
+  Obs.Deadline.check ();
+  let first = parse_nonterm ctx nt pos in
+  if first == no_tree then begin
+    ctx.next <- pos;
+    []
+  end
+  else star_rest ctx nt separator [ first ] ctx.next
+
+(* [acc] holds the elements so far, the last first *)
+and star_rest ctx nt separator acc pos =
+  Obs.Deadline.check ();
+  let at =
+    match separator with None -> pos | Some sep -> parse_lit ctx pos sep
+  in
+  let node = if at < 0 then no_tree else parse_nonterm ctx nt at in
+  if node == no_tree then begin
+    ctx.next <- pos;
+    ctx.last_stop <- (List.hd acc).Parse_tree.stop;
+    List.rev acc
+  end
+  else star_rest ctx nt separator (node :: acc) ctx.next
 
 let run grammar text ~symbol ~start ~stop =
   let ctx =
@@ -218,22 +289,38 @@ let run grammar text ~symbol ~start ~stop =
       limit = stop;
       grammar;
       best_pos = start;
-      best_expected = "input";
+      best_kind = Input;
+      best_arg = "";
+      next = start;
+      tok_start = 0;
+      tok_stop = 0;
+      span_lo = 0;
+      span_hi = 0;
+      last_stop = 0;
     }
   in
-  match parse_nonterm ctx symbol start with
-  | Some (node, next) ->
-      let next = skip_ws ctx next in
-      if next = stop then begin
-        Stdx.Stats.(add_to bytes_parsed (stop - start));
-        Ok node
-      end
-      else if ctx.best_pos > next then
-        (* a longer parse was attempted and failed deeper in the input:
-           that position explains the leftover better *)
-        Error { position = ctx.best_pos; expected = ctx.best_expected }
-      else Error { position = next; expected = "end of region" }
-  | None -> Error { position = ctx.best_pos; expected = ctx.best_expected }
+  let best () =
+    Error
+      { position = ctx.best_pos; expected = message ctx.best_kind ctx.best_arg }
+  in
+  match Grammar.number grammar symbol with
+  | None ->
+      fail ctx start Defined_nonterminal symbol;
+      best ()
+  | Some nt ->
+      let node = parse_nonterm ctx nt start in
+      if node == no_tree then best ()
+      else
+        let next = skip_ws ctx ctx.next in
+        if next = stop then begin
+          Stdx.Stats.(add_to bytes_parsed (stop - start));
+          Ok node
+        end
+        else if ctx.best_pos > next then
+          (* a longer parse was attempted and failed deeper in the input:
+             that position explains the leftover better *)
+          best ()
+        else Error { position = next; expected = "end of region" }
 
 let parse grammar text =
   run grammar text ~symbol:(Grammar.root grammar) ~start:0

@@ -10,6 +10,11 @@
     bytes it touched to {!Stdx.Stats.global} ([bytes_parsed]) — this is
     the quantity partial indexing is designed to shrink.
 
+    A parse allocates little beyond the tree it returns: literals are
+    matched in place, and a failed attempt records what it expected as
+    a constant, so an error's text is formatted only when the whole
+    parse fails.
+
     Every repetition polls {!Obs.Deadline.check} once per element, so a
     parse running under a task deadline raises {!Obs.Deadline.Expired}
     close to its budget; with no deadline armed the poll is one

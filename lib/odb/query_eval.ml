@@ -12,10 +12,12 @@ let contains_word haystack needle =
     (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   in
   let boundary i = i < 0 || i >= n || not (is_word_char haystack.[i]) in
+  let rec matches_at i j =
+    j = m || (haystack.[i + j] = needle.[j] && matches_at i (j + 1))
+  in
   let rec go i =
     if i + m > n then false
-    else if String.sub haystack i m = needle && boundary (i - 1) && boundary (i + m)
-    then true
+    else if matches_at i 0 && boundary (i - 1) && boundary (i + m) then true
     else go (i + 1)
   in
   m > 0 && go 0
@@ -40,16 +42,17 @@ let rec matches bindings = function
         (navigate_binding bindings rp)
   | Query.Starts_with (rp, w) ->
       List.exists
-        (function
-          | Value.Str s ->
-              String.length s >= String.length w
-              && String.sub s 0 (String.length w) = w
-          | _ -> false)
+        (function Value.Str s -> String.starts_with ~prefix:w s | _ -> false)
         (navigate_binding bindings rp)
   | Query.Eq_paths (a, b) ->
-      let va = navigate_binding bindings a in
-      let vb = navigate_binding bindings b in
-      List.exists (fun x -> List.exists (Value.equal x) vb) va
+      (* each side normalized once, not once per pair *)
+      let normalized rp =
+        List.map Value.normalize (navigate_binding bindings rp)
+      in
+      let va = normalized a and vb = normalized b in
+      List.exists
+        (fun x -> List.exists (fun y -> Value.compare_normalized x y = 0) vb)
+        va
   | Query.And (a, b) -> matches bindings a && matches bindings b
   | Query.Or (a, b) -> matches bindings a || matches bindings b
   | Query.Not p -> not (matches bindings p)
@@ -82,6 +85,7 @@ let eval db (q : Query.t) =
         else [])
       (product [] q.Query.from_)
   in
-  List.sort_uniq (List.compare Value.compare) rows
+  (* the rows are normalized already *)
+  List.sort_uniq (List.compare Value.compare_normalized) rows
 
 let eval_single db q = List.concat (eval db q)

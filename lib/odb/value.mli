@@ -19,6 +19,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order compatible with {!equal}. *)
 
+val compare_normalized : t -> t -> int
+(** {!compare} on values that {!normalize} returned: it does not
+    normalize them again, so it allocates nothing. *)
+
 val normalize : t -> t
 (** Sort and deduplicate every [Set], recursively. *)
 

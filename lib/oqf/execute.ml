@@ -482,7 +482,7 @@ let exec ?(join_assist = true) ?(explain = false) p src =
               r
             end
           in
-          List.sort_uniq (List.compare Odb.Value.compare)
+          List.sort_uniq (List.compare Odb.Value.compare_normalized)
             (List.map
                (fun r -> [ Odb.Value.Str (Pat.Region.text src.text r) ])
                (Pat.Region_set.to_list regions))
