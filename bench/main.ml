@@ -136,7 +136,9 @@ let e1 () =
   say "%8s | %26s | %26s | %8s@." "refs" "naive (ms, region cmps)"
     "optimized (ms, region cmps)" "speedup";
   let exprs_for src =
-    let plan = or_die (Oqf.Compile.compile src.Oqf.Execute.env q_chang) in
+    let plan = or_die
+        (Result.map_error Oqf.Compile.error_message
+           (Oqf.Compile.compile src.Oqf.Execute.env q_chang)) in
     match plan.Oqf.Plan.var_plans with
     | [ { Oqf.Plan.candidates = Oqf.Plan.Expr e; _ } ] ->
         (e, Ralg.Optimizer.optimize src.Oqf.Execute.env.Oqf.Compile.query_rig e)
@@ -769,7 +771,9 @@ let o1 () =
   let n = 1600 in
   let src = bibtex_source n in
   let opt_e =
-    let plan = or_die (Oqf.Compile.compile src.Oqf.Execute.env q_chang) in
+    let plan = or_die
+        (Result.map_error Oqf.Compile.error_message
+           (Oqf.Compile.compile src.Oqf.Execute.env q_chang)) in
     match plan.Oqf.Plan.var_plans with
     | [ { Oqf.Plan.candidates = Oqf.Plan.Expr e; _ } ] ->
         Ralg.Optimizer.optimize src.Oqf.Execute.env.Oqf.Compile.query_rig e
@@ -1173,7 +1177,7 @@ let cb1 () =
     | Error e -> Error (Format.asprintf "%a" Odb.Query_parser.pp_error e)
     | Ok q -> (
         match Oqf.Compile.compile (Oqf.Compile.env view ~index) q with
-        | Error e -> Error e
+        | Error e -> Error (Oqf.Compile.error_message e)
         | Ok plan ->
             Ok
               (List.map

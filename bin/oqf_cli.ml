@@ -1301,7 +1301,7 @@ let advise_cmd =
         | Error e -> Error (Format.asprintf "%a" Odb.Query_parser.pp_error e)
         | Ok q -> (
             match Oqf.Compile.compile (Oqf.Compile.env view ~index) q with
-            | Error e -> Error e
+            | Error e -> Error (Oqf.Compile.error_message e)
             | Ok plan ->
                 Ok
                   (List.map

@@ -1,12 +1,5 @@
 module G = Fschema.Grammar
 
-let non_literal_items items =
-  List.filter
-    (function
-      | G.Lit _ -> false
-      | G.Nonterm _ | G.Star _ | G.Tok _ -> true)
-    items
-
 let unreachable_diags grammar rig =
   let root = G.root grammar in
   G.nonterminals grammar
@@ -53,24 +46,19 @@ let declared_rig_diags ~derived ~declared =
   in
   missing_nodes @ extra_nodes @ missing_edges @ extra_edges
 
-let non_natural_diags grammar =
+let non_natural_diags grammar paths =
   List.concat_map
     (fun lhs ->
-      let rules = G.rules_of grammar lhs in
       let pass_through =
-        match rules with
-        | [ G.Seq items ] -> begin
-            match non_literal_items items with
-            | [ G.Nonterm child ] ->
-                [
-                  Diagnostic.make ~subject:lhs ~detail:("wraps " ^ child)
-                    ~code:"OQF103" ~severity:Diagnostic.Hint
-                    "pass-through wrapper rule: its database value is its \
-                     single child's, so queries usually address the child";
-                ]
-            | _ -> []
-          end
-        | _ -> []
+        match Fschema.Resolver.carrier paths lhs with
+        | Some child ->
+            [
+              Diagnostic.make ~subject:lhs ~detail:("wraps " ^ child)
+                ~code:"OQF103" ~severity:Diagnostic.Hint
+                "pass-through wrapper rule: its database value is its \
+                 single child's, so queries usually address the child";
+            ]
+        | None -> []
       in
       let anonymous_tokens =
         List.concat_map
@@ -88,18 +76,19 @@ let non_natural_diags grammar =
                               past it")
                     | G.Lit _ | G.Nonterm _ | G.Star _ -> None)
                   items)
-          rules
+          (G.rules_of grammar lhs)
       in
       pass_through @ anonymous_tokens)
     (G.nonterminals grammar)
 
 let check ?declared_rig (view : Fschema.View.t) =
   let grammar = view.Fschema.View.grammar in
-  let derived = Fschema.Rig_of_grammar.full grammar in
+  let paths = Fschema.Resolver.make grammar in
+  let derived = Fschema.Resolver.rig paths in
   let declared =
     match declared_rig with
     | None -> []
     | Some declared -> declared_rig_diags ~derived ~declared
   in
   Diagnostic.sort
-    (unreachable_diags grammar derived @ declared @ non_natural_diags grammar)
+    (unreachable_diags grammar derived @ declared @ non_natural_diags grammar paths)

@@ -35,40 +35,69 @@ let item_name = function
   | Star { nonterm; _ } -> Some nonterm
   | Lit _ | Tok _ -> None
 
-let validate_rule rule =
+type error =
+  | Undefined_root of string
+  | Undefined_nonterm of string
+  | Ill_formed of { lhs : string; reason : string }
+  | Spans_parent of { lhs : string; item : string }
+
+let error_message = function
+  | Undefined_root n -> "undefined root: " ^ n
+  | Undefined_nonterm n -> "undefined non-terminal: " ^ n
+  | Ill_formed { lhs; reason } -> lhs ^ ": " ^ reason
+  | Spans_parent { lhs; item } ->
+      Printf.sprintf
+        "%s: every item but %s can be empty, so a %s region can have the \
+         parent's extent; add literal delimiters so the parent region \
+         strictly contains its children"
+        lhs item item
+
+(* Whether an item can match the empty string: a [Star] always can, a
+   literal or a token never does, and a non-terminal can when one of
+   its alternatives is a [Seq] of items that all can. *)
+let nullable table =
+  let rec grow set =
+    let empty = function
+      | Star _ -> true
+      | Nonterm n -> List.mem n set
+      | Lit _ | Tok _ -> false
+    in
+    let more =
+      Smap.bindings table
+      |> List.filter (fun (_, rhss) ->
+             List.exists
+               (function Seq items -> List.for_all empty items | Token _ -> false)
+               rhss)
+      |> List.map fst
+    in
+    if List.compare_lengths more set = 0 then empty else grow more
+  in
+  grow []
+
+let validate_rule ~empty rule =
+  let fail reason = Error (Ill_formed { lhs = rule.lhs; reason }) in
   match rule.rhs with
   | Token _ -> Ok ()
+  | Seq [] -> fail "empty right-hand side"
   | Seq items ->
-      if items = [] then Error (rule.lhs ^ ": empty right-hand side")
-      else if
-        List.exists (function Lit "" -> true | _ -> false) items
-      then Error (rule.lhs ^ ": empty literal")
+      if List.exists (function Lit "" -> true | _ -> false) items then
+        fail "empty literal"
       else begin
         let names = List.filter_map item_name items in
-        let dup =
-          List.exists
-            (fun n -> List.length (List.filter (String.equal n) names) > 1)
-            names
-        in
-        if dup then
-          Error
-            (rule.lhs
-           ^ ": a non-terminal may appear at most once on a right-hand side")
+        if List.compare_lengths (List.sort_uniq String.compare names) names <> 0
+        then fail "a non-terminal may appear at most once on a right-hand side"
+        else if List.exists (function Lit _ -> true | _ -> false) items then
+          Ok ()
         else begin
-          (* span discipline: a Seq must not be reducible to exactly the
-             span of a single child *)
-          match items with
-          | [ Nonterm n ] ->
-              Error
-                (rule.lhs ^ " -> " ^ n
-               ^ ": bare non-terminal; wrap it in literal delimiters so the \
-                  parent region strictly contains the child")
-          | [ Star { nonterm; _ } ] ->
-              Error
-                (rule.lhs ^ " -> " ^ nonterm
-               ^ "*: bare repetition; wrap it in literal delimiters so the \
-                  parent region strictly contains the elements")
-          | _ -> Ok ()
+          (* span discipline: with no literal, an item whose siblings can
+             all be empty (a child, or a repetition's one element) can
+             span the whole rule *)
+          let spans i = List.for_all empty (List.filteri (fun j _ -> j <> i) items) in
+          match
+            List.find_mapi (fun i it -> if spans i then item_name it else None) items
+          with
+          | Some item -> Error (Spans_parent { lhs = rule.lhs; item })
+          | None -> Ok ()
         end
       end
 
@@ -125,10 +154,11 @@ let create ~root rules =
       Smap.empty rules
   in
   let defined n = Smap.mem n table in
+  let empty = nullable table in
   let rec first_error = function
     | [] -> None
     | rule :: rest -> begin
-        match validate_rule rule with
+        match validate_rule ~empty rule with
         | Error e -> Some e
         | Ok () ->
             let missing =
@@ -143,11 +173,11 @@ let create ~root rules =
                     items
             in
             (match missing with
-            | Some n -> Some ("undefined non-terminal: " ^ n)
+            | Some n -> Some (Undefined_nonterm n)
             | None -> first_error rest)
       end
   in
-  if not (defined root) then Error ("undefined root: " ^ root)
+  if not (defined root) then Error (Undefined_root root)
   else begin
     match first_error rules with
     | Some e -> Error e
@@ -157,7 +187,7 @@ let create ~root rules =
 let create_exn ~root rules =
   match create ~root rules with
   | Ok g -> g
-  | Error e -> invalid_arg ("Grammar.create: " ^ e)
+  | Error e -> invalid_arg ("Grammar.create: " ^ error_message e)
 
 let root t = t.root
 let nonterminals t = Array.to_list t.names

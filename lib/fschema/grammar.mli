@@ -13,9 +13,14 @@
     {b Span discipline.}  Every region built for a parse-tree node must
     {e strictly} contain the regions of its children, otherwise direct
     inclusion could not tell parent from child.  [create] therefore
-    rejects rules whose right-hand side is a bare [Nonterm] or a bare
-    [Star]: wrap them in delimiters (["{" … "}"]), which real file
-    formats have anyway. *)
+    rejects a right-hand side without literals in which one
+    non-terminal or [Star] item can span the whole rule because every
+    other item can match the empty string (a [Star], or a non-terminal
+    with such an alternative): a bare [Nonterm], a bare [Star], or
+    [Item → Head Note*].  Tokens never match the empty string, so
+    [Name → First_Name Last_Name] over token rules is legal.  Wrap the
+    items in delimiters (["{" … "}"]), which real file formats have
+    anyway. *)
 
 type term_spec =
   | Word  (** a maximal run of letters/digits *)
@@ -35,7 +40,17 @@ type rhs = Seq of item list | Token of term_spec
 type rule = { lhs : string; rhs : rhs }
 type t
 
-val create : root:string -> rule list -> (t, string) result
+type error =
+  | Undefined_root of string
+  | Undefined_nonterm of string  (** referenced by a rule, defined by none *)
+  | Ill_formed of { lhs : string; reason : string }
+      (** an empty right-hand side or literal, or a repeated name *)
+  | Spans_parent of { lhs : string; item : string }
+      (** the span discipline: [item] can have [lhs]'s extent *)
+
+val error_message : error -> string
+
+val create : root:string -> rule list -> (t, error) result
 (** Validate and build: every referenced non-terminal must be defined,
     the root must be defined, the non-literal items of a [Seq] must have
     distinct names, and the span discipline above must hold. *)

@@ -97,7 +97,7 @@ let optimized_var_exprs view q =
   let index = Fschema.Grammar.indexable view.Fschema.View.grammar in
   let env = Compile.env view ~index in
   match Compile.compile env q with
-  | Error e -> Error e
+  | Error e -> Error (Compile.error_message e)
   | Ok plan ->
       let rig = env.Compile.full_rig in
       Ok
@@ -148,7 +148,7 @@ let explain view ~index q =
   | Ok (_, _, full_exprs) -> begin
       let env = Compile.env view ~index in
       match Compile.compile env q with
-      | Error e -> Error e
+      | Error e -> Error (Compile.error_message e)
       | Ok plan ->
           let buf = Buffer.create 512 in
           let ppf = Format.formatter_of_buffer buf in

@@ -16,53 +16,38 @@ let rec pred_paths (p : Odb.Query.pred) =
   | Q.And (a, b) | Q.Or (a, b) -> pred_paths a @ pred_paths b
   | Q.Not p -> pred_paths p
 
+(* A path the view's types say reaches nothing: the planner makes its
+   predicate (or its SELECT item's variable) empty. *)
 let path_diags env ?text ~root (rp : Odb.Query.rooted_path) =
-  let g = env.Compile.full_rig in
-  let var = rp.Odb.Query.var in
-  let span_of name =
-    match text with
-    | None -> None
-    | Some text -> D.span_of_word ~text name
-  in
-  let path_str = var ^ "." ^ Odb.Path.to_string rp.Odb.Query.path in
-  let rec go cur stars anys acc = function
-    | [] -> List.rev acc
-    | Odb.Path.Star :: rest -> go cur (stars + 1) anys acc rest
-    | Odb.Path.Any :: rest -> go cur stars (anys + 1) acc rest
-    | (Odb.Path.Attr a | Odb.Path.Plus a) :: rest ->
-        if not (Ralg.Rig.mem g a) then begin
-          let d =
-            D.make ?span:(span_of a) ~subject:var ~code:"OQF002"
-              ~severity:D.Warning
+  let path = rp.Odb.Query.path in
+  match Fschema.Resolver.resolve env.Compile.paths ~root path with
+  | Ok _ -> []
+  | Error { Fschema.Resolver.at; reason } ->
+      let var = rp.Odb.Query.var in
+      let shown steps = String.concat "." (var :: List.map (fun s -> Odb.Path.to_string [ s ]) steps) in
+      let step = Odb.Path.to_string [ List.nth path at ] in
+      let before = shown (List.filteri (fun i _ -> i < at) path) in
+      let span = Option.bind text (fun text -> D.span_of_word ~text step) in
+      let never why =
+        D.make ?span ~subject:var ~code:"OQF005" ~severity:D.Warning
+          (Printf.sprintf
+             "path %s can never match: %s, so the query is empty on every \
+              file conforming to the schema"
+             (shown path) why)
+      in
+      [
+        (match reason with
+        | Fschema.Resolver.Unknown_attribute ->
+            D.make ?span ~subject:var ~code:"OQF002" ~severity:D.Warning
               (Printf.sprintf
-                 "attribute %s names no region of the schema; the planner \
-                  treats it as a wildcard"
-                 a)
-          in
-          (* mirror the planner: an unknown attribute behaves like [*X] *)
-          go cur (stars + 1) anys (d :: acc) rest
-        end
-        else if not (Compile.step_possible env ~src:cur ~dst:a ~stars ~anys)
-        then begin
-          let how =
-            if stars > 0 then "no RIG walk"
-            else if anys > 0 then
-              Printf.sprintf "no RIG walk of length %d" (anys + 1)
-            else "no RIG edge"
-          in
-          let d =
-            D.make ?span:(span_of a) ~subject:var ~code:"OQF005"
-              ~severity:D.Warning
-              (Printf.sprintf
-                 "path %s can never match: %s from %s to %s, so the query is \
-                  empty on every file conforming to the schema"
-                 path_str how cur a)
-          in
-          go a 0 0 (d :: acc) rest
-        end
-        else go a 0 0 acc rest
-  in
-  go root 0 0 [] rp.Odb.Query.path
+                 "attribute %s names no region of the schema, so the path \
+                  reaches nothing"
+                 step)
+        | Fschema.Resolver.Past_string ->
+            never (Printf.sprintf "%s is a string, which has no attribute %s" before step)
+        | Fschema.Resolver.No_attribute ->
+            never (Printf.sprintf "no value %s reaches has an attribute %s" before step));
+      ]
 
 (* ---------------- plan-level analysis ---------------- *)
 
@@ -112,11 +97,16 @@ let plan_diagnostics ?text ?stats ?cost_threshold env (plan : Plan.t) =
 let query ?text ?stats ?cost_threshold env q =
   match Compile.compile env q with
   | Error e ->
-      let unknown_class =
-        String.length e >= 14 && String.sub e 0 14 = "unknown class:"
+      let code =
+        match e with
+        | Compile.Unknown_class _ -> "OQF002"
+        | Compile.Invalid _ -> "OQF000"
       in
-      let code = if unknown_class then "OQF002" else "OQF000" in
-      { plan = None; diagnostics = [ D.make ~code ~severity:D.Error e ] }
+      {
+        plan = None;
+        diagnostics =
+          [ D.make ~code ~severity:D.Error (Compile.error_message e) ];
+      }
   | Ok plan ->
       {
         plan = Some plan;

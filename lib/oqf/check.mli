@@ -3,11 +3,11 @@
 
     Two layers on top of {!Analysis.Expr_check}:
 
-    - {e path-level}: every rooted path in SELECT/WHERE is walked over
-      the {e full} RIG with the planner's own step test
-      ({!Compile.step_possible}), reporting unknown attributes
-      (OQF002, warning here — the planner degrades them to wildcards)
-      and impossible steps (OQF005: the query can only be empty on
+    - {e path-level}: every rooted path in SELECT/WHERE is resolved
+      with the planner's own {!Fschema.Resolver}, reporting unknown
+      attributes (OQF002, warning here: the path reaches nothing) and
+      steps that reach nothing (OQF005: past a string value, or to no
+      field of the value stepped from; the query can only be empty on
       files conforming to the schema);
     - {e plan-level}: each variable's candidate expression is checked
       against the query RIG (OQF001/003/004/006), and a [Plan.Empty]

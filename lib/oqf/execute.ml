@@ -304,7 +304,7 @@ let prepare ?(optimize = true) ?(force = false)
   let minimize = plan_mode = Oqf_cost.Planner.Cost_based in
   let rig = src.env.Compile.query_rig in
   match Obs.Trace.with_span "query.compile" (fun () -> Compile.compile src.env q) with
-  | Error _ as e -> e
+  | Error e -> Error (Compile.error_message e)
   | Ok plan ->
       let diagnostics =
         Obs.Trace.with_span "query.analyze" @@ fun () ->
@@ -575,19 +575,10 @@ let run ?optimize ?join_assist ?explain ?force ?plan_mode src q =
 
 (* A query-level defect: the query would fail identically on every
    file, so degradation must surface it instead of excluding files. *)
-let semantic_error view (q : Odb.Query.t) =
-  let unknown =
-    List.find_map
-      (fun (cls, _) ->
-        match Fschema.View.class_nonterm view cls with
-        | None -> Some cls
-        | Some _ -> None)
-      q.Odb.Query.from_
-  in
-  match (Odb.Query.validate q, unknown) with
-  | Error e, _ -> Some e
-  | Ok (), Some cls -> Some ("unknown class: " ^ cls)
-  | Ok (), None -> None
+let semantic_error view q =
+  match Compile.validate view q with
+  | Ok () -> None
+  | Error e -> Some (Compile.error_message e)
 
 let run_baseline view text q =
   let before = Stdx.Stats.snapshot () in

@@ -516,7 +516,7 @@ let query_impossible_path_is_oqf001 () =
 let query_unknown_attribute_warns () =
   let ds = query_check {|SELECT r.Bogus FROM References r|} in
   Alcotest.(check bool) "unknown attribute is OQF002" true (has "OQF002" ds);
-  (* the planner treats it as a wildcard, so this must NOT refuse *)
+  (* a SELECT item that reaches nothing projects no row: no refusal *)
   Alcotest.(check bool) "but only a warning" false (D.has_errors ds)
 
 let query_clean_is_clean () =

@@ -359,7 +359,7 @@ let rcache_lru_eviction () =
   let cache = Exec.Rcache.create ~capacity:2 () in
   let q n =
     Odb.Query_parser.parse_exn
-      (Printf.sprintf {|SELECT e FROM Entries e WHERE e.Pid = "%d"|} n)
+      (Printf.sprintf {|SELECT e FROM Entries e WHERE e.Service = "p%d"|} n)
   in
   ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 1)));
   ignore (or_fail (Exec.Driver.run_parallel ~jobs:1 ~cache corpus (q 2)));

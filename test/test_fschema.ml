@@ -234,9 +234,8 @@ let grammar_tests =
               { Grammar.lhs = "B"; rhs = Grammar.Token Grammar.Word };
             ]
         with
-        | Error msg ->
-            Alcotest.(check bool) "mentions delimiters" true
-              (String.length msg > 0)
+        | Error (Grammar.Spans_parent { lhs = "A"; item = "B" }) -> ()
+        | Error e -> Alcotest.fail (Grammar.error_message e)
         | Ok _ -> Alcotest.fail "should be rejected");
     Alcotest.test_case "bare star rejected" `Quick (fun () ->
         match
@@ -256,7 +255,9 @@ let grammar_tests =
           Grammar.create ~root:"A"
             [ { Grammar.lhs = "A"; rhs = Grammar.Seq [ Grammar.Lit "x"; Grammar.Nonterm "Z" ] } ]
         with
-        | Error msg -> Alcotest.(check string) "msg" "undefined non-terminal: Z" msg
+        | Error e ->
+            Alcotest.(check string) "msg" "undefined non-terminal: Z"
+              (Grammar.error_message e)
         | Ok _ -> Alcotest.fail "should be rejected");
     Alcotest.test_case "duplicate non-terminal on one rhs rejected" `Quick
       (fun () ->
@@ -274,6 +275,36 @@ let grammar_tests =
         with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "should be rejected");
+    Alcotest.test_case "a child whose siblings can be empty is rejected"
+      `Quick (fun () ->
+        let word lhs = { Grammar.lhs; rhs = Grammar.Token Grammar.Word } in
+        let star nonterm = Grammar.Star { nonterm; separator = None } in
+        let item rhs = { Grammar.lhs = "Item"; rhs = Grammar.Seq rhs } in
+        let doc = { Grammar.lhs = "Doc"; rhs = Grammar.Seq [ Grammar.Lit "<d>"; star "Item"; Grammar.Lit "</d>" ] } in
+        let check name expected rules =
+          match (Grammar.create ~root:"Doc" (doc :: rules), expected) with
+          | Ok _, None -> ()
+          | Error (Grammar.Spans_parent { lhs; item }), Some (l, i)
+            when lhs = l && item = i ->
+              ()
+          | Ok _, Some _ -> Alcotest.failf "%s: accepted" name
+          | Error e, _ -> Alcotest.failf "%s: %s" name (Grammar.error_message e)
+        in
+        (* an item with no notes has exactly its head's extent *)
+        check "Item -> Head Note*" (Some ("Item", "Head"))
+          [ item [ Grammar.Nonterm "Head"; star "Note" ]; word "Head"; word "Note" ];
+        (* Notes can match the empty string through its stars *)
+        check "Item -> Head Notes" (Some ("Item", "Head"))
+          [
+            item [ Grammar.Nonterm "Head"; Grammar.Nonterm "Notes" ];
+            { Grammar.lhs = "Notes"; rhs = Grammar.Seq [ star "Note"; star "Tag" ] };
+            word "Head"; word "Note"; word "Tag";
+          ];
+        (* a literal, or a token sibling, keeps the parent strictly larger *)
+        check "Item -> Head Note* \";\"" None
+          [ item [ Grammar.Nonterm "Head"; star "Note"; Grammar.Lit ";" ]; word "Head"; word "Note" ];
+        check "Item -> First Last" None
+          [ item [ Grammar.Nonterm "First"; Grammar.Nonterm "Last" ]; word "First"; word "Last" ]);
     Alcotest.test_case "indexable excludes the root" `Quick (fun () ->
         Alcotest.(check bool)
           "no Ref_set" true
