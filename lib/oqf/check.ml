@@ -17,14 +17,16 @@ let rec pred_paths (p : Odb.Query.pred) =
   | Q.Not p -> pred_paths p
 
 (* A path the view's types say reaches nothing: the planner makes its
-   predicate (or its SELECT item's variable) empty. *)
+   predicate empty, and a SELECT item of it projects nothing. *)
 let path_diags env ?text ~root (rp : Odb.Query.rooted_path) =
   let path = rp.Odb.Query.path in
   match Fschema.Resolver.resolve env.Compile.paths ~root path with
   | Ok _ -> []
   | Error { Fschema.Resolver.at; reason } ->
       let var = rp.Odb.Query.var in
-      let shown steps = String.concat "." (var :: List.map (fun s -> Odb.Path.to_string [ s ]) steps) in
+      let shown steps =
+        String.concat "." (var :: List.map (fun s -> Odb.Path.to_string [ s ]) steps)
+      in
       let step = Odb.Path.to_string [ List.nth path at ] in
       let before = shown (List.filteri (fun i _ -> i < at) path) in
       let span = Option.bind text (fun text -> D.span_of_word ~text step) in
