@@ -84,11 +84,3 @@ let step_to_string = function
 
 let to_string path = String.concat "." (List.map step_to_string path)
 let pp ppf path = Format.pp_print_string ppf (to_string path)
-
-let attr_names path =
-  List.filter_map
-    (function Attr a -> Some a | Star | Any | Plus _ -> None)
-    path
-
-let has_variables path =
-  List.exists (function Star | Any | Plus _ -> true | Attr _ -> false) path

@@ -27,10 +27,3 @@ val of_strings : string list -> t
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-val attr_names : t -> string list
-(** The attribute steps, in order (used to match the path against the
-    region-inclusion graph). *)
-
-val has_variables : t -> bool
-(** Whether the path contains [Star] or [Any] steps. *)
