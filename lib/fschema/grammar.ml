@@ -35,16 +35,10 @@ let item_name = function
   | Star { nonterm; _ } -> Some nonterm
   | Lit _ | Tok _ -> None
 
-type error =
-  | Undefined_root of string
-  | Undefined_nonterm of string
-  | Ill_formed of { lhs : string; reason : string }
-  | Spans_parent of { lhs : string; item : string }
+type error = Spans_parent of { lhs : string; item : string } | Invalid of string
 
 let error_message = function
-  | Undefined_root n -> "undefined root: " ^ n
-  | Undefined_nonterm n -> "undefined non-terminal: " ^ n
-  | Ill_formed { lhs; reason } -> lhs ^ ": " ^ reason
+  | Invalid e -> e
   | Spans_parent { lhs; item } ->
       Printf.sprintf
         "%s: every item but %s can be empty, so a %s region can have the \
@@ -75,7 +69,7 @@ let nullable table =
   grow []
 
 let validate_rule ~empty rule =
-  let fail reason = Error (Ill_formed { lhs = rule.lhs; reason }) in
+  let fail reason = Error (Invalid (rule.lhs ^ ": " ^ reason)) in
   match rule.rhs with
   | Token _ -> Ok ()
   | Seq [] -> fail "empty right-hand side"
@@ -173,11 +167,11 @@ let create ~root rules =
                     items
             in
             (match missing with
-            | Some n -> Some (Undefined_nonterm n)
+            | Some n -> Some (Invalid ("undefined non-terminal: " ^ n))
             | None -> first_error rest)
       end
   in
-  if not (defined root) then Error (Undefined_root root)
+  if not (defined root) then Error (Invalid ("undefined root: " ^ root))
   else begin
     match first_error rules with
     | Some e -> Error e

@@ -41,12 +41,11 @@ type rule = { lhs : string; rhs : rhs }
 type t
 
 type error =
-  | Undefined_root of string
-  | Undefined_nonterm of string  (** referenced by a rule, defined by none *)
-  | Ill_formed of { lhs : string; reason : string }
-      (** an empty right-hand side or literal, or a repeated name *)
   | Spans_parent of { lhs : string; item : string }
       (** the span discipline: [item] can have [lhs]'s extent *)
+  | Invalid of string
+      (** an undefined name, an empty right-hand side or literal, or a
+          repeated name *)
 
 val error_message : error -> string
 

@@ -1,66 +1,49 @@
 module Smap = Map.Make (String)
 
-type t = {
-  grammar : Grammar.t;
-  decls : Schema_types.ty Smap.t;
-  rig : Ralg.Rig.t;
-}
-
-let make grammar =
-  {
-    grammar;
-    decls = Smap.of_seq (List.to_seq (Schema_types.of_grammar grammar));
-    rig = Rig_of_grammar.full grammar;
-  }
-
-let rig t = t.rig
-
-let carrier t n =
-  match Smap.find_opt n t.decls with
-  | Some (Schema_types.Named m) -> Some m
-  | _ -> None
-
 type rel = Child | Depth of int | Below | Closure
 type link = { name : string; rel : rel; named : bool; exact : bool }
 type ending = Value of { atomic : bool } | Inside
 type resolution = { links : link list; ending : ending }
 type reason = Unknown_attribute | Past_string | No_attribute
 type nothing = { at : int; reason : reason }
+type shape = Str | Set of string | Tuple of (string * Schema_types.ty) list
+type target = Region of string | Text
+
+type t = {
+  grammar : Grammar.t;
+  decls : Schema_types.ty Smap.t;
+  rig : Ralg.Rig.t;
+  shapes : (string list * shape) list Smap.t;
+      (** per region name: the shapes its value can take *)
+  children : (string * target * string list) list Smap.t;
+      (** per region name: the values one level below its value *)
+  below : target list Smap.t;
+      (** per region name: what zero or more steps from its value reach *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Values in region terms                                               *)
 
-type shape = Str | Set of string | Tuple of (string * Schema_types.ty) list
-
 (* The shapes a value of region [n] can take, each with the carrier
    regions between [n] and the region whose rule builds the value.  A
    union (or a pass-through into one) has several. *)
-let shapes t n =
+let shapes_of decls n =
   let rec of_ty seen carriers = function
     | Schema_types.Named m ->
         if List.mem m seen then []
-        else of_ty (m :: seen) (m :: carriers) (Smap.find m t.decls)
+        else of_ty (m :: seen) (m :: carriers) (Smap.find m decls)
     | Schema_types.Union_ty alts -> List.concat_map (of_ty seen carriers) alts
     | Schema_types.Str_ty -> [ (List.rev carriers, Str) ]
     | Schema_types.Set_ty (Schema_types.Named m) -> [ (List.rev carriers, Set m) ]
     | Schema_types.Set_ty _ -> []
     | Schema_types.Tuple_ty fields -> [ (List.rev carriers, Tuple fields) ]
   in
-  match Smap.find_opt n t.decls with None -> [] | Some ty -> of_ty [ n ] [] ty
-
-let uniform t n = List.compare_length_with (shapes t n) 1 = 0
-
-let atomic t n =
-  match Grammar.rules_of t.grammar n with
-  | [] -> false
-  | rules -> List.for_all (function Grammar.Token _ -> true | Grammar.Seq _ -> false) rules
-
-type target = Region of string | Text
+  of_ty [ n ] [] (Smap.find n decls)
 
 (* The values one level below a value of region [n], as
    {!Odb.Path}'s [children] finds them: the attribute that reaches
    each, and the regions from below [n] down to it. *)
-let children t n =
+let children_of shapes n =
   (* a field whose value is a set of elements of its own name is
      entered to the elements *)
   let field carriers m =
@@ -70,7 +53,7 @@ let children t n =
            | inner, Set e when e = m ->
                (m, Region m, carriers @ (m :: inner) @ [ m ])
            | _ -> (m, Region m, carriers @ [ m ]))
-         (shapes t m))
+         (shapes m))
   in
   List.concat_map
     (fun (carriers, shape) ->
@@ -86,70 +69,85 @@ let children t n =
                   [ (m, Region m, carriers @ [ m ]) ]
               | _ -> [ (k, Text, carriers) ])
             fields)
-    (shapes t n)
+    (shapes n)
+
+(* What zero or more steps from a value of region [n] reach. *)
+let below_of children n =
+  let rec go seen = function
+    | [] -> seen
+    | Text :: rest -> go seen rest
+    | Region m :: rest ->
+        let next =
+          List.filter_map
+            (fun (_, at, _) -> if List.mem at seen then None else Some at)
+            (children m)
+        in
+        go (List.sort_uniq compare (next @ seen)) (rest @ next)
+  in
+  go [ Region n ] [ Region n ]
+
+let make grammar =
+  let decls = Smap.of_seq (List.to_seq (Schema_types.of_grammar grammar)) in
+  let find m n = Option.value ~default:[] (Smap.find_opt n m) in
+  let shapes = Smap.mapi (fun n _ -> shapes_of decls n) decls in
+  let children = Smap.mapi (fun n _ -> children_of (find shapes) n) decls in
+  {
+    grammar;
+    decls;
+    rig = Rig_of_grammar.full grammar;
+    shapes;
+    children;
+    below = Smap.mapi (fun n _ -> below_of (find children) n) decls;
+  }
+
+let rig t = t.rig
+let shapes t n = Option.value ~default:[] (Smap.find_opt n t.shapes)
+let children t n = Option.value ~default:[] (Smap.find_opt n t.children)
+let below t n = Option.value ~default:[ Region n ] (Smap.find_opt n t.below)
+
+let carrier t n =
+  match Smap.find_opt n t.decls with
+  | Some (Schema_types.Named m) -> Some m
+  | _ -> None
+
+let uniform t n = List.compare_length_with (shapes t n) 1 = 0
+
+let atomic t n =
+  match Grammar.rules_of t.grammar n with
+  | [] -> false
+  | rules -> List.for_all (function Grammar.Token _ -> true | Grammar.Seq _ -> false) rules
 
 (* ------------------------------------------------------------------ *)
 (* Steps over sets of positions                                         *)
 
 (* What the steps since the anchor reach, with the regions from the
-   anchor down to it while that is one bounded list. *)
+   anchor down to it while that is one list (not after a [*X]). *)
 type pos = { at : target; path : string list option }
 
-(* Beyond this many distinct region paths, a run of [Xi] steps keeps
-   only its targets. *)
-let max_paths = 256
-
 let step t pick positions =
-  let next =
-    List.concat_map
-      (fun p ->
-        match p.at with
-        | Text -> []
-        | Region n ->
-            List.filter_map
-              (fun (k, at, path) ->
-                if pick k then
-                  Some { at; path = Option.map (fun above -> above @ path) p.path }
-                else None)
-              (children t n))
-      positions
-  in
-  let next = List.sort_uniq compare next in
-  if List.compare_length_with next max_paths > 0 then
-    List.sort_uniq compare (List.map (fun p -> { p with path = None }) next)
-  else next
+  List.sort_uniq compare
+    (List.concat_map
+       (fun p ->
+         match p.at with
+         | Text -> []
+         | Region n ->
+             List.filter_map
+               (fun (k, at, path) ->
+                 if pick k then
+                   Some { at; path = Option.map (fun above -> above @ path) p.path }
+                 else None)
+               (children t n))
+       positions)
 
-(* Every position reachable by zero or more steps picked by [pick]. *)
-let closure t pick positions =
-  let rec go seen = function
-    | [] -> seen
-    | p :: rest ->
-        let next =
-          List.filter
-            (fun q -> not (List.mem q seen))
-            (step t pick [ p ])
-        in
-        go (List.sort_uniq compare (next @ seen)) (rest @ next)
-  in
-  let start = List.sort_uniq compare (List.map (fun p -> { p with path = None }) positions) in
-  go start start
-
-let count_walks t a b len =
-  let succ counts =
-    List.concat_map
-      (fun (n, c) -> List.map (fun m -> (m, c)) (Ralg.Rig.successors t.rig n))
-      counts
-  in
-  let merge counts =
-    List.fold_left
-      (fun acc (n, c) ->
-        match List.assoc_opt n acc with
-        | Some c' -> (n, c + c') :: List.remove_assoc n acc
-        | None -> (n, c) :: acc)
-      [] counts
-  in
-  let rec go counts k = if k = 0 then counts else go (merge (succ counts)) (k - 1) in
-  Option.value ~default:0 (List.assoc_opt b (go [ (a, 1) ] len))
+(* Every position reachable by zero or more steps. *)
+let closure t positions =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun p ->
+         List.map
+           (fun at -> { at; path = None })
+           (match p.at with Text -> [ Text ] | Region n -> below t n))
+       positions)
 
 (* Every [a] region below an [s] region is a value the path reaches:
    each possible parent of one has [a] as a plain field (not a
@@ -196,7 +194,7 @@ let links_of t ~anchor ~group ~plus a next =
       let names = List.concat_map (function Some p -> p | None -> []) paths in
       let exact =
         List.for_all (uniform t) (anchor :: List.filter (( <> ) a) names)
-        && count_walks t anchor a len = List.length paths
+        && Ralg.Rig.count_walks t.rig anchor a len = List.length paths
       in
       [ link (Depth (len - 1)) exact ]
   | _ -> [ link Below false ]
@@ -237,7 +235,7 @@ let resolve t ~root path =
         let fail reason = Error { at = i; reason } in
         match s with
         | Odb.Path.Star ->
-            go (i + 1) anchor (s :: group) (closure t (fun _ -> true) positions) links rest
+            go (i + 1) anchor (s :: group) (closure t positions) links rest
         | Odb.Path.Any -> begin
             match step t (fun _ -> true) positions with
             | [] -> fail (why positions)

@@ -18,7 +18,9 @@
 type t
 
 val make : Grammar.t -> t
-(** Derive the types and the full RIG once per grammar. *)
+(** Derive the types, what one and any number of steps reach from each
+    region's value, and the full RIG, once per grammar: resolving a
+    path then only reads them. *)
 
 val rig : t -> Ralg.Rig.t
 (** The grammar's full RIG ({!Rig_of_grammar.full}). *)

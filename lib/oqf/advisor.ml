@@ -99,7 +99,7 @@ let optimized_var_exprs view q =
   match Compile.compile env q with
   | Error e -> Error (Compile.error_message e)
   | Ok plan ->
-      let rig = env.Compile.full_rig in
+      let rig = Fschema.Resolver.rig env.Compile.paths in
       Ok
         ( env,
           plan,
@@ -115,7 +115,7 @@ let required_indices view q =
   match optimized_var_exprs view q with
   | Error e -> Error e
   | Ok (env, _plan, exprs) ->
-      let full_rig = env.Compile.full_rig in
+      let full_rig = Fschema.Resolver.rig env.Compile.paths in
       let base =
         List.fold_left
           (fun acc (_, _, e) ->

@@ -3,20 +3,17 @@ module R = Fschema.Resolver
 type env = {
   view : Fschema.View.t;
   paths : R.t;
-  full_rig : Ralg.Rig.t;
   index_names : string list;
   query_rig : Ralg.Rig.t;
 }
 
 let env view ~index =
   let paths = R.make view.Fschema.View.grammar in
-  let full_rig = R.rig paths in
   {
     view;
     paths;
-    full_rig;
     index_names = index;
-    query_rig = Ralg.Rig.partial full_rig ~keep:index;
+    query_rig = Ralg.Rig.partial (R.rig paths) ~keep:index;
   }
 
 let indexed env n = List.mem n env.index_names
@@ -98,7 +95,7 @@ let hops env links =
 (* §6.3: the partial-RIG edge (a, b) stands for exactly one full-RIG
    path whose interior avoids the indexed names. *)
 let link_exact env a b =
-  Ralg.Rig.count_paths_avoiding env.full_rig a b ~avoid_interior:(indexed env)
+  Ralg.Rig.count_paths_avoiding (R.rig env.paths) a b ~avoid_interior:(indexed env)
   = `One
 
 (* The operator and exactness of one hop.  When the target's name
@@ -119,7 +116,7 @@ let hop_expr env ~src hop tail =
   | R.Depth n
     when hop.skipped = []
          && List.for_all (indexed env)
-              (Ralg.Rig.interior_nodes env.full_rig src t.name) ->
+              (Ralg.Rig.interior_nodes (R.rig env.paths) src t.name) ->
       (* exactly [n] indexed levels between *)
       (Ralg.Expr.At_depth (n, Ralg.Expr.Name src, tail), t.exact)
   | (R.Below | R.Closure) when hop.skipped = [] ->

@@ -22,8 +22,8 @@
 
 type env = {
   view : Fschema.View.t;
-  paths : Fschema.Resolver.t;  (** the view's path types, derived once *)
-  full_rig : Ralg.Rig.t;
+  paths : Fschema.Resolver.t;
+      (** the view's path types and full RIG, derived once *)
   index_names : string list;
   query_rig : Ralg.Rig.t;
       (** the RIG of the indexed names, which the optimizer, the

@@ -67,6 +67,19 @@ let reachable_avoiding t a b ~avoid =
 
 let reachable t a b = reachable_avoiding t a b ~avoid:[]
 
+let count_walks t a b len =
+  (* walks of each length, counted per end node *)
+  let step counts =
+    Smap.fold
+      (fun n c acc ->
+        List.fold_left
+          (fun acc m -> Smap.update m (fun c' -> Some (c + Option.value ~default:0 c')) acc)
+          acc (successors t n))
+      counts Smap.empty
+  in
+  let rec go counts k = if k = 0 then counts else go (step counts) (k - 1) in
+  Option.value ~default:0 (Smap.find_opt b (go (Smap.singleton a 1) len))
+
 let only_walk_is_edge t a b =
   has_edge t a b
   && not (List.exists (fun x -> reachable t x b) (successors t a))

@@ -38,6 +38,10 @@ val reachable_avoiding : t -> string -> string -> avoid:string list -> bool
 (** Like {!reachable}, but no {e interior} node of the walk may belong
     to [avoid] (the endpoints may). *)
 
+val count_walks : t -> string -> string -> int -> int
+(** [count_walks g a b n]: the number of walks of exactly [n] edges
+    from [a] to [b]. *)
+
 val only_walk_is_edge : t -> string -> string -> bool
 (** Condition (a-1) of Proposition 3.5: the edge [(a, b)] exists and is
     the only walk from [a] to [b] (no walk of length >= 2). *)

@@ -13,36 +13,54 @@ let rows_t =
     (Fmt.Dump.list (Fmt.Dump.list Odb.Value.pp))
     (List.equal (List.equal Odb.Value.equal))
 
-let run_both ?(index = None) view text q_text =
+let source view text ~index =
+  match Oqf.Execute.make_source view text ~index with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* every indexable name unless [index] says otherwise *)
+let source_of ?(index = None) view text =
+  source view text
+    ~index:(Option.value index ~default:(Grammar.indexable view.View.grammar))
+
+let baseline_rows view text q =
+  match Oqf.Execute.run_baseline view text q with
+  | Ok (rows, _) -> rows
+  | Error e -> Alcotest.fail e
+
+let run_both ?index view text q_text =
   let q = Odb.Query_parser.parse_exn q_text in
-  let index =
-    match index with
-    | Some names -> names
-    | None -> Grammar.indexable view.View.grammar
-  in
-  let src =
-    match Oqf.Execute.make_source view text ~index with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  (* forced: a path that reaches nothing plans empty, which the
-     analyzer refuses *)
   let indexed =
-    match Oqf.Execute.run ~force:true src q with
+    match Oqf.Execute.run (source_of ?index view text) q with
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  let baseline =
-    match Oqf.Execute.run_baseline view text q with
-    | Ok (rows, _) -> rows
-    | Error e -> Alcotest.fail e
-  in
-  (indexed, baseline)
+  (indexed, baseline_rows view text q)
 
 let check_equiv ?index view text q_text =
   let indexed, baseline = run_both ?index view text q_text in
   Alcotest.check rows_t ("rows agree: " ^ q_text) baseline indexed.Oqf.Execute.rows;
   indexed
+
+(* A query whose WHERE path reaches nothing: the analyzer refuses it
+   as provably empty (OQF001), the standard implementation answers no
+   row, and forced through, the indexed plan answers none either. *)
+let check_refused ?index view text q_text =
+  let q = Odb.Query_parser.parse_exn q_text in
+  let src = source_of ?index view text in
+  (match Oqf.Execute.run src q with
+  | Ok _ -> Alcotest.failf "not refused: %s" q_text
+  | Error e ->
+      Alcotest.(check bool)
+        ("OQF001: " ^ e) true
+        (Astring.String.is_infix ~affix:"[OQF001]" e));
+  let forced =
+    match Oqf.Execute.run ~force:true src q with
+    | Ok r -> r.Oqf.Execute.rows
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.check rows_t ("forced: " ^ q_text) [] forced;
+  Alcotest.check rows_t ("standard: " ^ q_text) [] (baseline_rows view text q)
 
 (* The query battery run against the BibTeX corpus. *)
 let bibtex_queries =
@@ -69,10 +87,16 @@ let bibtex_queries =
     {|SELECT r FROM References r WHERE r.Key STARTS WITH "Ref000"|};
     {|SELECT r FROM References r WHERE r.Authors.Name.Last_Name STARTS WITH "C"|};
     {|SELECT r FROM References r WHERE r.Year STARTS WITH "19"|};
-    (* Year's and Title's values are their carriers' strings, so a
-       further step reaches nothing *)
-    {|SELECT r.Key FROM References r WHERE r.Year.Year_value = "1982"|};
+    (* Title's value is its carrier's string, so a further step
+       projects nothing *)
     {|SELECT r.Title.Title_value FROM References r|};
+  ]
+
+(* Year's and Title's values are their carriers' strings, so a further
+   step reaches nothing: refused, and empty in the standard answers. *)
+let bibtex_refused =
+  [
+    {|SELECT r.Key FROM References r WHERE r.Year.Year_value = "1982"|};
     {|SELECT r.Key FROM References r WHERE r.Title.Title_value CONTAINS "Region"|};
   ]
 
@@ -80,7 +104,6 @@ let bibtex_queries =
 let sgml_queries =
   [
     {|SELECT s.Heading.Heading_text FROM Sections s|};
-    {|SELECT s FROM Sections s WHERE s.Heading.Heading_text CONTAINS "level2"|};
     {|SELECT s.Heading FROM Sections s WHERE s.Heading CONTAINS "level2"|};
     {|SELECT s FROM Sections s WHERE s.Section+.Heading CONTAINS "level3"|};
     {|SELECT s.Section+.Heading FROM Sections s|};
@@ -93,7 +116,8 @@ let equivalence_tests =
         let text = bibtex_text 40 in
         List.iter
           (fun q -> ignore (check_equiv Bibtex_schema.view text q))
-          bibtex_queries);
+          bibtex_queries;
+        List.iter (check_refused Bibtex_schema.view text) bibtex_refused);
     Alcotest.test_case "partial indexing matches baseline (query battery)"
       `Slow
       (fun () ->
@@ -112,7 +136,10 @@ let equivalence_tests =
             List.iter
               (fun q ->
                 ignore (check_equiv ~index:(Some index) Bibtex_schema.view text q))
-              bibtex_queries)
+              bibtex_queries;
+            List.iter
+              (check_refused ~index:(Some index) Bibtex_schema.view text)
+              bibtex_refused)
           partial_indices);
     Alcotest.test_case "sgml battery under full and partial indexing" `Quick
       (fun () ->
@@ -125,7 +152,9 @@ let equivalence_tests =
           (fun index ->
             List.iter
               (fun q -> ignore (check_equiv ~index Sgml_schema.view text q))
-              sgml_queries)
+              sgml_queries;
+            check_refused ~index Sgml_schema.view text
+              {|SELECT s FROM Sections s WHERE s.Heading.Heading_text CONTAINS "level2"|})
           [
             None;
             Some [ "Section" ];
@@ -525,11 +554,6 @@ let plan_tests =
    descent must select exactly what the chain
    [Final ⊂d … ⊂d A1 ⊂d candidates] selects, strict on a link to the
    same name. *)
-
-let source view text ~index =
-  match Oqf.Execute.make_source view text ~index with
-  | Ok s -> s
-  | Error e -> Alcotest.fail e
 
 (* The indexed names an exact plan's single select item descends
    through, or [None] when it materializes. *)
@@ -1401,17 +1425,22 @@ module Path_exhaustive = struct
                   (fun src ->
                     List.iter
                       (fun plan_mode ->
-                        match Oqf.Execute.run ~force:true ~plan_mode src q with
-                        | Error e ->
-                            Alcotest.failf "%s: %s" (Odb.Query.to_string q) e
-                        | Ok r ->
-                            if r.Oqf.Execute.rows <> expected then
-                              Alcotest.failf "%s under {%s} (%s): %d rows, standard %d"
-                                (Odb.Query.to_string q)
-                                (String.concat "," src.Oqf.Execute.env.Oqf.Compile.index_names)
-                                (if plan_mode = Oqf_cost.Planner.Rules then "rules" else "cost")
-                                (List.length r.Oqf.Execute.rows)
-                                (List.length expected))
+                        (* a refusal must be right: the standard answer
+                           is empty, and forced, the plan finds it *)
+                        let rec rows force =
+                          match Oqf.Execute.run ~force ~plan_mode src q with
+                          | Ok r -> r.Oqf.Execute.rows
+                          | Error _ when (not force) && expected = [] -> rows true
+                          | Error e ->
+                              Alcotest.failf "%s: %s" (Odb.Query.to_string q) e
+                        in
+                        let rows = rows false in
+                        if rows <> expected then
+                          Alcotest.failf "%s under {%s} (%s): %d rows, standard %d"
+                            (Odb.Query.to_string q)
+                            (String.concat "," src.Oqf.Execute.env.Oqf.Compile.index_names)
+                            (if plan_mode = Oqf_cost.Planner.Rules then "rules" else "cost")
+                            (List.length rows) (List.length expected))
                       [ Oqf_cost.Planner.Rules; Oqf_cost.Planner.Cost_based ])
                   sources)
               (queries db cls path))
