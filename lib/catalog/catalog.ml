@@ -71,6 +71,8 @@ let recovery_warnings t = t.warnings
 let generation t = t.generation
 
 let catalog_healed = Obs.Metrics.counter "catalog.healed"
+let catalog_extended = Obs.Metrics.counter "catalog.extended"
+let stats_bytes_scanned = Obs.Metrics.counter "catalog.stats_bytes_scanned"
 let catalog_quarantined = Obs.Metrics.counter "catalog.quarantined"
 let catalog_recovered = Obs.Metrics.counter "catalog.recovered"
 let catalog_generation = Obs.Metrics.counter "catalog.generation"
@@ -616,12 +618,11 @@ let orphan_index_files t =
 (* The cheap pre-check a long-lived server runs per request: two
    [stat] calls, no reads, no hashing.  [false] means provably not
    worth a refresh under the recorded metadata — the source still has
-   the recorded length and is older than its index.  [true] means the
-   full {!staleness} fingerprint (which reads and hashes the file)
-   could find something, so the caller should refresh.  The one lie
-   this can tell is a same-length in-place edit with a backdated
-   mtime; the full fingerprint path still catches that on the next
-   explicit refresh. *)
+   the recorded length and both its mtime and its ctime are older than
+   its index.  [true] means the full {!staleness} fingerprint (which
+   reads and hashes the file) could find something, so the caller
+   should refresh.  A same-length in-place edit with a backdated mtime
+   still moves the ctime, which [utimes] cannot set back. *)
 let possibly_stale t e =
   match Unix.stat e.source with
   | exception Unix.Unix_error _ -> true (* source missing/unreadable *)
@@ -631,12 +632,15 @@ let possibly_stale t e =
       else begin
         match Unix.stat (index_path t e) with
         | exception Unix.Unix_error _ -> true (* index missing *)
-        | idx -> src.Unix.st_mtime > idx.Unix.st_mtime
+        | idx ->
+            Float.max src.Unix.st_mtime src.Unix.st_ctime > idx.Unix.st_mtime
       end
 
-(* [check] probes an index whose source fingerprint is current. *)
+(* [check] probes an index whose source fingerprint is current.  The
+   source's text comes back with the verdict, so that a refresh reads
+   the file once. *)
 let staleness_by ~check t e =
-  if not (Sys.file_exists e.source) then Source_missing
+  if not (Sys.file_exists e.source) then (Source_missing, None)
   else begin
     let text = Pat.Text.of_file e.source in
     let n = Pat.Text.length text in
@@ -653,15 +657,18 @@ let staleness_by ~check t e =
         | Error err -> Index_unreadable (Pat.Index_store.error_message err)
       end
     in
-    if n = e.length then
-      if fingerprint text = e.digest then index_state () else Changed
-    else if n > e.length && prefix_fingerprint text e.length = e.digest then
-      Appended { old_len = e.length; new_len = n }
-    else Changed
+    let verdict =
+      if n = e.length then
+        if fingerprint text = e.digest then index_state () else Changed
+      else if n > e.length && prefix_fingerprint text e.length = e.digest then
+        Appended { old_len = e.length; new_len = n }
+      else Changed
+    in
+    (verdict, Some text)
   end
 
 let verify_index path = Pat.Index_store.verify ~path
-let staleness t e = staleness_by ~check:verify_index t e
+let staleness t e = fst (staleness_by ~check:verify_index t e)
 
 let status t = List.map (fun e -> (e, staleness t e)) t.entries
 
@@ -676,59 +683,102 @@ let pp_staleness ppf = function
 
 (* ---------------- building and refreshing ---------------- *)
 
-(* Per-name region and match-point counts, recorded in the manifest at
-   build time so [oqf catalog stats] answers without loading any index.
-   A match point is a word start inside a region's span — the unit pat
-   expressions match at — so the counts say how much searchable content
-   each region name covers, not just how many regions it has. *)
-let instance_stats instance =
-  let starts = Pat.Tokenizer.word_starts (Pat.Instance.text instance) in
-  let cmp = (compare : int -> int -> int) in
-  let points (r : Pat.Region.t) =
-    Stdx.Sorted_array.lower_bound ~cmp starts r.stop
-    - Stdx.Sorted_array.lower_bound ~cmp starts r.start
-  in
-  List.map
-    (fun name ->
-      let rs = Pat.Instance.find instance name in
-      let mps = Pat.Region_set.fold (fun acc r -> acc + points r) 0 rs in
-      (name, Pat.Region_set.cardinal rs, mps))
-    (Pat.Instance.names instance)
+(* Per-name figures recorded in the manifest, so that [oqf catalog
+   stats] and the cost planner answer without loading any index: each
+   name's region count, its match points (a match point is a word start
+   inside a region's span — the unit pat expressions match at — so the
+   count says how much searchable content the name covers), and a
+   histogram of how many of its regions lie under 0, 1, 2, … enclosing
+   indexed regions (the cost model uses the overlap of these histograms
+   to estimate how often a direct-inclusion probe can succeed at all).
 
-(* Per-name nesting-depth histograms: how many regions of each name lie
-   under 0, 1, 2, … enclosing indexed regions.  The cost model uses the
-   overlap of these histograms to estimate how often a direct-inclusion
-   probe can succeed at all.  A node's depth is its parent's plus one,
-   and parents precede their children in the instance's region forest,
-   so one pass fills the depths.  Each name's regions (a subset of the
-   nodes, both in document order) find their nodes in one forward walk. *)
+   [stats] and [depths] hold the figures of the regions that start
+   before [from]; the function adds those of the regions and forest
+   nodes that start at or past it, and reads only the text from [from]
+   on, with the one byte before it that decides whether a word starts
+   at [from].  A build passes 0 and no figures.  An append passes the
+   old length and the old entry's figures: appending leaves every old
+   region where it was, with its match points and its depth, and every
+   appended one starts in the tail.
+
+   A node's depth is its parent's plus one, and parents precede their
+   children in the forest, so one pass fills the depths of the nodes
+   past [from]; the few older nodes they hang from are walked up to a
+   root.  Each name's regions (a subset of the nodes, both in document
+   order) find their nodes in one forward walk, and their match points
+   with two searches in the word starts. *)
 let depth_buckets = 8
 
-let instance_depths instance =
+let instance_figures ~from ~stats ~depths instance =
+  let text = Pat.Instance.text instance in
+  let starts = Pat.Tokenizer.word_starts ~from text in
+  Obs.Metrics.add_to stats_bytes_scanned (Pat.Text.length text - from);
   let forest = Pat.Instance.forest instance in
   let u = Pat.Region_set.to_array (Pat.Region_set.nodes forest) in
   let parent = Pat.Region_set.parents forest in
-  let depth = Array.make (Array.length u) 0 in
-  Array.iteri (fun i p -> if p >= 0 then depth.(i) <- depth.(p) + 1) parent;
-  List.map
-    (fun name ->
-      let hist = Array.make depth_buckets 0 and i = ref 0 in
-      Pat.Region_set.iter
-        (fun r ->
-          while Pat.Region.compare u.(!i) r < 0 do
-            incr i
-          done;
-          let b = min depth.(!i) (depth_buckets - 1) in
-          hist.(b) <- hist.(b) + 1)
-        (Pat.Instance.find instance name);
-      (* trim trailing empty buckets so flat instances stay compact *)
-      let last = ref 0 in
-      Array.iteri (fun i c -> if c > 0 then last := i) hist;
-      (name, Array.sub hist 0 (!last + 1)))
-    (Pat.Instance.names instance)
+  let first_past a =
+    Stdx.Sorted_array.lower_bound ~cmp:Pat.Region.compare a
+      (Pat.Region.make ~start:from ~stop:max_int)
+  in
+  let k = first_past u in
+  let depth = Array.make (Array.length u - k) 0 in
+  let rec depth_of i =
+    if i < 0 then -1 else if i >= k then depth.(i - k) else depth_of parent.(i) + 1
+  in
+  for i = k to Array.length u - 1 do
+    depth.(i - k) <- depth_of parent.(i) + 1
+  done;
+  let cmp = Int.compare in
+  List.split
+    (List.map
+       (fun name ->
+         let regions, mps =
+           match List.find_opt (fun (n, _, _) -> n = name) stats with
+           | Some (_, regions, mps) -> (regions, mps)
+           | None -> (0, 0)
+         in
+         let hist = Array.make depth_buckets 0 in
+         Option.iter
+           (Array.iteri (fun d c ->
+                let b = min d (depth_buckets - 1) in
+                hist.(b) <- hist.(b) + c))
+           (List.assoc_opt name depths);
+         let rs = Pat.Region_set.to_array (Pat.Instance.find instance name) in
+         let first = first_past rs in
+         let mps = ref mps and i = ref k in
+         for j = first to Array.length rs - 1 do
+           let r = rs.(j) in
+           mps :=
+             !mps
+             + Stdx.Sorted_array.lower_bound ~cmp starts r.stop
+             - Stdx.Sorted_array.lower_bound ~cmp starts r.start;
+           while Pat.Region.compare u.(!i) r < 0 do
+             incr i
+           done;
+           let b = min depth.(!i - k) (depth_buckets - 1) in
+           hist.(b) <- hist.(b) + 1
+         done;
+         (* trim trailing empty buckets so flat instances stay compact *)
+         let last = ref 0 in
+         Array.iteri (fun i c -> if c > 0 then last := i) hist;
+         ( (name, regions + Array.length rs - first, !mps),
+           (name, Array.sub hist 0 (!last + 1)) ))
+       (Pat.Instance.names instance))
 
-let store_entry t ~source ~schema ~index_names ~text ~index_file instance =
+(* [base] is the entry [instance] extends, if any: its figures cover
+   its first [length] bytes.  An entry written before the figures
+   existed has none, and the new ones are computed in full. *)
+let store_entry t ~source ~schema ~index_names ~text ~index_file ~base instance =
   Pat.Index_store.save ~path:(Filename.concat t.dir index_file) instance;
+  let stats, depths =
+    let names = Pat.Instance.names instance in
+    match base with
+    | Some b
+      when List.map (fun (n, _, _) -> n) b.stats = names
+           && List.map fst b.depths = names ->
+        instance_figures ~from:b.length ~stats:b.stats ~depths:b.depths instance
+    | _ -> instance_figures ~from:0 ~stats:[] ~depths:[] instance
+  in
   let e =
     {
       source;
@@ -738,8 +788,8 @@ let store_entry t ~source ~schema ~index_names ~text ~index_file instance =
       digest = fingerprint text;
       version = Pat.Index_store.format_version;
       index_file;
-      stats = instance_stats instance;
-      depths = instance_depths instance;
+      stats;
+      depths;
     }
   in
   let entries' =
@@ -811,33 +861,34 @@ let add t ~schema ?index source =
                 in
                 Ok
                   (store_entry t ~source ~schema ~index_names ~text
-                     ~index_file instance)
+                     ~index_file ~base:None instance)
           end
     end
 
 type refresh = Unchanged | Extended of { added_bytes : int } | Rebuilt of string
 
-(* Rebuild an entry's instance from its source file, persisting the
+(* Rebuild an entry's instance from its source's text, persisting the
    result.  The shared bottom of refresh-rebuilds and heals. *)
-let rebuild_instance t e =
+let rebuild_instance t e text =
   match Schemas.find_result e.schema with
   | Error msg -> Error msg
   | Ok view -> begin
-      match Pat.Text.of_file e.source with
-      | exception Sys_error msg -> Error msg
-      | text -> begin
-          match build_instance view text ~index_names:e.index_names with
-          | Error msg -> Error (e.source ^ ": " ^ msg)
-          | Ok instance ->
-              let (_ : entry) =
-                store_entry t ~source:e.source ~schema:e.schema
-                  ~index_names:e.index_names ~text
-                  ~index_file:(index_file_for ~gen:(t.generation + 1) e.source)
-                  instance
-              in
-              Ok instance
-        end
+      match build_instance view text ~index_names:e.index_names with
+      | Error msg -> Error (e.source ^ ": " ^ msg)
+      | Ok instance ->
+          let (_ : entry) =
+            store_entry t ~source:e.source ~schema:e.schema
+              ~index_names:e.index_names ~text
+              ~index_file:(index_file_for ~gen:(t.generation + 1) e.source)
+              ~base:None instance
+          in
+          Ok instance
     end
+
+let reread_and_rebuild t e =
+  match Pat.Text.of_file e.source with
+  | exception Sys_error msg -> Error msg
+  | text -> rebuild_instance t e text
 
 (* Read through the instance cache: on a miss the index file is read,
    checksummed and decoded, and the instance cached under its file name. *)
@@ -862,7 +913,7 @@ let load_persisted t e =
       if not (Sys.file_exists e.source) then
         Error (msg ^ "; source file is missing, cannot heal")
       else begin
-        match rebuild_instance t e with
+        match reread_and_rebuild t e with
         | Ok instance ->
             Obs.Metrics.incr catalog_healed;
             if Obs.Trace.enabled () then
@@ -890,16 +941,21 @@ let snapshot_load s source =
   | Some e ->
       Result.map_error Pat.Index_store.error_message (load_cached s.s_cat e)
 
-let rebuild t e ~reason =
-  Result.map (fun (_ : Pat.Instance.t) -> Rebuilt reason) (rebuild_instance t e)
+let rebuild t e text ~reason =
+  Result.map
+    (fun (_ : Pat.Instance.t) -> Rebuilt reason)
+    (rebuild_instance t e text)
 
-let extend t e ~old_len =
+let extend t e ~old_len new_text =
   match Schemas.find_result e.schema with
   | Error msg -> Error msg
   | Ok view -> begin
-      let new_text = Pat.Text.of_file e.source in
+      (* an old index that does not load is rebuilt below, once, from
+         the text in hand *)
       match
-        Result.bind (load_persisted t e) (fun old_instance ->
+        Result.bind
+          (Result.map_error Pat.Index_store.error_message (load_cached t e))
+          (fun old_instance ->
             Incremental.extend_instance view ~old_instance ~old_len new_text)
       with
       | Ok instance ->
@@ -908,13 +964,14 @@ let extend t e ~old_len =
             store_entry t ~source:e.source ~schema:e.schema
               ~index_names:e.index_names ~text:new_text
               ~index_file:(index_file_for ~gen:(t.generation + 1) e.source)
-              instance
+              ~base:(Some e) instance
           in
+          Obs.Metrics.incr catalog_extended;
           Ok (Extended { added_bytes })
       | Error why ->
           (* incremental maintenance is an optimisation; any failure
              degrades to the always-correct full rebuild *)
-          rebuild t e ~reason:("incremental failed: " ^ why)
+          rebuild t e new_text ~reason:("incremental failed: " ^ why)
     end
 
 (* [check] probes an index whose source fingerprint is current. *)
@@ -929,12 +986,13 @@ let refresh_by ~check t source =
         Result.map (fun r -> Obs.Metrics.incr catalog_healed; r) r
       in
       match staleness_by ~check t e with
-      | Source_missing -> Error (source ^ ": source file is missing")
-      | Fresh -> Ok Unchanged
-      | Index_missing -> healing (rebuild t e ~reason:"index file missing")
-      | Index_unreadable reason -> healing (rebuild t e ~reason)
-      | Changed -> rebuild t e ~reason:"contents changed"
-      | Appended { old_len; _ } -> extend t e ~old_len
+      | Source_missing, _ | _, None -> Error (source ^ ": source file is missing")
+      | Fresh, _ -> Ok Unchanged
+      | Index_missing, Some text ->
+          healing (rebuild t e text ~reason:"index file missing")
+      | Index_unreadable reason, Some text -> healing (rebuild t e text ~reason)
+      | Changed, Some text -> rebuild t e text ~reason:"contents changed"
+      | Appended { old_len; _ }, Some text -> extend t e ~old_len text
     end
 
 let refresh t source = refresh_by ~check:verify_index t source
@@ -1026,7 +1084,7 @@ let repair t =
   List.iter
     (fun e ->
       let heal_or_quarantine reason =
-        match rebuild_instance t e with
+        match reread_and_rebuild t e with
         | Ok (_ : Pat.Instance.t) ->
             Obs.Metrics.incr catalog_healed;
             note e.source (Healed reason)

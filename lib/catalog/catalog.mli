@@ -68,11 +68,24 @@ type entry = {
           compatibility contract as [stats]. *)
 }
 
-val instance_depths : Pat.Instance.t -> (string * int array) list
-(** The [depths] histograms of an instance, per indexed name in sorted
-    name order, read off its region forest's parents (8 buckets,
-    trailing empty buckets trimmed).  {!add} records these; the cost
-    planner computes the same from a live instance. *)
+val instance_figures :
+  from:int ->
+  stats:(string * int * int) list ->
+  depths:(string * int array) list ->
+  Pat.Instance.t ->
+  (string * int * int) list * (string * int array) list
+(** [instance_figures ~from ~stats ~depths instance] is the [stats] and
+    [depths] fields of an entry for [instance], per indexed name in
+    sorted name order (8 depth buckets, trailing empty buckets
+    trimmed).  [stats] and [depths] are the figures of the regions
+    that start before [from]; the figures of the regions and forest
+    nodes that start at or past it are added to them, and only the
+    text from [from] on is read (and the byte before it, which decides
+    whether a word starts at [from]).  A build passes [~from:0] and
+    no figures; an append passes the old length and the old entry's
+    figures, so it costs what it appends.  The bytes read count in
+    [catalog.stats_bytes_scanned].  The cost planner reads the depths
+    of a live instance with [~from:0]. *)
 
 type t
 
@@ -190,9 +203,10 @@ val possibly_stale : t -> entry -> bool
     its index) and a {!refresh} is worth running; [false] when the
     entry is provably current under the recorded metadata.  Unlike
     {!staleness} this never reads or hashes file contents, so the
-    serve daemon can afford it on every request.  A same-length
-    in-place edit with a backdated mtime can fool it; an explicit
-    refresh still catches that case via the full fingerprint. *)
+    serve daemon can afford it on every request.  "Newer" compares the
+    later of the source's mtime and ctime with the index's mtime, so a
+    same-length in-place edit whose mtime was set back (ctime cannot
+    be) is still caught. *)
 
 val status : t -> (entry * staleness) list
 val pp_staleness : Format.formatter -> staleness -> unit

@@ -24,8 +24,10 @@ val extend_instance :
     (whose prefix of length [old_len] must equal the old text; the
     caller checks this with the fingerprint).  The indexed names are
     the old instance's.  Fails — and the caller falls back to a full
-    rebuild — when the schema is not append-only or the tail does not
-    parse as a run of elements. *)
+    rebuild — when the schema is not append-only, the old instance
+    does not cover exactly [old_len] bytes, an old region starts at
+    [old_len] (only an empty one can), or the tail does not parse as a
+    run of elements. *)
 
 val verify_against_rig :
   Fschema.View.t -> Pat.Instance.t -> (unit, string) result

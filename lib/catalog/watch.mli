@@ -3,8 +3,8 @@
     The north-star workload is a corpus that grows {e while} queries
     stream — tail a log, query continuously.  A watcher turns the
     catalog's explicit-refresh model into continuous ingest: each
-    {!scan} stats every entry ({!Catalog.possibly_stale} — mtime/size
-    only, the seam where an inotify event source would plug in),
+    {!scan} stats every entry ({!Catalog.possibly_stale} — size, mtime
+    and ctime only, the seam where an inotify event source would plug in),
     refreshes the entries that changed (committing new generations
     that pinned readers never observe mid-query), and retires
     unreferenced generations.

@@ -28,10 +28,11 @@ let make ?(default = default_card) ~bytes table =
 
 let uniform () = make ~bytes:0 SM.empty
 
-(* Linear in the universe (one pass over the region forest's parents,
-   then a walk per name), so only sources without manifest statistics
-   pay it, and
-   [Oqf.Execute] computes it at most once per source. *)
+(* The depths of the catalog's manifest figures, computed in full:
+   linear in the text and the universe, so only sources without
+   manifest statistics pay it, and [Oqf.Execute] computes it at most
+   once per source.  Match points stay 0 here, as they always were for
+   such sources, so their plans do not change. *)
 let of_instance inst =
   let table =
     List.fold_left
@@ -39,7 +40,9 @@ let of_instance inst =
         let regions = Pat.Region_set.cardinal (Pat.Instance.find inst name) in
         SM.add name { regions; match_points = 0; depth_hist } table)
       SM.empty
-      (Oqf_catalog.Catalog.instance_depths inst)
+      (snd
+         (Oqf_catalog.Catalog.instance_figures ~from:0 ~stats:[] ~depths:[]
+            inst))
   in
   make ~bytes:(Pat.Text.length (Pat.Instance.text inst)) table
 

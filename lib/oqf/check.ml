@@ -89,9 +89,14 @@ let plan_diagnostics ?text ?stats ?cost_threshold env (plan : Plan.t) =
         | None -> [])
       paths
   in
+  (* an empty plan that a SELECT item's path accounts for is reported
+     by that path's warning, not refused *)
   let plan_level =
     List.concat_map
-      (var_plan_diags ?text ?stats ?cost_threshold env)
+      (fun (vp : Plan.var_plan) ->
+        if Compile.empty_by_select env q ~var:vp.Plan.var ~root:vp.Plan.root
+        then []
+        else var_plan_diags ?text ?stats ?cost_threshold env vp)
       plan.Plan.var_plans
   in
   D.sort (dedup (path_level @ plan_level))

@@ -333,6 +333,28 @@ let validate view (q : Odb.Query.t) =
       | None -> Ok ()
     end
 
+(* A row takes a value from every SELECT item, so a variable one of
+   whose items reaches nothing binds no row at all. *)
+let selects_nothing env (q : Odb.Query.t) ~var ~root =
+  List.exists
+    (fun (rp : Odb.Query.rooted_path) ->
+      rp.Odb.Query.var = var
+      && Result.is_error (R.resolve env.paths ~root rp.Odb.Query.path))
+    q.Odb.Query.select
+
+(* The WHERE clause's candidates for [var]; [None] when its root is not
+   indexed. *)
+let where_candidates env (q : Odb.Query.t) ~var ~root =
+  if indexed env root then Some (pred_candidates env ~root ~var q.Odb.Query.where)
+  else None
+
+let empty_by_select env q ~var ~root =
+  selects_nothing env q ~var ~root
+  &&
+  match where_candidates env q ~var ~root with
+  | Some (`Empty, _) -> false
+  | _ -> true
+
 let compile env (q : Odb.Query.t) =
   let module Q = Odb.Query in
   match validate env.view q with
@@ -342,18 +364,15 @@ let compile env (q : Odb.Query.t) =
         List.map
           (fun (cls, var) ->
             let root = Option.get (Fschema.View.class_nonterm env.view cls) in
-            if not (indexed env root) then
-              { Plan.var; class_name = cls; root; candidates = Plan.All; covered = false }
-            else begin
-              let cands, covered = pred_candidates env ~root ~var q.Q.where in
-              let candidates =
-                match cands with
-                | `All -> Plan.Expr (Ralg.Expr.Name root)
-                | `Empty -> Plan.Empty
-                | `Expr e -> Plan.Expr e
-              in
+            let plan candidates covered =
               { Plan.var; class_name = cls; root; candidates; covered }
-            end)
+            in
+            match where_candidates env q ~var ~root with
+            | Some (`Empty, covered) -> plan Plan.Empty covered
+            | _ when selects_nothing env q ~var ~root -> plan Plan.Empty true
+            | None -> plan Plan.All false
+            | Some (`All, covered) -> plan (Plan.Expr (Ralg.Expr.Name root)) covered
+            | Some (`Expr e, covered) -> plan (Plan.Expr e) covered)
           q.Q.from_
       in
       let exact = List.for_all (fun vp -> vp.Plan.covered) var_plans in

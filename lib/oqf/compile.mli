@@ -44,6 +44,14 @@ val validate : Fschema.View.t -> Odb.Query.t -> (unit, error) result
 (** The checks {!compile} makes before planning. *)
 
 val compile : env -> Odb.Query.t -> (Plan.t, error) result
+(** A variable with a SELECT item whose path reaches nothing is
+    planned {!Plan.Empty}: no row can take a value from that item. *)
+
+val empty_by_select : env -> Odb.Query.t -> var:string -> root:string -> bool
+(** Whether [var] (over [root]'s regions) is planned empty only because
+    one of its SELECT items reaches nothing: its WHERE clause alone
+    leaves it candidates.  The analyzer reports such a plan by the
+    path's warning and does not refuse it. *)
 
 val indexed_path_attrs : env -> root:string -> Odb.Path.t -> string list option
 (** The indexed region names a path descends through by direct

@@ -19,16 +19,27 @@ let forest_of regions =
   Region_set.forest
     (Region_set.merge (Smap.fold (fun _ set acc -> set :: acc) regions []))
 
-let make text word_index regions =
-  { text; word_index; regions; forest = forest_of regions }
-
 let create text bindings =
-  make text (Word_index.build text) (region_map bindings)
+  let regions = region_map bindings in
+  { text; word_index = Word_index.build text; regions; forest = forest_of regions }
 
-let create_with_word_index text word_index bindings =
-  if Word_index.text word_index != text then
-    invalid_arg "Instance.create_with_word_index: word index over another text";
-  make text word_index (region_map bindings)
+(* Every tail region follows every node, so the forest grows by the
+   tail's nodes alone. *)
+let append t word_index tail =
+  let regions =
+    List.fold_left
+      (fun regions (name, set) ->
+        Smap.update name
+          (function
+            | Some old -> Some (Region_set.union old set)
+            | None -> invalid_arg ("Instance.append: unknown region name " ^ name))
+          regions)
+      t.regions tail
+  in
+  let forest =
+    Region_set.forest_append t.forest (Region_set.merge (List.map snd tail))
+  in
+  { text = Word_index.text word_index; word_index; regions; forest }
 
 let create_with_forest text ~forest bindings =
   { text; word_index = Word_index.build text; regions = region_map bindings; forest }

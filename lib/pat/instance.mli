@@ -14,11 +14,14 @@ val create : Text.t -> (string * Region_set.t) list -> t
 (** Build an instance over a text; the word index is built eagerly.
     Raises [Invalid_argument] on duplicate names. *)
 
-val create_with_word_index : Text.t -> Word_index.t -> (string * Region_set.t) list -> t
-(** Like {!create} but reusing an already-built word index over the
-    {e same} text value (physical equality is required) — the
-    incremental-maintenance path, where the word index was extended
-    rather than rebuilt.  Raises [Invalid_argument] otherwise. *)
+val append : t -> Word_index.t -> (string * Region_set.t) list -> t
+(** [append t word_index tail] is [t] grown over the text of
+    [word_index], which extends [t]'s: each name's regions are unioned
+    with its [tail] set, and the forest grows by the tail's nodes
+    ({!Region_set.forest_append}), so no old node is swept again.
+    Every tail region must come after every region of [t] (they start
+    in the appended bytes), and every name must be one of [t]'s;
+    raises [Invalid_argument] otherwise. *)
 
 val create_with_forest :
   Text.t -> forest:Region_set.forest -> (string * Region_set.t) list -> t

@@ -324,9 +324,15 @@ let including_at_depth ~context ~depth r s =
    ordered forest, and "no indexed region strictly between [r] and [s]"
    means [r] is [s]'s extent or its parent.  The forest is one node
    array (the universe, in {!Region.compare} order) and one parent
-   array, filled by a stack sweep. *)
+   array, filled by a stack sweep that a later run of nodes can
+   resume. *)
 
-type forest = { nodes : t; parent : int array; laminar : bool }
+type forest = {
+  nodes : t;
+  parent : int array;
+  laminar : bool;
+  closed : int;  (* the largest stop the sweep popped, -1 for none *)
+}
 
 (* Document order visits every enclosing region before the regions it
    encloses.  After popping the regions that do not include node [i],
@@ -339,16 +345,34 @@ type forest = { nodes : t; parent : int array; laminar : bool }
    both keeps it; a node inside both, or an empty node at the stop of
    a region it touches, breaks it.
 
-   [node i] yields node [i], which is stored in [nodes]; nodes must
-   come in strictly increasing order.  The stack keeps each open
-   node's stop beside its index, so popping reads no region. *)
-let sweep nodes node =
-  let n = Array.length nodes in
+   The sweep resumes where the forest [prefix] left off: its nodes are
+   the first of [nodes], and [node i] yields node [i] for each [i] past
+   them, which is stored in [nodes]; nodes must come in strictly
+   increasing order.  Nothing below a node is popped while it stays
+   on the stack, so the stack a sweep leaves is its last node's chain
+   of ancestors, which the parents give back.  The stack keeps each
+   open node's stop beside its index, so popping reads no region. *)
+let sweep prefix nodes node =
+  let m = Array.length prefix.nodes and n = Array.length nodes in
   let parent = Array.make n (-1) in
-  let stack = Array.make n 0 and stops = Array.make n 0 in
-  let top = ref 0 and laminar = ref true and closed = ref (-1) in
+  Array.blit prefix.parent 0 parent 0 m;
+  let stack = Array.make n 0 and stops = Array.make n 0 and top = ref 0 in
+  let rec reopen j =
+    if j >= 0 then begin
+      reopen parent.(j);
+      stack.(!top) <- j;
+      stops.(!top) <- nodes.(j).Region.stop;
+      incr top
+    end
+  in
+  reopen (m - 1);
+  let laminar = ref prefix.laminar and closed = ref prefix.closed in
   let prev_start = ref (-1) and prev_stop = ref 0 in
-  for i = 0 to n - 1 do
+  if m > 0 then begin
+    prev_start := nodes.(m - 1).Region.start;
+    prev_stop := nodes.(m - 1).Region.stop
+  end;
+  for i = m to n - 1 do
     let r = node i in
     let start = r.Region.start and stop = r.Region.stop in
     if start < !prev_start || (start = !prev_start && stop >= !prev_stop) then
@@ -366,12 +390,17 @@ let sweep nodes node =
     stops.(!top) <- stop;
     incr top
   done;
-  { nodes; parent; laminar = !laminar }
+  { nodes; parent; laminar = !laminar; closed = !closed }
 
-let forest nodes = sweep nodes (Array.get nodes)
+let no_forest = { nodes = empty; parent = [||]; laminar = true; closed = -1 }
+let forest nodes = sweep no_forest nodes (Array.get nodes)
 
 let forest_init n node =
-  sweep (Array.make n (Region.make ~start:0 ~stop:0)) node
+  sweep no_forest (Array.make n (Region.make ~start:0 ~stop:0)) node
+
+let forest_append f s =
+  let nodes = Array.append f.nodes s in
+  sweep f nodes (Array.get nodes)
 
 let nodes f = f.nodes
 let parents f = f.parent

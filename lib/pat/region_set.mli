@@ -115,6 +115,14 @@ val forest_init : int -> (int -> Region.t) -> forest
     index, in increasing order.  Raises [Invalid_argument] unless the
     regions are strictly increasing. *)
 
+val forest_append : forest -> t -> forest
+(** [forest_append f s] is [forest] of [f]'s nodes followed by [s],
+    whose regions must all come after them: it copies [f]'s arrays and
+    sweeps only [s], from the chain of [f]'s nodes still open at its
+    last, so the nodes the sweep compares are [s]'s and that chain's.
+    Raises [Invalid_argument] unless the regions are strictly
+    increasing. *)
+
 val nodes : forest -> t
 (** The universe, in {!Region.compare} order. *)
 

@@ -293,11 +293,7 @@ let extend t new_text ~old_len =
   if old_len <> Text.length t.text then
     invalid_arg "Suffix_array.extend: old_len does not match the indexed text";
   let s = Text.unsafe_contents new_text in
-  let tail =
-    group s (fun f ->
-        for p = old_len to Text.length new_text - 1 do
-          if Tokenizer.is_word_start new_text p then f p
-        done)
+  let tail = group s (Tokenizer.iter_word_starts ~from:old_len new_text)
   in
   let grown =
     Mutex.protect t.lock (fun () ->

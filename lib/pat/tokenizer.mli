@@ -7,13 +7,15 @@
 val is_word_char : char -> bool
 (** Letters and digits (ASCII). *)
 
-val word_starts : Text.t -> int array
+val word_starts : ?from:int -> Text.t -> int array
 (** Strictly increasing positions at which a word begins: a word
-    character whose predecessor is absent or not a word character. *)
+    character whose predecessor is absent or not a word character.
+    With [~from], only the positions at or past [from]; the byte before
+    [from] still decides whether a word begins at [from]. *)
 
-val iter_word_starts : Text.t -> (int -> unit) -> unit
-(** [iter_word_starts text f] calls [f] on each of {!word_starts}, in
-    increasing order, without building the array. *)
+val iter_word_starts : ?from:int -> Text.t -> (int -> unit) -> unit
+(** [iter_word_starts ?from text f] calls [f] on each of
+    {!word_starts}, in increasing order, without building the array. *)
 
 val word_at : Text.t -> int -> string option
 (** [word_at text pos] is the maximal word starting exactly at [pos], or

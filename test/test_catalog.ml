@@ -45,7 +45,29 @@ let check_equal_instances ~msg incremental full =
         (Pat.Region_set.equal
            (Pat.Instance.find incremental name)
            (Pat.Instance.find full name)))
-    (Pat.Instance.names full)
+    (Pat.Instance.names full);
+  let fi = Pat.Instance.forest incremental and ff = Pat.Instance.forest full in
+  Alcotest.(check bool)
+    (msg ^ ": forest nodes equal")
+    true
+    (Pat.Region_set.equal (Pat.Region_set.nodes fi) (Pat.Region_set.nodes ff));
+  Alcotest.(check (array int))
+    (msg ^ ": forest parents equal")
+    (Pat.Region_set.parents ff) (Pat.Region_set.parents fi);
+  Alcotest.(check bool)
+    (msg ^ ": laminar flag equal")
+    (Pat.Region_set.laminar ff) (Pat.Region_set.laminar fi)
+
+let figures ?(from = 0) ?(stats = []) ?(depths = []) instance =
+  Oqf_catalog.Catalog.instance_figures ~from ~stats ~depths instance
+
+let check_equal_figures ~msg (stats, depths) (stats', depths') =
+  Alcotest.(check (list (triple string int int)))
+    (msg ^ ": region and match-point counts equal")
+    stats stats';
+  Alcotest.(check (list (pair string (array int))))
+    (msg ^ ": depth histograms equal")
+    depths depths'
 
 let check_equal_word_index ~msg incremental full words =
   List.iter
@@ -106,9 +128,125 @@ let incremental_equals_full =
       | Error e -> QCheck.Test.fail_reportf "%s" e);
       true)
 
+let refresh_kind = function
+  | Oqf_catalog.Catalog.Unchanged -> "unchanged"
+  | Oqf_catalog.Catalog.Extended _ -> "extended"
+  | Oqf_catalog.Catalog.Rebuilt _ -> "rebuilt"
+
+(* The append-shaped shipped schemas, each with a generator of whole
+   files of [n] elements. *)
+let appendable =
+  [
+    ( "log",
+      Fschema.Log_schema.grammar,
+      fun ~seed n ->
+        Workload.Log_gen.generate { (Workload.Log_gen.with_size n) with seed } );
+    ( "mbox",
+      Fschema.Mbox_schema.grammar,
+      fun ~seed n ->
+        Workload.Mbox_gen.generate { (Workload.Mbox_gen.with_size n) with seed }
+    );
+    ( "bibtex",
+      Fschema.Bibtex_schema.grammar,
+      fun ~seed n ->
+        Workload.Bibtex_gen.generate
+          { (Workload.Bibtex_gen.with_size n) with seed } );
+  ]
+
+let is_space c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
+
+let trim_left s =
+  let i = ref 0 in
+  while !i < String.length s && is_space s.[!i] do
+    incr i
+  done;
+  String.sub s !i (String.length s - !i)
+
+let trim_right s =
+  let n = ref (String.length s) in
+  while !n > 0 && is_space s.[!n - 1] do
+    decr n
+  done;
+  String.sub s 0 !n
+
+(* What an entry records of its figures in the manifest. *)
+let manifest_figure_lines cat =
+  read_file (Filename.concat (Oqf_catalog.Catalog.dir cat) "CATALOG")
+  |> String.split_on_char '\n'
+  |> List.filter (fun l ->
+         String.starts_with ~prefix:"rstat " l
+         || String.starts_with ~prefix:"rdepth " l)
+
+(* Appending whole elements and refreshing after each append leaves
+   the entry as adding the final file to a fresh catalog would: the
+   same fingerprint, the same figures in the entry and in the manifest,
+   and the same index file bytes.  A tail starts right after the last
+   element, after a blank, or after the whitespace the generator
+   writes, and the file may end without a newline; no element of these
+   schemas begins or ends with a word byte, so a tail's first byte
+   never continues a word here (the boundary-word case above has a
+   grammar of its own). *)
+let catalog_append_equals_add =
+  QCheck.Test.make ~count:25 ~name:"catalog append == catalog add (log, mbox, bibtex)"
+    QCheck.(
+      triple (int_range 0 2) (int_range 0 6)
+        (list_of_size Gen.(1 -- 5)
+           (triple (int_range 1 4) (int_range 0 10_000) (int_range 0 3))))
+    (fun (which, n, appends) ->
+      let schema, grammar, gen = List.nth appendable which in
+      let header, _ = Option.get (Oqf_catalog.Incremental.append_shape grammar) in
+      let body ~seed k =
+        let text = gen ~seed k in
+        String.sub text (String.length header)
+          (String.length text - String.length header)
+      in
+      let dir = temp_dir () in
+      let path = Filename.concat dir ("src." ^ schema) in
+      write_file path (gen ~seed:7 n);
+      let cat = or_fail (Oqf_catalog.Catalog.init (Filename.concat dir "cat")) in
+      let (_ : Oqf_catalog.Catalog.entry) =
+        or_fail (Oqf_catalog.Catalog.add cat ~schema path)
+      in
+      List.iter
+        (fun (k, seed, shape) ->
+          let b = body ~seed k in
+          let tail =
+            match shape with
+            | 0 -> b
+            | 1 -> trim_left b
+            | 2 -> " " ^ trim_left b
+            | _ -> trim_right (trim_left b)
+          in
+          write_file path (read_file path ^ tail);
+          match Oqf_catalog.Catalog.refresh cat path with
+          | Ok (Oqf_catalog.Catalog.Extended _) -> ()
+          | Ok r -> QCheck.Test.fail_reportf "refresh %s, not extended" (refresh_kind r)
+          | Error e -> QCheck.Test.fail_reportf "refresh failed: %s" e)
+        appends;
+      let fresh =
+        or_fail (Oqf_catalog.Catalog.init (Filename.concat dir "fresh"))
+      in
+      let added = or_fail (Oqf_catalog.Catalog.add fresh ~schema path) in
+      let grown = Option.get (Oqf_catalog.Catalog.find cat path) in
+      let same what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s %s differs" schema what
+      in
+      let open Oqf_catalog.Catalog in
+      same "length" grown.length added.length;
+      same "digest" grown.digest added.digest;
+      same "stats" grown.stats added.stats;
+      same "depths" grown.depths added.depths;
+      same "manifest figures" (manifest_figure_lines cat)
+        (manifest_figure_lines fresh);
+      same "index file"
+        (read_file (Filename.concat (Oqf_catalog.Catalog.dir cat) grown.index_file))
+        (read_file (Filename.concat (Oqf_catalog.Catalog.dir fresh) added.index_file));
+      true)
+
 let incremental_tests =
   [
     QCheck_alcotest.to_alcotest incremental_equals_full;
+    QCheck_alcotest.to_alcotest catalog_append_equals_add;
     Alcotest.test_case "append shapes of the built-in schemas" `Quick (fun () ->
         let shape g = Oqf_catalog.Incremental.append_shape g in
         Alcotest.(check bool)
@@ -143,6 +281,52 @@ let incremental_tests =
         check_equal_word_index ~msg:"mbox" incremental
           (full_instance view keep new_text)
           [ "FROM"; "SUBJECT"; "edu" ]);
+    Alcotest.test_case "a word running across the append boundary" `Quick
+      (fun () ->
+        (* No shipped schema has an element that begins and ends with a
+           word byte, so only a grammar of its own puts a word across
+           the boundary: "…endbegin(c)end" is one word in the file,
+           while the tail parsed behind the header alone ("==begin…")
+           would start one at the boundary. *)
+        let grammar =
+          Fschema.Grammar.create_exn ~root:"Items"
+            Fschema.Grammar.
+              [
+                {
+                  lhs = "Items";
+                  rhs =
+                    Seq [ Lit "=="; Star { nonterm = "Item"; separator = None } ];
+                };
+                {
+                  lhs = "Item";
+                  rhs = Seq [ Lit "begin"; Nonterm "Body"; Lit "end" ];
+                };
+                { lhs = "Body"; rhs = Seq [ Lit "("; Tok (Until [ ')' ]); Lit ")" ] };
+              ]
+        in
+        let view = Fschema.View.make ~grammar ~classes:[ ("Items", "Item") ] in
+        let keep = Fschema.Grammar.indexable grammar in
+        let base = "== begin(a b)end" and tail = "begin(c d)endbegin(e)end" in
+        let old_instance = full_instance view keep (Pat.Text.of_string base) in
+        let new_text = Pat.Text.of_string (base ^ tail) in
+        let incremental =
+          or_fail
+            (Oqf_catalog.Incremental.extend_instance view ~old_instance
+               ~old_len:(String.length base) new_text)
+        in
+        let full = full_instance view keep new_text in
+        check_equal_instances ~msg:"boundary word" incremental full;
+        check_equal_word_index ~msg:"boundary word" incremental full
+          [ "endbegin"; "begin"; "c"; "e" ];
+        let stats, depths = figures old_instance in
+        let appended =
+          figures ~from:(String.length base) ~stats ~depths incremental
+        in
+        check_equal_figures ~msg:"boundary word" (figures full) appended;
+        Alcotest.(check (list (triple string int int)))
+          "the boundary starts no word"
+          [ ("Body", 3, 5); ("Item", 3, 9) ]
+          (fst appended));
     Alcotest.test_case "garbage tail is rejected" `Quick (fun () ->
         let view = Fschema.Log_schema.view in
         let base = log_text 3 in
@@ -327,11 +511,6 @@ let setup_catalog n =
   in
   (dir, log_path, cat)
 
-let refresh_kind = function
-  | Oqf_catalog.Catalog.Unchanged -> "unchanged"
-  | Oqf_catalog.Catalog.Extended _ -> "extended"
-  | Oqf_catalog.Catalog.Rebuilt _ -> "rebuilt"
-
 (* An extended instance must still satisfy the RIG of its indexed
    names. *)
 let check_refresh msg expected cat path =
@@ -366,6 +545,24 @@ let catalog_tests =
         check_refresh "append" "extended" cat log_path;
         check_matches_rebuild "after append" cat log_path;
         check_refresh "now fresh" "unchanged" cat log_path);
+    Alcotest.test_case "appended source over a corrupt index rebuilds once"
+      `Quick (fun () ->
+        let _, log_path, cat = setup_catalog 10 in
+        let e = Option.get (Oqf_catalog.Catalog.find cat log_path) in
+        let idx =
+          Filename.concat (Oqf_catalog.Catalog.dir cat)
+            e.Oqf_catalog.Catalog.index_file
+        in
+        let bytes = read_file idx in
+        write_file idx (String.sub bytes 0 (String.length bytes / 2));
+        write_file log_path (log_text 16);
+        (* a fresh handle: no instance cached from the add *)
+        let cat = or_fail (Oqf_catalog.Catalog.open_dir (Oqf_catalog.Catalog.dir cat)) in
+        let g0 = Oqf_catalog.Catalog.generation cat in
+        check_refresh "append over a corrupt index" "rebuilt" cat log_path;
+        Alcotest.(check int) "one commit" (g0 + 1)
+          (Oqf_catalog.Catalog.generation cat);
+        check_matches_rebuild "after the rebuild" cat log_path);
     Alcotest.test_case "truncated source falls back to full rebuild" `Quick
       (fun () ->
         let _, log_path, cat = setup_catalog 10 in
@@ -635,6 +832,22 @@ let setup_two_file_catalog () =
     or_fail (Oqf_catalog.Catalog.add cat ~schema:"log" b)
   in
   (dir, a, b, cat)
+
+(* Change one letter of the first log message in place: same length,
+   still a log.  The source's atime and mtime are then set back to
+   what they were, as a tool that preserves timestamps would; the
+   pause first lets the clock leave the index file's mtime behind. *)
+let edit_in_place_backdated path =
+  let st = Unix.stat path in
+  Unix.sleepf 0.02;
+  let contents = Bytes.of_string (read_file path) in
+  let i = ref (Bytes.index contents '"') in
+  while not (Pat.Tokenizer.is_word_char (Bytes.get contents !i)) do
+    incr i
+  done;
+  Bytes.set contents !i (if Bytes.get contents !i = 'x' then 'y' else 'x');
+  write_file path (Bytes.to_string contents);
+  Unix.utimes path st.Unix.st_atime st.Unix.st_mtime
 
 let healed_counter = Obs.Metrics.counter "catalog.healed"
 
@@ -1094,6 +1307,23 @@ let generation_tests =
           "only the current generation survives"
           [ r.Oqf_catalog.Watch.generation ]
           (Oqf_catalog.Catalog.list_generations cat);
+        let r = Oqf_catalog.Watch.scan cat in
+        Alcotest.(check int) "steady state: no refresh" 0
+          r.Oqf_catalog.Watch.refreshed);
+    Alcotest.test_case "watch scan catches an in-place edit with a set-back mtime"
+      `Quick (fun () ->
+        let _, a, _, cat = setup_two_file_catalog () in
+        let before = Option.get (Oqf_catalog.Catalog.find cat a) in
+        edit_in_place_backdated a;
+        Alcotest.(check bool) "same length, same mtime" true
+          ((Unix.stat a).Unix.st_size = before.Oqf_catalog.Catalog.length);
+        let r = Oqf_catalog.Watch.scan cat in
+        Alcotest.(check int) "one refresh" 1 r.Oqf_catalog.Watch.refreshed;
+        let after = Option.get (Oqf_catalog.Catalog.find cat a) in
+        Alcotest.(check string) "the entry records the edited contents"
+          (Digest.to_hex (Digest.string (read_file a)))
+          after.Oqf_catalog.Catalog.digest;
+        check_matches_rebuild "after the edit" cat a;
         let r = Oqf_catalog.Watch.scan cat in
         Alcotest.(check int) "steady state: no refresh" 0
           r.Oqf_catalog.Watch.refreshed);

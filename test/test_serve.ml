@@ -1179,6 +1179,35 @@ let server_tests =
                  before after)
               true (after > before);
             Serve.Client.close c));
+    Alcotest.test_case "an in-place edit with a set-back mtime is ingested"
+      `Quick (fun () ->
+        with_server (fun config dir ->
+            let c = connect config in
+            let messages () =
+              collect_rows
+                (or_fail
+                   (Serve.Client.request c
+                      (query_req {|SELECT e.Message FROM Entries e|})))
+            in
+            let before = messages () in
+            Test_catalog.edit_in_place_backdated (Filename.concat dir "a.log");
+            let deadline = Unix.gettimeofday () +. 5. in
+            let rec poll () =
+              let rows = messages () in
+              if rows <> before || (not watch_mode)
+                 || Unix.gettimeofday () > deadline
+              then rows
+              else begin
+                Thread.delay 0.02;
+                poll ()
+              end
+            in
+            let after = poll () in
+            Alcotest.(check int) "as many rows" (List.length before)
+              (List.length after);
+            Alcotest.(check bool) "the edited message arrives" true
+              (after <> before);
+            Serve.Client.close c));
     Alcotest.test_case "an appended log misses the cached result" `Quick
       (fun () ->
         with_server (fun config dir ->
