@@ -2,12 +2,8 @@ module Expr = Ralg.Expr
 
 type verdict = Contained | Unknown
 
-let verdict_to_string = function
-  | Contained -> "contained"
-  | Unknown -> "unknown"
-
 (* a ⊃d b filters with [includes ∧ ¬blocked], a ⊃ b with [includes]
-   alone (Naive_eval §3.1), so the direct form implies the simple one
+   alone (the definitions of §3.1), so the direct form implies the simple one
    on every instance — no RIG fact needed. *)
 let op_implies o1 o2 =
   o1 = o2

@@ -3,11 +3,11 @@
     [leq rig a b] decides [a ⊑ b]: is [eval a ⊆ eval b] on {e every}
     instance satisfying [rig]?  The procedure is {e sound but not
     complete} — a [Contained] verdict is a theorem (validated against
-    {!Ralg.Naive_eval} by the property suite), while [Unknown] carries
-    no information.  It never raises and never claims containment for
-    expressions mentioning names outside the RIG (mirroring
-    {!Ralg.Trivial.check}'s convention: no conforming instance carries
-    such names, so nothing useful can be said).
+    the test kit's brute-force evaluator by the property suite), while
+    [Unknown] carries no information.  It never raises and never claims
+    containment for expressions mentioning names outside the RIG
+    (mirroring {!Ralg.Trivial.check}'s convention: no conforming
+    instance carries such names, so nothing useful can be said).
 
     The decision procedure layers three ingredient kinds:
 
@@ -36,8 +36,6 @@
     (property-tested), so planners may substitute it freely. *)
 
 type verdict = Contained | Unknown
-
-val verdict_to_string : verdict -> string
 
 val leq : Ralg.Rig.t -> Ralg.Expr.t -> Ralg.Expr.t -> verdict
 (** [leq rig a b = Contained] only if [eval a ⊆ eval b] on every

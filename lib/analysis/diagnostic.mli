@@ -50,9 +50,6 @@ val span_of_word : text:string -> string -> span option
     checkers anchor a diagnostic about a region name to the query
     text. *)
 
-val severity_rank : severity -> int
-(** [Error] ranks 0, [Warning] 1, [Hint] 2. *)
-
 val compare : t -> t -> int
 (** Severity first, then code, then span position. *)
 
@@ -64,7 +61,6 @@ val count : t list -> int * int * int
 (** (errors, warnings, hints). *)
 
 val severity_to_string : severity -> string
-val pp_severity : Format.formatter -> severity -> unit
 
 val pp : Format.formatter -> t -> unit
 (** One line:

@@ -39,20 +39,6 @@ val trivial_subexprs : Ralg.Rig.t -> Ralg.Expr.t -> Ralg.Expr.t list
     to replace by the empty set), and no returned node is inside
     another.  [[e]] itself when the whole expression is trivial. *)
 
-val witness_pair :
-  Ralg.Rig.t -> Ralg.Expr.t -> (string * Ralg.Expr.op * string) option
-(** A concrete Proposition 3.3 witness inside a trivial expression:
-    the first inclusion node whose operand name pairs all fail the RIG
-    test, as [(left, op, right)]. *)
-
-val describe_witness : string * Ralg.Expr.op * string -> string
-(** ["(A, B) is not a RIG edge"] / ["no RIG walk from A to B"],
-    oriented by the operator's family. *)
-
-val default_cost_threshold : float
-(** 50,000 cost units of {!Oqf_cost.Model} — roughly the paper's
-    four-element direct chain on a 1000-regions-per-name instance. *)
-
 val check :
   ?text:string ->
   ?stats:Oqf_cost.Stats.t ->

@@ -1018,8 +1018,6 @@ let load t source =
   | None -> Error (source ^ " is not in the catalog")
   | Some e -> load_persisted t e
 
-let view_of_entry e = Schemas.find_result e.schema
-
 let pp_refresh ppf = function
   | Unchanged -> Format.pp_print_string ppf "unchanged"
   | Extended { added_bytes } ->

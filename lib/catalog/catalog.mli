@@ -154,8 +154,6 @@ val with_snapshot : t -> (snapshot -> 'a) -> 'a
 
 val snapshot_generation : snapshot -> int
 val snapshot_entries : snapshot -> entry list
-val snapshot_find : snapshot -> string -> entry option
-
 val snapshot_load : snapshot -> string -> (Pat.Instance.t, string) result
 (** The instance of a source as of the pinned generation, through the
     shared LRU cache.  Unlike {!load} this never heals and never
@@ -163,10 +161,6 @@ val snapshot_load : snapshot -> string -> (Pat.Instance.t, string) result
     from a since-changed source could not reproduce them.  Fails if
     the source is not in the snapshot or its index file is
     unreadable. *)
-
-val pinned_generations : t -> (int * int) list
-(** Outstanding pins as [(generation, refcount)], sorted — the
-    observability view behind the [snapshot.pinned] gauge. *)
 
 val list_generations : t -> int list
 (** The generation numbers whose manifest images exist on disk,
@@ -271,7 +265,5 @@ val repair : t -> (string * repair_action) list
     {!refresh}.  Persists the repaired manifest. *)
 
 val pp_repair_action : Format.formatter -> repair_action -> unit
-
-val view_of_entry : entry -> (Fschema.View.t, string) result
 
 val pp_refresh : Format.formatter -> refresh -> unit

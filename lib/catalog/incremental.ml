@@ -84,17 +84,3 @@ let extend_instance view ~old_instance ~old_len new_text =
             in
             Ok (Pat.Instance.append old_instance word_index tail_sets)
       end
-
-let verify_against_rig view instance =
-  let keep = Pat.Instance.names instance in
-  let rig =
-    Fschema.Rig_of_grammar.for_index view.Fschema.View.grammar ~keep
-  in
-  match Pat.Instance.satisfies_rig instance ~edges:(Ralg.Rig.edges rig) with
-  | None -> Ok ()
-  | Some (a, b) ->
-      Error
-        (Printf.sprintf
-           "incremental result violates the RIG: %s directly includes %s \
-            without an edge"
-           a b)

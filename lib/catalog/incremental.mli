@@ -28,9 +28,3 @@ val extend_instance :
     does not cover exactly [old_len] bytes, an old region starts at
     [old_len] (only an empty one can), or the tail does not parse as a
     run of elements. *)
-
-val verify_against_rig :
-  Fschema.View.t -> Pat.Instance.t -> (unit, string) result
-(** Check the extended instance against the RIG of its indexed names
-    (Definition 3.1).  Quadratic in the number of regions — meant for
-    tests, not the hot path. *)

@@ -23,8 +23,6 @@ let children t =
 let rec all_regions t =
   (t.symbol, region t) :: List.concat_map all_regions (children t)
 
-let rec count_nodes t = 1 + List.fold_left (fun a c -> a + count_nodes c) 0 (children t)
-
 let rec strictly_nested t =
   List.for_all
     (fun c ->

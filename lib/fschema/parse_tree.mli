@@ -22,8 +22,6 @@ val region : t -> Pat.Region.t
 val all_regions : t -> (string * Pat.Region.t) list
 (** Every node of the tree as a [(symbol, region)] pair, preorder. *)
 
-val count_nodes : t -> int
-
 val strictly_nested : t -> bool
 (** Check the span discipline: every child span strictly inside its
     parent's (used by tests). *)

@@ -17,10 +17,4 @@ val of_grammar : Grammar.t -> (string * ty) list
 (** One declaration per non-terminal, in sorted order.  Pass-through
     wrappers declare the wrapped type directly. *)
 
-val pp_ty : Format.formatter -> ty -> unit
-
-val pp_declarations : View.t -> Format.formatter -> unit -> unit
-(** The full §4.1-style listing: class-mapped non-terminals print as
-    [Class], the rest as [Type]. *)
-
 val to_string : View.t -> string

@@ -31,9 +31,6 @@ val escape : string -> string
 (** The string-literal body escaping used by {!to_string}, without the
     surrounding quotes. *)
 
-val add_escaped : Buffer.t -> string -> unit
-(** [add_escaped buf s] appends [escape s] to [buf]. *)
-
 val iter_escaped : (string -> int -> int -> unit) -> string -> unit
 (** [iter_escaped emit s] hands [escape s] to [emit] in pieces
     [(str, off, len)]: each run of bytes that needs no escaping as a

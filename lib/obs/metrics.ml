@@ -45,8 +45,6 @@ let[@inline] incr c = Atomic.incr c.count
 let[@inline] add_to c n = ignore (Atomic.fetch_and_add c.count n)
 let[@inline] value c = Atomic.get c.count
 let set c n = Atomic.set c.count n
-let counter_name c = c.c_name
-
 let find_counter name =
   locked @@ fun () ->
   match Hashtbl.find_opt registry name with
@@ -121,8 +119,6 @@ let summarize_unlocked h =
   end
 
 let summarize h = locked @@ fun () -> summarize_unlocked h
-let histogram_name h = h.h_name
-
 let sorted_items () =
   let all =
     locked @@ fun () ->

@@ -28,8 +28,6 @@ val value : counter -> int
 val set : counter -> int -> unit
 (** Overwrite the value (used by resets; not for hot paths). *)
 
-val counter_name : counter -> string
-
 val find_counter : string -> counter option
 (** Look a counter up without creating it. *)
 
@@ -59,8 +57,6 @@ type summary = {
 
 val summarize : histogram -> summary option
 (** [None] until the histogram has at least one observation. *)
-
-val histogram_name : histogram -> string
 
 val counters : unit -> (string * int) list
 (** Every registered counter with its current value, sorted by name. *)

@@ -22,10 +22,6 @@ val memory : unit -> Trace.sink * (unit -> node list)
     the reconstructed span forest (call it after the traced work;
     flushing is a no-op). *)
 
-val pp_node : ?show_times:bool -> Format.formatter -> node -> unit
-(** Indented tree rendering; [show_times] (default [true]) includes
-    durations, disable it for deterministic output. *)
-
 val pretty : Format.formatter -> Trace.sink
 (** Collects like {!memory} and prints the forest on [flush]. *)
 

@@ -38,10 +38,6 @@ val rooted : string -> string list -> rooted_path
 val pred_vars : pred -> string list
 (** Variables mentioned by a predicate (with duplicates). *)
 
-val free_variables : t -> string list
-(** Variables used in [select]/[where]; for validation against
-    [from_]. *)
-
 val validate : t -> (unit, string) result
 (** Check that every used variable is bound in [FROM] and that classes
     and variables are non-empty. *)

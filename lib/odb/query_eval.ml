@@ -87,5 +87,3 @@ let eval db (q : Query.t) =
   in
   (* the rows are normalized already *)
   List.sort_uniq (List.compare Value.compare_normalized) rows
-
-let eval_single db q = List.concat (eval db q)

@@ -14,9 +14,6 @@ val eval : Database.t -> Query.t -> row list
 (** Rows are deduplicated (set semantics) and word containment is
     tested on the string values reached by the path. *)
 
-val eval_single : Database.t -> Query.t -> Value.t list
-(** Convenience for single-item SELECTs. *)
-
 val matches : (string * Value.t) list -> Query.pred -> bool
 (** Predicate test under a variable binding (exposed for the two-phase
     executor, which re-filters candidate objects). *)

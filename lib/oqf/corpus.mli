@@ -94,8 +94,8 @@ val run :
   (outcome, string) result
 (** The sequential reference: every file in corpus order through
     {!Execute.run}, stopping at the first failure, which it names.
-    Like {!Ralg.Naive_eval} for the region algebra, it stays as the
-    oracle the parallel and streaming driver paths
+    Like the test kit's brute-force evaluator for the region algebra,
+    it stays as the oracle the parallel and streaming driver paths
     ([Exec.Driver]) are tested against — byte-identical rows.
     [force] and [plan_mode] are passed to {!Execute.run}: execute
     despite error-severity static-analysis findings / select the

@@ -188,7 +188,10 @@ let decode_exn body =
     done;
     r
   in
-  let forest = Region_set.forest_init n_nodes node in
+  let forest =
+    try Region_set.forest_init n_nodes node
+    with Invalid_argument _ -> raise (Bad "regions not nested")
+  in
   if !pending then raise (Bad "more nodes than declared");
   if !pos <> len then raise (Bad "trailing bytes");
   (* every record was filed and none overflowed its name: each set is

@@ -64,37 +64,3 @@ let add t name set =
 
 let total_regions t =
   Smap.fold (fun _ set acc -> acc + Region_set.cardinal set) t.regions 0
-
-let satisfies_rig t ~edges =
-  let u = universe t in
-  let edge_mem a b = List.exists (fun (x, y) -> x = a && y = b) edges in
-  let bindings = Smap.bindings t.regions in
-  let violation = ref None in
-  List.iter
-    (fun (ni, ri) ->
-      List.iter
-        (fun (nj, rj) ->
-          if !violation = None then
-            Region_set.iter
-              (fun r ->
-                Region_set.iter
-                  (fun s ->
-                    if
-                      !violation = None
-                      && Region.strictly_includes r s
-                      && (not (edge_mem ni nj))
-                      &&
-                      (* no indexed region strictly between *)
-                      not
-                        (Region_set.fold
-                           (fun acc u_reg ->
-                             acc
-                             || Region.strictly_includes r u_reg
-                                && Region.strictly_includes u_reg s)
-                           false u)
-                    then violation := Some (ni, nj))
-                  rj)
-              ri)
-        bindings)
-    bindings;
-  !violation

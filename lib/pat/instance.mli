@@ -6,13 +6,16 @@
     the {e universe} — the union of all indexed regions — which is the
     context against which direct inclusion is decided.  The universe is
     kept as a {!Region_set.forest}: its node array plus one parent
-    array, built with the instance. *)
+    array, built with the instance.  The universe must be laminar, as
+    every universe built from a parse tree is: an instance whose
+    universe is not is refused with [Invalid_argument]. *)
 
 type t
 
 val create : Text.t -> (string * Region_set.t) list -> t
 (** Build an instance over a text; the word index is built eagerly.
-    Raises [Invalid_argument] on duplicate names. *)
+    Raises [Invalid_argument] on duplicate names or a universe that is
+    not laminar. *)
 
 val append : t -> Word_index.t -> (string * Region_set.t) list -> t
 (** [append t word_index tail] is [t] grown over the text of
@@ -20,8 +23,9 @@ val append : t -> Word_index.t -> (string * Region_set.t) list -> t
     with its [tail] set, and the forest grows by the tail's nodes
     ({!Region_set.forest_append}), so no old node is swept again.
     Every tail region must come after every region of [t] (they start
-    in the appended bytes), and every name must be one of [t]'s;
-    raises [Invalid_argument] otherwise. *)
+    in the appended bytes), every name must be one of [t]'s, and the
+    grown universe must be laminar; raises [Invalid_argument]
+    otherwise. *)
 
 val create_with_forest :
   Text.t -> forest:Region_set.forest -> (string * Region_set.t) list -> t
@@ -50,18 +54,12 @@ val forest : t -> Region_set.forest
 
 val restrict : t -> string list -> t
 (** Keep only the given names (partial indexing); the word index is
-    shared.  Unknown names are ignored. *)
+    shared.  Unknown names are ignored.  A part of a laminar universe
+    is laminar, so this is never refused. *)
 
 val add : t -> string -> Region_set.t -> t
-(** Add (or replace) one named region set. *)
+(** Add (or replace) one named region set.  Raises [Invalid_argument]
+    when the universe it makes is not laminar. *)
 
 val total_regions : t -> int
 (** Sum of cardinals over all names — the "amount of indexing". *)
-
-val satisfies_rig :
-  t -> edges:(string * string) list -> (string * string) option
-(** Check Definition 3.1: for every pair of indexed regions [r ∈ Ri],
-    [s ∈ Rj] such that [r] directly includes [s] (w.r.t. the universe),
-    the edge [(Ri, Rj)] must be listed.  Returns a violating name pair,
-    or [None] when the instance satisfies the graph.  Quadratic; meant
-    for tests. *)

@@ -186,46 +186,6 @@ let included r s =
     produced out
   end
 
-(* Is there a context region strictly between [outer] and [inner]?  The
-   candidate window is the context regions whose start lies in
-   [outer.start, inner.start]; each is tested for membership in the stop
-   band.  Extents equal to either operand do not count as "between". *)
-let blocked ~(context : t) (outer : Region.t) (inner : Region.t) =
-  let lo = first_start_geq context outer.start in
-  let hi = last_start_leq context inner.start in
-  let rec go i =
-    if i > hi then false
-    else begin
-      let u = context.(i) in
-      tick_cmp 1;
-      if
-        u.Region.stop >= inner.Region.stop
-        && u.Region.stop <= outer.Region.stop
-        && (not (Region.equal u outer))
-        && not (Region.equal u inner)
-      then true
-      else go (i + 1)
-    end
-  in
-  go lo
-
-let count_strictly_between ~(context : t) ~(outer : Region.t)
-    ~(inner : Region.t) =
-  let lo = first_start_geq context outer.start in
-  let hi = last_start_leq context inner.start in
-  let count = ref 0 in
-  for i = lo to hi do
-    let u = context.(i) in
-    tick_cmp 1;
-    if
-      u.Region.stop >= inner.Region.stop
-      && u.Region.stop <= outer.Region.stop
-      && (not (Region.equal u outer))
-      && not (Region.equal u inner)
-    then incr count
-  done;
-  !count
-
 (* Enumerate the regions of [s] included in [reg], in order, applying
    [f] until it returns true; returns whether some application did. *)
 let exists_included_in (s : t) (reg : Region.t) f =
@@ -243,22 +203,6 @@ let exists_included_in (s : t) (reg : Region.t) f =
   in
   go lo
 
-let directly_including ~context r s =
-  tick_op ();
-  let keep reg =
-    exists_included_in s reg (fun inner ->
-        not (blocked ~context reg inner))
-  in
-  produced (filter keep r)
-
-let directly_including_strict ~context r s =
-  tick_op ();
-  let keep reg =
-    exists_included_in s reg (fun inner ->
-        (not (Region.equal reg inner)) && not (blocked ~context reg inner))
-  in
-  produced (filter keep r)
-
 (* Enumerate regions of [s] that include [reg]: their start is <=
    reg.start and stop >= reg.stop. *)
 let exists_including (s : t) (reg : Region.t) f =
@@ -272,22 +216,6 @@ let exists_including (s : t) (reg : Region.t) f =
     end
   in
   go hi
-
-let directly_included ~context r s =
-  tick_op ();
-  let keep reg =
-    exists_including s reg (fun outer ->
-        not (blocked ~context outer reg))
-  in
-  produced (filter keep r)
-
-let directly_included_strict ~context r s =
-  tick_op ();
-  let keep reg =
-    exists_including s reg (fun outer ->
-        (not (Region.equal reg outer)) && not (blocked ~context outer reg))
-  in
-  produced (filter keep r)
 
 let including_strict r s =
   tick_op ();
@@ -309,14 +237,6 @@ let included_strict r s =
     produced (filter keep r)
   end
 
-let including_at_depth ~context ~depth r s =
-  tick_op ();
-  let keep reg =
-    exists_included_in s reg (fun inner ->
-        count_strictly_between ~context ~outer:reg ~inner = depth)
-  in
-  produced (filter keep r)
-
 (* ---------------- the region forest ----------------
 
    A universe built from parse trees is laminar: any two of its
@@ -330,7 +250,6 @@ let including_at_depth ~context ~depth r s =
 type forest = {
   nodes : t;
   parent : int array;
-  laminar : bool;
   closed : int;  (* the largest stop the sweep popped, -1 for none *)
 }
 
@@ -341,9 +260,10 @@ type forest = {
    a popped region includes [i] iff its stop is at least [i]'s: the
    stack holds all of [i]'s includers iff the largest popped stop is
    below [i]'s stop.  That is the laminarity the kernels need — each
-   node's includers form a chain.  A crossing pair with no node inside
-   both keeps it; a node inside both, or an empty node at the stop of
-   a region it touches, breaks it.
+   node's includers form a chain — and the sweep refuses a universe
+   without it.  A crossing pair with no node inside both keeps it; a
+   node inside both, or an empty node at the stop of a region it
+   touches, breaks it.
 
    The sweep resumes where the forest [prefix] left off: its nodes are
    the first of [nodes], and [node i] yields node [i] for each [i] past
@@ -366,7 +286,7 @@ let sweep prefix nodes node =
     end
   in
   reopen (m - 1);
-  let laminar = ref prefix.laminar and closed = ref prefix.closed in
+  let closed = ref prefix.closed in
   let prev_start = ref (-1) and prev_stop = ref 0 in
   if m > 0 then begin
     prev_start := nodes.(m - 1).Region.start;
@@ -384,15 +304,15 @@ let sweep prefix nodes node =
       closed := Int.max !closed stops.(!top - 1);
       decr top
     done;
-    if !closed >= stop then laminar := false;
+    if !closed >= stop then invalid_arg "Region_set.forest: regions not nested";
     if !top > 0 then parent.(i) <- stack.(!top - 1);
     stack.(!top) <- i;
     stops.(!top) <- stop;
     incr top
   done;
-  { nodes; parent; laminar = !laminar; closed = !closed }
+  { nodes; parent; closed = !closed }
 
-let no_forest = { nodes = empty; parent = [||]; laminar = true; closed = -1 }
+let no_forest = { nodes = empty; parent = [||]; closed = -1 }
 let forest nodes = sweep no_forest nodes (Array.get nodes)
 
 let forest_init n node =
@@ -404,7 +324,6 @@ let forest_append f s =
 
 let nodes f = f.nodes
 let parents f = f.parent
-let laminar f = f.laminar
 
 (* k-way merge of sorted sets through a binary heap of set indices
    keyed by their heads; equal extents come out adjacent and the first
@@ -470,11 +389,9 @@ let locate ~probes (nodes : t) (a : t) =
 (* Both kernel shapes start from the witness set [s], usually the small
    side (a candidate set against a whole name), and never walk all of
    [r]: [s] is located, then each kernel collects the indices it keeps,
-   which are sorted once.  A non-laminar universe takes the scan kernel
-   instead. *)
-let on_forest f r s ~scan kernel =
-  if not f.laminar then scan ~context:f.nodes r s
-  else if is_empty r || is_empty s then begin
+   which are sorted once. *)
+let on_forest f r s kernel =
+  if is_empty r || is_empty s then begin
     tick_op ();
     empty
   end
@@ -590,29 +507,28 @@ let select_inside f r ~keep ~probes si =
 let parent f j = if j < 0 then -1 else f.parent.(j)
 
 let directly_including_in f r s =
-  on_forest f r s ~scan:directly_including
+  on_forest f r s
     (select_targets f r ~targets:(fun j emit ->
          emit j;
          emit (parent f j)))
 
 let directly_including_strict_in f r s =
-  on_forest f r s ~scan:directly_including_strict
+  on_forest f r s
     (select_targets f r ~targets:(fun j emit -> emit (parent f j)))
 
 let directly_included_in f r s =
-  on_forest f r s ~scan:directly_included
+  on_forest f r s
     (select_inside f r ~keep:(fun j c -> c = j || parent f c = j))
 
 let directly_included_strict_in f r s =
-  on_forest f r s ~scan:directly_included_strict
+  on_forest f r s
     (select_inside f r ~keep:(fun j c -> parent f c = j))
 
 (* Exactly [depth] nodes strictly between: the ancestor at distance
-   [depth + 1], or at depth 0 also the equal extent, as in the scan. *)
+   [depth + 1], or at depth 0 also the equal extent. *)
 let including_at_depth_in f ~depth r s =
   let rec up j d = if d = 0 then j else up (parent f j) (d - 1) in
   on_forest f r s
-    ~scan:(fun ~context r s -> including_at_depth ~context ~depth r s)
     (select_targets f r ~targets:(fun j emit ->
          if depth = 0 then emit j;
          if depth >= 0 then emit (up j (depth + 1))))
@@ -661,20 +577,6 @@ let containing_match t ~positions ~len =
     let i = Stdx.Sorted_array.lower_bound ~cmp positions reg.start in
     tick_cmp 1;
     i < Array.length positions && positions.(i) + len <= reg.stop
-  in
-  produced (filter keep t)
-
-let occurrences_within _t ~positions ~len (reg : Region.t) =
-  let cmp = Int.compare in
-  let lo = Stdx.Sorted_array.lower_bound ~cmp positions reg.start in
-  let hi = Stdx.Sorted_array.upper_bound ~cmp positions (reg.stop - len) in
-  max 0 (hi - lo)
-
-let containing_at_least t ~positions ~len ~count =
-  tick_op ();
-  let keep reg =
-    tick_cmp 1;
-    occurrences_within t ~positions ~len reg >= count
   in
   produced (filter keep t)
 

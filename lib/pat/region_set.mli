@@ -7,12 +7,11 @@
     [ι] and outermost [ω], and the word selections [σ].
 
     Inclusion joins run in O((|R| + |S|) log) using range-min/max
-    tables.  The scan kernels for direct inclusion additionally scan
-    the indexed regions that may lie between the two operands, which is
-    what makes it "significantly more expensive than the simple
-    inclusion operation" (paper, §3.1); over a laminar universe the
-    forest kernels ({!directly_including_in} and its kin) replace that
-    scan with parent lookups. *)
+    tables.  Direct inclusion is decided over the region forest of the
+    indexed regions ({!directly_including_in} and its kin) by parent
+    lookups, not by scanning the regions that may lie between the two
+    operands, which is what makes the flat-set program "significantly
+    more expensive than the simple inclusion operation" (paper, §3.1). *)
 
 type t
 
@@ -64,35 +63,20 @@ val including_strict : t -> t -> t
 val included_strict : t -> t -> t
 (** Like {!included} but the witness must be strictly larger. *)
 
-val directly_including_strict : context:t -> t -> t -> t
-(** Like {!directly_including} but the witness must be strictly
-    smaller.  Needed when both operands can hold the same regions
-    (self-nested names): a region does not directly include itself. *)
-
-val directly_included_strict : context:t -> t -> t -> t
-(** Strict variant of {!directly_included}. *)
-
-val directly_including : context:t -> t -> t -> t
-(** [directly_including ~context r s] is [r ⊃d s]: regions of [r]
-    including some [s]-region with no region of [context] strictly
-    between them ([r ⊋ u ⊋ s]).  [context] is the union of {e all}
-    indexed region instances, per the paper's definition. *)
-
-val directly_included : context:t -> t -> t -> t
-(** [directly_included ~context r s] is [r ⊂d s] (symmetric). *)
-
 (** {2 The region forest}
 
-    A universe whose extents are pairwise disjoint or nested — every
-    universe built from a parse tree — is {e laminar} (see {!laminar}):
-    its distinct extents form an ordered forest.  There, [r ⊃d s] holds iff [s]'s
-    extent is [r]'s or a child of [r]'s, so the direct-inclusion
-    operators become parent lookups.  The [_in] kernels below answer
-    exactly as their scan counterparts with [~context:(nodes f)].  They
-    start from the witness operand [s] (locate its nodes, then look up
+    A universe is {e laminar} when the regions including each of its
+    regions form a chain.  Every universe built from a parse tree is:
+    its extents are pairwise disjoint or nested, so its distinct
+    extents form an ordered forest.  A pair of crossing extents with a
+    region inside both, or an empty extent where two regions touch, is
+    not laminar, and the forest builders refuse it.  Over the forest,
+    [r ⊃d s] holds iff [s]'s extent is [r]'s or a child of [r]'s — no
+    indexed region lies strictly between — so the direct-inclusion
+    operators become parent lookups.  The [_in] kernels below start
+    from the witness operand [s] (locate its nodes, then look up
     parents or walk the [r]-regions inside them), so their cost follows
-    [s] and the answer, not [r] or the universe.  They run the scan
-    kernel when the universe is not laminar.
+    [s] and the answer, not [r] or the universe.
 
     Both operands must be subsets of [nodes f], as every expression
     result over an instance is.  Regions that are not nodes are not
@@ -106,14 +90,15 @@ type forest
 
 val forest : t -> forest
 (** The forest over a universe (one stack sweep); the set is kept as
-    the node array. *)
+    the node array.  Raises [Invalid_argument] unless the universe is
+    laminar. *)
 
 val forest_init : int -> (int -> Region.t) -> forest
 (** [forest_init n node] is [forest] of the [n] regions [node 0], …,
     [node (n-1)], swept as they are produced, so a decoder builds the
     node array and the parents in one pass.  [node] is called once per
     index, in increasing order.  Raises [Invalid_argument] unless the
-    regions are strictly increasing. *)
+    regions are strictly increasing and laminar. *)
 
 val forest_append : forest -> t -> forest
 (** [forest_append f s] is [forest] of [f]'s nodes followed by [s],
@@ -121,7 +106,7 @@ val forest_append : forest -> t -> forest
     sweeps only [s], from the chain of [f]'s nodes still open at its
     last, so the nodes the sweep compares are [s]'s and that chain's.
     Raises [Invalid_argument] unless the regions are strictly
-    increasing. *)
+    increasing and laminar. *)
 
 val nodes : forest -> t
 (** The universe, in {!Region.compare} order. *)
@@ -130,29 +115,30 @@ val parents : forest -> int array
 (** Index into {!nodes} of each node's parent, [-1] for a root.  A
     parent precedes its children.  Must not be mutated. *)
 
-val laminar : forest -> bool
-(** Whether the regions including each node form a chain, so that the
-    parent array is the inclusion forest: each node's includers are
-    exactly its ancestors.  Parse-tree universes always are; a pair of
-    crossing extents with a node inside both, or an empty extent where
-    two regions touch, is not.  When it is false the parents are still
-    the stack sweep's (each node's nearest includer left on the
-    stack). *)
-
 val merge : t list -> t
 (** Union of many sets in one k-way merge, keeping the first record
     of equal extents.  A build step: nothing is counted. *)
 
 val directly_including_in : forest -> t -> t -> t
-(** [r ⊃d s]: like {!directly_including} with [~context:(nodes f)]. *)
+(** [directly_including_in f r s] is [r ⊃d s]: the regions of [r]
+    including some [s]-region with no node of [f] strictly between
+    them ([r ⊋ u ⊋ s]). *)
 
 val directly_including_strict_in : forest -> t -> t -> t
+(** Like {!directly_including_in} but the witness must be strictly
+    smaller.  Needed when both operands can hold the same regions
+    (self-nested names): a region does not directly include itself. *)
+
 val directly_included_in : forest -> t -> t -> t
+(** [r ⊂d s] (symmetric to {!directly_including_in}). *)
+
 val directly_included_strict_in : forest -> t -> t -> t
+(** Strict variant of {!directly_included_in}. *)
 
 val including_at_depth_in : forest -> depth:int -> t -> t -> t
-(** Like {!including_at_depth} with [~context:(nodes f)]: the ancestor
-    at distance [depth + 1], and at depth 0 also the equal extent. *)
+(** The regions of [r] that include some [s]-region with exactly
+    [depth] nodes of [f] strictly between them: the ancestor at
+    distance [depth + 1], and at depth 0 also the equal extent. *)
 
 val innermost : t -> t
 (** [ι]: elements that include no other element of the set. *)
@@ -169,21 +155,5 @@ val select : (Region.t -> bool) -> t -> t
     forms): the regions that pass, counted as one index operation and
     one region comparison per region.  Unlike {!filter}, which counts
     nothing. *)
-
-val containing_at_least : t -> positions:int array -> len:int -> count:int -> t
-(** Frequency search: regions containing at least [count] of the
-    occurrences. *)
-
-val occurrences_within : t -> positions:int array -> len:int -> Region.t -> int
-(** Number of the occurrences lying inside one region. *)
-
-val count_strictly_between : context:t -> outer:Region.t -> inner:Region.t -> int
-(** Number of context regions [u] with [outer ⊋ u ⊋ inner]; used for
-    fixed-length path variables (§5.3). *)
-
-val including_at_depth : context:t -> depth:int -> t -> t -> t
-(** [including_at_depth ~context ~depth r s]: regions of [r] that
-    include some [s]-region with exactly [depth] context regions
-    strictly between them. *)
 
 val pp : Format.formatter -> t -> unit

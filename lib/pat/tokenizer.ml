@@ -40,13 +40,3 @@ let word_starts ?from text =
       Array.unsafe_set out !k i;
       incr k);
   out
-
-let word_at text pos =
-  if not (is_word_start text pos) then None
-  else begin
-    let n = Text.length text in
-    let rec stop i =
-      if i < n && is_word_char (Text.get text i) then stop (i + 1) else i
-    in
-    Some (Text.sub text ~pos ~len:(stop pos - pos))
-  end

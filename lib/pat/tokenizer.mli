@@ -17,10 +17,6 @@ val iter_word_starts : ?from:int -> Text.t -> (int -> unit) -> unit
 (** [iter_word_starts ?from text f] calls [f] on each of
     {!word_starts}, in increasing order, without building the array. *)
 
-val word_at : Text.t -> int -> string option
-(** [word_at text pos] is the maximal word starting exactly at [pos], or
-    [None] if no word starts there. *)
-
 val is_word_start : Text.t -> int -> bool
 (** Whether a word begins at the position. *)
 

@@ -26,10 +26,6 @@ val match_points : t -> string -> int array
 (** Sorted positions where the string occurs starting at a word
     boundary and ending at a token boundary. *)
 
-val occurrence_count : t -> string -> int
-(** Number of word-start occurrences of the string (prefix semantics,
-    no end-boundary check). *)
-
 val select_containing : t -> string -> Region_set.t -> Region_set.t
 (** [σ_w] (containment): the regions containing an occurrence of [w]. *)
 
@@ -52,12 +48,3 @@ val select_prefix : t -> string -> Region_set.t -> Region_set.t
     as long, starting a word, whose bytes begin with it.  Like
     {!select_exact}, a test of each region's own bytes, equal to
     keeping the regions that start at one of {!prefix_points}. *)
-
-val select_min_count : t -> string -> count:int -> Region_set.t -> Region_set.t
-(** Frequency search: regions containing at least [count] occurrences
-    of the word. *)
-
-val select_proximity :
-  t -> string -> string -> window:int -> Region_set.t -> Region_set.t
-(** Proximity search: regions containing an occurrence of each word
-    whose start positions lie within [window] bytes of each other. *)

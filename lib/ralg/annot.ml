@@ -16,7 +16,6 @@ let rec total f n = f n + List.fold_left (fun acc c -> acc + total f c) 0 n.chil
 let total_ops = total (fun n -> n.self_ops)
 let total_cmps = total (fun n -> n.self_cmps)
 let total_lookups = total (fun n -> n.self_lookups)
-let node_count = total (fun _ -> 1)
 
 let pp ?estimate ?est_rows ?(show_times = false) ppf root =
   let rec go indent n =

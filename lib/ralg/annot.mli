@@ -30,8 +30,6 @@ val total_cmps : t -> int
 
 val total_lookups : t -> int
 
-val node_count : t -> int
-
 val pp :
   ?estimate:(Expr.t -> float) ->
   ?est_rows:(Expr.t -> float) ->

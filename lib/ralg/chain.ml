@@ -73,5 +73,4 @@ let to_expr t =
   in
   build t.elements t.strengths
 
-let node_names t = List.map (fun el -> el.name) t.elements
 let length t = List.length t.elements

@@ -27,8 +27,5 @@ val of_expr : Expr.t -> t option
 val to_expr : t -> Expr.t
 (** Rebuild the right-grouped expression. *)
 
-val node_names : t -> string list
-(** Element names in written order. *)
-
 val length : t -> int
 (** Number of elements. *)

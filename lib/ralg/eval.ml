@@ -165,23 +165,3 @@ let eval inst expr =
 let eval_shared inst expr =
   if Obs.Trace.enabled () then fst (eval_shared_annotated inst expr)
   else eval_shared_plain inst expr
-
-let direct_including_layered ~context r s =
-  let result = ref Rs.empty in
-  let layer = ref (Rs.outermost r) in
-  let rest = ref (Rs.diff r !layer) in
-  let continue_ = ref true in
-  while (not (Rs.is_empty !layer)) && !continue_ do
-    if Rs.is_empty (Rs.including !layer s) then continue_ := false
-    else begin
-      (* context regions strictly inside some layer region … *)
-      let intermediates = Rs.included_strict context !layer in
-      (* … shadow the s-regions strictly inside them *)
-      let shadowed = Rs.included_strict s intermediates in
-      let visible = Rs.diff s shadowed in
-      result := Rs.union !result (Rs.including !layer visible);
-      layer := Rs.outermost !rest;
-      rest := Rs.diff !rest !layer
-    end
-  done;
-  !result

@@ -8,9 +8,8 @@ exception Unknown_region of string
 val eval : Pat.Instance.t -> Expr.t -> Pat.Region_set.t
 (** Evaluate with the efficient operators of {!Pat.Region_set}.  Direct
     inclusion is decided against the instance universe, by parent
-    lookups in its region forest (the scan kernels when the universe is
-    not laminar; see {!Pat.Region_set.forest}).  When a trace
-    sink is installed (see {!Obs.Trace}) this routes through
+    lookups in its region forest (see {!Pat.Region_set.forest}).  When
+    a trace sink is installed (see {!Obs.Trace}) this routes through
     {!eval_annotated} so every operator application is spanned;
     otherwise it is {!eval_plain}. *)
 
@@ -47,15 +46,3 @@ val eval_annotated_from :
 (** [eval_annotated_from inst (e0, r0) e] is {!eval_shared_annotated}
     with [e0]'s result already known to be [r0]: each occurrence of
     [e0] in [e] is a [cached] leaf. *)
-
-val direct_including_layered :
-  context:Pat.Region_set.t ->
-  Pat.Region_set.t ->
-  Pat.Region_set.t ->
-  Pat.Region_set.t
-(** The paper's §3.1 while-program for [⊃d]: iterate over nested layers
-    of the left operand (outermost first) and, per layer, discard the
-    right-operand regions shadowed by an intermediate context region.
-    Given as an illustration of the cost of [⊃d]; correct for laminar
-    instances (same-layer regions disjoint), which parse-tree-derived
-    region sets always are. *)

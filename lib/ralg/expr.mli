@@ -65,8 +65,6 @@ val is_direct : op -> bool
 val weaken : op -> op
 (** [⊃d ↦ ⊃], [⊂d ↦ ⊂]; identity on the simple operators. *)
 
-val pp_selection : Format.formatter -> selection -> unit
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 (** Concrete syntax, re-parsable by {!Expr_parser}: operators are
     rendered [>], [>d], [<], [<d], [|], [&], [-], selections

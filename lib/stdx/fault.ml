@@ -39,22 +39,6 @@ let empty =
     crashes = [];
   }
 
-let describe c =
-  let b = Buffer.create 64 in
-  let add fmt = Printf.ksprintf (fun s ->
-      if Buffer.length b > 0 then Buffer.add_char b ',';
-      Buffer.add_string b s) fmt
-  in
-  add "seed:%d" c.seed;
-  if c.transient > 0. then add "transient:%g" c.transient;
-  if c.permanent > 0. then add "permanent:%g" c.permanent;
-  if c.corrupt > 0. then add "corrupt:%g" c.corrupt;
-  if c.delay_p > 0. then add "delay:%g@%g" c.delay_p c.delay_ms;
-  List.iter (fun (site, n) -> add "crash:%s@%d" site n) c.crashes;
-  (match c.burst with Some k -> add "burst:%d" k | None -> ());
-  (match c.only with Some s -> add "only:%s" s | None -> ());
-  Buffer.contents b
-
 let parse spec =
   let ( let* ) = Result.bind in
   let prob name v =

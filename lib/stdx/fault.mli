@@ -21,8 +21,6 @@ type kind = Transient | Permanent | Corruption
     data arrived but is damaged (checksum mismatch — the heal path's
     domain, not the retry path's). *)
 
-val kind_to_string : kind -> string
-
 exception Injected of { site : string; kind : kind }
 (** The exception raised by an injecting {!hit}.  Carries its site so
     reports can attribute the failure. *)
@@ -52,9 +50,6 @@ val set : config option -> unit
 val active : unit -> bool
 (** Whether a schedule is installed ([OQF_FAULTS] is consulted once,
     lazily, on first use of the module). *)
-
-val describe : config -> string
-(** One-line rendering of the schedule, for logs and reports. *)
 
 val hit : string -> unit
 (** [hit site] marks one visit to [site].  No-op without a schedule;

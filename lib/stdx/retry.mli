@@ -27,8 +27,6 @@ val default_policy : policy
 val set_site_policy : string -> policy -> unit
 (** Override the budget for one site (tests mostly). *)
 
-val policy_for : string -> policy
-
 val classify_exn : exn -> Fault.kind
 (** The taxonomy decision: [Fault.Injected] carries its own kind,
     [Sys_error] is transient (the OS may succeed on the next try),

@@ -21,14 +21,6 @@ let incr = Obs.Metrics.incr
 let add_to = Obs.Metrics.add_to
 let value = Obs.Metrics.value
 
-let all_counters =
-  [
-    bytes_scanned; bytes_parsed; index_ops; region_comparisons; word_lookups;
-    objects_built; regions_produced; cache_hits; cache_misses; cache_evictions;
-  ]
-
-let reset_counters () = List.iter (fun c -> Obs.Metrics.set c 0) all_counters
-
 type t = {
   mutable bytes_scanned : int;
   mutable bytes_parsed : int;

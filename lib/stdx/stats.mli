@@ -81,9 +81,6 @@ val create : unit -> t
 val reset : t -> unit
 (** Zero every field of a snapshot in place. *)
 
-val reset_counters : unit -> unit
-(** Zero the live registry counters (test isolation). *)
-
 val snapshot : unit -> t
 (** Copy the current live counter values out of the registry. *)
 

@@ -25,6 +25,3 @@ val with_size : int -> params
 
 val generate : params -> string
 (** The file text, parseable by the BibTeX grammar. *)
-
-val key_of : int -> string
-(** The reference key the generator gives entry [i] (["Ref0042"]). *)

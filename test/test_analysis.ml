@@ -182,7 +182,7 @@ let soundness_flagged_exprs_are_empty =
          let ds = Analysis.Expr_check.check rig e in
          (* OQF001: the whole expression must be empty on the instance *)
          if List.exists (fun d -> d.D.code = "OQF001") ds then begin
-           let v = Ralg.Naive_eval.eval inst e in
+           let v = Support.Naive_eval.eval inst e in
            if not (Pat.Region_set.is_empty v) then
              QCheck.Test.fail_reportf "seed %d: OQF001 but %s is non-empty"
                seed (Ralg.Expr.to_string e)
@@ -191,7 +191,7 @@ let soundness_flagged_exprs_are_empty =
             trivial; each must be empty on its own *)
          List.iter
            (fun sub ->
-             let v = Ralg.Naive_eval.eval inst sub in
+             let v = Support.Naive_eval.eval inst sub in
              if not (Pat.Region_set.is_empty v) then
                QCheck.Test.fail_reportf
                  "seed %d: flagged subexpression %s of %s is non-empty" seed
@@ -378,8 +378,8 @@ let soundness_containment =
            (fun (a, b) ->
              if C.leq rig a b = C.Contained then begin
                incr contained_verdicts_seen;
-               let va = Ralg.Naive_eval.eval inst a
-               and vb = Ralg.Naive_eval.eval inst b in
+               let va = Support.Naive_eval.eval inst a
+               and vb = Support.Naive_eval.eval inst b in
                if not (Pat.Region_set.subset va vb) then
                  QCheck.Test.fail_reportf
                    "seed %d: claimed %s contained in %s, but a region escapes"
@@ -389,7 +389,7 @@ let soundness_containment =
          let e = Test_ralg.random_general prng names 3 in
          if
            C.empty rig e
-           && not (Pat.Region_set.is_empty (Ralg.Naive_eval.eval inst e))
+           && not (Pat.Region_set.is_empty (Support.Naive_eval.eval inst e))
          then
            QCheck.Test.fail_reportf "seed %d: empty verdict on non-empty %s"
              seed (Ralg.Expr.to_string e);
@@ -400,8 +400,8 @@ let soundness_containment =
          if
            not
              (Pat.Region_set.equal
-                (Ralg.Naive_eval.eval inst m)
-                (Ralg.Naive_eval.eval inst strong))
+                (Support.Naive_eval.eval inst m)
+                (Support.Naive_eval.eval inst strong))
          then
            QCheck.Test.fail_reportf
              "seed %d: minimize changed the answer of %s => %s" seed

@@ -53,10 +53,7 @@ let check_equal_instances ~msg incremental full =
     (Pat.Region_set.equal (Pat.Region_set.nodes fi) (Pat.Region_set.nodes ff));
   Alcotest.(check (array int))
     (msg ^ ": forest parents equal")
-    (Pat.Region_set.parents ff) (Pat.Region_set.parents fi);
-  Alcotest.(check bool)
-    (msg ^ ": laminar flag equal")
-    (Pat.Region_set.laminar ff) (Pat.Region_set.laminar fi)
+    (Pat.Region_set.parents ff) (Pat.Region_set.parents fi)
 
 let figures ?(from = 0) ?(stats = []) ?(depths = []) instance =
   Oqf_catalog.Catalog.instance_figures ~from ~stats ~depths instance
@@ -123,7 +120,7 @@ let incremental_equals_full =
           then QCheck.Test.fail_reportf "match points of %S differ" w)
         [ "ERROR"; "INFO"; "auth"; "web"; "level"; "msg" ];
       (* and the result still satisfies the RIG of its indexed names *)
-      (match Oqf_catalog.Incremental.verify_against_rig view incremental with
+      (match Support.Rig_check.verify_against_rig view incremental with
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_reportf "%s" e);
       true)
@@ -243,8 +240,84 @@ let catalog_append_equals_add =
         (read_file (Filename.concat (Oqf_catalog.Catalog.dir fresh) added.index_file));
       true)
 
+(* The laminarity premise: every universe the shipped grammars build
+   nests, so lib's forest builders never refuse one.  Files of the four
+   workload generators, over seeds and sizes, are parsed; every
+   parse-tree node must be non-empty, and the full index set must build
+   through [Builder.instance_of_tree].  The append-shaped kinds then
+   grow by a tail of whole elements through [Incremental.extend_instance]
+   ([Instance.append]), which must not be refused either. *)
+let grammar_universes_nest =
+  let kinds =
+    [|
+      ( "log",
+        Fschema.Log_schema.view,
+        Some (fun ~seed n ->
+          Workload.Log_gen.generate { (Workload.Log_gen.with_size n) with seed })
+      );
+      ( "bibtex",
+        Fschema.Bibtex_schema.view,
+        Some (fun ~seed n ->
+          Workload.Bibtex_gen.generate
+            { (Workload.Bibtex_gen.with_size n) with seed }) );
+      ( "mbox",
+        Fschema.Mbox_schema.view,
+        Some (fun ~seed n ->
+          Workload.Mbox_gen.generate { (Workload.Mbox_gen.with_size n) with seed })
+      );
+      ("sgml", Fschema.Sgml_schema.view, None);
+    |]
+  in
+  QCheck.Test.make ~count:80
+    ~name:"grammar-built universes nest (log, BibTeX, mbox, SGML)"
+    QCheck.(quad (int_bound 3) (int_bound 10_000) (int_range 1 25) (int_range 1 8))
+    (fun (which, seed, n, k) ->
+      let kind, view, appendable = kinds.(which) in
+      let grammar = view.Fschema.View.grammar in
+      let keep = Fschema.Grammar.indexable grammar in
+      let fail fmt =
+        QCheck.Test.fail_reportf ("%s seed %d n %d: " ^^ fmt) kind seed n
+      in
+      let build source =
+        let text = Pat.Text.of_string source in
+        match Fschema.Parser_engine.parse grammar text with
+        | Error e -> fail "no parse: %s" (Fschema.Parser_engine.describe_error text e)
+        | Ok tree ->
+            List.iter
+              (fun (symbol, (r : Pat.Region.t)) ->
+                if r.start >= r.stop then fail "empty %s node at %d" symbol r.start)
+              (Fschema.Parse_tree.all_regions tree);
+            (match Fschema.Builder.instance_of_tree text tree ~keep with
+            | inst -> inst
+            | exception Invalid_argument msg -> fail "build refused: %s" msg)
+      in
+      (match appendable with
+      | None ->
+          ignore
+            (build
+               (Workload.Sgml_gen.generate
+                  {
+                    Workload.Sgml_gen.default with
+                    seed;
+                    top_sections = 1 + (n mod 4);
+                    depth = 1 + (k mod 5);
+                  }))
+      | Some gen ->
+          let base = gen ~seed n and grown = gen ~seed (n + k) in
+          let old_instance = build base in
+          ignore (build grown);
+          (match
+             Oqf_catalog.Incremental.extend_instance view ~old_instance
+               ~old_len:(String.length base) (Pat.Text.of_string grown)
+           with
+          | Ok _ -> ()
+          | Error e -> fail "append by %d failed: %s" k e
+          | exception Invalid_argument msg -> fail "append by %d refused: %s" k msg));
+      true)
+
 let incremental_tests =
   [
+    QCheck_alcotest.to_alcotest grammar_universes_nest;
     QCheck_alcotest.to_alcotest incremental_equals_full;
     QCheck_alcotest.to_alcotest catalog_append_equals_add;
     Alcotest.test_case "append shapes of the built-in schemas" `Quick (fun () ->
@@ -519,7 +592,7 @@ let check_refresh msg expected cat path =
   match r with
   | Oqf_catalog.Catalog.Extended _ ->
       or_fail
-        (Oqf_catalog.Incremental.verify_against_rig Fschema.Log_schema.view
+        (Support.Rig_check.verify_against_rig Fschema.Log_schema.view
            (or_fail (Oqf_catalog.Catalog.load cat path)))
   | Oqf_catalog.Catalog.Unchanged | Oqf_catalog.Catalog.Rebuilt _ -> ()
 
@@ -877,6 +950,66 @@ let write_v2_index path instance =
 
 let robustness_tests =
   [
+    Alcotest.test_case "a crossing node table heals to the baseline's rows"
+      `Quick (fun () ->
+        let _, log_path, cat = setup_catalog 30 in
+        let q =
+          Odb.Query_parser.parse_exn
+            {|SELECT e.Service, e.Level FROM Entries e WHERE e.Level = "WARN"|}
+        in
+        let render row =
+          String.concat " | " (List.map Odb.Value.to_display_string row)
+        in
+        let baseline =
+          let text = Pat.Text.of_file log_path in
+          fst (or_fail (Oqf.Execute.run_baseline Fschema.Log_schema.view text q))
+        in
+        (* a format-3 body with a valid checksum whose node table crosses:
+           A [0,5) and A [3,9), with B [3,4) inside both *)
+        let varint n =
+          let b = Buffer.create 2 in
+          let rec go n =
+            if n < 0x80 then Buffer.add_char b (Char.chr n)
+            else begin
+              Buffer.add_char b (Char.chr (n land 0x7f lor 0x80));
+              go (n lsr 7)
+            end
+          in
+          go n;
+          Buffer.contents b
+        in
+        let body =
+          String.concat ""
+            [
+              varint 10; "abcdefghij"; varint 2;
+              varint 1; "A"; varint 2; varint 1; "B"; varint 1;
+              varint 3;
+              varint 0; varint 5; varint 0;
+              varint 3; varint 6; varint 0;
+              varint 0; varint 1; varint 1;
+            ]
+        in
+        let idx = index_path cat log_path in
+        write_file idx ("OQF-INDEX-3\n" ^ Digest.string body ^ body);
+        (match Pat.Index_store.load_result ~path:idx with
+        | Error (Pat.Index_store.Corrupt { reason = "regions not nested"; _ }) -> ()
+        | Error e -> Alcotest.fail (Pat.Index_store.error_message e)
+        | Ok _ -> Alcotest.fail "a crossing universe must not load");
+        Oqf_catalog.Instance_cache.remove
+          (Oqf_catalog.Catalog.cache cat)
+          (Option.get (Oqf_catalog.Catalog.find cat log_path))
+            .Oqf_catalog.Catalog.index_file;
+        (* catalog query: the load heals *)
+        let healed_before = Obs.Metrics.value healed_counter in
+        let corpus = or_fail (Oqf.Corpus.of_catalog cat ~schema:"log") in
+        let r = or_fail (Exec.Driver.run_parallel ~jobs:1 corpus q) in
+        Alcotest.(check (list string))
+          "rows after heal" (List.map render baseline)
+          (List.map (fun (_, row) -> render row) r.Exec.Driver.rows);
+        Alcotest.(check bool) "some rows" true (baseline <> []);
+        Alcotest.(check bool)
+          "catalog.healed incremented" true
+          (Obs.Metrics.value healed_counter > healed_before));
     Alcotest.test_case "format-2 index: healed on load, rebuilt on refresh"
       `Quick (fun () ->
         let _, log_path, cat = setup_catalog 30 in

@@ -633,7 +633,7 @@ let rig_tests =
         with
         | Ok inst -> begin
             let rig = Rig_of_grammar.full Bibtex_schema.grammar in
-            match Pat.Instance.satisfies_rig inst ~edges:(Ralg.Rig.edges rig) with
+            match Support.Rig_check.satisfies_rig inst ~edges:(Ralg.Rig.edges rig) with
             | None -> ()
             | Some (a, b) -> Alcotest.failf "violation (%s,%s)" a b
           end

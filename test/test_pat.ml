@@ -157,13 +157,13 @@ let region_set_props =
       arb_regions3 (fun (r, s, c) ->
         let ctx = as_sorted_list (r @ s @ c) in
         eq_sets
-          (Region_set.directly_including ~context:(set ctx) (set r) (set s))
+          (Support.Scan.directly_including ~context:(set ctx) (set r) (set s))
           (Naive.directly_including ctx (as_sorted_list r) (as_sorted_list s)));
     QCheck.Test.make ~name:"directly_included matches naive" ~count:500
       arb_regions3 (fun (r, s, c) ->
         let ctx = as_sorted_list (r @ s @ c) in
         eq_sets
-          (Region_set.directly_included ~context:(set ctx) (set r) (set s))
+          (Support.Scan.directly_included ~context:(set ctx) (set r) (set s))
           (Naive.directly_included ctx (as_sorted_list r) (as_sorted_list s)));
     QCheck.Test.make ~name:"including_strict matches naive" ~count:500
       arb_regions3 (fun (r, s, _) ->
@@ -179,7 +179,7 @@ let region_set_props =
       arb_regions3 (fun (r, s, c) ->
         let ctx = as_sorted_list (r @ s @ c) in
         eq_sets
-          (Region_set.directly_including_strict ~context:(set ctx) (set r)
+          (Support.Scan.directly_including_strict ~context:(set ctx) (set r)
              (set s))
           (Naive.directly_including_strict ctx (as_sorted_list r)
              (as_sorted_list s)));
@@ -204,7 +204,7 @@ let region_set_props =
       arb_regions3 (fun (r, s, c) ->
         let ctx = set (r @ s @ c) in
         Region_set.subset
-          (Region_set.directly_including ~context:ctx (set r) (set s))
+          (Support.Scan.directly_including ~context:ctx (set r) (set s))
           (Region_set.including (set r) (set s)));
     QCheck.Test.make ~name:"R ⊃ R = R (non-strict inclusion)" ~count:300
       arb_regions (fun r ->
@@ -257,7 +257,7 @@ let region_set_props =
                          && Region.strictly_includes u inner)
                        ctx)
                 in
-                Region_set.count_strictly_between ~context:ctx_set ~outer
+                Support.Scan.count_strictly_between ~context:ctx_set ~outer
                   ~inner
                 = naive)
               (as_sorted_list s))
@@ -286,12 +286,12 @@ let region_set_units =
         Alcotest.(check bool)
           "blocked" true
           (Region_set.is_empty
-             (Region_set.directly_including ~context:ctx outer inner));
+             (Support.Scan.directly_including ~context:ctx outer inner));
         let ctx_free = Region_set.of_pairs [ (0, 10); (4, 6) ] in
         Alcotest.(check bool)
           "unblocked" false
           (Region_set.is_empty
-             (Region_set.directly_including ~context:ctx_free outer inner)));
+             (Support.Scan.directly_including ~context:ctx_free outer inner)));
     Alcotest.test_case "including_at_depth counts layers" `Quick (fun () ->
         let outer = Region_set.of_pairs [ (0, 10) ] in
         let inner = Region_set.of_pairs [ (4, 6) ] in
@@ -299,11 +299,11 @@ let region_set_units =
         Alcotest.(check bool)
           "depth 2" false
           (Region_set.is_empty
-             (Region_set.including_at_depth ~context:ctx ~depth:2 outer inner));
+             (Support.Scan.including_at_depth ~context:ctx ~depth:2 outer inner));
         Alcotest.(check bool)
           "depth 1 empty" true
           (Region_set.is_empty
-             (Region_set.including_at_depth ~context:ctx ~depth:1 outer inner)));
+             (Support.Scan.including_at_depth ~context:ctx ~depth:1 outer inner)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -812,31 +812,7 @@ let clip_regions text ws =
        ws)
 
 let word_selection_props =
-  let naive_count text (r : Region.t) w =
-    let t = Text.of_string text in
-    let m = String.length w in
-    let count = ref 0 in
-    for p = r.start to r.stop - m do
-      if
-        String.sub text p m = w
-        && Tokenizer.is_word_start t p
-        && Tokenizer.is_word_end t (p + m)
-      then incr count
-    done;
-    !count
-  in
   [
-    QCheck.Test.make ~name:"select_min_count matches naive scan" ~count:300
-      QCheck.(pair arb_windows (make Gen.(pair word_gen (int_range 1 3))))
-      (fun ((text, ws), (w, k)) ->
-        let t = Text.of_string text in
-        let wi = Word_index.build t in
-        let regions = clip_regions text ws in
-        let got = Word_index.select_min_count wi w ~count:k regions in
-        let want =
-          Region_set.filter (fun r -> naive_count text r w >= k) regions
-        in
-        Region_set.equal got want);
     QCheck.Test.make ~name:"select_prefix matches naive scan" ~count:300
       QCheck.(pair arb_windows (make word_gen))
       (fun ((text, ws), w) ->
@@ -852,36 +828,6 @@ let word_selection_props =
               && r.start + m <= String.length text
               && String.sub text r.start m = w
               && Tokenizer.is_word_start t r.start)
-            regions
-        in
-        Region_set.equal got want);
-    QCheck.Test.make ~name:"select_proximity matches naive scan" ~count:300
-      QCheck.(
-        pair arb_windows (make Gen.(triple word_gen word_gen (int_bound 12))))
-      (fun ((text, ws), (w1, w2, window)) ->
-        let t = Text.of_string text in
-        let wi = Word_index.build t in
-        let regions = clip_regions text ws in
-        let got = Word_index.select_proximity wi w1 w2 ~window regions in
-        let occs w (r : Region.t) =
-          let m = String.length w in
-          let out = ref [] in
-          for p = r.start to r.stop - m do
-            if
-              String.sub text p m = w
-              && Tokenizer.is_word_start t p
-              && Tokenizer.is_word_end t (p + m)
-            then out := p :: !out
-          done;
-          !out
-        in
-        let want =
-          Region_set.filter
-            (fun r ->
-              List.exists
-                (fun p1 ->
-                  List.exists (fun p2 -> abs (p1 - p2) <= window) (occs w2 r))
-                (occs w1 r))
             regions
         in
         Region_set.equal got want);
@@ -1078,74 +1024,6 @@ let word_index_tests =
           (Region_set.cardinal (Word_index.select_prefix wi "Ref" whole));
         Alcotest.(check int) "whole text does not start with Xy" 0
           (Region_set.cardinal (Word_index.select_prefix wi "Xy" whole)));
-    Alcotest.test_case "frequency search counts occurrences" `Quick (fun () ->
-        let text = Text.of_string "ab ab zz | ab zz zz | zz" in
-        let wi = Word_index.build text in
-        (* three pipe-free chunks *)
-        let chunks = Region_set.of_pairs [ (0, 9); (11, 19); (22, 24) ] in
-        let at_least k =
-          Region_set.cardinal (Word_index.select_min_count wi "zz" ~count:k chunks)
-        in
-        Alcotest.(check int) "k=1" 3 (at_least 1);
-        Alcotest.(check int) "k=2" 1 (at_least 2);
-        Alcotest.(check int) "k=3" 0 (at_least 3));
-    Alcotest.test_case "proximity search respects the window" `Quick
-      (fun () ->
-        let text = Text.of_string "alpha beta | alpha xx xx xx xx beta" in
-        let wi = Word_index.build text in
-        let chunks = Region_set.of_pairs [ (0, 10); (13, 35) ] in
-        let near w =
-          Region_set.cardinal
-            (Word_index.select_proximity wi "alpha" "beta" ~window:w chunks)
-        in
-        Alcotest.(check int) "tight window" 1 (near 8);
-        Alcotest.(check int) "wide window" 2 (near 30);
-        Alcotest.(check int) "zero window" 0 (near 2));
-    Alcotest.test_case "proximity requires both words inside the region"
-      `Quick
-      (fun () ->
-        let text = Text.of_string "alpha | beta" in
-        let wi = Word_index.build text in
-        (* the words are near each other but in different regions *)
-        let chunks = Region_set.of_pairs [ (0, 5); (8, 12) ] in
-        Alcotest.(check int) "none" 0
-          (Region_set.cardinal
-             (Word_index.select_proximity wi "alpha" "beta" ~window:20 chunks)));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Region scanner                                                      *)
-
-let scanner_tests =
-  [
-    Alcotest.test_case "marker scan pairs start with nearest end" `Quick
-      (fun () ->
-        let text = Text.of_string "AUTHOR = a b c, TITLE = t, AUTHOR = d," in
-        let rs =
-          Region_scanner.scan text ~start_marker:"AUTHOR =" ~end_marker:","
-        in
-        Alcotest.(check int) "two author regions" 2 (Region_set.cardinal rs);
-        let contents =
-          List.map (Region.text text) (Region_set.to_list rs)
-        in
-        Alcotest.(check (list string)) "contents" [ " a b c"; " d" ] contents);
-    Alcotest.test_case "unmatched start dropped" `Quick (fun () ->
-        let text = Text.of_string "BEGIN x BEGIN y END" in
-        let rs =
-          Region_scanner.scan text ~start_marker:"BEGIN" ~end_marker:"END"
-        in
-        (* both starts pair with the single END; the scanner allows that *)
-        Alcotest.(check int) "two regions" 2 (Region_set.cardinal rs));
-    Alcotest.test_case "balanced braces nest" `Quick (fun () ->
-        let text = Text.of_string "{a {b} {c {d}}}" in
-        let rs = Region_scanner.scan_balanced text ~open_char:'{' ~close_char:'}' in
-        Alcotest.(check int) "four regions" 4 (Region_set.cardinal rs);
-        let outer = Region_set.outermost rs in
-        Alcotest.(check int) "one outermost" 1 (Region_set.cardinal outer));
-    Alcotest.test_case "occurrences finds all" `Quick (fun () ->
-        let text = Text.of_string "xx-xx-xx" in
-        let rs = Region_scanner.occurrences text "xx" in
-        Alcotest.(check int) "three" 3 (Region_set.cardinal rs));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1196,10 +1074,10 @@ let instance_tests =
         in
         Alcotest.(check bool)
           "ok" true
-          (Instance.satisfies_rig inst ~edges:[ ("A", "B") ] = None);
+          (Support.Rig_check.satisfies_rig inst ~edges:[ ("A", "B") ] = None);
         Alcotest.(check bool)
           "violated without edge" true
-          (Instance.satisfies_rig inst ~edges:[] <> None));
+          (Support.Rig_check.satisfies_rig inst ~edges:[] <> None));
     Alcotest.test_case "index store rejects foreign files" `Quick (fun () ->
         let path = Filename.temp_file "oqf_test" ".idx" in
         Fun.protect
@@ -1400,6 +1278,18 @@ let decoder_tests =
               "parents"
               (Region_set.parents (Instance.forest inst))
               (Region_set.parents (Instance.forest back))));
+    Alcotest.test_case "a crossing node table is corrupt, not an exception"
+      `Quick (fun () ->
+        (* A [0,5) and A [3,9) cross, and B [3,4) lies inside both: well
+           ordered records under a valid checksum, but no forest *)
+        with_temp (fun path ->
+            with_body path
+              (table_body "abcdefghij" [ "A"; "B" ]
+                 [ (0, 5, 0); (3, 6, 0); (0, 1, 1) ]);
+            match Index_store.load_result ~path with
+            | Error (Index_store.Corrupt { reason = "regions not nested"; _ }) -> ()
+            | Error e -> Alcotest.fail (Index_store.error_message e)
+            | Ok _ -> Alcotest.fail "a crossing universe must not load"));
     Alcotest.test_case "out-of-order and duplicate records are corrupt"
       `Quick (fun () ->
         let body records = table_body "abcdef" [ "A"; "B" ] records in
@@ -1501,7 +1391,6 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         (word_selection_props @ region_side_sigma_props) );
     ("pat.word_index", word_index_tests);
-    ("pat.region_scanner", scanner_tests);
     ("pat.instance", instance_tests);
     ("pat.index_decoder", decoder_tests);
   ]

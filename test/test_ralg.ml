@@ -471,7 +471,7 @@ let soundness_tests =
       (fun () ->
         for seed = 1 to 40 do
           let rig, inst, _ = Gen_instance.generate seed in
-          match Pat.Instance.satisfies_rig inst ~edges:(Rig.edges rig) with
+          match Support.Rig_check.satisfies_rig inst ~edges:(Rig.edges rig) with
           | None -> ()
           | Some (a, b) ->
               Alcotest.failf "seed %d: instance violates RIG on (%s,%s)" seed a
@@ -645,7 +645,7 @@ let soundness_tests =
         for seed = 1 to 300 do
           let rig, inst, prng = Gen_instance.generate seed in
           let e = Gen_instance.random_chain prng rig in
-          let fast = Eval.eval inst e and slow = Naive_eval.eval inst e in
+          let fast = Eval.eval inst e and slow = Support.Naive_eval.eval inst e in
           if not (Pat.Region_set.equal fast slow) then
             Alcotest.failf "seed %d: eval mismatch on %s" seed
               (Expr.to_string e)
@@ -658,7 +658,7 @@ let soundness_tests =
           let e = random_general prng names 3 in
           let fast = Eval.eval inst e
           and shared = Eval.eval_shared inst e
-          and slow = Naive_eval.eval inst e in
+          and slow = Support.Naive_eval.eval inst e in
           if not (Pat.Region_set.equal fast slow) then
             Alcotest.failf "seed %d: eval mismatch on %s" seed (Expr.to_string e);
           if not (Pat.Region_set.equal shared slow) then
@@ -694,7 +694,7 @@ let soundness_tests =
           List.iter
             (fun op ->
               let e = Expr.Chain_strict (Expr.Name a, op, Expr.Name b) in
-              let fast = Eval.eval inst e and slow = Naive_eval.eval inst e in
+              let fast = Eval.eval inst e and slow = Support.Naive_eval.eval inst e in
               if not (Pat.Region_set.equal fast slow) then
                 Alcotest.failf "seed %d: strict mismatch on %s" seed
                   (Expr.to_string e))
@@ -713,8 +713,8 @@ let soundness_tests =
           and b = Stdx.Prng.choose prng names in
           let ra = Pat.Instance.find inst a and rb = Pat.Instance.find inst b in
           let ctx = Pat.Instance.universe inst in
-          let direct = Pat.Region_set.directly_including ~context:ctx ra rb in
-          let layered = Eval.direct_including_layered ~context:ctx ra rb in
+          let direct = Support.Scan.directly_including ~context:ctx ra rb in
+          let layered = Support.Scan.direct_including_layered ~context:ctx ra rb in
           if not (Pat.Region_set.equal direct layered) then
             Alcotest.failf "seed %d: layered ≠ direct for %s ⊃d %s" seed a b
         done);
@@ -982,7 +982,7 @@ let eval_tests =
              | n when n < 40 -> Expr.Setop (Expr.Union, e, Expr.Innermost e)
              | _ -> e
            in
-           let reference = Naive_eval.eval inst e in
+           let reference = Support.Naive_eval.eval inst e in
            List.iter
              (fun (label, f) ->
                if not (Pat.Region_set.equal (f inst e) reference) then
@@ -1003,16 +1003,18 @@ let eval_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Region forest: the parent-lookup kernels against the scan kernels
-   and the brute-force evaluator.
+(* Region forest: the parent-lookup kernels against the test kit's
+   scan kernels and the brute-force evaluator, and the refusal of a
+   universe that does not nest.
 
-   Instances are random nested extents, as a parse tree yields: every
+   Draws are random nested extents, as a parse tree yields: every
    extent carries one or two names from a small pool, so names nest in
    themselves and distinct names share extents.  Children may touch
    each other and their parent's ends, and a few are empty (an empty
    extent at a sibling's boundary makes the universe non-laminar).
    With [crossing], two crossing extents and their intersection are
-   added, which makes it non-laminar. *)
+   added, which makes it non-laminar.  A draw is the text and the
+   bindings an instance would be created from. *)
 
 module Gen_forest = struct
   let pool = [ "A"; "B"; "C"; "D" ]
@@ -1056,15 +1058,15 @@ module Gen_forest = struct
       String.init text_len (fun i ->
           if i mod 2 = 1 then ' ' else "abc".[Stdx.Prng.int prng 3])
     in
-    Pat.Instance.create (Pat.Text.of_string text)
-      (List.map
+    ( Pat.Text.of_string text,
+      List.map
          (fun n ->
            ( n,
              Pat.Region_set.of_pairs
                (List.filter_map
                   (fun (m, span) -> if m = n then Some span else None)
                   !acc) ))
-         pool)
+        pool )
 
   (* Laminar: the extents including any node form a chain. *)
   let naive_laminar u =
@@ -1104,43 +1106,84 @@ end
 (* (name, forest kernel, scan kernel) *)
 let forest_kernels =
   let module Rs = Pat.Region_set in
+  let module Scan = Support.Scan in
   [
     ( "⊃d",
       (fun f r s -> Rs.directly_including_in f r s),
-      (fun ~context r s -> Rs.directly_including ~context r s) );
+      (fun ~context r s -> Scan.directly_including ~context r s) );
     ( "⊃d strict",
       (fun f r s -> Rs.directly_including_strict_in f r s),
-      (fun ~context r s -> Rs.directly_including_strict ~context r s) );
+      (fun ~context r s -> Scan.directly_including_strict ~context r s) );
     ( "⊂d",
       (fun f r s -> Rs.directly_included_in f r s),
-      (fun ~context r s -> Rs.directly_included ~context r s) );
+      (fun ~context r s -> Scan.directly_included ~context r s) );
     ( "⊂d strict",
       (fun f r s -> Rs.directly_included_strict_in f r s),
-      (fun ~context r s -> Rs.directly_included_strict ~context r s) );
+      (fun ~context r s -> Scan.directly_included_strict ~context r s) );
   ]
   @ List.map
       (fun depth ->
         ( Printf.sprintf "at depth %d" depth,
           (fun f r s -> Rs.including_at_depth_in f ~depth r s),
-          (fun ~context r s -> Rs.including_at_depth ~context ~depth r s) ))
+          (fun ~context r s -> Scan.including_at_depth ~context ~depth r s) ))
       [ 0; 1; 2 ]
+
+(* Whether [f] is refused as a forest builder refuses a universe that
+   does not nest. *)
+let refused f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+      if msg <> "Region_set.forest: regions not nested" then
+        QCheck.Test.fail_reportf "refused with %S" msg;
+      true
+
+(* The instance of a draw, or [None] when it is refused.  Every forest
+   builder must refuse exactly the draws whose universe is not laminar:
+   [Instance.create], [forest], [forest_init], and [forest_append] onto
+   every laminar prefix of the nodes. *)
+let instance_of_draw ~seed ~label (text, bindings) =
+  let fail fmt = QCheck.Test.fail_reportf ("seed %d (%s): " ^^ fmt) seed label in
+  let universe = Pat.Region_set.merge (List.map snd bindings) in
+  let laminar = Gen_forest.naive_laminar universe in
+  let nodes = Pat.Region_set.to_array universe in
+  let n = Array.length nodes in
+  let expect what f =
+    if refused f = laminar then
+      fail "%s %s %a" what
+        (if laminar then "refused" else "accepted")
+        Pat.Region_set.pp universe
+  in
+  expect "forest" (fun () -> Pat.Region_set.forest universe);
+  expect "forest_init" (fun () ->
+      Pat.Region_set.forest_init n (Array.get nodes));
+  for k = 0 to n do
+    let prefix = Pat.Region_set.of_array (Array.sub nodes 0 k) in
+    if Gen_forest.naive_laminar prefix then
+      expect
+        (Printf.sprintf "forest_append at %d" k)
+        (fun () ->
+          Pat.Region_set.forest_append (Pat.Region_set.forest prefix)
+            (Pat.Region_set.of_array (Array.sub nodes k (n - k))))
+  done;
+  match Pat.Instance.create text bindings with
+  | inst ->
+      if not laminar then fail "Instance.create accepted a crossing universe";
+      Some inst
+  | exception Invalid_argument _ ->
+      if laminar then fail "Instance.create refused a laminar universe";
+      None
 
 (* Forest kernel == scan kernel on every pair of the instance's name
    sets and of their random subsets; a witness set outside the universe
-   raises [Invalid_argument] over a laminar universe and takes the scan
-   otherwise; every evaluator == the brute-force reference on random
-   expressions. *)
+   raises [Invalid_argument]; every evaluator == the brute-force
+   reference on random expressions. *)
 let check_forest_instance ~seed ~label prng inst =
   let forest = Pat.Instance.forest inst in
   let context = Pat.Instance.universe inst in
   let fail fmt = QCheck.Test.fail_reportf ("seed %d (%s): " ^^ fmt) seed label in
-  if Pat.Region_set.laminar forest <> Gen_forest.naive_laminar context then
-    fail "laminar flag %b on %a" (Pat.Region_set.laminar forest)
-      Pat.Region_set.pp context;
-  if
-    Pat.Region_set.laminar forest
-    && Pat.Region_set.parents forest <> Gen_forest.naive_parents context
-  then fail "parents differ";
+  if Pat.Region_set.parents forest <> Gen_forest.naive_parents context then
+    fail "parents differ";
   let stray =
     Pat.Region_set.of_pairs
       (List.init 3 (fun _ ->
@@ -1157,9 +1200,7 @@ let check_forest_instance ~seed ~label prng inst =
         ])
       (Pat.Instance.names inst)
   in
-  let stray_raises =
-    Pat.Region_set.laminar forest && not (Pat.Region_set.subset stray context)
-  in
+  let stray_raises = not (Pat.Region_set.subset stray context) in
   List.iter
     (fun (kernel, on_forest, scan) ->
       List.iter
@@ -1185,7 +1226,7 @@ let check_forest_instance ~seed ~label prng inst =
   let names = Array.of_list (Pat.Instance.names inst) in
   for _ = 1 to 4 do
     let e = random_general prng names 3 in
-    let reference = Naive_eval.eval inst e in
+    let reference = Support.Naive_eval.eval inst e in
     List.iter
       (fun (ev, f) ->
         if not (Pat.Region_set.equal (f inst e) reference) then
@@ -1201,39 +1242,44 @@ let forest_tests =
          QCheck.(make Gen.(int_bound 100000))
          (fun seed ->
            let prng = Stdx.Prng.create seed in
-           let inst = Gen_forest.generate prng ~crossing:false in
-           check_forest_instance ~seed ~label:"full" prng inst;
-           (* a scoped alias: the A regions inside some B *)
-           let scoped =
-             Pat.Region_set.included_strict (Pat.Instance.find inst "A")
-               (Pat.Instance.find inst "B")
-           in
-           let aliased = Pat.Instance.add inst "A_in_B" scoped in
-           check_forest_instance ~seed ~label:"scoped alias" prng aliased;
-           (* partial indexing: the universe of the kept names only *)
-           let keep =
-             Stdx.Prng.sample prng
-               (Stdx.Prng.int_in prng 1 (List.length Gen_forest.pool))
-               Gen_forest.pool
-           in
-           check_forest_instance ~seed ~label:"partial" prng
-             (Pat.Instance.restrict inst keep);
+           let draw = Gen_forest.generate prng ~crossing:false in
+           (match instance_of_draw ~seed ~label:"full" draw with
+           | None -> ()
+           | Some inst ->
+               check_forest_instance ~seed ~label:"full" prng inst;
+               (* a scoped alias: the A regions inside some B *)
+               let scoped =
+                 Pat.Region_set.included_strict (Pat.Instance.find inst "A")
+                   (Pat.Instance.find inst "B")
+               in
+               let aliased = Pat.Instance.add inst "A_in_B" scoped in
+               check_forest_instance ~seed ~label:"scoped alias" prng aliased;
+               (* partial indexing: the universe of the kept names only *)
+               let keep =
+                 Stdx.Prng.sample prng
+                   (Stdx.Prng.int_in prng 1 (List.length Gen_forest.pool))
+                   Gen_forest.pool
+               in
+               check_forest_instance ~seed ~label:"partial" prng
+                 (Pat.Instance.restrict inst keep));
            true));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:300
-         ~name:"non-laminar universes take the scan path and agree"
+      (QCheck.Test.make ~count:300 ~name:"non-laminar universes are refused"
          QCheck.(make Gen.(int_bound 100000))
          (fun seed ->
            let prng = Stdx.Prng.create seed in
-           let inst = Gen_forest.generate prng ~crossing:true in
-           check_forest_instance ~seed ~label:"crossing" prng inst;
-           true));
+           let draw = Gen_forest.generate prng ~crossing:true in
+           match instance_of_draw ~seed ~label:"crossing" draw with
+           | None -> true
+           | Some _ ->
+               QCheck.Test.fail_reportf "seed %d: crossing draw accepted" seed));
     Alcotest.test_case "generators reach both laminar and non-laminar" `Quick
       (fun () ->
         let laminar crossing seed =
-          Pat.Region_set.laminar
-            (Pat.Instance.forest
-               (Gen_forest.generate (Stdx.Prng.create seed) ~crossing))
+          let text, bindings =
+            Gen_forest.generate (Stdx.Prng.create seed) ~crossing
+          in
+          not (refused (fun () -> Pat.Instance.create text bindings))
         in
         let count crossing =
           List.length (List.filter (laminar crossing) (List.init 300 Fun.id))
@@ -1268,11 +1314,12 @@ let forest_tests =
                 ("root by ends", root, ends);
               ])
           forest_kernels);
-    Alcotest.test_case "laminar flag on touching, empty and crossing extents"
+    Alcotest.test_case "refusal on touching, empty and crossing extents"
       `Quick (fun () ->
         let laminar pairs =
-          Pat.Region_set.laminar
-            (Pat.Region_set.forest (Pat.Region_set.of_pairs pairs))
+          not
+            (refused (fun () ->
+                 Pat.Region_set.forest (Pat.Region_set.of_pairs pairs)))
         in
         Alcotest.(check bool) "nested" true (laminar [ (0, 9); (0, 4); (4, 9) ]);
         Alcotest.(check bool) "empty inside" true (laminar [ (0, 4); (4, 4) ]);
