@@ -39,6 +39,14 @@ let median xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
+(* Nearest-rank [p]th percentile of an ascending array (0 if empty). *)
+let pct sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let idx = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) idx))
+
 (* An overhead gate's measurement.  Runs of [off] and [armed] are
    interleaved ([arm] / [disarm] switch the layer under test around
    each armed run), so drift on a shared host lands on both sides
@@ -591,11 +599,8 @@ let b1 () =
     [ 200; 800; 3200 ]
 
 (* ------------------------------------------------------------------ *)
-(* C1 — catalog maintenance: cold build vs warm cache vs incremental
-   refresh of an appended log.  Not a paper claim (the paper assumes
-   indexing is a service of the text system); this measures what the
-   catalog subsystem adds: persisted indices served from an LRU cache,
-   and append-only maintenance that tokenizes only the tail. *)
+(* Helpers shared by the experiments that record JSON series or need
+   scratch directories. *)
 
 (* experiment id -> series of ms measurements, dumped as JSON at exit
    so the perf trajectory is trackable across PRs *)
@@ -637,11 +642,10 @@ let rec remove_tree path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* A new directory under $TMPDIR, removed with its contents when the
-   process that made it exits (not a forked child: W1's crash children
-   exit while their parent still reads the directory).  The name
-   carries a random suffix, drawn again should it exist, so a directory
-   an earlier run left behind under the same pid is no obstacle. *)
+(* A new directory under $TMPDIR, removed with its contents at exit.
+   The name carries a random suffix, drawn again should it exist, so a
+   directory an earlier run left behind under the same pid is no
+   obstacle. *)
 let fresh_dir =
   let counter = ref 0 and rng = Random.State.make_self_init () in
   let rec make () =
@@ -653,10 +657,7 @@ let fresh_dir =
     in
     match Unix.mkdir d 0o755 with
     | () ->
-        let owner = Unix.getpid () in
-        at_exit (fun () ->
-            if Unix.getpid () = owner then
-              try remove_tree d with Unix.Unix_error _ -> ());
+        at_exit (fun () -> try remove_tree d with Unix.Unix_error _ -> ());
         d
     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> make ()
   in
@@ -668,93 +669,6 @@ let write_file path contents =
   let oc = open_out_bin path in
   output_string oc contents;
   close_out oc
-
-let c1 () =
-  heading "C1" "catalog: cold build vs warm cache vs incremental refresh";
-  let n = 3000 and appended = 300 in
-  let base = Workload.Log_gen.generate (Workload.Log_gen.with_size n) in
-  (* Log_gen draws per entry in sequence, so the n-entry corpus is a
-     byte prefix of the (n + k)-entry one: overwriting the file with
-     the longer generation is exactly an append. *)
-  let grown = Workload.Log_gen.generate (Workload.Log_gen.with_size (n + appended)) in
-  assert (String.length grown > String.length base);
-  assert (String.sub grown 0 (String.length base) = base);
-  let q =
-    Odb.Query_parser.parse_exn
-      {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|}
-  in
-  say "log: %d entries (%d KB), appended: %d entries (%d KB)@." n
-    (String.length base / 1024)
-    appended
-    ((String.length grown - String.length base) / 1024)
-  ;
-  say "%8s | %10s | %10s | %10s | %12s | %11s@." "trial" "build ms"
-    "cold q ms" "warm q ms" "incr refr ms" "rebuild ms";
-  (* trial 0 warms the allocator and page cache and is not recorded *)
-  for trial = 0 to 3 do
-    let dir = fresh_dir () in
-    let log_path = Filename.concat dir "app.log" in
-    write_file log_path base;
-    let cat_dir = Filename.concat dir "cat" in
-    let cat = or_die (Oqf_catalog.Catalog.init cat_dir) in
-    let t0 = Unix.gettimeofday () in
-    let (_ : Oqf_catalog.Catalog.entry) =
-      or_die (Oqf_catalog.Catalog.add cat ~schema:"log" log_path)
-    in
-    let build_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    (* a fresh open: the cache is empty, the first query loads from disk
-       (and re-derives the word index), the second is served from the
-       cache *)
-    let cat = or_die (Oqf_catalog.Catalog.open_dir cat_dir) in
-    let run_query () =
-      let corpus = or_die (Oqf.Corpus.of_catalog cat ~schema:"log") in
-      or_die (Oqf.Corpus.run corpus q)
-    in
-    let _, cold_ms = time_ms ~repeat:1 run_query in
-    let _, warm_ms = time_ms ~repeat:1 run_query in
-    (* grow the file; refresh maintains the index incrementally *)
-    write_file log_path grown;
-    let refr, incr_ms =
-      time_ms ~repeat:1 (fun () ->
-          or_die (Oqf_catalog.Catalog.refresh cat log_path))
-    in
-    (match refr with
-    | Oqf_catalog.Catalog.Extended _ -> ()
-    | r ->
-        failwith
-          (Format.asprintf "expected incremental extension, got %a"
-             Oqf_catalog.Catalog.pp_refresh r));
-    (* force the full path on the same grown file: drop the index file,
-       refresh must rebuild from scratch *)
-    let entry = Option.get (Oqf_catalog.Catalog.find cat log_path) in
-    Sys.remove (Filename.concat cat_dir entry.Oqf_catalog.Catalog.index_file);
-    Oqf_catalog.Instance_cache.remove (Oqf_catalog.Catalog.cache cat) log_path;
-    let rebuilt, full_ms =
-      time_ms ~repeat:1 (fun () ->
-          or_die (Oqf_catalog.Catalog.refresh cat log_path))
-    in
-    (match rebuilt with
-    | Oqf_catalog.Catalog.Rebuilt _ -> ()
-    | r ->
-        failwith
-          (Format.asprintf "expected full rebuild, got %a"
-             Oqf_catalog.Catalog.pp_refresh r));
-    if trial > 0 then begin
-      record "C1_cold_build_ms" build_ms;
-      record "C1_cold_query_ms" cold_ms;
-      record "C1_warm_query_ms" warm_ms;
-      record "C1_incremental_refresh_ms" incr_ms;
-      record "C1_full_rebuild_ms" full_ms
-    end;
-    say "%8d | %10.2f | %10.2f | %10.2f | %12.2f | %11.2f@." trial build_ms
-      cold_ms warm_ms incr_ms full_ms
-  done;
-  let cache_stats =
-    (* the warm/cold split above, summarised *)
-    "cold query pays the disk load + word-index rebuild; warm query is \
-     served from the LRU instance cache"
-  in
-  say "%s@." cache_stats
 
 (* ------------------------------------------------------------------ *)
 (* O1 — observability overhead.  Tracing must be zero-cost when
@@ -825,9 +739,9 @@ let o1 () =
     traced_q_ms (traced_q_ms /. untraced_ms)
 
 (* ------------------------------------------------------------------ *)
-(* P1 — parallel execution.  An 8-file log corpus (the C1 scale spread
-   across files) evaluated at 1, 2 and 4 domains, plus the result
-   cache on a repeated-query batch.  The speedup is bounded by the
+(* P1 — parallel execution.  An 8-file log corpus (8 × 1,200 entries)
+   evaluated at 1, 2 and 4 domains, plus the result cache on a
+   repeated-query batch.  The speedup is bounded by the
    cores the container actually has — P1_cores records it so the JSON
    is interpretable; on a single-core host the 2- and 4-domain rows
    measure the pool's overhead, not a speedup. *)
@@ -1219,383 +1133,15 @@ let cb1 () =
     (if ratio >= 0.5 && ratio <= 2.0 then "PASS (within 2x)" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
-(* S1 — serving queries: a warm `oqf serve` daemon vs repeated CLI
-   invocation.  The daemon opens the catalog once and keeps the
-   instance and result caches warm across requests; every CLI
-   invocation pays process start, catalog open and cache warm-up.
-   Measured client-side over the Unix-domain socket at 1/8/64
-   concurrent clients, plus an overload run (max_active=1, queue=0)
-   showing a full admission queue answers typed rejections, not
-   hangs. *)
-
-let s1_queries =
-  [|
-    {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|};
-    {|SELECT e.Service FROM Entries e WHERE e.Level = "WARN"|};
-    {|SELECT e FROM Entries e WHERE e.Level = "FATAL"|};
-  |]
-
-let s1_pct sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let idx = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-
-let s1_fail = function Ok x -> x | Error e -> failwith e
-
-let s1_setup () =
-  let dir = fresh_dir () in
-  let catdir = Filename.concat dir "cat" in
-  let cat = s1_fail (Oqf_catalog.Catalog.init catdir) in
-  for i = 0 to 3 do
-    let p = Filename.concat dir (Printf.sprintf "node%d.log" i) in
-    write_file p
-      (Workload.Log_gen.generate
-         { (Workload.Log_gen.with_size 600) with seed = 7000 + i });
-    ignore (s1_fail (Oqf_catalog.Catalog.add cat ~schema:"log" p))
-  done;
-  (dir, catdir)
-
-let s1_query_req text =
-  Serve.Protocol.Query
-    {
-      schema = "log";
-      text;
-      timeout_ms = None;
-      fail_policy = None;
-      force = false;
-      workload = "";
-    }
-
-(* [clients] threads, [reps] requests each; returns (sorted latencies
-   in ms, wall-clock ms for the whole level) *)
-let s1_run_daemon ~socket ~clients ~reps =
-  let lats = Array.make clients [] in
-  let t0 = Obs.Trace.now_ms () in
-  let threads =
-    List.init clients (fun ci ->
-        Thread.create
-          (fun () ->
-            let c = s1_fail (Serve.Client.connect ~wait_ms:5000. socket) in
-            let acc = ref [] in
-            for r = 0 to reps - 1 do
-              let q = s1_queries.((ci + r) mod Array.length s1_queries) in
-              let t = Obs.Trace.now_ms () in
-              ignore (s1_fail (Serve.Client.request c (s1_query_req q)));
-              acc := (Obs.Trace.now_ms () -. t) :: !acc
-            done;
-            Serve.Client.close c;
-            lats.(ci) <- !acc)
-          ())
-  in
-  List.iter Thread.join threads;
-  let wall = Obs.Trace.now_ms () -. t0 in
-  let all = Array.of_list (List.concat (Array.to_list lats)) in
-  Array.sort compare all;
-  (all, wall)
-
-let s1_cli_exe () =
-  let p =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      "../bin/oqf_cli.exe"
-  in
-  if Sys.file_exists p then Some p else None
-
-let s1_run_cli ~exe ~catdir ~clients ~reps =
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let lats = Array.make clients [] in
-  let t0 = Obs.Trace.now_ms () in
-  let threads =
-    List.init clients (fun ci ->
-        Thread.create
-          (fun () ->
-            let acc = ref [] in
-            for r = 0 to reps - 1 do
-              let q = s1_queries.((ci + r) mod Array.length s1_queries) in
-              let t = Obs.Trace.now_ms () in
-              let pid =
-                Unix.create_process exe
-                  [| exe; "catalog"; "query"; "-c"; catdir; "-s"; "log"; q |]
-                  Unix.stdin devnull devnull
-              in
-              ignore (Unix.waitpid [] pid);
-              acc := (Obs.Trace.now_ms () -. t) :: !acc
-            done;
-            lats.(ci) <- !acc)
-          ())
-  in
-  List.iter Thread.join threads;
-  let wall = Obs.Trace.now_ms () -. t0 in
-  Unix.close devnull;
-  let all = Array.of_list (List.concat (Array.to_list lats)) in
-  Array.sort compare all;
-  (all, wall)
-
-let s1_overload ~catdir dir =
-  let socket = Filename.concat dir "ovl.sock" in
-  let config =
-    {
-      (Serve.Server.default_config ~catalog_dir:catdir ~socket_path:socket)
-      with
-      Serve.Server.max_active = 1;
-      max_queue = 0;
-      jobs = 1;
-    }
-  in
-  let server = s1_fail (Serve.Server.start config) in
-  let served = Atomic.make 0 and rejected = Atomic.make 0 in
-  let threads =
-    List.init 8 (fun ci ->
-        Thread.create
-          (fun () ->
-            let c = s1_fail (Serve.Client.connect ~wait_ms:5000. socket) in
-            for r = 0 to 49 do
-              let q = s1_queries.((ci + r) mod Array.length s1_queries) in
-              match s1_fail (Serve.Client.request c (s1_query_req q)) with
-              | events -> (
-                  match List.rev events with
-                  | Serve.Protocol.Done _ :: _ -> Atomic.incr served
-                  | Serve.Protocol.Overloaded _ :: _ -> Atomic.incr rejected
-                  | _ -> ())
-            done;
-            Serve.Client.close c)
-          ())
-  in
-  List.iter Thread.join threads;
-  Serve.Server.request_shutdown server;
-  Serve.Server.wait server;
-  (Atomic.get served, Atomic.get rejected)
-
-let s1 () =
-  heading "S1" "oqf serve: warm daemon vs repeated CLI invocation";
-  let dir, catdir = s1_setup () in
-  let socket = Filename.concat dir "oqf.sock" in
-  let config =
-    {
-      (Serve.Server.default_config ~catalog_dir:catdir ~socket_path:socket)
-      with
-      Serve.Server.max_active = 128;
-      max_queue = 256;
-      jobs = 4;
-    }
-  in
-  let server = s1_fail (Serve.Server.start config) in
-  (* warm: touch every query once so the daemon's caches are hot *)
-  ignore (s1_run_daemon ~socket ~clients:1 ~reps:(Array.length s1_queries));
-  say "%10s | %8s | %10s | %10s | %10s@." "mode" "clients" "p50 ms"
-    "p99 ms" "qps";
-  let daemon_p50_c8 = ref 0. in
-  List.iter
-    (fun (clients, reps) ->
-      let lats, wall = s1_run_daemon ~socket ~clients ~reps in
-      let p50 = s1_pct lats 50. and p99 = s1_pct lats 99. in
-      let qps = float_of_int (Array.length lats) /. (wall /. 1000.) in
-      if clients = 8 then daemon_p50_c8 := p50;
-      record (Printf.sprintf "S1_daemon_p50_ms_c%d" clients) p50;
-      record (Printf.sprintf "S1_daemon_p99_ms_c%d" clients) p99;
-      record (Printf.sprintf "S1_daemon_qps_c%d" clients) qps;
-      say "%10s | %8d | %10.3f | %10.3f | %10.0f@." "daemon" clients p50 p99
-        qps)
-    [ (1, 100); (8, 40); (64, 8) ];
-  Serve.Server.request_shutdown server;
-  Serve.Server.wait server;
-  (match s1_cli_exe () with
-  | None -> say "(oqf_cli.exe not found next to the bench; skipping CLI baseline)@."
-  | Some exe ->
-      List.iter
-        (fun (clients, reps) ->
-          let lats, wall = s1_run_cli ~exe ~catdir ~clients ~reps in
-          let p50 = s1_pct lats 50. and p99 = s1_pct lats 99. in
-          let qps = float_of_int (Array.length lats) /. (wall /. 1000.) in
-          record (Printf.sprintf "S1_cli_p50_ms_c%d" clients) p50;
-          record (Printf.sprintf "S1_cli_p99_ms_c%d" clients) p99;
-          record (Printf.sprintf "S1_cli_qps_c%d" clients) qps;
-          if clients = 8 && !daemon_p50_c8 > 0. then begin
-            let speedup = p50 /. !daemon_p50_c8 in
-            record "S1_speedup_p50_c8" speedup;
-            say "%10s | %8d | %10.3f | %10.3f | %10.0f@." "cli" clients p50
-              p99 qps;
-            say "warm daemon p50 at 8 clients is %.1fx better than repeated CLI%s@."
-              speedup
-              (if speedup >= 5. then " (>= 5x)" else " (< 5x!)")
-          end
-          else
-            say "%10s | %8d | %10.3f | %10.3f | %10.0f@." "cli" clients p50
-              p99 qps)
-        [ (1, 5); (8, 3) ]);
-  let served, rejected = s1_overload ~catdir dir in
-  record "S1_overload_served" (float_of_int served);
-  record "S1_overload_rejected" (float_of_int rejected);
-  say
-    "overload (max_active=1, queue=0, 8 clients x 50): %d served, %d typed \
-     rejections, 0 hangs@."
-    served rejected
-
-(* ------------------------------------------------------------------ *)
-(* CT1 — containment-aware caching on an overlapping batch workload,
-   plus the cross-query static pass.  The workload has the shape a
-   dashboard produces: a broad sweep per class of interest, then
-   narrowing refinements whose WHERE conjuncts are supersets of an
-   earlier query's.  With containment off (exact keys only — the
-   pre-containment cache) every distinct query text evaluates; with it
-   on, each refinement is answered by filtering the cached superset's
-   rows (byte-identical per DESIGN §14).  Gates: >= 20% fewer
-   evaluated queries at identical per-query rows, and the
-   [oqf check --queries] cross-query pass under 100 ms on the
-   examples-corpus query files. *)
-
-let ct1_queries =
-  [
-    {|SELECT e FROM Entries e|};
-    {|SELECT e FROM Entries e WHERE e.Level = "ERROR"|};
-    {|SELECT e FROM Entries e WHERE e.Level = "ERROR" AND e.Service = "db"|};
-    {|SELECT e FROM Entries e WHERE e.Level = "WARN"|};
-    {|SELECT e FROM Entries e WHERE e.Service = "auth"|};
-    {|SELECT e FROM Entries e WHERE e.Level = "FATAL"|};
-    {|SELECT e FROM Entries e WHERE e.Service = "auth" AND e.Level = "INFO"|};
-    (* projected select: outside the containment contract, exact-only *)
-    {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|};
-    {|SELECT e FROM Entries e WHERE e.Message CONTAINS "timeout"|};
-  ]
-
-(* mirrors examples/queries/*.queries (read from disk when run from
-   the workspace root, so drift is caught by the cram/CI lint) *)
-let ct1_example_queries =
-  [
-    ( Fschema.Bibtex_schema.view,
-      "examples/queries/bibtex.queries",
-      [
-        {|SELECT r.Key FROM References r|};
-        {|SELECT r.Key FROM References r WHERE r.Year STARTS WITH "19"|};
-        {|SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"|};
-        {|SELECT r.Title FROM References r WHERE r.Key = "Ref0001"|};
-      ] );
-    ( Fschema.Log_schema.view,
-      "examples/queries/log.queries",
-      [
-        {|SELECT e FROM Entries e|};
-        {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|};
-        {|SELECT e.Pid FROM Entries e WHERE e.Service = "auth"|};
-      ] );
-  ]
-
-let ct1_read_queries path fallback =
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    let rec loop acc =
-      match input_line ic with
-      | line ->
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then loop acc
-          else loop (line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    loop []
-  end
-  else fallback
-
-let ct1 () =
-  heading "CT1"
-    "containment-aware batch caching (gate: >= 20% fewer evaluations)";
-  let files =
-    List.init 6 (fun i ->
-        ( Printf.sprintf "node%d.log" i,
-          Pat.Text.of_string
-            (Workload.Log_gen.generate
-               { (Workload.Log_gen.with_size 800) with seed = 310 + i }) ))
-  in
-  let corpus = or_die (Oqf.Corpus.make_full Fschema.Log_schema.view files) in
-  let queries = List.map Odb.Query_parser.parse_exn ct1_queries in
-  let run_workload ~containment =
-    let cache = Exec.Rcache.create ~containment () in
-    let results, ms =
-      time_ms ~repeat:1 (fun () -> run_batch ~jobs:1 ~cache corpus queries)
-    in
-    let rows =
-      List.map2
-        (fun q (o : Exec.Driver.outcome) ->
-          (Odb.Query.to_string q, o.Exec.Driver.rows))
-        queries results
-    in
-    let s = Exec.Rcache.stats cache in
-    (* a containment-served probe counts an exact miss first, so the
-       queries actually evaluated are the misses nothing absorbed *)
-    let evaluated = s.Exec.Rcache.misses - s.Exec.Rcache.containment_hits in
-    (rows, evaluated, s.Exec.Rcache.containment_hits, ms)
-  in
-  let base_rows, base_eval, _, base_ms = run_workload ~containment:false in
-  let cont_rows, cont_eval, cont_hits, cont_ms =
-    run_workload ~containment:true
-  in
-  (* the gate is meaningless unless both runs answer identically *)
-  assert (base_rows = cont_rows);
-  let reduction_pct =
-    float_of_int (base_eval - cont_eval) /. float_of_int base_eval *. 100.0
-  in
-  record "CT1_baseline_evaluated" (float_of_int base_eval);
-  record "CT1_containment_evaluated" (float_of_int cont_eval);
-  record "CT1_containment_hits" (float_of_int cont_hits);
-  record "CT1_reduction_pct" reduction_pct;
-  say "batch of %d queries: baseline evaluated %d (%.2f ms); containment \
-       evaluated %d, served %d by filtering (%.2f ms)@."
-    (List.length queries) base_eval base_ms cont_eval cont_hits cont_ms;
-  say "CT1 evaluation-reduction check: %s (%.0f%%, gate >= 20%%)@."
-    (if reduction_pct >= 20.0 then "PASS" else "FAIL")
-    reduction_pct;
-  (* --- cross-query static pass on the examples corpus -------------- *)
-  let batches =
-    List.map
-      (fun (view, path, fallback) ->
-        let texts = ct1_read_queries path fallback in
-        let index = Fschema.Grammar.indexable view.Fschema.View.grammar in
-        (Oqf.Compile.env view ~index, texts))
-      ct1_example_queries
-  in
-  let check_all () =
-    List.fold_left
-      (fun acc (env, texts) ->
-        let labelled =
-          List.mapi
-            (fun i t -> (Printf.sprintf "query %d" (i + 1), t))
-            texts
-        in
-        let per_query =
-          List.concat_map
-            (fun (_, t) ->
-              (Oqf.Check.query ~text:t env
-                 (Odb.Query_parser.parse_exn t))
-                .Oqf.Check.diagnostics)
-            labelled
-        in
-        let cross =
-          Oqf.Check.cross_query
-            (List.map
-               (fun (l, t) -> (l, Odb.Query_parser.parse_exn t))
-               labelled)
-        in
-        acc + List.length per_query + List.length cross)
-      0 batches
-  in
-  let (_ : int), check_ms = time_ms ~repeat:5 check_all in
-  record "CT1_check_ms" check_ms;
-  say "cross-query static pass over the examples corpus: %.2f ms@." check_ms;
-  say "CT1 check-latency check: %s (gate < 100 ms)@."
-    (if check_ms < 100.0 then "PASS" else "FAIL")
-
-(* ------------------------------------------------------------------ *)
 (* W1 — live corpora: watch-mode ingest under MVCC snapshot isolation.
-   Three gates, all CI-enforced:
-   1. kill -9 (injected crash, exit 137) at every commit/retire fault
-      site leaves a catalog that reopens, repairs and answers;
-   2. warm query p95 while the watcher ingests stays within 2x of the
+   Two gates, both CI-enforced and both read off one run:
+   1. warm query p95 while the watcher ingests stays within 2x of the
       idle warm p95;
-   3. zero failed or partially-read queries, and a snapshot pinned
+   2. zero failed or partially-read queries, and a snapshot pinned
       before the writer starts answers byte-identically, across 50
-      concurrent refresh commits. *)
+      concurrent refresh commits.
+   Crash safety at the commit and retire sites is replayed by CI's
+   crash-recovery step, which kills `oqf catalog refresh` at each. *)
 
 let w1_query =
   Odb.Query_parser.parse_exn
@@ -1618,15 +1164,14 @@ let w1_setup n_files entries =
       write_file f
         (Workload.Log_gen.generate (Workload.Log_gen.with_size sizes.(i))))
     files;
-  let catdir = Filename.concat dir "cat" in
-  let cat = or_die (Oqf_catalog.Catalog.init catdir) in
+  let cat = or_die (Oqf_catalog.Catalog.init (Filename.concat dir "cat")) in
   Array.iter
     (fun f ->
       ignore
         (or_die (Oqf_catalog.Catalog.add cat ~schema:"log" f)
           : Oqf_catalog.Catalog.entry))
     files;
-  (catdir, files, sizes, cat)
+  (files, sizes, cat)
 
 let w1_rows_image corpus =
   match Oqf.Corpus.run corpus w1_query with
@@ -1640,75 +1185,9 @@ let w1_rows_image corpus =
                 ^ String.concat "," (List.map Odb.Value.to_display_string row))
               out.Oqf.Corpus.rows))
 
-(* Fork a child that installs [spec] and refreshes; the injected crash
-   exits it with 137 exactly as SIGKILL would mid-commit.  The parent
-   then reopens, repairs and queries the survivor.  Runs before any
-   domain or thread is spawned, so the fork is safe. *)
-let w1_crash_phase () =
-  let catdir, files, sizes, _cat = w1_setup 1 400 in
-  let log = files.(0) in
-  let ok = ref true in
-  List.iter
-    (fun spec ->
-      w1_grow log sizes 0;
-      (* don't let buffered output be flushed twice across the fork *)
-      Format.printf "@?";
-      flush_all ();
-      match Unix.fork () with
-      | 0 ->
-          (match Stdx.Fault.parse spec with
-          | Error _ -> Unix._exit 1
-          | Ok cfg -> Stdx.Fault.set (Some cfg));
-          (match Oqf_catalog.Catalog.open_dir catdir with
-          | Error _ -> Unix._exit 1
-          | Ok cat ->
-              ignore (Oqf_catalog.Catalog.refresh cat log);
-              (* for gen.retire the commit completes before the crash
-                 site fires; force a retirement pass *)
-              ignore (Oqf_catalog.Catalog.retire_unreferenced cat));
-          Unix._exit 0
-      | pid ->
-          let _, status = Unix.waitpid [] pid in
-          let killed = status = Unix.WEXITED 137 in
-          if not killed then begin
-            ok := false;
-            say "  %-20s did not crash (%s)@." spec
-              (match status with
-              | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-              | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-              | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)
-          end;
-          (match Oqf_catalog.Catalog.open_dir catdir with
-          | Error e ->
-              ok := false;
-              say "  %-20s catalog did not reopen: %s@." spec e
-          | Ok cat -> (
-              let actions = Oqf_catalog.Catalog.repair cat in
-              match
-                Result.bind (Oqf.Corpus.of_catalog cat ~schema:"log")
-                  w1_rows_image
-              with
-              | Ok _ ->
-                  say
-                    "  %-20s killed=137, reopened; repair took %d action(s); \
-                     query ok@."
-                    spec (List.length actions)
-              | Error e ->
-                  ok := false;
-                  say "  %-20s recovery query failed: %s@." spec e)))
-    [ "crash:gen.commit@1"; "crash:gen.commit@2"; "crash:gen.retire@1" ];
-  !ok
-
 let w1 () =
-  heading "W1"
-    "live ingest: crash-safe commits, query p95 under ingest, snapshot \
-     stability";
-  let crash_ok = w1_crash_phase () in
-  record "W1_crash_recovered" (if crash_ok then 1. else 0.);
-  say "W1 crash-recovery check: %s@." (if crash_ok then "PASS" else "FAIL");
-  (* --- live phase: reader thread vs watcher-driven writer ---------- *)
-  let catdir, files, sizes, cat = w1_setup 3 300 in
-  ignore (catdir : string);
+  heading "W1" "live ingest: query p95 under ingest, snapshot stability";
+  let files, sizes, cat = w1_setup 3 300 in
   let lock = Mutex.create () in
   (* serve-style reader: pin per query, cache the built corpus keyed by
      generation, so queries within one generation are warm and only the
@@ -1782,28 +1261,28 @@ let w1 () =
   done;
   let idle = Array.init 60 (fun _ -> snd (query_once ())) in
   Array.sort compare idle;
-  let idle_p95 = s1_pct idle 95. in
+  let idle_p95 = pct idle 95. in
   record "W1_idle_p95_ms" idle_p95;
   let ingest = Array.of_list !lats in
   Array.sort compare ingest;
-  let ingest_p95 = s1_pct ingest 95. in
+  let ingest_p95 = pct ingest 95. in
   let ratio = if idle_p95 > 0. then ingest_p95 /. idle_p95 else 0. in
   let commit_sorted = Array.of_list !commit_lats in
   Array.sort compare commit_sorted;
   record "W1_ingest_p95_ms" ingest_p95;
   record "W1_ingest_ratio" ratio;
-  record "W1_commit_p95_ms" (s1_pct commit_sorted 95.);
+  record "W1_commit_p95_ms" (pct commit_sorted 95.);
   record "W1_queries_during_ingest" (float_of_int (Array.length ingest));
   record "W1_failed_queries" (float_of_int (List.length !failures));
   say
     "idle warm p95 %.3f ms; during %d watcher commits: %d queries, p50 %.3f \
      p90 %.3f p95 %.3f p99 %.3f max %.3f ms (p95 %.2fx idle), commit p95 \
      %.3f ms@."
-    idle_p95 commits (Array.length ingest) (s1_pct ingest 50.)
-    (s1_pct ingest 90.) ingest_p95 (s1_pct ingest 99.)
+    idle_p95 commits (Array.length ingest) (pct ingest 50.)
+    (pct ingest 90.) ingest_p95 (pct ingest 99.)
     ingest.(Array.length ingest - 1)
     ratio
-    (s1_pct commit_sorted 95.);
+    (pct commit_sorted 95.);
   say "W1 ingest-latency check: %s (gate <= 2x idle p95)@."
     (if ratio <= 2.0 && Array.length ingest > 0 then "PASS" else "FAIL");
   (* stability: the pre-writer snapshot still answers byte-identically,
@@ -1826,31 +1305,30 @@ let w1 () =
 
 (* `main.exe <id>` runs just that experiment and writes only its JSON,
    if it has one — the CI gates and the per-experiment table and JSON
-   refreshes use this *)
+   refreshes use this.  Any other argument is refused. *)
 let single =
   [
     ("e8", (e8, None));
     ("b1", (b1, None));
-    ("c1", (c1, Some ("C1_", "BENCH_catalog.json")));
     ("p1", (p1, Some ("P1_", "BENCH_parallel.json")));
     ("r1", (r1, Some ("R1_", "BENCH_robust.json")));
-    ("s1", (s1, Some ("S1_", "BENCH_serve.json")));
     ("o2", (o2, Some ("O2_", "BENCH_obs2.json")));
     ("cb1", (cb1, Some ("CB1_", "BENCH_cost.json")));
-    ("ct1", (ct1, Some ("CT1_", "BENCH_contain.json")));
     ("w1", (w1, Some ("W1_", "BENCH_ingest.json")));
   ]
 
 let () =
   say "Reproduction benches for 'Optimizing Queries on Files' (SIGMOD 1994)@.";
-  (match
-     if Array.length Sys.argv > 1 then List.assoc_opt Sys.argv.(1) single
-     else None
-   with
-  | Some (run, json) ->
+  (match Array.to_list Sys.argv with
+  | [ _; id ] when List.mem_assoc id single ->
+      let run, json = List.assoc id single in
       run ();
       Option.iter (fun (only_prefix, path) -> emit_json ~only_prefix path) json
-  | None ->
+  | _ :: _ :: _ ->
+      prerr_endline
+        ("usage: main.exe [" ^ String.concat "|" (List.map fst single) ^ "]");
+      exit 2
+  | _ ->
       e1 ();
       e2 ();
       e3 ();
@@ -1860,22 +1338,16 @@ let () =
       e7 ();
       e8 ();
       b1 ();
-      c1 ();
       w1 ();
       o1 ();
       p1 ();
       r1 ();
-      s1 ();
       o2 ();
       cb1 ();
-      ct1 ();
-      emit_json ~only_prefix:"C1_" "BENCH_catalog.json";
       emit_json ~only_prefix:"CB1_" "BENCH_cost.json";
-      emit_json ~only_prefix:"CT1_" "BENCH_contain.json";
       emit_json ~only_prefix:"O1_" "BENCH_obs.json";
       emit_json ~only_prefix:"O2_" "BENCH_obs2.json";
       emit_json ~only_prefix:"P1_" "BENCH_parallel.json";
       emit_json ~only_prefix:"R1_" "BENCH_robust.json";
-      emit_json ~only_prefix:"S1_" "BENCH_serve.json";
       emit_json ~only_prefix:"W1_" "BENCH_ingest.json");
   say "@.done.@."

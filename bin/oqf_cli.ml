@@ -901,6 +901,22 @@ let catalog_cmd =
 
 (* --- batch --------------------------------------------------------- *)
 
+(* The trimmed lines of a query, expression or RIG file, numbered from
+   1, without blank and [#] lines. *)
+let read_lines path =
+  let ic = open_in path in
+  let rec go n acc =
+    match input_line ic with
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+    | line ->
+        let line = String.trim line in
+        if line = "" || line.[0] = '#' then go (n + 1) acc
+        else go (n + 1) ((n, line) :: acc)
+  in
+  go 1 []
+
 let batch_cmd =
   let queries_file =
     let doc =
@@ -920,27 +936,16 @@ let batch_cmd =
     Arg.(value & opt (some string) None & info [ "c"; "catalog" ] ~docv:"DIR" ~doc)
   in
   let read_queries path =
-    let ic = open_in path in
-    let rec go n acc =
-      match input_line ic with
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      | line ->
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then go (n + 1) acc
-          else begin
-            match Odb.Query_parser.parse line with
-            | Ok q -> go (n + 1) ((line, q) :: acc)
-            | Error e ->
-                close_in ic;
-                or_die
-                  (Error
-                     (Format.asprintf "%s:%d: %a" path n Odb.Query_parser.pp_error
-                        e))
-          end
-    in
-    go 1 []
+    List.map
+      (fun (n, line) ->
+        match Odb.Query_parser.parse line with
+        | Ok q -> (line, q)
+        | Error e ->
+            or_die
+              (Error
+                 (Format.asprintf "%s:%d: %a" path n Odb.Query_parser.pp_error
+                    e)))
+      (read_lines path)
   in
   let run schema queries_file data catalog_dir force jobs fail_policy plan
       faults trace metrics qlog workload slow_ms =
@@ -1025,21 +1030,6 @@ let batch_cmd =
 
 (* --- check --------------------------------------------------------- *)
 
-(* Non-comment lines of a query/expression file, with line numbers. *)
-let read_check_lines path =
-  let ic = open_in path in
-  let rec go n acc =
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go (n + 1) acc
-        else go (n + 1) ((n, line) :: acc)
-  in
-  go 1 []
-
 (* A declared RIG file: one [A -> B] line per edge, a bare name per
    isolated node, [#] comments. *)
 let parse_rig_file path =
@@ -1067,7 +1057,7 @@ let parse_rig_file path =
         | _ ->
             or_die
               (Error (Printf.sprintf "%s:%d: bad RIG line %S" path lineno line)))
-      ([], []) (read_check_lines path)
+      ([], []) (read_lines path)
   in
   Ralg.Rig.create
     ~names:(List.sort_uniq String.compare nodes)
@@ -1173,7 +1163,7 @@ let check_cmd =
         (fun path ->
           List.map
             (fun (n, line) -> (Printf.sprintf "%s:%d: %s" path n line, line))
-            (read_check_lines path))
+            (read_lines path))
         queries_files
     in
     let query_entries = List.map (fun q -> (q, q)) pos_queries in
@@ -1353,31 +1343,24 @@ let advise_cmd =
               let cat = open_catalog dir in
               Oqf_cost.Stats.of_entries (Oqf_catalog.Catalog.entries cat)
         in
-        let agg = or_die (Obs.Qstats.of_files ~top:1000 qlogs) in
+        (* with no cut-off, [by_count] holds every distinct query once;
+           the replay sums predicted savings in text order, so floats
+           round as they always have *)
+        let agg = or_die (Obs.Qstats.of_files ~top:max_int qlogs) in
         let items =
-          let module SM = Map.Make (String) in
-          let add m (q : Obs.Qstats.query) =
-            if SM.mem q.Obs.Qstats.text m then m
-            else
-              SM.add q.Obs.Qstats.text
-                {
-                  Oqf_cost.Advise.query = q.Obs.Qstats.text;
-                  schema = q.Obs.Qstats.schema;
-                  workload = q.Obs.Qstats.workload;
-                  count = q.Obs.Qstats.count;
-                  total_ms = q.Obs.Qstats.total_ms;
-                }
-                m
-          in
-          let m =
-            List.fold_left add (SM.empty : Oqf_cost.Advise.item SM.t)
-              (agg.Obs.Qstats.by_count @ agg.Obs.Qstats.by_total_ms)
-          in
-          let all = List.map snd (SM.bindings m) in
-          match schema with
-          | None -> all
-          | Some s ->
-              List.filter (fun (i : Oqf_cost.Advise.item) -> i.schema = s) all
+          agg.Obs.Qstats.by_count
+          |> List.filter (fun (q : Obs.Qstats.query) ->
+                 match schema with None -> true | Some s -> q.schema = s)
+          |> List.map (fun (q : Obs.Qstats.query) ->
+                 {
+                   Oqf_cost.Advise.query = q.text;
+                   schema = q.schema;
+                   workload = q.workload;
+                   count = q.count;
+                   total_ms = q.total_ms;
+                 })
+          |> List.sort (fun (a : Oqf_cost.Advise.item) b ->
+                 String.compare a.query b.query)
         in
         let schemas =
           List.filter_map

@@ -974,6 +974,31 @@ let extend t e ~old_len new_text =
           rebuild t e new_text ~reason:("incremental failed: " ^ why)
     end
 
+(* A change time younger than this is not settled yet: an edit in the
+   same timestamp tick (a kernel clock tick, or a whole second on
+   filesystems that keep seconds) would not move it past the settled
+   mtime.  A later refresh settles it; a change time in the future
+   (clock skew) never is. *)
+let settle_age_s = 1.0
+
+(* A source whose bytes are current but whose change time (the later
+   of its mtime and ctime: a [touch], a [chmod]) is past its index
+   file's mtime would read as {!possibly_stale} for good, and every
+   watcher scan and serve request would read and hash it again.  Its
+   index file's mtime moves up to [changed] instead — metadata only, no
+   index byte, manifest line or generation changes.  [changed] comes
+   from a stat made before the source was read, so an edit during or
+   after the refresh still reads as stale.  [utimes] keeps whole
+   microseconds and truncates, so the time is rounded up one past
+   them, and stat reads back no earlier than [changed].  Should
+   [utimes] fail, the entry stays possibly stale, as before. *)
+let settle_index_mtime path ~changed =
+  match Unix.stat path with
+  | idx when idx.Unix.st_mtime < changed -> (
+      let t = (Float.ceil (changed *. 1e6) +. 1.) /. 1e6 in
+      try Unix.utimes path idx.Unix.st_atime t with Unix.Unix_error _ -> ())
+  | _ | (exception Unix.Unix_error _) -> ()
+
 (* [check] probes an index whose source fingerprint is current. *)
 let refresh_by ~check t source =
   Obs.Trace.with_span "catalog.refresh"
@@ -985,9 +1010,21 @@ let refresh_by ~check t source =
       let healing r =
         Result.map (fun r -> Obs.Metrics.incr catalog_healed; r) r
       in
+      let changed =
+        let now = Unix.gettimeofday () in
+        match Unix.stat e.source with
+        | src ->
+            let changed = Float.max src.Unix.st_mtime src.Unix.st_ctime in
+            if changed <= now -. settle_age_s then Some changed else None
+        | exception Unix.Unix_error _ -> None
+      in
       match staleness_by ~check t e with
       | Source_missing, _ | _, None -> Error (source ^ ": source file is missing")
-      | Fresh, _ -> Ok Unchanged
+      | Fresh, _ ->
+          Option.iter
+            (fun changed -> settle_index_mtime (index_path t e) ~changed)
+            changed;
+          Ok Unchanged
       | Index_missing, Some text ->
           healing (rebuild t e text ~reason:"index file missing")
       | Index_unreadable reason, Some text -> healing (rebuild t e text ~reason)

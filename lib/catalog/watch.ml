@@ -39,7 +39,9 @@ let locked lock f =
       Mutex.lock m;
       Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let scan ?lock ?on_event ?(probe_open = false) cat =
+(* [probe_open] attempts sources whose breaker is open; only {!start}
+   asks for that, every [probe_period] scans. *)
+let scan_with ?lock ?on_event ~probe_open cat =
   Obs.Trace.with_span "watch.scan"
     ~attrs:(fun () ->
       [ ("generation", Obs.Trace.Int (Catalog.generation cat)) ])
@@ -83,6 +85,8 @@ let scan ?lock ?on_event ?(probe_open = false) cat =
     retired;
     generation = Catalog.generation cat;
   }
+
+let scan ?lock ?on_event cat = scan_with ?lock ?on_event ~probe_open:false cat
 
 (* One qlog record per scan that changed something, so ingest activity
    lands in the same durable stream as the queries it races. *)
@@ -137,7 +141,7 @@ let start ?(interval_ms = 500.) ?lock ?on_event cat =
           (try
              let r =
                Stdx.Retry.io ~site:"watch.scan" (fun () ->
-                   scan ?lock ?on_event ~probe_open cat)
+                   scan_with ?lock ?on_event ~probe_open cat)
              in
              log_scan ~t0 r
            with _ ->

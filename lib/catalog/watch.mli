@@ -37,18 +37,12 @@ type report = {
   generation : int;  (** current generation after the scan *)
 }
 
-val scan :
-  ?lock:Mutex.t ->
-  ?on_event:(event -> unit) ->
-  ?probe_open:bool ->
-  Catalog.t ->
-  report
+val scan : ?lock:Mutex.t -> ?on_event:(event -> unit) -> Catalog.t -> report
 (** One synchronous pass.  [lock] (the serve daemon's catalog lock) is
     held around each mutating refresh and the retirement sweep — not
     the whole pass — so concurrent readers only ever wait for one
-    commit.  [probe_open] attempts sources whose breaker is open
-    (default [false]).  [on_event] fires per entry, in catalogue
-    order. *)
+    commit.  A source whose breaker is open is skipped.  [on_event]
+    fires per entry, in catalogue order. *)
 
 type t
 (** A running background watcher. *)

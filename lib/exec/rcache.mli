@@ -30,7 +30,7 @@ val create : ?capacity:int -> ?containment:bool -> unit -> t
     inserting past it evicts the least recently used.  [containment]
     (default [true]) enables the subsumption lookup layer; pass
     [false] to restrict the cache to exact hits (the escape hatch, and
-    the baseline the CT1 benchmark compares against). *)
+    the baseline the containment batch test compares against). *)
 
 type key
 

@@ -72,45 +72,6 @@ let memory () =
   ({ Trace.emit; flush = (fun () -> ()) }, forest)
 
 (* ------------------------------------------------------------------ *)
-(* rendering *)
-
-let pp_value ppf = function
-  | Trace.Str s -> Format.fprintf ppf "%s" s
-  | Trace.Int i -> Format.fprintf ppf "%d" i
-  | Trace.Float f -> Format.fprintf ppf "%g" f
-  | Trace.Bool b -> Format.fprintf ppf "%b" b
-
-let pp_attrs ppf = function
-  | [] -> ()
-  | attrs ->
-      Format.fprintf ppf " {%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-           (fun ppf (k, v) -> Format.fprintf ppf "%s=%a" k pp_value v))
-        attrs
-
-let pp_node ?(show_times = true) ppf root =
-  let rec go indent n =
-    Format.fprintf ppf "%s%s" indent n.name;
-    if show_times then Format.fprintf ppf " (%.3f ms)" (duration_ms n);
-    pp_attrs ppf n.attrs;
-    Format.fprintf ppf "@.";
-    List.iter
-      (fun (name, _, attrs) ->
-        Format.fprintf ppf "%s  * %s%a@." indent name pp_attrs attrs)
-      n.events;
-    List.iter (go (indent ^ "  ")) n.children
-  in
-  go "" root
-
-let pretty ppf =
-  let mem, forest = memory () in
-  {
-    Trace.emit = mem.Trace.emit;
-    flush = (fun () -> List.iter (pp_node ppf) (forest ()));
-  }
-
-(* ------------------------------------------------------------------ *)
 (* JSON helpers *)
 
 let json_value = function

@@ -1,7 +1,6 @@
 (** Trace sinks: where {!Trace} events go.
 
     - {!memory} collects events and reconstructs the span tree;
-    - {!pretty} renders that tree to a formatter on flush;
     - {!jsonl} streams one JSON object per event line;
     - {!chrome} writes the Chrome [trace_event] array format, loadable
       in [chrome://tracing] or Perfetto. *)
@@ -21,9 +20,6 @@ val memory : unit -> Trace.sink * (unit -> node list)
 (** An in-memory collector.  The second component returns the roots of
     the reconstructed span forest (call it after the traced work;
     flushing is a no-op). *)
-
-val pretty : Format.formatter -> Trace.sink
-(** Collects like {!memory} and prints the forest on [flush]. *)
 
 val jsonl : out_channel -> Trace.sink
 (** One JSON object per line:

@@ -15,7 +15,8 @@ let of_sources sources =
     fingerprint = { value = Atomic.make None; lock = Mutex.create () };
   }
 
-let make view files ~index =
+let make_full view files =
+  let index = Fschema.Grammar.indexable view.Fschema.View.grammar in
   let rec go acc = function
     | [] -> Ok (of_sources (List.rev acc))
     | (name, text) :: rest -> begin
@@ -25,10 +26,6 @@ let make view files ~index =
       end
   in
   go [] files
-
-let make_full view files =
-  make view files
-    ~index:(Fschema.Grammar.indexable view.Fschema.View.grammar)
 
 (* The sources of [schema]'s entries, each instance read by [load].  A
    source plans with its entry's manifest statistics; an entry written

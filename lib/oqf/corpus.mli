@@ -13,17 +13,11 @@
 
 type t
 
-val make :
-  Fschema.View.t ->
-  (string * Pat.Text.t) list ->
-  index:string list ->
-  (t, string) result
-(** Index each named file.  Fails on the first file that does not parse
-    under the view's grammar, naming it. *)
-
 val make_full :
   Fschema.View.t -> (string * Pat.Text.t) list -> (t, string) result
-(** Full indexing for every file. *)
+(** Index each named file, every indexable name of the view.  Fails on
+    the first file that does not parse under the view's grammar, naming
+    it. *)
 
 val of_catalog : Oqf_catalog.Catalog.t -> schema:string -> (t, string) result
 (** The corpus of every catalogued file of one schema, served from the

@@ -523,6 +523,71 @@ let query_clean_is_clean () =
   let ds = query_check {|SELECT r.Title FROM References r|} in
   Alcotest.(check (list string)) "no diagnostics" [] (codes ds)
 
+(* The cross-query static pass of [oqf check --queries] (per-query
+   diagnostics, then the containment relations across the file) over
+   every examples/queries/SCHEMA.queries file stays under 100 ms, best
+   of 5.  The files are a declared dep of the suite; like the golden
+   file, they are found from the dune sandbox or the workspace root. *)
+let example_query_files () =
+  let dir =
+    let local = Filename.concat ".." "examples/queries" in
+    if Sys.file_exists local then local else "examples/queries"
+  in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter_map (fun f ->
+         Option.map
+           (fun schema -> (schema, Filename.concat dir f))
+           (Filename.chop_suffix_opt ~suffix:".queries" f))
+
+let query_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n' |> List.map String.trim
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+let cross_query_pass_is_fast () =
+  let batches =
+    List.map
+      (fun (schema, path) ->
+        let view =
+          match Oqf_catalog.Schemas.find schema with
+          | Some v -> v
+          | None -> Alcotest.failf "%s: unknown schema %s" path schema
+        in
+        let index = Fschema.Grammar.indexable view.Fschema.View.grammar in
+        let labelled =
+          List.mapi
+            (fun i t -> (Printf.sprintf "query %d" (i + 1), t))
+            (query_lines path)
+        in
+        (Oqf.Compile.env view ~index, labelled))
+      (example_query_files ())
+  in
+  Alcotest.(check bool) "example query files found" true
+    (List.exists (fun (_, l) -> l <> []) batches);
+  let check_all () =
+    List.iter
+      (fun (env, labelled) ->
+        List.iter
+          (fun (_, t) ->
+            ignore (Oqf.Check.query ~text:t env (Odb.Query_parser.parse_exn t)))
+          labelled;
+        ignore
+          (Oqf.Check.cross_query
+             (List.map
+                (fun (l, t) -> (l, Odb.Query_parser.parse_exn t))
+                labelled)))
+      batches
+  in
+  let best =
+    List.fold_left Float.min infinity
+      (List.init 5 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           check_all ();
+           (Unix.gettimeofday () -. t0) *. 1000.))
+  in
+  if best >= 100. then
+    Alcotest.failf "cross-query pass took %.1f ms (bound: 100 ms)" best
+
 let suites =
   [
     ( "analysis.diagnostic",
@@ -579,5 +644,7 @@ let suites =
           query_unknown_attribute_warns;
         Alcotest.test_case "clean query has no diagnostics" `Quick
           query_clean_is_clean;
+        Alcotest.test_case "cross-query pass over the examples under 100 ms"
+          `Quick cross_query_pass_is_fast;
       ] );
   ]

@@ -505,6 +505,66 @@ let rcache_containment_disabled () =
   Alcotest.(check int) "no containment hits" 0
     (Exec.Rcache.stats cache).Exec.Rcache.containment_hits
 
+(* An overlapping batch, the shape a dashboard sends: a broad sweep per
+   class of interest, then refinements whose WHERE conjuncts extend an
+   earlier query's.  With the containment layer on, a refinement is
+   answered by filtering a cached superset's rows, so the batch must
+   evaluate at least 20% fewer queries than with exact keys only, at
+   the same rows per query.  Transient faults cannot move the counts:
+   [pool.task] retries them inside the task, below the cache. *)
+let overlapping_batch =
+  [
+    {|SELECT e FROM Entries e|};
+    {|SELECT e FROM Entries e WHERE e.Level = "ERROR"|};
+    {|SELECT e FROM Entries e WHERE e.Level = "ERROR" AND e.Service = "db"|};
+    {|SELECT e FROM Entries e WHERE e.Level = "WARN"|};
+    {|SELECT e FROM Entries e WHERE e.Service = "auth"|};
+    {|SELECT e FROM Entries e WHERE e.Level = "FATAL"|};
+    {|SELECT e FROM Entries e WHERE e.Service = "auth" AND e.Level = "INFO"|};
+    (* projected select: outside the containment contract, exact-only *)
+    {|SELECT e.Service FROM Entries e WHERE e.Level = "ERROR"|};
+    {|SELECT e FROM Entries e WHERE e.Message CONTAINS "timeout"|};
+  ]
+
+let containment_evaluates_fewer () =
+  let corpus =
+    log_corpus_of
+      (List.init 6 (fun i ->
+           ( Printf.sprintf "node%d.log" i,
+             Workload.Log_gen.generate
+               { (Workload.Log_gen.with_size 800) with seed = 310 + i } )))
+  in
+  let queries = List.map parse_q overlapping_batch in
+  let run ~containment =
+    let cache = Exec.Rcache.create ~containment () in
+    let rows =
+      Exec.Pool.with_pool ~jobs:1 @@ fun pool ->
+      List.map
+        (fun q ->
+          (or_fail
+             (Exec.Driver.run_streaming ~cache ~pool
+                ~on_rows:(fun ~file:_ _ -> ())
+                corpus q))
+            .Exec.Driver.rows)
+        queries
+    in
+    let s = Exec.Rcache.stats cache in
+    (* a containment-served probe counts an exact miss first, so the
+       queries evaluated are the misses nothing absorbed *)
+    (rows, s.Exec.Rcache.misses - s.Exec.Rcache.containment_hits)
+  in
+  let exact_rows, exact = run ~containment:false in
+  let rows, evaluated = run ~containment:true in
+  List.iter2
+    (fun text (a, b) -> Alcotest.check rows_t text a b)
+    overlapping_batch
+    (List.combine exact_rows rows);
+  Alcotest.(check int) "exact keys evaluate every query"
+    (List.length queries) exact;
+  if (exact - evaluated) * 5 < exact then
+    Alcotest.failf "containment evaluated %d of %d queries (gate: 20%% fewer)"
+      evaluated exact
+
 let temp_dir () =
   let path = Filename.temp_file "oqf_exec_test" "" in
   Sys.remove path;
@@ -1221,6 +1281,8 @@ let suites =
           `Quick rcache_containment_serves_subset;
         Alcotest.test_case "containment layer can be disabled" `Quick
           rcache_containment_disabled;
+        Alcotest.test_case "containment evaluates >= 20% fewer of a batch"
+          `Quick containment_evaluates_fewer;
         Alcotest.test_case "corpus fingerprint equals the formula" `Quick
           fingerprint_matches_the_formula;
         Alcotest.test_case "corpus fingerprint is domain-safe" `Quick

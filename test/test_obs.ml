@@ -153,27 +153,6 @@ let trace_tests =
         Alcotest.(check (list string))
           "span closed" [ "boom" ]
           (List.map (fun n -> n.Obs.Sink.name) roots));
-    Alcotest.test_case "pretty sink renders the forest on flush" `Quick
-      (fun () ->
-        let buf = Buffer.create 256 in
-        let ppf = Format.formatter_of_buffer buf in
-        Obs.Trace.set_sink (Some (Obs.Sink.pretty ppf));
-        Obs.Trace.with_span "alpha" (fun () ->
-            Obs.Trace.with_span "beta" ignore);
-        Obs.Trace.set_sink None;
-        Format.pp_print_flush ppf ();
-        let out = Buffer.contents buf in
-        Alcotest.(check bool)
-          "mentions both spans" true
-          (let has needle =
-             let nh = String.length out and nn = String.length needle in
-             let rec go i =
-               if i + nn > nh then false
-               else String.sub out i nn = needle || go (i + 1)
-             in
-             go 0
-           in
-           has "alpha" && has "beta"));
   ]
 
 let sink_file_tests =

@@ -1497,6 +1497,116 @@ let telemetry_tests =
               (Astring.String.is_infix ~affix:!the_trace spans)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* overload over a live socket                                         *)
+
+(* A raw connection whose reads give up at [deadline] (Unix time), so
+   a daemon that never answers fails the test instead of stalling the
+   suite. *)
+let connect_by ~deadline config =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX config.Serve.Server.socket_path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+    (Float.max 0.001 (deadline -. Unix.gettimeofday ()));
+  (fd, Serve.Protocol.reader fd)
+
+(* Send [req] and read its events up to the first terminal one. *)
+let events_by (fd, reader) req =
+  let line = Serve.Protocol.render_request 1 req ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  let rec go acc =
+    match Serve.Protocol.read_line reader with
+    | `Line l -> (
+        match Serve.Protocol.parse_response l with
+        | Ok r when Serve.Client.is_terminal r -> Ok (List.rev (r :: acc))
+        | Ok r -> go (r :: acc)
+        | Error e -> Error e)
+    | `Eof | `Overflow -> Error "response stream cut short"
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Error "no terminal event before the deadline"
+  in
+  go []
+
+(* One slot, no queue, one job.  The first request holds the slot
+   inside an injected [pool.task] delay, and the other clients send
+   only once [serve.admitted] shows it admitted, so their first
+   requests must be rejected. *)
+let full_queue_rejects_and_drains () =
+  with_server ~max_active:1 ~max_queue:0 ~jobs:1 (fun config _dir ->
+      let deadline = Unix.gettimeofday () +. 20. in
+      let holder = connect_by ~deadline config in
+      let others = List.init 3 (fun _ -> connect_by ~deadline config) in
+      let held = ref (Error "not answered") in
+      let answers = Array.make (List.length others) [] in
+      let holding =
+        Test_exec.with_faults "delay:1.0@500,only:pool.task" (fun () ->
+            let before = admitted_count () in
+            let holding =
+              Thread.create
+                (fun () -> held := events_by holder (query_req query_text))
+                ()
+            in
+            while admitted_count () = before do
+              if Unix.gettimeofday () > deadline then
+                Alcotest.fail "the first request was never admitted";
+              Thread.delay 0.001
+            done;
+            List.mapi
+              (fun i c ->
+                Thread.create
+                  (fun () ->
+                    answers.(i) <-
+                      List.init 3 (fun _ -> events_by c (query_req query_text)))
+                  ())
+              others
+            |> List.iter Thread.join;
+            holding)
+      in
+      Thread.join holding;
+      let terminal what = function
+        | Ok events -> (
+            match List.rev events with
+            | (Serve.Protocol.(Done _ | Overloaded _) as t) :: _ -> t
+            | _ -> Alcotest.failf "%s: expected done or overloaded last" what)
+        | Error e -> Alcotest.failf "%s: %s" what e
+      in
+      (match terminal "the holder" !held with
+      | Serve.Protocol.Done _ -> ()
+      | _ -> Alcotest.fail "the holder must be served");
+      Array.iteri
+        (fun i results ->
+          List.iteri
+            (fun j r ->
+              match terminal (Printf.sprintf "client %d request %d" i j) r with
+              | Serve.Protocol.Done _ when j = 0 ->
+                  Alcotest.failf "client %d: its first request was admitted" i
+              | _ -> ())
+            results)
+        answers;
+      (* exactly one terminal per request: the next event on every
+         connection answers the next request, and the freed slot
+         serves each client in turn *)
+      List.iteri
+        (fun i c ->
+          let ping = events_by c Serve.Protocol.Ping in
+          match (ping, events_by c (query_req query_text)) with
+          | Ok [ Serve.Protocol.Pong _ ], Ok events -> (
+              match List.rev events with
+              | Serve.Protocol.Done _ :: _ -> ()
+              | _ -> Alcotest.failf "client %d: not served after the burst" i)
+          | _ -> Alcotest.failf "client %d: a stray event after the burst" i)
+        (holder :: others);
+      (match events_by holder Serve.Protocol.Shutdown with
+      | Ok [ Serve.Protocol.Bye _ ] -> ()
+      | _ -> Alcotest.fail "expected bye");
+      List.iter (fun (fd, _) -> Unix.close fd) (holder :: others))
+
+let overload_tests =
+  [
+    Alcotest.test_case "a full queue answers typed rejections, never hangs"
+      `Quick full_queue_rejects_and_drains;
+  ]
+
 let suites =
   [
     ("serve.jsonx", jsonx_tests);
@@ -1504,6 +1614,7 @@ let suites =
     ("serve.admission", admission_tests);
     ("serve.streaming", streaming_tests);
     ("serve.server", server_tests);
+    ("serve.overload", overload_tests);
     ("serve.wire", wire_tests);
     ("serve.telemetry", telemetry_tests);
   ]
